@@ -24,9 +24,12 @@ pub fn add(package: &mut DdPackage, a: VectorEdge, b: VectorEdge) -> Result<Vect
     if b.is_zero() {
         return Ok(a);
     }
-    if a.is_terminal() && b.is_terminal() {
+    // Same target (terminal pairs included): `wa·v + wb·v = (wa + wb)·v`.
+    // One weight addition replaces a recursion that would rebuild `v` node
+    // by node, and the exact sum carries no rounding from rescaled children.
+    if a.target == b.target {
         let value = package.weight_value(a.weight) + package.weight_value(b.weight);
-        return Ok(package.vector_terminal(value));
+        return Ok(package.vector_edge(a.target, value));
     }
 
     // Addition is commutative; canonicalize the key order to double the
@@ -40,22 +43,21 @@ pub fn add(package: &mut DdPackage, a: VectorEdge, b: VectorEdge) -> Result<Vect
         return Ok(cached);
     }
 
-    // One of the edges is non-terminal here, so a variable always exists.
-    #[allow(clippy::expect_used)]
-    let var = package
-        .vedge_var(a)
-        .or_else(|| package.vedge_var(b))
-        .expect("non-terminal edge must have a variable");
-    debug_assert_eq!(
-        package.vedge_var(a),
-        package.vedge_var(b),
+    // The targets differ, and both DDs span the same levels, so neither
+    // edge is terminal.
+    debug_assert!(
+        !a.is_terminal() && !b.is_terminal(),
         "added DDs must be over the same variable level"
     );
-
-    let wa = package.weight_value(a.weight);
-    let wb = package.weight_value(b.weight);
     let a_node = *package.vnode(a.target);
     let b_node = *package.vnode(b.target);
+    debug_assert_eq!(
+        a_node.var, b_node.var,
+        "added DDs must be over the same variable level"
+    );
+    let var = a_node.var;
+    let wa = package.weight_value(a.weight);
+    let wb = package.weight_value(b.weight);
 
     let mut children = [VectorEdge::ZERO; 2];
     for (bit, child) in children.iter_mut().enumerate() {
@@ -85,9 +87,10 @@ pub fn matrix_add(
     if b.is_zero() {
         return Ok(a);
     }
-    if a.is_terminal() && b.is_terminal() {
+    // Same target: `wa·M + wb·M = (wa + wb)·M`, as in `add`.
+    if a.target == b.target {
         let value = package.weight_value(a.weight) + package.weight_value(b.weight);
-        return Ok(package.matrix_terminal(value));
+        return Ok(package.matrix_edge(a.target, value));
     }
 
     let key = if (a.target, a.weight) <= (b.target, b.weight) {
@@ -365,6 +368,52 @@ mod tests {
         let ab = add(&mut p, a, b).unwrap();
         let ba = add(&mut p, b, a).unwrap();
         assert_eq!(ab, ba);
+    }
+
+    #[test]
+    fn add_of_one_target_sums_the_weights_without_building_nodes() {
+        let mut p = DdPackage::new();
+        let amps = [
+            Complex::from_real(0.6),
+            Complex::ZERO,
+            Complex::new(0.0, 0.8),
+            Complex::ZERO,
+        ];
+        let v = from_amps(&mut p, &amps);
+        let a = p.scale_vedge(v, Complex::new(0.25, 0.5));
+        let b = p.scale_vedge(v, Complex::new(-1.0, 0.25));
+        let nodes = p.allocated_vector_nodes();
+        let sum = add(&mut p, a, b).unwrap();
+        assert_eq!(p.allocated_vector_nodes(), nodes);
+        assert_eq!(sum.target, v.target);
+        let expected = p.weight_value(v.weight) * Complex::new(-0.75, 0.75);
+        assert!((p.weight_value(sum.weight) - expected).norm() < 1e-12);
+        assert_eq!(p.stats().add_cache, Default::default());
+
+        // Opposite weights cancel to the canonical zero edge.
+        let minus = p.scale_vedge(a, -Complex::ONE);
+        assert_eq!(add(&mut p, a, minus).unwrap(), VectorEdge::ZERO);
+    }
+
+    #[test]
+    fn matrix_add_of_one_target_sums_the_weights() {
+        let mut p = DdPackage::new();
+        let h = crate::OperatorDd::controlled_gate(
+            &mut p,
+            2,
+            circuit::OneQubitGate::H,
+            circuit::Qubit(1),
+            &[],
+        )
+        .unwrap()
+        .root();
+        let half = p.scale_medge(h, Complex::from_real(0.5));
+        let nodes = p.allocated_matrix_nodes();
+        let sum = matrix_add(&mut p, half, half).unwrap();
+        assert_eq!(p.allocated_matrix_nodes(), nodes);
+        assert_eq!(sum, h);
+        let minus = p.scale_medge(half, -Complex::ONE);
+        assert_eq!(matrix_add(&mut p, half, minus).unwrap(), MatrixEdge::ZERO);
     }
 
     #[test]

@@ -50,6 +50,17 @@
 //!   below-target part of every gate cone — the bulk of a naive gate
 //!   apply — from the compute working set entirely.
 //!
+//! * Additions of two edges to the **same target** (`wa·v + wb·v`) return
+//!   `(wa + wb)·v` at once, in `ops.rs`, instead of rebuilding `v` node by
+//!   node.  Besides skipping the recursion, the exact sum keeps rounding
+//!   from rescaled children out of the result: a rebuilt sum can land just
+//!   outside the interning tolerance and split sub-vectors that should be
+//!   shared.
+//!
+//! * The **value table** ([`CTable`]) is two flat arrays, the values and an
+//!   open-addressing index over them, so interning a weight never allocates
+//!   except when an array doubles.
+//!
 //! All per-table hit/miss/eviction counters are reported through
 //! [`DdStats`].
 
@@ -57,7 +68,7 @@ use crate::edge::{MatrixEdge, MatrixNodeId, VectorEdge, VectorNodeId, WeightId};
 use crate::govern::{DdError, Governor};
 use crate::node::{MatrixNode, VectorNode};
 use circuit::{OneQubitGate, Qubit};
-use mathkit::{hash_finish, hash_mix, CTable, Complex, FxHashMap, FxHashSet, Tolerance};
+use mathkit::{hash_finish, hash_mix, CTable, Complex, FxHashMap, Tolerance, ValueId};
 use std::mem::size_of;
 
 /// The edge-weight normalization scheme applied when creating vector nodes.
@@ -821,9 +832,13 @@ impl DdPackage {
     }
 
     /// Approximate bytes held by the package right now: node arenas, unique
-    /// tables and compute caches (the interned-value table and operator memo
-    /// are comparatively small and not counted).  This is the figure the
+    /// tables, compute caches and the interned-value table (the operator
+    /// memo is comparatively small and not counted).  This is the figure the
     /// governor's byte budget is checked against.
+    ///
+    /// The value table belongs in the figure: construction interns every
+    /// transient product weight, so it can hold tens of values per live node
+    /// until garbage collection rebuilds it.
     #[must_use]
     pub fn approx_allocated_bytes(&self) -> u64 {
         let vnodes = self.vnodes.len() * size_of::<VectorNode>();
@@ -834,7 +849,7 @@ impl DdPackage {
             + self.mv_cache.allocated_bytes()
             + self.madd_cache.allocated_bytes()
             + self.mm_cache.allocated_bytes();
-        (vnodes + mnodes + tables + caches) as u64
+        (vnodes + mnodes + tables + caches + self.ctable.heap_bytes()) as u64
     }
 
     /// Current occupancy and hit/miss statistics.
@@ -929,14 +944,27 @@ impl DdPackage {
 
     /// Builds a terminal vector edge with the given complex weight.
     pub fn vector_terminal(&mut self, value: Complex) -> VectorEdge {
+        self.vector_edge(VectorNodeId::TERMINAL, value)
+    }
+
+    /// An edge to `target` with the interned weight `value`, or the
+    /// canonical zero edge when the weight interns to zero.
+    pub(crate) fn vector_edge(&mut self, target: VectorNodeId, value: Complex) -> VectorEdge {
         let weight = self.weight(value);
         if weight.is_zero() {
             VectorEdge::ZERO
         } else {
-            VectorEdge {
-                target: VectorNodeId::TERMINAL,
-                weight,
-            }
+            VectorEdge { target, weight }
+        }
+    }
+
+    /// The matrix counterpart of [`vector_edge`](Self::vector_edge).
+    pub(crate) fn matrix_edge(&mut self, target: MatrixNodeId, value: Complex) -> MatrixEdge {
+        let weight = self.weight(value);
+        if weight.is_zero() {
+            MatrixEdge::ZERO
+        } else {
+            MatrixEdge { target, weight }
         }
     }
 
@@ -946,15 +974,7 @@ impl DdPackage {
         if edge.is_zero() {
             return VectorEdge::ZERO;
         }
-        let weight = self.weight(self.weight_value(edge.weight) * factor);
-        if weight.is_zero() {
-            VectorEdge::ZERO
-        } else {
-            VectorEdge {
-                target: edge.target,
-                weight,
-            }
-        }
+        self.vector_edge(edge.target, self.weight_value(edge.weight) * factor)
     }
 
     /// Multiplies a matrix edge weight by a complex scalar.
@@ -962,15 +982,7 @@ impl DdPackage {
         if edge.is_zero() {
             return MatrixEdge::ZERO;
         }
-        let weight = self.weight(self.weight_value(edge.weight) * factor);
-        if weight.is_zero() {
-            MatrixEdge::ZERO
-        } else {
-            MatrixEdge {
-                target: edge.target,
-                weight,
-            }
-        }
+        self.matrix_edge(edge.target, self.weight_value(edge.weight) * factor)
     }
 
     /// Creates (or reuses) a vector node at level `var` with the given
@@ -1018,7 +1030,9 @@ impl DdPackage {
             Normalization::TwoNorm => {
                 let mag = (w0.norm_sqr() + w1.norm_sqr()).sqrt();
                 let phase_source = if !w0.is_zero() { w0 } else { w1 };
-                Complex::from_polar(mag, phase_source.arg())
+                // `mag` times the unit phase of `phase_source`, with no
+                // atan2/sin/cos round trip.
+                phase_source.scale(mag / phase_source.norm())
             }
         };
 
@@ -1110,15 +1124,7 @@ impl DdPackage {
 
     /// Builds a terminal matrix edge with the given complex weight.
     pub fn matrix_terminal(&mut self, value: Complex) -> MatrixEdge {
-        let weight = self.weight(value);
-        if weight.is_zero() {
-            MatrixEdge::ZERO
-        } else {
-            MatrixEdge {
-                target: MatrixNodeId::TERMINAL,
-                weight,
-            }
-        }
+        self.matrix_edge(MatrixNodeId::TERMINAL, value)
     }
 
     /// Creates (or reuses) a matrix node at level `var` with the four
@@ -1274,42 +1280,28 @@ impl DdPackage {
     /// Counts the vector nodes reachable from `root` (excluding the
     /// terminal), i.e. the "size" column reported for DD-based sampling in
     /// Table I of the paper.
+    ///
+    /// The visited set is a bitset over the arena: `apply_circuit` counts
+    /// after every gate once the arena passes its garbage-collection
+    /// threshold, so the count must stay cheap for million-node states.
     #[must_use]
     pub fn reachable_vector_nodes(&self, root: VectorEdge) -> usize {
-        let mut seen: FxHashSet<VectorNodeId> = FxHashSet::default();
-        let mut stack = vec![root.target];
-        while let Some(id) = stack.pop() {
-            if id.is_terminal() || !seen.insert(id) {
-                continue;
-            }
-            let node = self.vnode(id);
-            for child in node.children {
-                if !child.is_zero() {
-                    stack.push(child.target);
-                }
-            }
-        }
-        seen.len()
+        count_reachable(self.vnodes.len(), root.target.0, |id| {
+            self.vnodes[id as usize]
+                .children
+                .map(|child| (!child.is_zero()).then_some(child.target.0))
+        })
     }
 
     /// Counts the matrix nodes reachable from `root` (excluding the
     /// terminal).
     #[must_use]
     pub fn reachable_matrix_nodes(&self, root: MatrixEdge) -> usize {
-        let mut seen: FxHashSet<MatrixNodeId> = FxHashSet::default();
-        let mut stack = vec![root.target];
-        while let Some(id) = stack.pop() {
-            if id.is_terminal() || !seen.insert(id) {
-                continue;
-            }
-            let node = self.mnode(id);
-            for child in node.children {
-                if !child.is_zero() {
-                    stack.push(child.target);
-                }
-            }
-        }
-        seen.len()
+        count_reachable(self.mnodes.len(), root.target.0, |id| {
+            self.mnodes[id as usize]
+                .children
+                .map(|child| (!child.is_zero()).then_some(child.target.0))
+        })
     }
 
     /// Reclaims every node not reachable from the given root edges and
@@ -1337,8 +1329,8 @@ impl DdPackage {
             old_nodes: &old_nodes,
             old_ctable: &old_ctable,
             new_ctable: &mut self.ctable,
-            node_remap: FxHashMap::default(),
-            weight_remap: FxHashMap::default(),
+            node_remap: vec![UNMAPPED; old_nodes.len()],
+            value_remap: vec![None; old_ctable.len()],
             new_nodes: Vec::new(),
             table: UniqueTable::new(),
         };
@@ -1378,31 +1370,76 @@ impl DdPackage {
     }
 }
 
+/// Counts the arena nodes reachable from `root` (the terminal excluded) by
+/// a depth-first walk with a visited bitset; `children` lists a node's
+/// non-zero child targets.  Vector and matrix ids share the terminal
+/// sentinel `u32::MAX`.
+fn count_reachable<const N: usize>(
+    arena_len: usize,
+    root: u32,
+    children: impl Fn(u32) -> [Option<u32>; N],
+) -> usize {
+    debug_assert_eq!(VectorNodeId::TERMINAL.0, MatrixNodeId::TERMINAL.0);
+    let mut seen = vec![0u64; arena_len.div_ceil(64)];
+    let mut count = 0;
+    let mut stack = vec![root];
+    while let Some(id) = stack.pop() {
+        if id == VectorNodeId::TERMINAL.0 {
+            continue;
+        }
+        let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
+        if seen[word] & bit != 0 {
+            continue;
+        }
+        seen[word] |= bit;
+        count += 1;
+        stack.extend(children(id).into_iter().flatten());
+    }
+    count
+}
+
 /// Working state of one garbage-collection pass: rewrites the reachable
 /// sub-DAG bottom-up into a fresh arena, re-interning every surviving edge
 /// weight into a fresh value table and re-deduplicating nodes through a
 /// fresh unique table (weight re-interning can merge representatives, which
 /// can in turn make two previously distinct nodes equal).
+///
+/// Both remaps are dense arrays indexed by old id (`UNMAPPED` or `None`
+/// until visited).
 struct GcState<'a> {
     old_nodes: &'a [VectorNode],
     old_ctable: &'a CTable,
     new_ctable: &'a mut CTable,
-    node_remap: FxHashMap<u32, VectorNodeId>,
-    weight_remap: FxHashMap<WeightId, WeightId>,
+    /// New node id per old node id.
+    node_remap: Vec<u32>,
+    /// New value id per old value id.
+    value_remap: Vec<Option<ValueId>>,
     new_nodes: Vec<VectorNode>,
     table: UniqueTable,
 }
 
+/// Marks an old node the pass has not rewritten yet.
+const UNMAPPED: u32 = u32::MAX;
+
 impl GcState<'_> {
-    fn remap_weight(&mut self, weight: WeightId) -> WeightId {
-        if let Some(&mapped) = self.weight_remap.get(&weight) {
+    fn remap_value(&mut self, old: ValueId) -> ValueId {
+        if let Some(mapped) = self.value_remap[old.index()] {
             return mapped;
         }
-        let value = self.old_ctable.complex(weight.re, weight.im);
-        let (re, im) = self.new_ctable.intern_complex(value);
-        let mapped = WeightId { re, im };
-        self.weight_remap.insert(weight, mapped);
+        let mapped = self.new_ctable.intern(self.old_ctable.value(old));
+        self.value_remap[old.index()] = Some(mapped);
         mapped
+    }
+
+    fn remap_weight(&mut self, weight: WeightId) -> WeightId {
+        WeightId {
+            re: self.remap_value(weight.re),
+            im: self.remap_value(weight.im),
+        }
+    }
+
+    fn is_mapped(&self, old: u32) -> bool {
+        self.node_remap[old as usize] != UNMAPPED
     }
 
     /// Rewrites the sub-DAG under old node `id` into the fresh arena and
@@ -1416,7 +1453,7 @@ impl GcState<'_> {
     fn rewrite(&mut self, id: u32) -> VectorNodeId {
         let mut stack: Vec<u32> = vec![id];
         while let Some(&top) = stack.last() {
-            if self.node_remap.contains_key(&top) {
+            if self.is_mapped(top) {
                 stack.pop();
                 continue;
             }
@@ -1425,7 +1462,7 @@ impl GcState<'_> {
             for child in node.children {
                 if !child.is_zero()
                     && !child.target.is_terminal()
-                    && !self.node_remap.contains_key(&child.target.0)
+                    && !self.is_mapped(child.target.0)
                 {
                     stack.push(child.target.0);
                     children_ready = false;
@@ -1443,7 +1480,7 @@ impl GcState<'_> {
                 let target = if child.target.is_terminal() {
                     VectorNodeId::TERMINAL
                 } else {
-                    self.node_remap[&child.target.0]
+                    VectorNodeId(self.node_remap[child.target.index()])
                 };
                 let weight = self.remap_weight(child.weight);
                 *slot = if weight.is_zero() {
@@ -1462,7 +1499,7 @@ impl GcState<'_> {
                 .table
                 .find(hash, |nid| new_nodes[nid as usize] == new_node)
             {
-                Some(nid) => VectorNodeId(nid),
+                Some(nid) => nid,
                 None => {
                     // Infallible: the compacted arena only ever shrinks, and
                     // the input arena already fit in the u32 id space.
@@ -1470,13 +1507,13 @@ impl GcState<'_> {
                     let nid = u32::try_from(self.new_nodes.len()).expect("arena overflow");
                     self.new_nodes.push(new_node);
                     self.table.insert(hash, nid);
-                    VectorNodeId(nid)
+                    nid
                 }
             };
-            self.node_remap.insert(top, new_id);
+            self.node_remap[top as usize] = new_id;
             stack.pop();
         }
-        self.node_remap[&id]
+        VectorNodeId(self.node_remap[id as usize])
     }
 }
 

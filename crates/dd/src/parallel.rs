@@ -142,11 +142,6 @@ impl OEdge {
     fn is_zero(self) -> bool {
         self.weight.is_zero()
     }
-
-    #[inline]
-    fn is_terminal(self) -> bool {
-        self.target == O_TERMINAL
-    }
 }
 
 /// A worker-local vector node over offset-coded edges.
@@ -257,16 +252,13 @@ impl<'a> Overlay<'a> {
         }
     }
 
-    /// Mirrors `DdPackage::vector_terminal`.
-    fn terminal(&mut self, value: Complex) -> OEdge {
+    /// Mirrors `DdPackage::vector_edge`.
+    fn edge(&mut self, target: u32, value: Complex) -> OEdge {
         let weight = self.weight(value);
         if weight.is_zero() {
             OEdge::ZERO
         } else {
-            OEdge {
-                target: O_TERMINAL,
-                weight,
-            }
+            OEdge { target, weight }
         }
     }
 
@@ -275,15 +267,7 @@ impl<'a> Overlay<'a> {
         if edge.is_zero() {
             return OEdge::ZERO;
         }
-        let weight = self.weight(self.weight_value(edge.weight) * factor);
-        if weight.is_zero() {
-            OEdge::ZERO
-        } else {
-            OEdge {
-                target: edge.target,
-                weight,
-            }
-        }
+        self.edge(edge.target, self.weight_value(edge.weight) * factor)
     }
 
     /// Re-codes a frozen master edge; master value ids are below `cbase` by
@@ -381,7 +365,9 @@ impl<'a> Overlay<'a> {
             Normalization::TwoNorm => {
                 let mag = (w0.norm_sqr() + w1.norm_sqr()).sqrt();
                 let phase_source = if !w0.is_zero() { w0 } else { w1 };
-                Complex::from_polar(mag, phase_source.arg())
+                // `mag` times the unit phase of `phase_source`, with no
+                // atan2/sin/cos round trip.
+                phase_source.scale(mag / phase_source.norm())
             }
         };
 
@@ -450,9 +436,9 @@ impl<'a> Overlay<'a> {
         if b.is_zero() {
             return Ok(a);
         }
-        if a.is_terminal() && b.is_terminal() {
+        if a.target == b.target {
             let value = self.weight_value(a.weight) + self.weight_value(b.weight);
-            return Ok(self.terminal(value));
+            return Ok(self.edge(a.target, value));
         }
 
         let key = if (a.target, a.weight) <= (b.target, b.weight) {

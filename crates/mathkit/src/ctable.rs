@@ -8,10 +8,31 @@
 //! values under an absolute tolerance and hands out stable [`ValueId`]s.
 //! Two interned values are equal if and only if their ids are equal, so
 //! downstream hash tables can key on the ids directly.
+//!
+//! # Layout
+//!
+//! Values are filed under *buckets* of width `2 * eps`, so a value and
+//! everything within tolerance of it lie in its own or an adjacent bucket.
+//! The table is two flat arrays:
+//!
+//! * `values`, the interned `f64`s indexed by [`ValueId`], and
+//! * `slots`, an open-addressing index with linear probing.  Each slot holds
+//!   the low 32 bits of a value's bucket number and the value's id (8 bytes).
+//!
+//! Entries are never deleted, so the entries of one bucket sit along its
+//! probe sequence in insertion order.  A lookup scans the value's own bucket,
+//! then the lower and the upper neighbour, and returns the first entry within
+//! tolerance: the oldest match in the nearest bucket.  Buckets whose numbers
+//! agree in the low 32 bits are at least `2^32 - 1` bucket widths apart, so
+//! their values never pass the tolerance check and the truncated key cannot
+//! cause a false match.  A hit allocates nothing.  A miss pushes one value
+//! and writes one slot.  The only allocations are the two arrays doubling:
+//! `values` as a `Vec` does, the index (by a linear rehash of `values`)
+//! when it is half full.
 
 use crate::tolerance::Tolerance;
 use crate::Complex;
-use crate::FxHashMap;
+use crate::HASH_AVALANCHE;
 
 /// A stable identifier for an interned real value in a [`CTable`].
 ///
@@ -60,11 +81,33 @@ pub struct CTableStats {
 #[derive(Debug, Clone)]
 pub struct CTable {
     values: Vec<f64>,
-    buckets: FxHashMap<i64, Vec<ValueId>>,
+    /// Open-addressing index over `values` (power-of-two length, at most
+    /// half full).
+    slots: Vec<Slot>,
+    /// Bucket width, `2 * eps` (at least `f64::MIN_POSITIVE`).
+    width: f64,
     tolerance: Tolerance,
     hits: u64,
     misses: u64,
 }
+
+/// Marks an empty index slot; `ValueId`s stop below it (see `intern`).
+const EMPTY: u32 = u32::MAX;
+
+/// Initial number of index slots.
+const INITIAL_SLOTS: usize = 1 << 7;
+
+/// One index entry: the low 32 bits of the value's bucket and its id.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    bucket: u32,
+    id: u32,
+}
+
+const EMPTY_SLOT: Slot = Slot {
+    bucket: 0,
+    id: EMPTY,
+};
 
 impl CTable {
     /// Creates a table with the [default tolerance](crate::DEFAULT_TOLERANCE),
@@ -79,18 +122,19 @@ impl CTable {
     #[must_use]
     pub fn with_tolerance(tolerance: Tolerance) -> Self {
         let mut table = Self {
-            values: Vec::with_capacity(64),
-            buckets: FxHashMap::default(),
+            values: Vec::with_capacity(INITIAL_SLOTS / 2),
+            slots: vec![EMPTY_SLOT; INITIAL_SLOTS],
+            // A value and anything within tolerance of it land in the same
+            // or an adjacent bucket.
+            width: (tolerance.eps() * 2.0).max(f64::MIN_POSITIVE),
             tolerance,
             hits: 0,
             misses: 0,
         };
-        let zero = table.intern(0.0);
-        let one = table.intern(1.0);
-        debug_assert_eq!(zero, ValueId::ZERO);
-        debug_assert_eq!(one, ValueId::ONE);
-        table.hits = 0;
-        table.misses = 0;
+        for (id, value) in [(ValueId::ZERO, 0.0), (ValueId::ONE, 1.0)] {
+            table.values.push(value);
+            table.place(table.bucket_of(value), id.0);
+        }
         table
     }
 
@@ -100,11 +144,72 @@ impl CTable {
         self.tolerance
     }
 
+    #[inline]
     fn bucket_of(&self, value: f64) -> i64 {
-        // Bucket width is 2x the tolerance so a value and anything within
-        // tolerance of it land in the same or an adjacent bucket.
-        let width = (self.tolerance.eps() * 2.0).max(f64::MIN_POSITIVE);
-        (value / width).round() as i64
+        (value / self.width).round() as i64
+    }
+
+    /// The home slot of `bucket` (Fibonacci hashing: consecutive buckets
+    /// spread over the whole index).
+    #[inline]
+    fn home(&self, bucket: i64) -> usize {
+        let hash = (bucket as u64).wrapping_mul(HASH_AVALANCHE);
+        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The oldest entry of `bucket` within tolerance of `value`.
+    #[inline]
+    fn find_in(&self, bucket: i64, value: f64) -> Option<ValueId> {
+        let mask = self.slots.len() - 1;
+        let key = bucket as u32;
+        let mut i = self.home(bucket);
+        loop {
+            let slot = self.slots[i];
+            if slot.id == EMPTY {
+                return None;
+            }
+            if slot.bucket == key && self.tolerance.eq(self.values[slot.id as usize], value) {
+                return Some(ValueId(slot.id));
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The lookup phase shared by [`intern`](Self::intern) and
+    /// [`probe`](Self::probe): the value's own bucket first, then its lower
+    /// and upper neighbours.  Returns the bucket for a following insert.
+    #[inline]
+    fn find(&self, value: f64) -> (i64, Option<ValueId>) {
+        let bucket = self.bucket_of(value);
+        let found = self
+            .find_in(bucket, value)
+            .or_else(|| self.find_in(bucket.wrapping_sub(1), value))
+            .or_else(|| self.find_in(bucket.wrapping_add(1), value));
+        (bucket, found)
+    }
+
+    /// Writes the index entry of `id` into the first free slot of its
+    /// bucket's probe sequence, after all older entries of that bucket.
+    fn place(&mut self, bucket: i64, id: u32) {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(bucket);
+        while self.slots[i].id != EMPTY {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = Slot {
+            bucket: bucket as u32,
+            id,
+        };
+    }
+
+    /// Doubles the index and re-places every value in id order, which keeps
+    /// each bucket's entries in insertion order.
+    fn grow(&mut self) {
+        self.slots = vec![EMPTY_SLOT; self.slots.len() * 2];
+        for id in 0..self.values.len() {
+            let bucket = self.bucket_of(self.values[id]);
+            self.place(bucket, id as u32);
+        }
     }
 
     /// Interns `value`, returning the id of an existing entry within
@@ -116,23 +221,35 @@ impl CTable {
     /// indicate a bug further up the stack and must not be silently interned.
     pub fn intern(&mut self, value: f64) -> ValueId {
         assert!(value.is_finite(), "cannot intern non-finite value {value}");
-        let value = if value == 0.0 { 0.0 } else { value };
-        let bucket = self.bucket_of(value);
-        for b in [bucket, bucket - 1, bucket + 1] {
-            if let Some(ids) = self.buckets.get(&b) {
-                for &id in ids {
-                    if self.tolerance.eq(self.values[id.index()], value) {
-                        self.hits += 1;
-                        return id;
-                    }
-                }
-            }
+        // The pre-interned constants are the oldest entries of their buckets,
+        // so the search would return them; zero (either sign) is the most
+        // common component of all.
+        if value == 0.0 || value == 1.0 {
+            self.hits += 1;
+            return if value == 0.0 {
+                ValueId::ZERO
+            } else {
+                ValueId::ONE
+            };
         }
-        let id = ValueId(u32::try_from(self.values.len()).expect("complex table overflow"));
+        let (bucket, found) = self.find(value);
+        if let Some(id) = found {
+            self.hits += 1;
+            return id;
+        }
+        let id = u32::try_from(self.values.len())
+            .ok()
+            .filter(|&id| id != EMPTY)
+            .expect("complex table overflow");
         self.values.push(value);
-        self.buckets.entry(bucket).or_default().push(id);
+        if self.values.len() * 2 > self.slots.len() {
+            // The new value is placed by the rehash.
+            self.grow();
+        } else {
+            self.place(bucket, id);
+        }
         self.misses += 1;
-        id
+        ValueId(id)
     }
 
     /// Interns both components of a complex number.
@@ -159,17 +276,7 @@ impl CTable {
     pub fn probe(&self, value: f64) -> Option<ValueId> {
         assert!(value.is_finite(), "cannot probe non-finite value {value}");
         let value = if value == 0.0 { 0.0 } else { value };
-        let bucket = self.bucket_of(value);
-        for b in [bucket, bucket - 1, bucket + 1] {
-            if let Some(ids) = self.buckets.get(&b) {
-                for &id in ids {
-                    if self.tolerance.eq(self.values[id.index()], value) {
-                        return Some(id);
-                    }
-                }
-            }
-        }
-        None
+        self.find(value).1
     }
 
     /// The interned values as a dense slice, indexed by
@@ -217,6 +324,13 @@ impl CTable {
     #[must_use]
     pub fn len(&self) -> usize {
         self.values.len()
+    }
+
+    /// Bytes held by the value array and the index.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.values.len() * std::mem::size_of::<f64>()
+            + self.slots.len() * std::mem::size_of::<Slot>()
     }
 
     /// Returns `true` if only the pre-populated constants are present.

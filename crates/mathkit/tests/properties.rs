@@ -103,3 +103,92 @@ fn ctable_separates_distinct_values() {
         assert_ne!(x, y);
     }
 }
+
+/// The bucket-list interning rule, written out naively: search the value's
+/// own bucket, then the lower and the upper neighbour, and return the
+/// oldest entry within tolerance.
+struct ReferenceTable {
+    values: Vec<f64>,
+    buckets: std::collections::BTreeMap<i64, Vec<usize>>,
+    tolerance: Tolerance,
+}
+
+impl ReferenceTable {
+    fn new(tolerance: Tolerance) -> Self {
+        let mut table = Self {
+            values: Vec::new(),
+            buckets: std::collections::BTreeMap::new(),
+            tolerance,
+        };
+        table.intern(0.0);
+        table.intern(1.0);
+        table
+    }
+
+    fn bucket_of(&self, value: f64) -> i64 {
+        (value / (self.tolerance.eps() * 2.0)).round() as i64
+    }
+
+    fn probe(&self, value: f64) -> Option<usize> {
+        let bucket = self.bucket_of(value);
+        [bucket, bucket - 1, bucket + 1].into_iter().find_map(|b| {
+            self.buckets.get(&b).and_then(|ids| {
+                ids.iter()
+                    .copied()
+                    .find(|&id| self.tolerance.eq(self.values[id], value))
+            })
+        })
+    }
+
+    fn intern(&mut self, value: f64) -> usize {
+        let value = if value == 0.0 { 0.0 } else { value };
+        if let Some(id) = self.probe(value) {
+            return id;
+        }
+        self.values.push(value);
+        let bucket = self.bucket_of(value);
+        self.buckets
+            .entry(bucket)
+            .or_default()
+            .push(self.values.len() - 1);
+        self.values.len() - 1
+    }
+}
+
+/// The open-addressing table picks exactly the representative the bucket
+/// lists would: values are drawn in tight clusters around bucket edges, so
+/// many lie within tolerance of two stored values, and enough of them are
+/// distinct that the index grows several times.
+#[test]
+fn ctable_matches_the_bucket_list_reference() {
+    let mut rng = StdRng::seed_from_u64(0xB0C4E7);
+    for case in 0..32 {
+        let eps = [1e-10, 1e-6, 1e-3][case % 3];
+        let tolerance = Tolerance::new(eps);
+        let mut table = CTable::with_tolerance(tolerance);
+        let mut reference = ReferenceTable::new(tolerance);
+        for _ in 0..4000 {
+            let edge = f64::from(rng.gen_range(-400..400)) + 0.5;
+            let value = match rng.gen_range(0..4) {
+                // Near a bucket edge, within two tolerances either side.
+                0 | 1 => (edge + rng.gen_range(-4.0..4.0)) * eps,
+                // Exact repeats of stored values and the constants.
+                2 => reference.values[rng.gen_range(0..reference.values.len())],
+                _ => rng.gen_range(-1.0..1.0),
+            };
+            if rng.gen_bool(0.25) {
+                assert_eq!(
+                    table.probe(value).map(|id| id.index()),
+                    reference.probe(if value == 0.0 { 0.0 } else { value }),
+                    "probe({value}) at eps {eps}"
+                );
+            }
+            assert_eq!(
+                table.intern(value).index(),
+                reference.intern(value),
+                "intern({value}) at eps {eps}"
+            );
+        }
+        assert_eq!(table.values(), &reference.values[..]);
+    }
+}

@@ -33,6 +33,41 @@ fn grover_states_use_about_two_nodes_per_qubit() {
 }
 
 #[test]
+fn grover_stays_compact_for_marked_states_that_once_blew_up() {
+    // Near the end of the search these seeds add many edges to the same
+    // node.  Rebuilding such a sum node by node rounds the rescaled
+    // children apart, which split the diagram into ~11k nodes.
+    for seed in [2u64, 8, 9] {
+        let circuit = algorithms::grover(13, seed);
+        let mut package = DdPackage::new();
+        let state = dd::simulate(&mut package, &circuit).unwrap();
+        let nodes = state.node_count(&package);
+        let qubits = usize::from(circuit.num_qubits());
+        assert!(nodes <= 8 * qubits, "grover_13 seed {seed}: {nodes} nodes");
+        assert!((state.norm_sqr(&package) - 1.0).abs() < 1e-9);
+    }
+}
+
+#[test]
+fn supremacy_dd_agrees_with_the_dense_state() {
+    // The diagram is both small and accurate: exact same-target sums keep
+    // rounding noise from splitting shared sub-vectors.
+    let (circuit, _) = algorithms::supremacy(4, 4, 10, 1);
+    let mut package = DdPackage::new();
+    let state = dd::simulate(&mut package, &circuit).unwrap();
+    let nodes = state.node_count(&package);
+    assert!(nodes < 1 << 14, "{nodes} nodes");
+    let dense = statevector::simulate(&circuit).unwrap();
+    let overlap = state
+        .to_amplitudes(&package)
+        .iter()
+        .zip(dense.amplitudes())
+        .fold(mathkit::Complex::ZERO, |acc, (a, b)| acc + a.conj() * *b);
+    let infidelity = 1.0 - overlap.norm_sqr();
+    assert!(infidelity.abs() < 1e-11, "infidelity {infidelity:e}");
+}
+
+#[test]
 fn ghz_states_use_two_nodes_per_level_below_the_root() {
     for n in [4u16, 8, 16, 32] {
         let mut package = DdPackage::new();
