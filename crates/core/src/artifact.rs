@@ -16,19 +16,19 @@
 //!   number of tenants.
 //! * [`ArtifactCache`] — a bounded, fingerprint-keyed, byte-budgeted LRU
 //!   store of `Arc<SimArtifact>`s.  Attach one to a simulator with
-//!   [`WeakSimulator::with_cache`](crate::WeakSimulator::with_cache): every
-//!   eligible `run` first consults the cache, and a hit skips strong
+//!   [`WeakSimulator::with_cache`](crate::WeakSimulator::with_cache), or
+//!   serve it through a [`ServiceBroker`](crate::ServiceBroker): every
+//!   eligible request first consults the cache, and a hit skips strong
 //!   simulation *and* sampler compilation entirely.
 //!
 //! # Reproducibility
 //!
-//! [`SimArtifact::sample`] draws with exactly the RNG scheme of the engine
-//! that would have produced the shots uncached — chunked SplitMix64 streams
-//! for the decision-diagram and tableau paths, one sequential `StdRng` for
-//! the dense path — so a cached histogram is **bit-identical** to the
-//! uncached run with the same seed, and two tenants sampling one shared
-//! artifact with different seeds draw independent, individually
-//! reproducible shot streams.
+//! Every noise-free static run builds an artifact, cached or not, and
+//! draws its shots with [`SimArtifact::sample`]; the cache only decides
+//! whether the artifact is kept.  A cached histogram is therefore
+//! **bit-identical** to the uncached run with the same seed, and two
+//! tenants sampling one shared artifact with different seeds draw
+//! independent, individually reproducible shot streams.
 //!
 //! # Keys
 //!
@@ -40,7 +40,7 @@
 //! parameter — produces a different key and a rebuild.
 
 use crate::govern::RunGovernor;
-use crate::router::{map_terminal_words, RunRoute};
+use crate::router::RunRoute;
 use crate::simulator::{map_terminal_record, Backend, RunError, StrongState};
 use crate::ShotHistogram;
 use circuit::Qubit;
@@ -80,9 +80,10 @@ impl PreparedSampler {
 /// detached from every borrowed resource so it can outlive its builder and
 /// be shared across threads and runs.
 ///
-/// Obtain artifacts through an [`ArtifactCache`] attached with
-/// [`WeakSimulator::with_cache`](crate::WeakSimulator::with_cache); sample
-/// them (concurrently, if desired) with [`SimArtifact::sample`].
+/// Every noise-free static run builds one; obtain shared ones through an
+/// [`ArtifactCache`] attached with
+/// [`WeakSimulator::with_cache`](crate::WeakSimulator::with_cache), and
+/// sample them (concurrently, if desired) with [`SimArtifact::sample`].
 #[derive(Debug)]
 pub struct SimArtifact {
     sampler: PreparedSampler,
@@ -100,17 +101,22 @@ pub struct SimArtifact {
     build_precompute_time: Duration,
 }
 
-impl SimArtifact {
-    /// Builds an artifact from a dense strong state by compiling the
-    /// backend's prepared sampler and snapshotting the run metadata; the
-    /// caller may drop `state` (and with it the DD package) afterwards.
-    pub(crate) fn from_dense(
-        state: &StrongState,
-        mapping: Vec<(Qubit, u16)>,
-        record_width: u16,
-        route: RunRoute,
-        build_strong_time: Duration,
-    ) -> Result<Self, RunError> {
+/// The engine half of a [`SimArtifact`]: the prepared sampler plus what
+/// its build measured, as an engine's `prepare` hook returns it.
+pub(crate) struct Prepared {
+    pub(crate) sampler: PreparedSampler,
+    /// DD nodes, dense amplitudes, or stabilizer generators.
+    pub(crate) representation_size: u128,
+    pub(crate) dd_stats: Option<DdStats>,
+    pub(crate) strong_time: Duration,
+    pub(crate) precompute_time: Duration,
+}
+
+impl Prepared {
+    /// Compiles the prepared sampler of a dense strong state and snapshots
+    /// its metadata; the caller may drop `state` (and with it the DD
+    /// package) afterwards.
+    pub(crate) fn from_state(state: &StrongState, strong_time: Duration) -> Result<Self, RunError> {
         let precompute_start = Instant::now();
         let sampler = match state {
             StrongState::DecisionDiagram { package, state } => {
@@ -120,46 +126,42 @@ impl SimArtifact {
                 PreparedSampler::StateVector(PrefixSampler::new(vector))
             }
         };
+        let precompute_time = precompute_start.elapsed();
         Ok(Self {
             sampler,
-            mapping,
-            num_qubits: state.num_qubits(),
-            record_width,
-            backend: state.backend(),
-            route,
-            dd_stats: state.dd_stats(),
             representation_size: state.representation_size(),
-            build_strong_time,
-            build_precompute_time: precompute_start.elapsed(),
+            dd_stats: state.dd_stats(),
+            strong_time,
+            precompute_time,
         })
     }
+}
 
-    /// Builds an artifact around a prepared tableau sampler (the router's
-    /// static fully-Clifford path).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_tableau(
-        sampler: MeasurementSampler,
+impl SimArtifact {
+    /// Assembles an artifact from an engine's prepared half and the
+    /// request's read-out: the trailing-measurement `mapping` into a
+    /// `record_width`-bit record (empty: histogram the full
+    /// `num_qubits`-bit register), the configured `backend` and the `route`
+    /// every run served from it reports.
+    pub(crate) fn new(
+        prepared: Prepared,
         mapping: Vec<(Qubit, u16)>,
         num_qubits: u16,
         record_width: u16,
         backend: Backend,
         route: RunRoute,
-        build_strong_time: Duration,
-        build_precompute_time: Duration,
     ) -> Self {
-        // The stabilizer generator count, as reported by the router.
-        let representation_size = 2 * usize::from(num_qubits).max(1) as u128;
         Self {
-            sampler: PreparedSampler::Tableau(sampler),
+            sampler: prepared.sampler,
             mapping,
             num_qubits,
             record_width,
             backend,
             route,
-            dd_stats: None,
-            representation_size,
-            build_strong_time,
-            build_precompute_time,
+            dd_stats: prepared.dd_stats,
+            representation_size: prepared.representation_size,
+            build_strong_time: prepared.strong_time,
+            build_precompute_time: prepared.precompute_time,
         }
     }
 
@@ -387,14 +389,19 @@ impl SimArtifact {
         })
     }
 
-    /// Draws `shots` seed-deterministic samples.
+    /// Draws `shots` seed-deterministic samples — the one static draw loop:
+    /// uncached, cached and brokered runs, and
+    /// [`WeakSimulator::sample`](crate::WeakSimulator::sample), all sample
+    /// through here.
     ///
-    /// The RNG scheme matches the engine that built the artifact exactly —
-    /// chunked SplitMix64 streams (thread-count independent) for the
-    /// decision-diagram and tableau paths, one sequential `StdRng` for the
-    /// dense path — so the histogram is bit-identical to the uncached run
-    /// with the same seed.  `&self` only: any number of threads may sample
-    /// one shared artifact concurrently, each with its own seed stream.
+    /// Decision-diagram and tableau samplers draw chunk `i` of
+    /// [`PARALLEL_CHUNK_SHOTS`] shots from its own
+    /// [`chunk_stream_seed`]-derived stream, so their histograms do not
+    /// depend on the thread count; the dense sampler draws from one
+    /// sequential `StdRng`.  The histogram depends only on the artifact and
+    /// the seed, so a cache hit is bit-identical to the run that built it.
+    /// `&self` only: any number of threads may sample one shared artifact
+    /// concurrently, each with its own seed stream.
     #[must_use]
     pub fn sample(&self, shots: u64, seed: u64) -> ShotHistogram {
         let width = if self.mapping.is_empty() {
@@ -407,8 +414,8 @@ impl SimArtifact {
             PreparedSampler::DecisionDiagram(sampler) => {
                 // Whole parallel chunks per batch, advancing chunk offsets:
                 // stitching consecutive calls reproduces one giant
-                // `sample_many_parallel` call exactly (the DD engine's
-                // scheme, verbatim).
+                // `sample_many_parallel` call exactly, while each allocation
+                // stays comfortably inside `usize` even on 32-bit targets.
                 const BATCH_CHUNKS: u64 = 1024;
                 let batch_shots = BATCH_CHUNKS * PARALLEL_CHUNK_SHOTS as u64;
                 let threads = rayon::current_num_threads();
@@ -447,8 +454,7 @@ impl SimArtifact {
                 }
             }
             PreparedSampler::Tableau(sampler) => {
-                // The router's chunk-seeded draw loop, inlined (sampling
-                // from a prepared tableau sampler is infallible).
+                // Registers can exceed 64 qubits: draw packed words.
                 let chunk_len = PARALLEL_CHUNK_SHOTS as u64;
                 let total_chunks = shots.div_ceil(chunk_len);
                 if self.mapping.is_empty() {
@@ -474,6 +480,20 @@ impl SimArtifact {
         }
         histogram
     }
+}
+
+/// Reads the classical record of one full-register sample through the
+/// trailing-measurement mapping (the packed-words analogue of
+/// `map_terminal_record`, needed because tableau registers can exceed 64
+/// qubits).
+fn map_terminal_words(sample: &[u64], mapping: &[(Qubit, u16)]) -> u64 {
+    let mut out = 0u64;
+    for &(qubit, cbit) in mapping {
+        let q = usize::from(qubit.0);
+        let bit = (sample[q / 64] >> (q % 64) & 1) as u8;
+        out = crate::trajectory::record_bit(out, cbit, bit);
+    }
+    out
 }
 
 /// Number of `u64` words a [`DdStats`] serializes to.
@@ -601,10 +621,12 @@ pub enum CacheOutcome {
     /// The artifact was built by this run and inserted for the next one.
     Miss,
     /// The artifact was built by a *concurrent* request with the same
-    /// fingerprint: this request waited on the shared build slot and was
-    /// served the published artifact without building (or re-querying the
-    /// cache).  Only the [`ServiceBroker`](crate::service::ServiceBroker)
-    /// produces this outcome — plain cached runs report hits and misses.
+    /// fingerprint: this request waited on the shared build slot (or found
+    /// the artifact published between its miss and its build) and was
+    /// served without building.  Only requests that race a concurrent build
+    /// report this — through a shared
+    /// [`ServiceBroker`](crate::service::ServiceBroker), or `with_cache`
+    /// simulators sharing one cache.
     Coalesced,
 }
 
@@ -921,14 +943,14 @@ mod tests {
         let state = crate::WeakSimulator::new(Backend::DecisionDiagram)
             .strong(&circuit)
             .unwrap();
-        SimArtifact::from_dense(
-            &state,
+        SimArtifact::new(
+            Prepared::from_state(&state, Duration::ZERO).unwrap(),
             Vec::new(),
+            n,
             0,
+            Backend::DecisionDiagram,
             RunRoute::dense(Backend::DecisionDiagram, circuit.len()),
-            Duration::ZERO,
         )
-        .unwrap()
     }
 
     #[test]

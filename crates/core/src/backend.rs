@@ -1,72 +1,65 @@
-//! The engine abstraction behind [`Backend`]: trait dispatch for every
-//! backend-specific step of a run.
+//! The engine abstraction: trait dispatch for every engine-specific step of
+//! a run.
 //!
 //! [`WeakSimulator`](crate::WeakSimulator) and the
-//! [`trajectory`](crate::trajectory) module never match on [`Backend`]
-//! themselves.  Each backend ships an [`Engine`] — the strong-simulation and
-//! sampling entry points plus the governor and memory hooks — and a
-//! [`TrajectoryRunner`] — the per-shot measure/reset/collapse primitives —
-//! and [`Backend::engine`] is the single dispatch table.  The trajectory
-//! shot loop (decision drawing, classical-record bookkeeping, event walk)
-//! is written once against [`TrajectoryRunner`], so the decision-diagram
-//! and statevector runners share one generic code path and a new engine
-//! only has to implement the two traits.
+//! [`trajectory`](crate::trajectory) module never match on an engine
+//! themselves (the one exception is the public dense-only
+//! [`WeakSimulator::strong`](crate::WeakSimulator::strong), which picks
+//! `DdEngine::strong` or `SvEngine::strong` by backend).  Each engine — decision diagrams, dense vectors and the
+//! stabilizer tableau — ships an [`Engine`] (static preparation: strong
+//! simulation plus the sampler [`SimArtifact::sample`] draws from, and the
+//! trajectory memory hook) and a [`TrajectoryRunner`] (the per-shot
+//! measure/reset/collapse primitives), and [`EngineKind::engine`] is the
+//! single dispatch table.  Every run then follows one of two code paths
+//! written once for all engines: the static pipeline (route plan →
+//! artifact → [`SimArtifact::sample`]) or the trajectory shot loop
+//! (decision drawing, classical-record bookkeeping, event walk).
+//!
+//! [`SimArtifact::sample`]: crate::SimArtifact::sample
 
+use crate::artifact::{Prepared, PreparedSampler};
 use crate::govern::RunGovernor;
-use crate::simulator::{map_terminal_record, Backend, RunError, StrongState};
-use crate::trajectory::{DdRunner, Event, SvRunner, TrajectoryPlan};
-use crate::ShotHistogram;
+use crate::router::EngineKind;
+use crate::simulator::{RunError, StrongState, WeakSimulator};
+use crate::trajectory::{
+    apply_tableau_segment, DdRunner, Event, SvRunner, TableauRunner, TrajectoryPlan,
+};
 use circuit::{Circuit, Qubit};
-use dd::{CompiledSampler, DdError, DdPackage, DdStats, Governor, PARALLEL_CHUNK_SHOTS};
-use rand::rngs::{SmallRng, StdRng};
-use rand::SeedableRng;
-use statevector::{MemoryBudget, PrefixSampler};
-use std::time::{Duration, Instant};
+use dd::{DdError, DdPackage, DdStats, Governor};
+use rand::rngs::SmallRng;
+use statevector::MemoryBudget;
+use std::time::Instant;
+use tableau::Tableau;
 
-/// A strong-simulation engine: everything [`WeakSimulator`] needs from a
-/// backend outside the per-shot trajectory loop.
+/// An execution engine: everything a run needs from it outside the
+/// per-shot trajectory loop.
 ///
-/// Implementations are stateless unit structs ([`DdEngine`], [`SvEngine`]);
-/// all run state lives in the [`StrongState`] / [`TrajectoryRunner`] values
-/// they produce.
-///
-/// [`WeakSimulator`]: crate::WeakSimulator
+/// Implementations are stateless unit structs ([`DdEngine`], [`SvEngine`],
+/// [`TableauEngine`]); all run state lives in the [`Prepared`] /
+/// [`TrajectoryRunner`] values they produce.
 pub(crate) trait Engine: Sync {
-    /// Strong-simulates `circuit` to its final state (the strong-apply
-    /// hook).  `budget` bounds dense allocations; `governor` is armed for
-    /// the duration of the simulation on engines that support governance.
-    /// `construction_threads` fans gate construction out over a worker pool
-    /// on engines that support it (`None` = sequential; `Some(0)` = one
-    /// worker per CPU); engines without parallel construction ignore it.
-    fn strong(
+    /// Strong-simulates the validated, measure-free static `circuit` under
+    /// `sim`'s configuration and prepares this engine's sampler — the
+    /// expensive half of a static run.  Dense engines also return their
+    /// strong state, so a building run can still expose
+    /// [`RunOutcome::strong`](crate::RunOutcome::strong).
+    fn prepare(
         &self,
         circuit: &Circuit,
-        budget: MemoryBudget,
-        governor: &RunGovernor,
-        construction_threads: Option<usize>,
-    ) -> Result<StrongState, RunError>;
-
-    /// Draws `shots` samples from a state this engine produced, optionally
-    /// relabelling each sampled bitstring through a trailing-measurement
-    /// `(qubit, cbit)` mapping into a classical record of the given width.
-    /// Returns the histogram with the precompute and sampling times.
-    fn sample_with_record(
-        &self,
-        state: &StrongState,
-        shots: u64,
-        seed: u64,
-        record: Option<(&[(Qubit, u16)], u16)>,
-    ) -> Result<(ShotHistogram, Duration, Duration), RunError>;
+        sim: &WeakSimulator,
+    ) -> Result<(Prepared, Option<StrongState>), RunError>;
 
     /// Pre-checks the peak memory a trajectory run with `workers` concurrent
-    /// workers would allocate against `budget` (engines whose memory grows
-    /// with state structure rather than `2^n` accept unconditionally).
+    /// workers would allocate against `budget`.  Engines whose memory grows
+    /// with state structure rather than `2^n` accept unconditionally.
     fn check_trajectory_memory(
         &self,
-        num_qubits: u16,
-        workers: usize,
-        budget: MemoryBudget,
-    ) -> Result<(), RunError>;
+        _num_qubits: u16,
+        _workers: usize,
+        _budget: MemoryBudget,
+    ) -> Result<(), RunError> {
+        Ok(())
+    }
 
     /// Builds this engine's per-worker trajectory runner for `plan`, under
     /// one worker's armed governor clone.  Fails only when the governor
@@ -78,7 +71,7 @@ pub(crate) trait Engine: Sync {
     ) -> Result<Box<dyn TrajectoryRunner + 'p>, DdError>;
 }
 
-/// The per-shot primitive surface of one backend, owned by a single worker
+/// The per-shot primitive surface of one engine, owned by a single worker
 /// thread: collapse, reset, noise realization and terminal read-out.
 ///
 /// The trajectory shot loop in [`trajectory`](crate::trajectory) drives
@@ -115,13 +108,14 @@ pub(crate) trait TrajectoryRunner {
     }
 }
 
-impl Backend {
-    /// The engine implementing this backend — the one place a [`Backend`]
-    /// value is resolved to executable code.
+impl EngineKind {
+    /// The engine implementing this kind — the one place an engine choice
+    /// is resolved to executable code.
     pub(crate) fn engine(self) -> &'static dyn Engine {
         match self {
-            Backend::DecisionDiagram => &DdEngine,
-            Backend::StateVector => &SvEngine,
+            EngineKind::DecisionDiagram => &DdEngine,
+            EngineKind::StateVector => &SvEngine,
+            EngineKind::Tableau => &TableauEngine,
         }
     }
 }
@@ -132,11 +126,16 @@ pub(crate) struct DdEngine;
 /// The dense statevector engine (the baseline method).
 pub(crate) struct SvEngine;
 
-impl Engine for DdEngine {
-    fn strong(
-        &self,
+/// The stabilizer-tableau engine, chosen only by the Clifford router for
+/// circuits it has dry-run on a tableau.
+pub(crate) struct TableauEngine;
+
+impl DdEngine {
+    /// Strong-simulates `circuit` into a fresh package armed with
+    /// `governor`.  `construction_threads` fans gate construction out over a
+    /// worker pool (`None` = sequential; `Some(0)` = one worker per CPU).
+    pub(crate) fn strong(
         circuit: &Circuit,
-        _budget: MemoryBudget,
         governor: &RunGovernor,
         construction_threads: Option<usize>,
     ) -> Result<StrongState, RunError> {
@@ -151,67 +150,34 @@ impl Engine for DdEngine {
         };
         Ok(StrongState::DecisionDiagram { package, state })
     }
+}
 
-    fn sample_with_record(
-        &self,
-        strong: &StrongState,
-        shots: u64,
-        seed: u64,
-        record: Option<(&[(Qubit, u16)], u16)>,
-    ) -> Result<(ShotHistogram, Duration, Duration), RunError> {
-        let width = record.map_or(strong.num_qubits(), |(_, width)| width);
-        let mut histogram = ShotHistogram::new(width);
-        let StrongState::DecisionDiagram { package, state } = strong else {
-            unreachable!("sampling is dispatched through StrongState::backend")
-        };
-        let precompute_start = Instant::now();
-        // Compiled per call: cross-call reuse is the artifact layer's job
-        // (`SimArtifact` / `ArtifactCache` own the long-lived arena), so the
-        // strong state no longer carries a lazily-filled sampler cell.
-        let sampler = CompiledSampler::new(package, state)?;
-        let precompute_time = precompute_start.elapsed();
-
-        // Draw in batches of a whole number of parallel chunks: stitching
-        // consecutive `sample_batch_parallel` calls with advancing chunk
-        // offsets reproduces one giant call exactly, while each allocation
-        // stays comfortably inside `usize` even on 32-bit targets.
-        const BATCH_CHUNKS: u64 = 1024;
-        let batch_shots = BATCH_CHUNKS * PARALLEL_CHUNK_SHOTS as u64;
-        let threads = rayon::current_num_threads();
-        let sampling_start = Instant::now();
-        let mut drawn = 0u64;
-        while drawn < shots {
-            let batch = (shots - drawn).min(batch_shots);
-            // Infallible: `batch` is capped at BATCH_CHUNKS whole parallel
-            // chunks, well inside usize on every target.
-            #[allow(clippy::expect_used)]
-            let batch_len = usize::try_from(batch).expect("batch bounded to fit usize");
-            let samples = sampler.sample_batch_parallel(
-                seed,
-                drawn / PARALLEL_CHUNK_SHOTS as u64,
-                batch_len,
-                threads,
-            );
-            match record {
-                None => histogram.record_many(&samples),
-                Some((mapping, _)) => {
-                    for sample in samples {
-                        histogram.record(map_terminal_record(sample, mapping));
-                    }
-                }
-            }
-            drawn += batch;
-        }
-        Ok((histogram, precompute_time, sampling_start.elapsed()))
+impl SvEngine {
+    /// Strong-simulates `circuit` into a dense vector within `budget`.
+    pub(crate) fn strong(circuit: &Circuit, budget: MemoryBudget) -> Result<StrongState, RunError> {
+        let state = statevector::simulate_with_budget(circuit, budget)?;
+        Ok(StrongState::StateVector(state))
     }
+}
 
-    fn check_trajectory_memory(
+/// The `prepare` hook of both dense engines: the engine's timed `strong`
+/// simulation, then sampler compilation.
+fn prepare_dense(
+    strong: impl FnOnce() -> Result<StrongState, RunError>,
+) -> Result<(Prepared, Option<StrongState>), RunError> {
+    let strong_start = Instant::now();
+    let state = strong()?;
+    let prepared = Prepared::from_state(&state, strong_start.elapsed())?;
+    Ok((prepared, Some(state)))
+}
+
+impl Engine for DdEngine {
+    fn prepare(
         &self,
-        _num_qubits: u16,
-        _workers: usize,
-        _budget: MemoryBudget,
-    ) -> Result<(), RunError> {
-        Ok(())
+        circuit: &Circuit,
+        sim: &WeakSimulator,
+    ) -> Result<(Prepared, Option<StrongState>), RunError> {
+        prepare_dense(|| Self::strong(circuit, sim.governor(), sim.construction_threads()))
     }
 
     fn trajectory_runner<'p>(
@@ -224,47 +190,12 @@ impl Engine for DdEngine {
 }
 
 impl Engine for SvEngine {
-    fn strong(
+    fn prepare(
         &self,
         circuit: &Circuit,
-        budget: MemoryBudget,
-        _governor: &RunGovernor,
-        _construction_threads: Option<usize>,
-    ) -> Result<StrongState, RunError> {
-        // Dense evolution has no construction worker pool; the knob is a
-        // decision-diagram concept and is deliberately ignored here.
-        let state = statevector::simulate_with_budget(circuit, budget)?;
-        Ok(StrongState::StateVector(state))
-    }
-
-    fn sample_with_record(
-        &self,
-        strong: &StrongState,
-        shots: u64,
-        seed: u64,
-        record: Option<(&[(Qubit, u16)], u16)>,
-    ) -> Result<(ShotHistogram, Duration, Duration), RunError> {
-        let width = record.map_or(strong.num_qubits(), |(_, width)| width);
-        let mut histogram = ShotHistogram::new(width);
-        let StrongState::StateVector(vector) = strong else {
-            unreachable!("sampling is dispatched through StrongState::backend")
-        };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let precompute_start = Instant::now();
-        let sampler = PrefixSampler::new(vector);
-        let precompute_time = precompute_start.elapsed();
-
-        let sampling_start = Instant::now();
-        for _ in 0..shots {
-            let sample = sampler.sample(&mut rng);
-            match record {
-                None => histogram.record(sample),
-                Some((mapping, _)) => {
-                    histogram.record(map_terminal_record(sample, mapping));
-                }
-            }
-        }
-        Ok((histogram, precompute_time, sampling_start.elapsed()))
+        sim: &WeakSimulator,
+    ) -> Result<(Prepared, Option<StrongState>), RunError> {
+        prepare_dense(|| Self::strong(circuit, sim.memory_budget()))
     }
 
     fn check_trajectory_memory(
@@ -297,47 +228,70 @@ impl Engine for SvEngine {
     }
 }
 
+impl Engine for TableauEngine {
+    fn prepare(
+        &self,
+        circuit: &Circuit,
+        _sim: &WeakSimulator,
+    ) -> Result<(Prepared, Option<StrongState>), RunError> {
+        let num_qubits = usize::from(circuit.num_qubits()).max(1);
+        let strong_start = Instant::now();
+        let mut tab = Tableau::zero_state(num_qubits);
+        apply_tableau_segment(&mut tab, circuit.operations(), 0);
+        let strong_time = strong_start.elapsed();
+        let precompute_start = Instant::now();
+        let sampler = PreparedSampler::Tableau(tab.measurement_sampler());
+        let prepared = Prepared {
+            sampler,
+            // The stabilizer generator count — the tableau analogue of DD
+            // node count / dense amplitude count.
+            representation_size: 2 * num_qubits as u128,
+            dd_stats: None,
+            strong_time,
+            precompute_time: precompute_start.elapsed(),
+        };
+        Ok((prepared, None))
+    }
+
+    fn trajectory_runner<'p>(
+        &self,
+        plan: &'p TrajectoryPlan,
+        _governor: Governor,
+    ) -> Result<Box<dyn TrajectoryRunner + 'p>, DdError> {
+        // Tableau updates are `O(n)` word operations per gate; deadline and
+        // cancellation are honoured at chunk boundaries, like the dense
+        // runner.
+        Ok(Box::new(TableauRunner::new(plan)))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn engine_tags_round_trip() {
-        let circuit = algorithms::bell_pair();
-        for backend in [Backend::DecisionDiagram, Backend::StateVector] {
-            let state = backend
-                .engine()
-                .strong(
-                    &circuit,
-                    MemoryBudget::unlimited(),
-                    &RunGovernor::unlimited(),
-                    None,
-                )
-                .unwrap();
-            assert_eq!(state.backend(), backend);
-        }
-    }
+    use crate::simulator::Backend;
 
     #[test]
     fn dd_engine_ignores_the_dense_memory_budget() {
         let circuit = algorithms::ghz(12);
         let tight = MemoryBudget::from_bytes(64);
         let governor = RunGovernor::unlimited();
-        assert!(Backend::DecisionDiagram
-            .engine()
-            .strong(&circuit, tight, &governor, None)
-            .is_ok());
+        let dd = DdEngine::strong(&circuit, &governor, None).unwrap();
+        assert_eq!(dd.backend(), Backend::DecisionDiagram);
         assert!(matches!(
-            Backend::StateVector
-                .engine()
-                .strong(&circuit, tight, &governor, None),
+            SvEngine::strong(&circuit, tight),
             Err(RunError::MemoryOut { .. })
         ));
+        assert_eq!(
+            SvEngine::strong(&circuit, MemoryBudget::unlimited())
+                .unwrap()
+                .backend(),
+            Backend::StateVector
+        );
     }
 
     #[test]
     fn trajectory_memory_check_scales_with_workers() {
-        let sv = Backend::StateVector.engine();
+        let sv = EngineKind::StateVector.engine();
         let one_vector = MemoryBudget::state_vector_bytes(10);
         // Two vectors per worker: a budget of exactly two allows one worker
         // but not two.
@@ -347,10 +301,12 @@ mod tests {
             sv.check_trajectory_memory(10, 2, budget),
             Err(RunError::MemoryOut { .. })
         ));
-        // The decision-diagram engine never fails the dense pre-check.
-        let dd = Backend::DecisionDiagram.engine();
-        assert!(dd
-            .check_trajectory_memory(50, 64, MemoryBudget::from_bytes(1))
-            .is_ok());
+        // The structure-sized engines never fail the dense pre-check.
+        for kind in [EngineKind::DecisionDiagram, EngineKind::Tableau] {
+            assert!(kind
+                .engine()
+                .check_trajectory_memory(50, 64, MemoryBudget::from_bytes(1))
+                .is_ok());
+        }
     }
 }

@@ -26,8 +26,9 @@
 //!   simulation (a compiled DD sampler, dense prefix sums or a tableau
 //!   measurement sampler, plus route and stats), and [`ArtifactCache`] is a
 //!   bounded, fingerprint-keyed store ([`circuit::Circuit::fingerprint`])
-//!   that lets [`WeakSimulator::with_cache`] serve warm requests without
-//!   re-simulating — same seed, bit-identical histogram;
+//!   that lets [`WeakSimulator::with_cache`] and the [`ServiceBroker`] serve
+//!   warm requests without re-simulating — same seed, bit-identical
+//!   histogram;
 //! * [`govern`] — run governance: attach a [`RunGovernor`] (node/byte
 //!   budgets, a per-run timeout, a shareable [`dd::CancelToken`]) with
 //!   [`WeakSimulator::with_governor`].  Static runs that hit a limit fail
@@ -47,32 +48,38 @@
 //!   (per-benchmark representation sizes and sampling times for both
 //!   backends).
 //!
-//! # Static-vs-dynamic routing
+//! # One static pipeline, one trajectory loop
 //!
-//! [`WeakSimulator::run`] classifies the circuit once
-//! ([`circuit::Circuit::is_dynamic`]):
+//! [`WeakSimulator::run`] classifies the request once
+//! ([`circuit::Circuit::is_dynamic`], plus any non-trivial noise model):
 //!
-//! * a circuit whose only non-unitary content is a *trailing* block of
-//!   `measure` operations (or none at all) is **static**: it is strong-
-//!   simulated once and sampled with the one-pass batched sampler of the
-//!   paper, the trailing measurements reduced to a bit-relabelling of the
-//!   sampled strings — so dynamic-circuit support costs the classic hot
-//!   path nothing;
-//! * a circuit with a measurement followed by more gates, any `reset`, or
-//!   any classically-conditioned gate is **dynamic** and runs
-//!   trajectory-by-trajectory: collapse at each event, evolve the suffix
+//! * a noise-free circuit whose only non-unitary content is a *trailing*
+//!   block of `measure` operations (or none at all) is **static**.  Every
+//!   static run — uncached, through [`WeakSimulator::with_cache`], or
+//!   through a [`ServiceBroker`] — goes route plan → artifact → sample: the
+//!   router (when enabled) picks the engine and the circuit, that engine
+//!   strong-simulates once and prepares its sampler into a [`SimArtifact`],
+//!   and [`SimArtifact::sample`] draws the shots, the trailing measurements
+//!   reduced to a bit-relabelling of the sampled strings.  The cache and
+//!   the broker only decide whether the artifact is kept, so the
+//!   histogram for a seed is the same whichever way the request came in;
+//! * a circuit with a measurement followed by more gates, any `reset`, any
+//!   classically-conditioned gate, or a non-trivial noise model runs on the
+//!   **trajectory loop**: collapse at each event, evolve the suffix
 //!   (resolving `if (c==k)` guards against the shot's classical record),
-//!   record classical bits.  The decision-diagram engine caches evolved
-//!   states, branch masses and compiled terminal samplers per outcome
-//!   prefix, so only the first shot down a given prefix pays for
-//!   decision-diagram arithmetic and sampler recompilation of the changed
-//!   suffix.
+//!   record classical bits.  The loop is written once against a per-engine
+//!   runner — decision diagrams, dense vectors, and (for noiseless routed
+//!   Clifford circuits) the stabilizer tableau — and shares one worker
+//!   pool, one seeding scheme and one governor with all of them.  The
+//!   decision-diagram runner caches evolved states, branch masses and
+//!   compiled terminal samplers per outcome prefix, so only the first shot
+//!   down a given prefix pays for decision-diagram arithmetic.
 //!
 //! # Trajectory seeding
 //!
-//! Every batched sampler in the workspace — the static
-//! [`dd::CompiledSampler`] batches and the dynamic trajectory engine —
-//! derives per-chunk RNG streams from the same scheme: shots are split into
+//! Every chunked sampler in the workspace — the static
+//! [`dd::CompiledSampler`] batches, the tableau's static sampler and the
+//! trajectory loop — derives per-chunk RNG streams from the same scheme: shots are split into
 //! fixed chunks of [`dd::PARALLEL_CHUNK_SHOTS`], and chunk `i` seeds a
 //! dedicated xoshiro256++ generator with
 //! [`dd::chunk_stream_seed`]`(master_seed, i)` (one SplitMix64 step over

@@ -19,25 +19,27 @@
 //!   gate applications;
 //! * anything else **falls back** to whole-circuit dense execution.
 //!
-//! Whichever way a run goes, [`RunOutcome::route`](crate::RunOutcome::route)
-//! reports the engine that executed each segment.
+//! `route_plan` is the only routing decision: it picks the engine and the
+//! circuit (original or stitched), and the rest of the run is the ordinary
+//! pipeline of that engine.  Static circuits go plan → artifact → sample
+//! through [`SimArtifact::sample`](crate::SimArtifact::sample); dynamic
+//! ones run on the shared [`trajectory`](crate::trajectory) loop, where the
+//! tableau is one more trajectory runner behind the same chunked seeding,
+//! worker pool and governor checks as the dense engines.  Whichever way a
+//! run goes, [`RunOutcome::route`](crate::RunOutcome::route) reports the
+//! engine that executed each segment.
 //!
-//! Tableau-routed sampling follows the workspace seeding scheme — shots are
-//! split into [`PARALLEL_CHUNK_SHOTS`] chunks and chunk `i` draws from a
-//! [`chunk_stream_seed`]-derived stream — so routed histograms are
-//! seed-deterministic and independent of the worker-thread count (the
-//! tableau path is single-threaded; per-shot work is a handful of word
-//! operations, far below any parallelization threshold).
+//! Registers wider than 64 qubits run in full on the tableau, but the
+//! `u64`-keyed [`ShotHistogram`](crate::ShotHistogram) records only the low
+//! 64 bits of each full-register sample.
 
-use crate::simulator::{Backend, RunError, RunOutcome};
-use crate::ShotHistogram;
+use crate::simulator::Backend;
 use circuit::{Circuit, Operation, Qubit};
-use dd::{chunk_stream_seed, PARALLEL_CHUNK_SHOTS};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::borrow::Cow;
 use std::fmt;
-use std::time::{Duration, Instant};
-use tableau::{Tableau, TableauError};
+use tableau::Tableau;
 
 /// The engine that executed one routed segment (a superset of [`Backend`]:
 /// the stabilizer tableau is a router-only engine with no dense strong
@@ -128,51 +130,58 @@ impl fmt::Display for RunRoute {
     }
 }
 
-/// The router's decision for one run.
-pub(crate) enum Routed {
-    /// The whole circuit ran on the tableau engine; the finished outcome
-    /// (boxed: it dwarfs the other variants).
-    Tableau(Box<RunOutcome>),
-    /// A Clifford prefix was folded into basis-state preparations; run
-    /// `stitched` on the dense backend and report `route`.
-    Stitched {
-        /// The remainder circuit, prefixed with `X` preparations.
-        stitched: Circuit,
-        /// The two-segment route to surface in the outcome.
-        route: RunRoute,
-    },
-    /// No tableau-eligible segment: run the original circuit densely.
-    Dense,
+/// The routing decision for one noiseless run: the engine that executes it
+/// and the circuit that engine runs — the original, or the stitched
+/// remainder behind a folded Clifford prefix.
+pub(crate) struct RoutePlan<'c> {
+    /// The engine that executes `circuit`.
+    pub(crate) engine: EngineKind,
+    /// The circuit to execute.
+    pub(crate) circuit: Cow<'c, Circuit>,
+    /// The route to surface in the outcome.
+    pub(crate) route: RunRoute,
 }
 
-/// The routing *decision* alone, with no execution attached — shared by the
-/// executing [`route`] and the artifact-preparing cached path, so a cached
-/// run builds exactly the artifact its uncached twin would have used.
-pub(crate) enum RoutePlan {
-    /// Fully Clifford: execute (or prepare a sampler) on the tableau engine.
-    FullyClifford,
-    /// A Clifford prefix was folded into basis-state preparations; run
-    /// `stitched` on the dense backend and report `route`.
-    Stitched {
-        /// The remainder circuit, prefixed with `X` preparations.
-        stitched: Circuit,
-        /// The two-segment route to surface in the outcome.
-        route: RunRoute,
-    },
-    /// No tableau-eligible segment: run the original circuit densely.
-    Dense,
-}
-
-/// Decides the route for a validated circuit (pure: no simulation runs).
-pub(crate) fn route_plan(circuit: &Circuit, backend: Backend) -> RoutePlan {
+/// Decides how a validated circuit runs (no shot is drawn).  With
+/// `router` off — or for a circuit without a tableau-eligible segment —
+/// the plan is the whole circuit on the dense `backend`.
+///
+/// `Operation::is_clifford` guarantees the tableau accepts every operation
+/// it classifies as Clifford, but that classification is the only wall
+/// between the engines, so a fully-Clifford circuit is also dry-run once on
+/// a tableau: a defect degrades to correct-but-slower dense execution
+/// instead of an error, and every later tableau application is infallible.
+pub(crate) fn route_plan(circuit: &Circuit, backend: Backend, router: bool) -> RoutePlan<'_> {
+    let dense = RoutePlan {
+        engine: backend.into(),
+        circuit: Cow::Borrowed(circuit),
+        route: RunRoute::dense(backend, circuit.len()),
+    };
+    if !router {
+        return dense;
+    }
     let segments = circuit.clifford_segments();
     if segments.is_fully_clifford() {
-        return RoutePlan::FullyClifford;
+        return if tableau_accepts(circuit) {
+            RoutePlan {
+                engine: EngineKind::Tableau,
+                circuit: Cow::Borrowed(circuit),
+                route: RunRoute {
+                    segments: vec![RouteSegment {
+                        engine: EngineKind::Tableau,
+                        ops: circuit.len(),
+                    }],
+                },
+            }
+        } else {
+            dense
+        };
     }
     if segments.prefix_len > 0 {
         if let Some(stitched) = stitch_prefix(circuit, segments.prefix_len) {
-            return RoutePlan::Stitched {
-                stitched,
+            return RoutePlan {
+                engine: backend.into(),
+                circuit: Cow::Owned(stitched),
                 route: RunRoute {
                     segments: vec![
                         RouteSegment {
@@ -188,70 +197,24 @@ pub(crate) fn route_plan(circuit: &Circuit, backend: Backend) -> RoutePlan {
             };
         }
     }
-    RoutePlan::Dense
+    dense
 }
 
-/// Decides and (for fully-Clifford circuits) executes the route.  `circuit`
-/// has already been validated; `backend` is the dense engine that handles
-/// whatever the tableau does not.
-pub(crate) fn route(
-    circuit: &Circuit,
-    backend: Backend,
-    shots: u64,
-    seed: u64,
-) -> Result<Routed, RunError> {
-    Ok(match route_plan(circuit, backend) {
-        // `Operation::is_clifford` guarantees the tableau accepts every
-        // operation it classifies as Clifford, so this cannot fail — but the
-        // classification is the only wall between the engines, so a defect
-        // degrades to correct-but-slower dense execution instead of an error.
-        RoutePlan::FullyClifford => match run_tableau(circuit, backend, shots, seed) {
-            Ok(outcome) => Routed::Tableau(Box::new(outcome)),
-            Err(_) => Routed::Dense,
-        },
-        RoutePlan::Stitched { stitched, route } => Routed::Stitched { stitched, route },
-        RoutePlan::Dense => Routed::Dense,
-    })
-}
-
-/// Prepares a reusable [`SimArtifact`](crate::SimArtifact) for a *static*
-/// fully-Clifford circuit: the evolution + sampler-construction preamble of
-/// [`run_tableau`], with the sampling loop left to the artifact.  Returns
-/// `None` when the tableau rejects an operation, mirroring [`route`]'s
-/// degrade-to-dense fallback.
-pub(crate) fn prepare_tableau_artifact(
-    circuit: &Circuit,
-    backend: Backend,
-) -> Option<crate::SimArtifact> {
-    debug_assert!(!circuit.is_dynamic(), "cached runs are static-only");
-    let (prefix, mapping) = match circuit.split_terminal_measurements() {
-        Some((prefix, mapping)) => (prefix, mapping),
-        None => return None,
-    };
-    let route = RunRoute {
-        segments: vec![RouteSegment {
-            engine: EngineKind::Tableau,
-            ops: circuit.len(),
-        }],
-    };
-    let strong_start = Instant::now();
-    // The RNG is never consulted: the prefix is measure-free.
+/// Dry-runs every operation of `circuit` on a tableau — conditioned ones
+/// unconditionally, since a shot may fire any of them — and reports
+/// whether the tableau lowered them all.  Acceptance depends on the
+/// operation alone, never on the state or the drawn outcomes.
+fn tableau_accepts(circuit: &Circuit) -> bool {
+    let mut tab = Tableau::zero_state(usize::from(circuit.num_qubits()).max(1));
     let mut rng = SmallRng::seed_from_u64(0);
-    let (tab, _record) = tableau::simulate(&prefix, &mut rng).ok()?;
-    let strong_time = strong_start.elapsed();
-    let precompute_start = Instant::now();
-    let sampler = tab.measurement_sampler();
-    let precompute_time = precompute_start.elapsed();
-    Some(crate::SimArtifact::from_tableau(
-        sampler,
-        mapping,
-        circuit.num_qubits(),
-        circuit.num_clbits(),
-        backend,
-        route,
-        strong_time,
-        precompute_time,
-    ))
+    let mut record = 0u64;
+    circuit.iter().enumerate().all(|(op_index, op)| {
+        let op = match op {
+            Operation::Conditioned { op, .. } => op.as_ref(),
+            other => other,
+        };
+        tableau::apply_operation(&mut tab, op, op_index, &mut record, &mut rng).is_ok()
+    })
 }
 
 /// Evolves the leading `prefix_len` Clifford operations on a tableau and, if
@@ -292,157 +255,6 @@ pub(crate) fn stitch_prefix(circuit: &Circuit, prefix_len: usize) -> Option<Circ
         stitched.push(op.clone());
     }
     Some(stitched)
-}
-
-/// Draws `shots` shots with the workspace chunk-seeding scheme: chunk `i`
-/// (of [`PARALLEL_CHUNK_SHOTS`] shots) uses its own RNG stream seeded with
-/// [`chunk_stream_seed`]`(seed, i)`.
-fn draw_chunked(
-    shots: u64,
-    seed: u64,
-    mut shot: impl FnMut(&mut SmallRng) -> Result<(), TableauError>,
-) -> Result<(), TableauError> {
-    let chunk_len = PARALLEL_CHUNK_SHOTS as u64;
-    let total_chunks = shots.div_ceil(chunk_len);
-    for chunk_index in 0..total_chunks {
-        let chunk_shots = chunk_len.min(shots - chunk_index * chunk_len);
-        let mut rng = SmallRng::seed_from_u64(chunk_stream_seed(seed, chunk_index));
-        for _ in 0..chunk_shots {
-            shot(&mut rng)?;
-        }
-    }
-    Ok(())
-}
-
-/// Reads the classical record of one full-register sample through the
-/// trailing-measurement mapping (the packed-words analogue of the
-/// simulator's `map_terminal_record`, needed because tableau registers can
-/// exceed 64 qubits).
-pub(crate) fn map_terminal_words(sample: &[u64], mapping: &[(Qubit, u16)]) -> u64 {
-    let mut out = 0u64;
-    for &(qubit, cbit) in mapping {
-        let q = usize::from(qubit.0);
-        let bit = (sample[q / 64] >> (q % 64) & 1) as u8;
-        out = crate::trajectory::record_bit(out, cbit, bit);
-    }
-    out
-}
-
-/// Runs a fully-Clifford circuit end to end on the stabilizer tableau.
-///
-/// Static circuits get one tableau evolution plus affine-subspace sampling;
-/// dynamic ones run shot-by-shot (each shot is a fresh `O(n)`-per-gate
-/// tableau walk, so even thousand-qubit trajectories are cheap).  Registers
-/// wider than 64 qubits histogram the low 64 bits of each sample — the
-/// documented truncation of the `u64`-keyed [`ShotHistogram`].
-fn run_tableau(
-    circuit: &Circuit,
-    backend: Backend,
-    shots: u64,
-    seed: u64,
-) -> Result<RunOutcome, TableauError> {
-    let num_qubits = usize::from(circuit.num_qubits()).max(1);
-    let route = RunRoute {
-        segments: vec![RouteSegment {
-            engine: EngineKind::Tableau,
-            ops: circuit.len(),
-        }],
-    };
-    // Report the stabilizer generator count as the representation size —
-    // the tableau analogue of DD node count / dense amplitude count.
-    let representation_size = 2 * num_qubits as u128;
-
-    if !circuit.is_dynamic() {
-        let (prefix, mapping) = match circuit.split_terminal_measurements() {
-            Some((prefix, mapping)) if !mapping.is_empty() => (prefix, Some(mapping)),
-            // Measure-free static circuit (the split yields an empty
-            // terminal block): sample the full register.
-            Some((prefix, _)) => (prefix, None),
-            None => (circuit.clone(), None),
-        };
-        let strong_start = Instant::now();
-        // The RNG is never consulted: the prefix is measure-free.
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let (tab, _record) = tableau::simulate(&prefix, &mut rng)?;
-        let strong_time = strong_start.elapsed();
-
-        let precompute_start = Instant::now();
-        let sampler = tab.measurement_sampler();
-        let precompute_time = precompute_start.elapsed();
-
-        let sampling_start = Instant::now();
-        let histogram = match mapping {
-            None => {
-                let mut histogram = ShotHistogram::new(circuit.num_qubits());
-                draw_chunked(shots, seed, |rng| {
-                    histogram.record(sampler.sample_u64(rng));
-                    Ok(())
-                })?;
-                histogram
-            }
-            Some(mapping) => {
-                let mut histogram = ShotHistogram::new(circuit.num_clbits());
-                let mut buf = vec![0u64; sampler.num_qubits().div_ceil(64)];
-                draw_chunked(shots, seed, |rng| {
-                    sampler.sample_into(&mut buf, rng);
-                    histogram.record(map_terminal_words(&buf, &mapping));
-                    Ok(())
-                })?;
-                histogram
-            }
-        };
-        let sampling_time = sampling_start.elapsed();
-        return Ok(RunOutcome {
-            backend,
-            histogram,
-            strong_time,
-            precompute_time,
-            sampling_time,
-            representation_size,
-            dd_stats: None,
-            state: None,
-            interruption: None,
-            route,
-            cache: None,
-        });
-    }
-
-    // Dynamic Clifford circuit: per-shot trajectories.  Circuits without
-    // any `Measure` report a terminal full-register sample, exactly like
-    // the dense trajectory engine.
-    let has_measurements = circuit.has_measurements();
-    let width = if has_measurements {
-        circuit.num_clbits()
-    } else {
-        circuit.num_qubits()
-    };
-    let mut histogram = ShotHistogram::new(width);
-    let sampling_start = Instant::now();
-    draw_chunked(shots, seed, |rng| {
-        let mut tab = Tableau::zero_state(num_qubits);
-        let record = tableau::apply_circuit(&mut tab, circuit, rng)?;
-        let outcome = if has_measurements {
-            record
-        } else {
-            tab.measurement_sampler().sample_u64(rng)
-        };
-        histogram.record(outcome);
-        Ok(())
-    })?;
-    let sampling_time = sampling_start.elapsed();
-    Ok(RunOutcome {
-        backend,
-        histogram,
-        strong_time: Duration::ZERO,
-        precompute_time: Duration::ZERO,
-        sampling_time,
-        representation_size,
-        dd_stats: None,
-        state: None,
-        interruption: None,
-        route,
-        cache: None,
-    })
 }
 
 #[cfg(test)]
@@ -491,10 +303,14 @@ mod tests {
     #[test]
     fn fully_clifford_circuits_route_to_the_tableau() {
         let ghz = algorithms::ghz(4);
-        let Routed::Tableau(outcome) = route(&ghz, Backend::DecisionDiagram, 2000, 3).unwrap()
-        else {
-            panic!("GHZ is fully Clifford and must route to the tableau");
-        };
+        let plan = route_plan(&ghz, Backend::DecisionDiagram, true);
+        assert_eq!(plan.engine, EngineKind::Tableau);
+        assert!(matches!(plan.circuit, Cow::Borrowed(_)));
+        let outcome = crate::WeakSimulator::new(Backend::DecisionDiagram)
+            .with_clifford_router()
+            .run(&ghz, 2000, 3)
+            .unwrap();
+        assert_eq!(outcome.route, plan.route);
         assert!(outcome.route.used_tableau());
         assert_eq!(outcome.histogram.shots(), 2000);
         assert!(outcome
@@ -508,9 +324,14 @@ mod tests {
     fn non_clifford_circuits_without_clifford_prefix_stay_dense() {
         let mut c = Circuit::new(1);
         c.t(Qubit(0));
-        assert!(matches!(
-            route(&c, Backend::DecisionDiagram, 10, 0).unwrap(),
-            Routed::Dense
-        ));
+        let plan = route_plan(&c, Backend::DecisionDiagram, true);
+        assert_eq!(plan.engine, EngineKind::DecisionDiagram);
+        assert_eq!(plan.route, RunRoute::dense(Backend::DecisionDiagram, 1));
+        let outcome = crate::WeakSimulator::new(Backend::DecisionDiagram)
+            .with_clifford_router()
+            .run(&c, 10, 0)
+            .unwrap();
+        assert_eq!(outcome.route, plan.route);
+        assert!(outcome.state.is_some(), "dense runs keep their state");
     }
 }

@@ -341,17 +341,11 @@ impl ServiceBroker {
         shots: u64,
         seed: u64,
     ) -> Result<RunOutcome, RunError> {
-        circuit.validate().map_err(RunError::InvalidCircuit)?;
-        if let Some(model) = sim.noise() {
-            model
-                .validate_for(circuit.num_qubits())
-                .map_err(RunError::InvalidNoise)?;
-        }
-        let noise_free = !sim.noise().is_some_and(|model| model.has_noise());
-        if !noise_free || circuit.is_dynamic() {
+        sim.validate(circuit)?;
+        if !sim.runs_static(circuit) {
             // Cache-ineligible: per-shot evolution has no reusable prepared
             // sampler, so there is nothing to coalesce or admit — run it.
-            return sim.clone().run(circuit, shots, seed);
+            return sim.run_trajectories(circuit, shots, seed);
         }
 
         let key = sim.request_fingerprint(circuit);
@@ -360,7 +354,7 @@ impl ServiceBroker {
                 &artifact,
                 shots,
                 seed,
-                CacheOutcome::Hit,
+                Some(CacheOutcome::Hit),
                 None,
             ));
         }
@@ -373,7 +367,7 @@ impl ServiceBroker {
                     &artifact,
                     shots,
                     seed,
-                    CacheOutcome::Coalesced,
+                    Some(CacheOutcome::Coalesced),
                     None,
                 ))
             }
@@ -479,7 +473,7 @@ impl ServiceBroker {
                         &artifact,
                         shots,
                         seed,
-                        CacheOutcome::Coalesced,
+                        Some(CacheOutcome::Coalesced),
                         None,
                     ));
                 }
@@ -520,7 +514,7 @@ impl ServiceBroker {
                     &artifact,
                     shots,
                     seed,
-                    CacheOutcome::Miss,
+                    Some(CacheOutcome::Miss),
                     state,
                 ))
             }

@@ -2,31 +2,37 @@
 //!
 //! # Static vs. dynamic routing
 //!
-//! [`WeakSimulator::run`] inspects the circuit once:
+//! [`WeakSimulator::run`] inspects the request once:
 //!
-//! * **Static** circuits (no mid-circuit measurement, no reset — see
-//!   [`Circuit::is_dynamic`]) go through strong simulation followed by the
-//!   one-pass batched sampler, exactly as in the paper.  A trailing block of
-//!   `measure` operations is allowed: it is split off and applied as a
-//!   qubit→classical-bit relabelling of the sampled bitstrings, so circuits
-//!   imported from QASM with a terminal `measure q -> c;` stay on the fast
-//!   path.
+//! * **Static** noise-free circuits (no mid-circuit measurement, no reset —
+//!   see [`Circuit::is_dynamic`]) go route plan → artifact → sample: one
+//!   strong simulation on the planned engine, one prepared sampler in a
+//!   [`SimArtifact`], and [`SimArtifact::sample`] draws the shots, exactly
+//!   as in the paper.  A trailing block of `measure` operations is allowed:
+//!   it is split off and applied as a qubit→classical-bit relabelling of
+//!   the sampled bitstrings, so circuits imported from QASM with a terminal
+//!   `measure q -> c;` stay on the fast path.  An attached cache changes
+//!   only whether the artifact is kept.
 //! * **Dynamic** circuits — mid-circuit measurement, reset or
-//!   classically-conditioned gates (`if (c==k)` feed-forward) — are handed
-//!   to the [`trajectory`](crate::trajectory) engine, which simulates
-//!   shot-by-shot with collapse at each measurement or reset and resolves
-//!   each condition against the shot's classical record, reusing the same
-//!   SplitMix64 chunk-seeding scheme so the result is seed-deterministic
-//!   independent of the worker-thread count.
+//!   classically-conditioned gates (`if (c==k)` feed-forward) — and every
+//!   circuit under a non-trivial noise model are handed to the
+//!   [`trajectory`](crate::trajectory) loop, which simulates shot-by-shot
+//!   with collapse at each measurement or reset and resolves each condition
+//!   against the shot's classical record, reusing the same SplitMix64
+//!   chunk-seeding scheme so the result is seed-deterministic independent
+//!   of the worker-thread count.
 
-use crate::artifact::{ArtifactCache, CacheOutcome, SimArtifact};
+use crate::artifact::{ArtifactCache, CacheOutcome, Prepared, SimArtifact};
+use crate::backend::{DdEngine, SvEngine};
 use crate::govern::{Interruption, RunGovernor};
-use crate::router::{RoutePlan, Routed, RunRoute};
+use crate::router::{route_plan, RunRoute};
+use crate::service::{ServiceBroker, ServiceConfig};
 use crate::ShotHistogram;
 use circuit::{Circuit, NoiseModel, Qubit};
 use dd::{DdError, DdPackage, DdStats, StateDd};
 use mathkit::hash_mix;
 use statevector::{MemoryBudget, StateVector};
+use std::borrow::Cow;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -397,11 +403,14 @@ impl WeakSimulator {
     }
 
     /// Attaches an [`ArtifactCache`]: noise-free static [`run`](Self::run)
-    /// requests are then served through shared [`SimArtifact`]s — a warm
-    /// request skips strong simulation and sampler preparation entirely and
-    /// pays only the per-shot sampling cost, with a histogram bit-identical
-    /// to the uncached run for the same seed.  [`RunOutcome::cache`] reports
-    /// whether the artifact was found or built.
+    /// requests are then served through the same front door as a
+    /// [`ServiceBroker`] with the default [`ServiceConfig`] over this cache.
+    /// A warm request skips strong simulation and sampler preparation
+    /// entirely and pays only the per-shot sampling cost; every request
+    /// draws the histogram the uncached run draws for the same seed.
+    /// [`RunOutcome::cache`] reports whether the artifact was found or
+    /// built, and a build that hits the governor's deadline is retried per
+    /// the default [`RetryPolicy`](crate::RetryPolicy).
     ///
     /// The handle is shared: clone one cache into many simulators (or hand
     /// it to many threads) and they serve each other's requests.  Noisy and
@@ -513,6 +522,16 @@ impl WeakSimulator {
         self.noise.as_ref()
     }
 
+    /// The dense-vector memory budget.
+    pub(crate) fn memory_budget(&self) -> MemoryBudget {
+        self.memory_budget
+    }
+
+    /// The decision-diagram construction worker count, if fanned out.
+    pub(crate) fn construction_threads(&self) -> Option<usize> {
+        self.construction_threads
+    }
+
     /// Runs strong simulation only.
     ///
     /// Any attached noise model is ignored: strong simulation produces the
@@ -529,12 +548,12 @@ impl WeakSimulator {
     /// backend can additionally fail with [`RunError::DdMemoryOut`],
     /// [`RunError::Deadline`] or [`RunError::Cancelled`].
     pub fn strong(&self, circuit: &Circuit) -> Result<StrongState, RunError> {
-        self.backend.engine().strong(
-            circuit,
-            self.memory_budget,
-            &self.governor,
-            self.construction_threads,
-        )
+        match self.backend {
+            Backend::DecisionDiagram => {
+                DdEngine::strong(circuit, &self.governor, self.construction_threads)
+            }
+            Backend::StateVector => SvEngine::strong(circuit, self.memory_budget),
+        }
     }
 
     /// Runs weak simulation: `shots` measurement samples drawn with a
@@ -568,43 +587,42 @@ impl WeakSimulator {
         shots: u64,
         seed: u64,
     ) -> Result<RunOutcome, RunError> {
-        // Validate the *whole* circuit (and noise model) up front: the
-        // static path below only strong-simulates the unitary prefix, which
-        // would let a malformed trailing measurement block slip through
-        // unchecked.
+        if let Some(cache) = &self.cache {
+            return ServiceBroker::new(cache.clone(), ServiceConfig::default())
+                .serve(self, circuit, shots, seed);
+        }
+        self.validate(circuit)?;
+        if self.runs_static(circuit) {
+            let (artifact, state) = self.prepare_artifact(circuit)?;
+            return Ok(outcome_from_artifact(&artifact, shots, seed, None, state));
+        }
+        self.run_trajectories(circuit, shots, seed)
+    }
+
+    /// Validates the *whole* circuit and the noise model up front: the
+    /// static path only strong-simulates the unitary prefix, which would
+    /// let a malformed trailing measurement block slip through unchecked.
+    pub(crate) fn validate(&self, circuit: &Circuit) -> Result<(), RunError> {
         circuit.validate().map_err(RunError::InvalidCircuit)?;
         if let Some(model) = &self.noise {
             model
                 .validate_for(circuit.num_qubits())
                 .map_err(RunError::InvalidNoise)?;
         }
-        let noise_free = !self.noise.as_ref().is_some_and(|model| model.has_noise());
+        Ok(())
+    }
 
-        // Cache-eligible requests — noise-free and static — are served
-        // through the artifact layer when a cache is attached.  Noisy and
-        // dynamic circuits fall through: their per-shot evolution has no
-        // reusable prepared sampler.
-        if noise_free && !circuit.is_dynamic() {
-            if let Some(cache) = self.cache.clone() {
-                return self.run_cached(&cache, circuit, shots, seed);
-            }
-        }
+    /// Whether a request runs on the static pipeline (plan → artifact →
+    /// sample): noise-free and static.  Everything else runs per shot on
+    /// the trajectory loop — there is no reusable prepared sampler to
+    /// build or cache.
+    pub(crate) fn runs_static(&self, circuit: &Circuit) -> bool {
+        self.effective_noise().is_none() && !circuit.is_dynamic()
+    }
 
-        if self.clifford_router && noise_free {
-            match crate::router::route(circuit, self.backend, shots, seed)? {
-                Routed::Tableau(outcome) => return Ok(*outcome),
-                Routed::Stitched { stitched, route } => {
-                    return self.run_dense(&stitched, shots, seed, route);
-                }
-                Routed::Dense => {}
-            }
-        }
-        self.run_dense(
-            circuit,
-            shots,
-            seed,
-            RunRoute::dense(self.backend, circuit.len()),
-        )
+    /// The attached noise model, if it has any non-trivial channel.
+    fn effective_noise(&self) -> Option<&NoiseModel> {
+        self.noise.as_ref().filter(|model| model.has_noise())
     }
 
     /// The cache key for a `run` request on `circuit` under this simulator's
@@ -624,7 +642,7 @@ impl WeakSimulator {
         let config = u64::from(self.backend as u8) << 8 | u64::from(self.clifford_router);
         a = hash_mix(a, config);
         b = hash_mix(b, config ^ 0x9e37_79b9_7f4a_7c15);
-        match self.noise.as_ref().filter(|model| model.has_noise()) {
+        match self.effective_noise() {
             Some(model) => {
                 let [na, nb] = model.fingerprint();
                 a = hash_mix(hash_mix(a, 1), na);
@@ -638,181 +656,77 @@ impl WeakSimulator {
         [a, b]
     }
 
-    /// Serves a cache-eligible request through the artifact layer: look the
-    /// request fingerprint up, build-and-insert on a miss, then sample the
-    /// shared artifact.  The returned histogram is bit-identical to the
-    /// uncached run for the same seed on both hits and misses.
-    fn run_cached(
-        &self,
-        cache: &ArtifactCache,
-        circuit: &Circuit,
-        shots: u64,
-        seed: u64,
-    ) -> Result<RunOutcome, RunError> {
-        let key = self.request_fingerprint(circuit);
-        if let Some(artifact) = cache.get(key) {
-            return Ok(outcome_from_artifact(
-                &artifact,
-                shots,
-                seed,
-                CacheOutcome::Hit,
-                None,
-            ));
-        }
-
-        let (artifact, state) = self.prepare_artifact(circuit)?;
-        let artifact = cache.insert(key, artifact);
-        Ok(outcome_from_artifact(
-            &artifact,
-            shots,
-            seed,
-            CacheOutcome::Miss,
-            state,
-        ))
-    }
-
     /// Builds the [`SimArtifact`] for a validated, noise-free, static
-    /// `circuit`, mirroring the routing semantics of [`run`](Self::run)
-    /// exactly: the router (when enabled) may serve a fully-Clifford circuit
-    /// from a tableau sampler or stitch a Clifford prefix, and a tableau
-    /// rejection degrades to the dense path just like the uncached run.
-    ///
-    /// Also returns the [`StrongState`] when the dense path built one, so a
-    /// cache miss can still expose [`RunOutcome::strong`].
+    /// `circuit`: the route plan picks the engine and the circuit it runs
+    /// (original or stitched), and that engine prepares the sampler.  Also
+    /// returns the [`StrongState`] when a dense engine built one, so the
+    /// building run can still expose [`RunOutcome::strong`].
     pub(crate) fn prepare_artifact(
         &self,
         circuit: &Circuit,
     ) -> Result<(SimArtifact, Option<StrongState>), RunError> {
-        if self.clifford_router {
-            match crate::router::route_plan(circuit, self.backend) {
-                RoutePlan::FullyClifford => {
-                    if let Some(artifact) =
-                        crate::router::prepare_tableau_artifact(circuit, self.backend)
-                    {
-                        return Ok((artifact, None));
-                    }
-                    // Tableau rejection (unsupported structure) degrades to
-                    // dense, mirroring `route`'s fallback.
-                }
-                RoutePlan::Stitched { stitched, route } => {
-                    return self.prepare_dense_artifact(&stitched, route);
-                }
-                RoutePlan::Dense => {}
-            }
-        }
-        self.prepare_dense_artifact(circuit, RunRoute::dense(self.backend, circuit.len()))
+        let plan = route_plan(circuit, self.backend, self.clifford_router);
+        let circuit = plan.circuit.as_ref();
+        // Measure-free circuits — every classic benchmark — skip the
+        // prefix-splitting clone entirely.
+        let (prefix, mapping) = if circuit.has_measurements() {
+            // `None` only for dynamic circuits, which never get here.
+            let (prefix, mapping) = circuit
+                .split_terminal_measurements()
+                .ok_or(RunError::DynamicCircuit { op_index: 0 })?;
+            (Cow::Owned(prefix), mapping)
+        } else {
+            (Cow::Borrowed(circuit), Vec::new())
+        };
+        let (prepared, state) = plan.engine.engine().prepare(&prefix, self)?;
+        let artifact = SimArtifact::new(
+            prepared,
+            mapping,
+            circuit.num_qubits(),
+            circuit.num_clbits(),
+            self.backend,
+            plan.route,
+        );
+        Ok((artifact, state))
     }
 
-    /// The dense arm of [`prepare_artifact`]: strong-simulate the unitary
-    /// prefix and compile the backend's prepared sampler into an artifact.
-    fn prepare_dense_artifact(
-        &self,
-        circuit: &Circuit,
-        route: RunRoute,
-    ) -> Result<(SimArtifact, Option<StrongState>), RunError> {
-        // `split_terminal_measurements` returns `None` only for dynamic
-        // circuits, which the cache hook already filtered out.
-        let (prefix, mapping) = circuit
-            .split_terminal_measurements()
-            .ok_or(RunError::DynamicCircuit { op_index: 0 })?;
-        let strong_start = Instant::now();
-        let state = self.strong(&prefix)?;
-        let strong_time = strong_start.elapsed();
-        let artifact =
-            SimArtifact::from_dense(&state, mapping, circuit.num_clbits(), route, strong_time)?;
-        Ok((artifact, Some(state)))
-    }
-
-    /// The dense (non-tableau) execution path shared by unrouted, stitched
-    /// and fallback runs: the pre-router body of [`run`](Self::run).  The
-    /// caller has already validated `circuit` (stitched circuits are valid
-    /// by construction) and chosen the `route` to report.
-    fn run_dense(
+    /// The trajectory path of a validated request: dynamic circuits, and
+    /// every circuit under an effective noise model.  Noiseless runs are
+    /// routed like static ones, so a fully-Clifford dynamic circuit runs on
+    /// the tableau's trajectory runner.
+    pub(crate) fn run_trajectories(
         &self,
         circuit: &Circuit,
         shots: u64,
         seed: u64,
-        route: RunRoute,
     ) -> Result<RunOutcome, RunError> {
-        let noise = self.noise.as_ref().filter(|model| model.has_noise());
-
-        // Measure-free noiseless circuits — every classic benchmark — skip
-        // the prefix-splitting clone entirely.
-        if noise.is_none() && !circuit.is_dynamic() && !circuit.has_measurements() {
-            let strong_start = Instant::now();
-            let state = self.strong(circuit)?;
-            let strong_time = strong_start.elapsed();
-            let (histogram, precompute_time, sampling_time) =
-                Self::sample_with_record(&state, shots, seed, None)?;
-            return Ok(RunOutcome {
-                backend: self.backend,
-                representation_size: state.representation_size(),
-                dd_stats: state.dd_stats(),
-                histogram,
-                strong_time,
-                precompute_time,
-                sampling_time,
-                state: Some(state),
-                interruption: None,
-                route,
-                cache: None,
-            });
-        }
-
-        let terminal_split = if noise.is_none() {
-            circuit.split_terminal_measurements()
-        } else {
-            // Noisy runs always take the trajectory engine: even a trailing
-            // measurement block needs its per-shot noise realization.
-            None
-        };
-        let Some((prefix, mapping)) = terminal_split else {
-            let outcome = crate::trajectory::run_trajectories(
-                self.backend,
-                circuit,
-                noise,
-                shots,
-                seed,
-                self.threads.unwrap_or_else(rayon::current_num_threads),
-                self.memory_budget,
-                &self.governor,
-            )?;
-            return Ok(RunOutcome {
-                backend: self.backend,
-                representation_size: outcome.representation_size,
-                dd_stats: outcome.dd_stats,
-                histogram: outcome.histogram,
-                strong_time: Duration::ZERO,
-                precompute_time: outcome.precompute_time,
-                sampling_time: outcome.sampling_time,
-                state: None,
-                interruption: outcome.interruption,
-                route,
-                cache: None,
-            });
-        };
-
-        let strong_start = Instant::now();
-        let state = self.strong(&prefix)?;
-        let strong_time = strong_start.elapsed();
-        let record = if mapping.is_empty() {
-            None
-        } else {
-            Some((mapping.as_slice(), circuit.num_clbits()))
-        };
-        let (histogram, precompute_time, sampling_time) =
-            Self::sample_with_record(&state, shots, seed, record)?;
+        let noise = self.effective_noise();
+        let plan = route_plan(
+            circuit,
+            self.backend,
+            self.clifford_router && noise.is_none(),
+        );
+        let outcome = crate::trajectory::run_trajectories(
+            plan.engine,
+            &plan.circuit,
+            noise,
+            shots,
+            seed,
+            self.threads.unwrap_or_else(rayon::current_num_threads),
+            self.memory_budget,
+            &self.governor,
+        )?;
         Ok(RunOutcome {
             backend: self.backend,
-            representation_size: state.representation_size(),
-            dd_stats: state.dd_stats(),
-            histogram,
-            strong_time,
-            precompute_time,
-            sampling_time,
-            state: Some(state),
-            interruption: None,
-            route,
+            representation_size: outcome.representation_size,
+            dd_stats: outcome.dd_stats,
+            histogram: outcome.histogram,
+            strong_time: Duration::ZERO,
+            precompute_time: outcome.precompute_time,
+            sampling_time: outcome.sampling_time,
+            state: None,
+            interruption: outcome.interruption,
+            route: plan.route,
             cache: None,
         })
     }
@@ -820,17 +734,15 @@ impl WeakSimulator {
     /// Draws `shots` samples from an already strong-simulated state.
     ///
     /// Returns the histogram together with the precomputation time (prefix
-    /// sums or sampler compilation) and the pure sampling time.  On the
-    /// decision-diagram backend the sampler is compiled *per call*; to reuse
-    /// a compiled sampler across calls (or threads, or runs), go through the
-    /// artifact layer instead — [`SimArtifact`] owns the long-lived arena
-    /// and [`ArtifactCache`] shares it across requests.
+    /// sums or sampler compilation) and the pure sampling time.  The state
+    /// is compiled into a one-off [`SimArtifact`] *per call* and drawn with
+    /// [`SimArtifact::sample`]; to reuse a compiled sampler across calls (or
+    /// threads, or runs), keep the artifact instead —
+    /// [`ArtifactCache`] shares it across requests.
     ///
-    /// The decision-diagram path draws the batch on every available worker
-    /// thread; the output is deterministic for a given `seed` regardless of
-    /// the thread count (see the `dd` crate docs for the seeding scheme).
-    /// Shot counts are drawn in bounded batches, so any `u64` count works
-    /// even where `usize` is 32 bits.
+    /// The decision-diagram path draws on every available worker thread;
+    /// the output is deterministic for a given `seed` regardless of the
+    /// thread count (see the `dd` crate docs for the seeding scheme).
     ///
     /// # Errors
     ///
@@ -844,49 +756,47 @@ impl WeakSimulator {
         shots: u64,
         seed: u64,
     ) -> Result<(ShotHistogram, Duration, Duration), RunError> {
-        Self::sample_with_record(state, shots, seed, None)
-    }
-
-    /// [`sample`](Self::sample), optionally relabelling each sampled
-    /// bitstring through a trailing-measurement `(qubit, cbit)` mapping into
-    /// a `width`-bit classical record.
-    fn sample_with_record(
-        state: &StrongState,
-        shots: u64,
-        seed: u64,
-        record: Option<(&[(Qubit, u16)], u16)>,
-    ) -> Result<(ShotHistogram, Duration, Duration), RunError> {
-        state
-            .backend()
-            .engine()
-            .sample_with_record(state, shots, seed, record)
+        let prepared = Prepared::from_state(state, Duration::ZERO)?;
+        let precompute_time = prepared.precompute_time;
+        let backend = state.backend();
+        let artifact = SimArtifact::new(
+            prepared,
+            Vec::new(),
+            state.num_qubits(),
+            0,
+            backend,
+            RunRoute::dense(backend, 0),
+        );
+        let sampling_start = Instant::now();
+        let histogram = artifact.sample(shots, seed);
+        Ok((histogram, precompute_time, sampling_start.elapsed()))
     }
 }
 
-/// Builds the [`RunOutcome`] for a request served from a prepared artifact,
-/// shared by the in-simulator cache path and the service broker.  Builder
-/// outcomes ([`CacheOutcome::Miss`]) report the artifact's build times (and
-/// carry the strong state when the dense path produced one); hit and
+/// Builds the [`RunOutcome`] for a request served from a prepared artifact
+/// — every noise-free static run, cached or not.  Building outcomes (no
+/// cache, or [`CacheOutcome::Miss`]) report the artifact's build times and
+/// carry the strong state when a dense engine produced one; hit and
 /// coalesced outcomes paid only the per-shot draw.
 pub(crate) fn outcome_from_artifact(
     artifact: &SimArtifact,
     shots: u64,
     seed: u64,
-    cache: CacheOutcome,
+    cache: Option<CacheOutcome>,
     state: Option<StrongState>,
 ) -> RunOutcome {
     let sampling_start = Instant::now();
     let histogram = artifact.sample(shots, seed);
     let sampling_time = sampling_start.elapsed();
     let (strong_time, precompute_time) = match cache {
-        CacheOutcome::Miss => (
+        None | Some(CacheOutcome::Miss) => (
             artifact.build_strong_time(),
             artifact.build_precompute_time(),
         ),
         // A warm or coalesced request pays nothing but the per-shot draw:
         // strong simulation and sampler preparation were amortized into the
         // artifact by the build that published it.
-        CacheOutcome::Hit | CacheOutcome::Coalesced => (Duration::ZERO, Duration::ZERO),
+        Some(CacheOutcome::Hit | CacheOutcome::Coalesced) => (Duration::ZERO, Duration::ZERO),
     };
     RunOutcome {
         backend: artifact.backend(),
@@ -899,7 +809,7 @@ pub(crate) fn outcome_from_artifact(
         state,
         interruption: None,
         route: artifact.route().clone(),
-        cache: Some(cache),
+        cache,
     }
 }
 

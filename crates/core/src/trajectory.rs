@@ -64,7 +64,11 @@
 //!
 //! The dense statevector runner keeps the shared unitary prefix (everything
 //! before the first event) as a base state and re-evolves a clone of it per
-//! shot, collapsing, damping and renormalizing in place.
+//! shot, collapsing, damping and renormalizing in place.  The stabilizer
+//! tableau runner — chosen by the Clifford router for noiseless
+//! fully-Clifford circuits — does the same with a base tableau: its
+//! outcome probabilities are 0, 1 or 1/2, and a measurement collapses onto
+//! the drawn bit.
 //!
 //! # Determinism
 //!
@@ -97,16 +101,17 @@
 //! limited [`RunGovernor`](crate::RunGovernor) are governed end to end:
 //! every worker package checks its node/byte budget at allocation sites and
 //! the deadline/token at amortized checkpoints, and every worker —
-//! including the dense statevector backend, whose per-shot arithmetic is
-//! otherwise ungoverned — probes the deadline and the cancellation token at
-//! chunk boundaries.  An interrupted run is *not* an error: the merged
-//! histogram keeps every completed shot and
+//! including the statevector and tableau runners, whose per-shot
+//! arithmetic is otherwise ungoverned — probes the deadline and the
+//! cancellation token at chunk boundaries.  An interrupted run is *not* an
+//! error: the merged histogram keeps every completed shot and
 //! [`TrajectoryOutcome::interruption`] carries the typed reason, so callers
 //! can distinguish "finished", "out of budget after N shots" and
 //! "cancelled after N shots" without losing the work already done.
 
 use crate::backend::TrajectoryRunner;
 use crate::govern::{Interruption, RunGovernor};
+use crate::router::EngineKind;
 use crate::simulator::{Backend, RunError};
 use crate::ShotHistogram;
 use circuit::{Circuit, Condition, NoiseChannel, NoiseModel, Operation, Qubit};
@@ -120,6 +125,7 @@ use rand::{Rng, SeedableRng};
 use statevector::{MemoryBudget, StateVector};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
+use tableau::Tableau;
 
 /// Maximum number of decision prefixes the decision-diagram runner caches
 /// (states, outcome masses and compiled leaf samplers).  Trajectories beyond
@@ -891,6 +897,101 @@ impl TrajectoryRunner for SvRunner<'_> {
     }
 }
 
+/// Applies a unitary segment to a tableau, resolving classical conditions
+/// against `record` (shared by the tableau engine's static preparation and
+/// its trajectory runner).
+pub(crate) fn apply_tableau_segment(tab: &mut Tableau, segment: &[Operation], record: u64) {
+    // Neither the RNG nor the inner record is consulted: segment operations
+    // are unitary and their conditions are resolved here.
+    let mut rng = SmallRng::seed_from_u64(0);
+    let mut inner_record = 0u64;
+    for op in segment.iter().filter_map(|op| effective_op(op, record)) {
+        // Infallible: the router only picks the tableau after dry-running
+        // every operation of the circuit on one.
+        #[allow(clippy::expect_used)]
+        tableau::apply_operation(tab, op, 0, &mut inner_record, &mut rng)
+            .expect("the router dry-ran every operation on a tableau");
+    }
+}
+
+/// The stabilizer-tableau trajectory runner.  The router sends it noiseless
+/// fully-Clifford circuits only, so every event is a measurement or a
+/// reset: stabilizer measurement is native to the tableau, and each shot
+/// costs `O(n)` word operations per gate.
+pub(crate) struct TableauRunner<'p> {
+    plan: &'p TrajectoryPlan,
+    /// The shared unitary prefix (`segments[0]`) applied to `|0...0>`.
+    base: Tableau,
+    /// The per-shot working tableau, reset from `base` at the start of
+    /// every shot.
+    scratch: Tableau,
+}
+
+impl<'p> TableauRunner<'p> {
+    pub(crate) fn new(plan: &'p TrajectoryPlan) -> Self {
+        let mut base = Tableau::zero_state(usize::from(plan.num_qubits).max(1));
+        // Conditions in the shared leading segment resolve against the
+        // all-zeros classical record, same as the dense runners.
+        apply_tableau_segment(&mut base, &plan.segments[0], 0);
+        let scratch = base.clone();
+        Self {
+            plan,
+            base,
+            scratch,
+        }
+    }
+}
+
+impl TrajectoryRunner for TableauRunner<'_> {
+    fn begin_shot(&mut self) {
+        self.scratch.clone_from(&self.base);
+    }
+
+    fn p_one(&mut self, qubit: Qubit) -> Result<f64, DdError> {
+        // A stabilizer measurement is either fixed or a fair coin.
+        Ok(match self.scratch.deterministic_outcome(qubit.index()) {
+            Some(outcome) => f64::from(u8::from(outcome)),
+            None => 0.5,
+        })
+    }
+
+    fn advance(
+        &mut self,
+        k: usize,
+        event: Event,
+        decision: u8,
+        record: u64,
+    ) -> Result<(), DdError> {
+        if decision != SKIPPED {
+            let qubit = event.kind.qubit().index();
+            match event.kind {
+                EventKind::Measure { .. } => {
+                    self.scratch.measure_forced(qubit, decision == 1);
+                }
+                EventKind::Reset { .. } => {
+                    if self.scratch.measure_forced(qubit, decision == 1) {
+                        self.scratch.x(qubit);
+                    }
+                }
+                EventKind::Noise { .. } => {
+                    unreachable!("the router sends only noiseless runs to the tableau")
+                }
+            }
+        }
+        apply_tableau_segment(&mut self.scratch, &self.plan.segments[k + 1], record);
+        Ok(())
+    }
+
+    fn terminal_sample(&mut self, rng: &mut SmallRng) -> Result<u64, DdError> {
+        Ok(self.scratch.measurement_sampler().sample_u64(rng))
+    }
+
+    fn representation_size(&self) -> u128 {
+        // The stabilizer generator count.
+        2 * self.base.num_qubits() as u128
+    }
+}
+
 /// One worker's partial result: its histogram, peak representation size,
 /// package statistics, completed-shot count, and the governed failure that
 /// stopped it early, if any.
@@ -907,7 +1008,7 @@ type WorkerResult = (ShotHistogram, u128, Option<DdStats>, u64, Option<DdError>)
 /// boundary instead of burning the remaining budget.
 #[allow(clippy::too_many_arguments)]
 fn run_worker(
-    backend: Backend,
+    engine: EngineKind,
     plan: &TrajectoryPlan,
     shots: u64,
     seed: u64,
@@ -916,7 +1017,7 @@ fn run_worker(
     governor: &Governor,
     stop: &AtomicBool,
 ) -> WorkerResult {
-    let mut runner = match backend.engine().trajectory_runner(plan, governor.clone()) {
+    let mut runner = match engine.engine().trajectory_runner(plan, governor.clone()) {
         Ok(runner) => runner,
         Err(e) => {
             stop.store(true, Ordering::Relaxed);
@@ -1041,7 +1142,7 @@ pub fn simulate_trajectories_with_threads(
     threads: usize,
 ) -> Result<TrajectoryOutcome, RunError> {
     run_trajectories(
-        backend,
+        backend.into(),
         circuit,
         None,
         shots,
@@ -1098,7 +1199,7 @@ pub fn simulate_noisy_trajectories_with_threads(
     threads: usize,
 ) -> Result<TrajectoryOutcome, RunError> {
     run_trajectories(
-        backend,
+        backend.into(),
         circuit,
         Some(noise),
         shots,
@@ -1119,7 +1220,7 @@ pub fn simulate_noisy_trajectories_with_threads(
 /// partial histograms are real results.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_trajectories(
-    backend: Backend,
+    engine: EngineKind,
     circuit: &Circuit,
     noise: Option<&NoiseModel>,
     shots: u64,
@@ -1142,7 +1243,7 @@ pub(crate) fn run_trajectories(
         .min(usize::try_from(total_chunks).unwrap_or(usize::MAX))
         .max(1);
 
-    backend
+    engine
         .engine()
         .check_trajectory_memory(circuit.num_qubits(), workers, budget)?;
 
@@ -1154,7 +1255,7 @@ pub(crate) fn run_trajectories(
     let stop = AtomicBool::new(false);
     let sampling_start = Instant::now();
     let (histogram, representation_size, dd_stats, completed_shots, error) = if workers == 1 {
-        run_worker(backend, &plan, shots, seed, 0, 1, &armed, &stop)
+        run_worker(engine, &plan, shots, seed, 0, 1, &armed, &stop)
     } else {
         let mut slots: Vec<Option<WorkerResult>> = (0..workers).map(|_| None).collect();
         rayon::scope(|scope| {
@@ -1164,7 +1265,7 @@ pub(crate) fn run_trajectories(
                 let stop = &stop;
                 scope.spawn(move || {
                     *slot = Some(run_worker(
-                        backend,
+                        engine,
                         plan,
                         shots,
                         seed,

@@ -172,6 +172,26 @@ fn cancelled_trajectory_run_reports_partial_results() {
 }
 
 #[test]
+fn routed_tableau_trajectory_run_honours_a_cancelled_token() {
+    // Dynamic Clifford circuits run on the tableau's trajectory runner,
+    // behind the same chunk-boundary governance as the dense engines: a
+    // token cancelled before the run starts stops it before any shot.
+    let token = CancelToken::new();
+    token.cancel();
+    let shots = 5000;
+    let outcome = WeakSimulator::new(Backend::DecisionDiagram)
+        .with_clifford_router()
+        .with_governor(RunGovernor::unlimited().with_cancel_token(token))
+        .run(&algorithms::stabilizer_cycle(6, 2), shots, 3)
+        .expect("cancellation degrades gracefully");
+    assert!(outcome.route.used_tableau());
+    let interruption = outcome.interruption.expect("run was cancelled");
+    assert!(matches!(interruption.reason, DdError::Cancelled { .. }));
+    assert_eq!(outcome.histogram.shots(), interruption.completed_shots);
+    assert!(interruption.completed_shots < shots);
+}
+
+#[test]
 fn rerun_after_abort_matches_a_fresh_run_bit_for_bit() {
     // An aborted governed run must leave no residue: simulating again with
     // an unlimited governor gives the same histogram as a fresh simulator.

@@ -1,0 +1,212 @@
+//! The single static pipeline: every noise-free static request — uncached,
+//! through a `with_cache` miss or hit, served by a `ServiceBroker`, or
+//! served from a snapshot-restored broker — goes route plan → artifact →
+//! `SimArtifact::sample`, so all five front doors must return the same
+//! histogram and the same route for a seed.  Also checks the tableau's
+//! trajectory runner against the decision-diagram trajectory engine.
+
+use circuit::{Circuit, Qubit};
+use std::path::PathBuf;
+use weaksim::service::{ServiceBroker, ServiceConfig};
+use weaksim::{
+    stats, ArtifactCache, Backend, CacheOutcome, EngineKind, ShotHistogram, WeakSimulator,
+};
+
+const SHOTS: u64 = 6_000;
+const SEED: u64 = 0x57a7_1c0d;
+
+/// A unique temp path for this test binary's snapshot files.
+fn snapshot_path(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("weaksim-static-it-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create snapshot dir");
+    dir.join(name)
+}
+
+/// A small non-trivial Clifford circuit touching every tableau-supported
+/// gate family: H, S, Z, CX, CZ and SWAP.
+fn clifford_mix() -> Circuit {
+    let mut c = Circuit::with_name(4, "clifford_mix");
+    c.h(Qubit(0))
+        .s(Qubit(0))
+        .cx(Qubit(0), Qubit(1))
+        .h(Qubit(2))
+        .cz(Qubit(1), Qubit(2))
+        .swap(Qubit(2), Qubit(3))
+        .z(Qubit(3))
+        .s(Qubit(1))
+        .cx(Qubit(3), Qubit(0));
+    c
+}
+
+/// The request table: each circuit with the route kind the router gives it.
+fn circuits() -> Vec<(Circuit, Via)> {
+    let ghz = algorithms::ghz(5);
+
+    let mut swapped = algorithms::ghz(3);
+    swapped.measure(Qubit(1), 0).measure(Qubit(0), 1);
+
+    // Clifford prefix ending in the basis state |0110>, then a T gate.
+    let mut stitched = Circuit::with_name(4, "x_prefix_t");
+    stitched
+        .x(Qubit(1))
+        .cx(Qubit(1), Qubit(2))
+        .z(Qubit(0))
+        .t(Qubit(2))
+        .h(Qubit(0))
+        .cx(Qubit(0), Qubit(3));
+
+    vec![
+        (ghz, Via::Tableau),
+        (swapped, Via::Tableau),
+        (stitched, Via::Stitch),
+        (clifford_mix(), Via::Tableau),
+    ]
+}
+
+/// How the Clifford router runs a table circuit: entirely on the tableau,
+/// or as a tableau prefix stitched into the dense backend.
+#[derive(Clone, Copy)]
+enum Via {
+    Tableau,
+    Stitch,
+}
+
+/// Serves one request through every front door and checks that each
+/// returns the uncached histogram and route.
+fn assert_front_doors_agree(sim: &WeakSimulator, circuit: &Circuit) {
+    let label = format!("{} on {}", circuit.name(), sim.backend());
+    let uncached = sim.clone().run(circuit, SHOTS, SEED).unwrap();
+    assert_eq!(uncached.cache, None, "{label}");
+    let check = |door: &str, histogram: &ShotHistogram, route: &weaksim::RunRoute| {
+        assert_eq!(histogram, &uncached.histogram, "{label}: {door} histogram");
+        assert_eq!(route, &uncached.route, "{label}: {door} route");
+    };
+
+    let cache = ArtifactCache::unbounded();
+    let mut cached = sim.clone().with_cache(&cache);
+    let miss = cached.run(circuit, SHOTS, SEED).unwrap();
+    assert_eq!(miss.cache, Some(CacheOutcome::Miss), "{label}");
+    check("with_cache miss", &miss.histogram, &miss.route);
+    let hit = cached.run(circuit, SHOTS, SEED).unwrap();
+    assert_eq!(hit.cache, Some(CacheOutcome::Hit), "{label}");
+    check("with_cache hit", &hit.histogram, &hit.route);
+
+    let broker = ServiceBroker::new(ArtifactCache::unbounded(), ServiceConfig::default());
+    let served = broker.serve(sim, circuit, SHOTS, SEED).unwrap();
+    assert_eq!(served.cache, Some(CacheOutcome::Miss), "{label}");
+    check("broker", &served.histogram, &served.route);
+
+    let path = snapshot_path("front-doors.snap");
+    broker.write_snapshot(&path).expect("write snapshot");
+    let restored = ServiceBroker::new(ArtifactCache::unbounded(), ServiceConfig::default());
+    let report = restored.load_snapshot(&path).expect("load snapshot");
+    assert_eq!(report.loaded, 1, "{label}");
+    let warm = restored.serve(sim, circuit, SHOTS, SEED).unwrap();
+    assert_eq!(warm.cache, Some(CacheOutcome::Hit), "{label}");
+    check("restored broker", &warm.histogram, &warm.route);
+}
+
+#[test]
+fn every_front_door_serves_the_uncached_histogram_and_route() {
+    for (circuit, via) in circuits() {
+        for backend in [Backend::DecisionDiagram, Backend::StateVector] {
+            for router in [false, true] {
+                let sim = WeakSimulator::new(backend);
+                let sim = if router {
+                    sim.with_clifford_router()
+                } else {
+                    sim
+                };
+                assert_front_doors_agree(&sim, &circuit);
+
+                let route = sim.clone().run(&circuit, 10, 0).unwrap().route;
+                let engines: Vec<_> = route.segments.iter().map(|s| s.engine).collect();
+                let dense = EngineKind::from(backend);
+                let expected = match (router, via) {
+                    (false, _) => vec![dense],
+                    (true, Via::Tableau) => vec![EngineKind::Tableau],
+                    (true, Via::Stitch) => vec![EngineKind::Tableau, dense],
+                };
+                assert_eq!(engines, expected, "{} on {backend}", circuit.name());
+            }
+        }
+    }
+}
+
+/// Two-sample chi-square homogeneity test over the union of outcomes;
+/// returns the p-value.
+fn homogeneity_p_value(a: &ShotHistogram, b: &ShotHistogram) -> f64 {
+    let mut outcomes: Vec<u64> = a
+        .counts()
+        .keys()
+        .chain(b.counts().keys())
+        .copied()
+        .collect();
+    outcomes.sort_unstable();
+    outcomes.dedup();
+    let (na, nb) = (a.shots() as f64, b.shots() as f64);
+    let total = na + nb;
+    let mut statistic = 0.0;
+    for &outcome in &outcomes {
+        let (ca, cb) = (a.count(outcome) as f64, b.count(outcome) as f64);
+        let pooled = (ca + cb) / total;
+        for (observed, n) in [(ca, na), (cb, nb)] {
+            let expected = pooled * n;
+            statistic += (observed - expected).powi(2) / expected;
+        }
+    }
+    stats::chi_square_survival(statistic, (outcomes.len() - 1) as f64)
+}
+
+/// A dynamic Clifford circuit with feed-forward: `c0` is a fair coin
+/// copied into `c1` by a conditioned `X`, and `q0` is reset before it
+/// drives `q2`, so `c2` is always 0.
+fn feed_forward() -> Circuit {
+    let mut c = Circuit::with_name(3, "feed_forward");
+    c.h(Qubit(0)).measure(Qubit(0), 0);
+    c.conditioned_gate(1, circuit::OneQubitGate::X, Qubit(1));
+    c.reset(Qubit(0))
+        .cx(Qubit(0), Qubit(2))
+        .measure(Qubit(1), 1)
+        .measure(Qubit(2), 2);
+    c
+}
+
+#[test]
+fn tableau_trajectories_match_the_decision_diagram_engine() {
+    // The repetition-code cycle (GHZ-encoded logical |+>, parity checks with
+    // ancilla resets, read-out of every data qubit) records all-zeros or
+    // all-ones; the feed-forward circuit records c1 == c0 and c2 == 0.
+    let cases: [(Circuit, &[u64]); 2] = [
+        (algorithms::stabilizer_cycle(6, 2), &[0, (1 << 6) - 1]),
+        (feed_forward(), &[0b000, 0b011]),
+    ];
+    let shots = 8_000;
+    for (circuit, support) in cases {
+        let name = circuit.name().to_owned();
+        let routed = WeakSimulator::new(Backend::DecisionDiagram)
+            .with_clifford_router()
+            .run(&circuit, shots, 11)
+            .unwrap();
+        assert_eq!(routed.route.segments.len(), 1, "{name}");
+        assert_eq!(routed.route.segments[0].engine, EngineKind::Tableau);
+        assert_eq!(routed.histogram.shots(), shots, "{name}");
+
+        let dd = WeakSimulator::new(Backend::DecisionDiagram)
+            .run(&circuit, shots, 12)
+            .unwrap();
+        assert!(!dd.route.used_tableau(), "{name}");
+        for outcome in [&routed, &dd] {
+            assert!(
+                outcome
+                    .histogram
+                    .counts()
+                    .keys()
+                    .all(|k| support.contains(k)),
+                "{name}: record outside the support"
+            );
+        }
+        let p = homogeneity_p_value(&routed.histogram, &dd.histogram);
+        assert!(p > 0.001, "{name}: tableau vs DD records, p = {p}");
+    }
+}
