@@ -248,9 +248,9 @@ fn bench_trajectories(c: &mut Criterion) {
 /// package's table statistics (`"construction"` / `"dd_stats"` keys — CI
 /// greps for both, so construction performance cannot silently drop out of
 /// the artifact), plus the Clifford-router entries (`"tableau_ghz"` /
-/// `"routed_supremacy"`, also grepped by CI) and the `"artifact_cache"`
-/// entry (cold-vs-warm cost of the same request through an
-/// [`weaksim::ArtifactCache`], also grepped by CI).
+/// `"routed_supremacy"` / `"tableau_noisy_cycle"`, also grepped by CI) and
+/// the `"artifact_cache"` entry (cold-vs-warm cost of the same request
+/// through an [`weaksim::ArtifactCache`], also grepped by CI).
 fn record_baseline_json(_c: &mut Criterion) {
     let quick = std::env::var("CRITERION_QUICK").is_ok_and(|v| v != "0" && !v.is_empty());
     let shots: usize = if quick { 20_000 } else { 200_000 };
@@ -406,6 +406,46 @@ fn record_baseline_json(_c: &mut Criterion) {
     let tableau_json = router_entry(&ghz_circuit, trajectory_shots, 1);
     let routed_json = router_entry(&deep_circuit, trajectory_shots, threads);
 
+    // `tableau_noisy_cycle`: the repetition-code cycle under Pauli hardware
+    // noise, routed to the tableau's compiled sign program vs the unrouted
+    // decision-diagram trajectory engine, both on one worker.  The DD run
+    // pays per-shot noise evolution, so the entry runs a tenth of the shots.
+    // Scoped so its timings do not shadow the sampler timings above.
+    let noisy_cycle_json = {
+        let cycle = algorithms::stabilizer_cycle(9, 3);
+        let cycle_noise = algorithms::hardware_noise(0.01);
+        let cycle_shots = trajectory_shots / 10;
+        let cycle_workers = 1;
+        let cycle_run = |router: bool| -> (String, f64) {
+            let sim = WeakSimulator::new(Backend::DecisionDiagram)
+                .with_noise(cycle_noise.clone())
+                .with_threads(cycle_workers);
+            let mut sim = if router {
+                sim.with_clifford_router()
+            } else {
+                sim
+            };
+            let mut route = String::new();
+            let seconds = time(&mut || {
+                let outcome = sim
+                    .run(&cycle, cycle_shots, BENCH_SEED)
+                    .expect("noisy cycle runs");
+                route = outcome.route.to_string();
+                outcome.histogram.shots()
+            });
+            (route, seconds)
+        };
+        let (tableau_route, tableau_seconds) = cycle_run(true);
+        let (dd_route, dd_seconds) = cycle_run(false);
+        format!(
+            "{{\n    \"benchmark\": \"{name}_p0.01\",\n    \"shots\": {cycle_shots},\n    \"threads\": {cycle_workers},\n    \"tableau\": {{ \"route\": \"{tableau_route}\", \"seconds\": {tableau_seconds:.6}, \"shots_per_second\": {tableau_rate:.0} }},\n    \"dd\": {{ \"route\": \"{dd_route}\", \"seconds\": {dd_seconds:.6}, \"shots_per_second\": {dd_rate:.0} }},\n    \"speedup_tableau_vs_dd\": {speedup:.2}\n  }}",
+            name = cycle.name(),
+            tableau_rate = cycle_shots as f64 / tableau_seconds,
+            dd_rate = cycle_shots as f64 / dd_seconds,
+            speedup = dd_seconds / tableau_seconds,
+        )
+    };
+
     // Artifact-cache entry: the same supremacy request served through one
     // `ServiceBroker` — four concurrent cold tenants (one builds, the rest
     // coalesce single-flight onto the in-flight construction), then a warm
@@ -515,7 +555,7 @@ fn record_baseline_json(_c: &mut Criterion) {
 
     let rate = |seconds: f64| shots as f64 / seconds;
     let json = format!(
-        "{{\n  \"benchmark\": \"{name}\",\n  \"qubits\": {qubits},\n  \"dd_nodes\": {nodes},\n  \"shots\": {shots},\n  \"threads\": {threads},\n  \"construction\": {construction_json},\n  \"dd_stats\": {dd_stats_json},\n  \"compile_seconds\": {compile_seconds:.6},\n  \"samplers\": {{\n    \"dd_sampler\": {{ \"seconds\": {dd:.6}, \"shots_per_second\": {dd_rate:.0} }},\n    \"normalized_sampler\": {{ \"seconds\": {nm:.6}, \"shots_per_second\": {nm_rate:.0} }},\n    \"compiled_sampler\": {{ \"seconds\": {cp:.6}, \"shots_per_second\": {cp_rate:.0} }},\n    \"compiled_parallel\": {{ \"seconds\": {pl:.6}, \"shots_per_second\": {pl_rate:.0}, \"threads\": {threads} }}\n  }},\n  \"trajectory\": {trajectory_json},\n  \"trajectory_parallel\": {trajectory_parallel_json},\n  \"trajectory_ipe\": {ipe_json},\n  \"trajectory_noisy\": {noisy_json},\n  \"trajectory_noisy_deep\": {deep_json},\n  \"tableau_ghz\": {tableau_json},\n  \"routed_supremacy\": {routed_json},\n  \"artifact_cache\": {artifact_cache_json},\n  \"speedup_compiled_vs_dd_sampler\": {speedup:.2},\n  \"speedup_parallel_vs_dd_sampler\": {pspeedup:.2}\n}}\n",
+        "{{\n  \"benchmark\": \"{name}\",\n  \"qubits\": {qubits},\n  \"dd_nodes\": {nodes},\n  \"shots\": {shots},\n  \"threads\": {threads},\n  \"construction\": {construction_json},\n  \"dd_stats\": {dd_stats_json},\n  \"compile_seconds\": {compile_seconds:.6},\n  \"samplers\": {{\n    \"dd_sampler\": {{ \"seconds\": {dd:.6}, \"shots_per_second\": {dd_rate:.0} }},\n    \"normalized_sampler\": {{ \"seconds\": {nm:.6}, \"shots_per_second\": {nm_rate:.0} }},\n    \"compiled_sampler\": {{ \"seconds\": {cp:.6}, \"shots_per_second\": {cp_rate:.0} }},\n    \"compiled_parallel\": {{ \"seconds\": {pl:.6}, \"shots_per_second\": {pl_rate:.0}, \"threads\": {threads} }}\n  }},\n  \"trajectory\": {trajectory_json},\n  \"trajectory_parallel\": {trajectory_parallel_json},\n  \"trajectory_ipe\": {ipe_json},\n  \"trajectory_noisy\": {noisy_json},\n  \"trajectory_noisy_deep\": {deep_json},\n  \"tableau_ghz\": {tableau_json},\n  \"routed_supremacy\": {routed_json},\n  \"tableau_noisy_cycle\": {noisy_cycle_json},\n  \"artifact_cache\": {artifact_cache_json},\n  \"speedup_compiled_vs_dd_sampler\": {speedup:.2},\n  \"speedup_parallel_vs_dd_sampler\": {pspeedup:.2}\n}}\n",
         name = circuit.name(),
         qubits = circuit.num_qubits(),
         dd = dd_seconds,

@@ -314,6 +314,19 @@ impl NoiseModel {
             .any(|c| !c.is_trivial())
     }
 
+    /// Returns `true` if every non-trivial channel is a Pauli channel (bit
+    /// flip, phase flip, depolarizing): each noise site then applies a
+    /// Pauli drawn from fixed probabilities, which a stabilizer simulation
+    /// realizes natively.  A model without noise is trivially Pauli.
+    #[must_use]
+    pub fn is_pauli(&self) -> bool {
+        self.gate
+            .iter()
+            .chain(self.qubit.iter().map(|(_, c)| c))
+            .chain(self.measurement.iter())
+            .all(|c| c.is_trivial() || c.is_state_independent())
+    }
+
     /// The channels inserted after a unitary operation, for one touched
     /// `qubit`, in deterministic order; trivial (`p = 0`) channels are
     /// skipped so a zero-strength model inserts no noise sites at all.

@@ -21,12 +21,11 @@ use crate::artifact::{Prepared, PreparedSampler};
 use crate::govern::RunGovernor;
 use crate::router::EngineKind;
 use crate::simulator::{RunError, StrongState, WeakSimulator};
-use crate::trajectory::{
-    apply_tableau_segment, DdRunner, Event, SvRunner, TableauRunner, TrajectoryPlan,
-};
+use crate::trajectory::{DdRunner, Event, SvRunner, TableauRunner, TrajectoryPlan};
 use circuit::{Circuit, Qubit};
 use dd::{DdError, DdPackage, DdStats, Governor};
 use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use statevector::MemoryBudget;
 use std::time::Instant;
 use tableau::Tableau;
@@ -81,9 +80,10 @@ pub(crate) trait TrajectoryRunner {
     /// Rewinds to the shared prefix state, starting a fresh shot.
     fn begin_shot(&mut self);
 
-    /// `P(qubit = 1)` of the current state — consulted by the
-    /// state-dependent decision draws (measure, reset, amplitude damping).
-    fn p_one(&mut self, qubit: Qubit) -> Result<f64, DdError>;
+    /// `P(qubit = 1)` of the current state, just before event `k` —
+    /// consulted by the state-dependent decision draws (measure, reset,
+    /// amplitude damping).
+    fn p_one(&mut self, k: usize, qubit: Qubit) -> Result<f64, DdError>;
 
     /// Applies event `k` under the drawn `decision` — collapse for a
     /// measurement, collapse-and-flip for a reset, the Kraus branch of a
@@ -237,7 +237,11 @@ impl Engine for TableauEngine {
         let num_qubits = usize::from(circuit.num_qubits()).max(1);
         let strong_start = Instant::now();
         let mut tab = Tableau::zero_state(num_qubits);
-        apply_tableau_segment(&mut tab, circuit.operations(), 0);
+        // Infallible: the router dry-ran every operation, and a static
+        // prefix is unitary, so no outcome is drawn from the RNG.
+        #[allow(clippy::expect_used)]
+        tableau::apply_circuit(&mut tab, circuit, &mut SmallRng::seed_from_u64(0))
+            .expect("the router dry-ran every operation on a tableau");
         let strong_time = strong_start.elapsed();
         let precompute_start = Instant::now();
         let sampler = PreparedSampler::Tableau(tab.measurement_sampler());
@@ -258,7 +262,7 @@ impl Engine for TableauEngine {
         plan: &'p TrajectoryPlan,
         _governor: Governor,
     ) -> Result<Box<dyn TrajectoryRunner + 'p>, DdError> {
-        // Tableau updates are `O(n)` word operations per gate; deadline and
+        // A shot is a few sign-mask XORs per step; deadline and
         // cancellation are honoured at chunk boundaries, like the dense
         // runner.
         Ok(Box::new(TableauRunner::new(plan)))

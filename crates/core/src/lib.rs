@@ -68,8 +68,9 @@
 //!   **trajectory loop**: collapse at each event, evolve the suffix
 //!   (resolving `if (c==k)` guards against the shot's classical record),
 //!   record classical bits.  The loop is written once against a per-engine
-//!   runner — decision diagrams, dense vectors, and (for noiseless routed
-//!   Clifford circuits) the stabilizer tableau — and shares one worker
+//!   runner — decision diagrams, dense vectors, and (for routed Clifford
+//!   circuits, noiseless or under Pauli noise) the stabilizer tableau's
+//!   compiled sign program — and shares one worker
 //!   pool, one seeding scheme and one governor with all of them.  The
 //!   decision-diagram runner caches evolved states, branch masses and
 //!   compiled terminal samplers per outcome prefix, so only the first shot

@@ -3,14 +3,17 @@
 //! stitches the boundary into the configured dense backend.
 //!
 //! Routing is opt-in
-//! ([`WeakSimulator::with_clifford_router`](crate::WeakSimulator::with_clifford_router))
-//! and noiseless-only; it never changes *what* is sampled, only *which
-//! engine* does the work:
+//! ([`WeakSimulator::with_clifford_router`](crate::WeakSimulator::with_clifford_router));
+//! it never changes *what* is sampled, only *which engine* does the work:
 //!
 //! * a **fully-Clifford** circuit (per
 //!   [`Circuit::clifford_segments`]) runs entirely on the tableau —
 //!   thousand-qubit GHZ and stabilizer-code circuits sample in
-//!   milliseconds where a dense backend could not even allocate the state;
+//!   milliseconds where a dense backend could not even allocate the state.
+//!   Dynamic circuits qualify when the tableau's X/Z bits cannot depend on
+//!   the classical record: a conditioned gate must be a Pauli, and no
+//!   measurement or reset may be conditioned.  The trajectory runner then
+//!   compiles the run into one sign program (see the `tableau` crate docs);
 //! * a circuit with a **unitary Clifford prefix** whose boundary state is a
 //!   computational basis state (the cheap-injection case of
 //!   [`Tableau::as_basis_state`]) is *stitched*: the prefix is replayed as
@@ -18,6 +21,12 @@
 //!   operations — the prefix costs `O(n)` tableau updates instead of dense
 //!   gate applications;
 //! * anything else **falls back** to whole-circuit dense execution.
+//!
+//! Noise narrows the choice.  Pauli channels (bit flip, phase flip,
+//! depolarizing) are native to the tableau (Gottesman–Knill), so a noisy
+//! fully-Clifford run still goes there; amplitude damping, whose branch
+//! depends on the state, keeps the whole run dense.  Noisy runs are never
+//! stitched: the folded prefix gates would lose their noise sites.
 //!
 //! `route_plan` is the only routing decision: it picks the engine and the
 //! circuit (original or stitched), and the rest of the run is the ordinary
@@ -34,7 +43,7 @@
 //! 64 bits of each full-register sample.
 
 use crate::simulator::Backend;
-use circuit::{Circuit, Operation, Qubit};
+use circuit::{Circuit, NoiseModel, Operation, Qubit};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::borrow::Cow;
@@ -130,9 +139,9 @@ impl fmt::Display for RunRoute {
     }
 }
 
-/// The routing decision for one noiseless run: the engine that executes it
-/// and the circuit that engine runs — the original, or the stitched
-/// remainder behind a folded Clifford prefix.
+/// The routing decision for one run: the engine that executes it and the
+/// circuit that engine runs — the original, or the stitched remainder
+/// behind a folded Clifford prefix.
 pub(crate) struct RoutePlan<'c> {
     /// The engine that executes `circuit`.
     pub(crate) engine: EngineKind,
@@ -142,22 +151,33 @@ pub(crate) struct RoutePlan<'c> {
     pub(crate) route: RunRoute,
 }
 
-/// Decides how a validated circuit runs (no shot is drawn).  With
-/// `router` off — or for a circuit without a tableau-eligible segment —
-/// the plan is the whole circuit on the dense `backend`.
+/// Decides how a validated circuit runs under the effective `noise` model
+/// (no shot is drawn).  With `router` off — or for a circuit without a
+/// tableau-eligible segment — the plan is the whole circuit on the dense
+/// `backend`.
+///
+/// Noise narrows the choice: only Pauli channels are native to the
+/// tableau, so any other channel keeps the run dense, and a noisy run is
+/// never stitched (the folded prefix gates would lose their noise sites).
 ///
 /// `Operation::is_clifford` guarantees the tableau accepts every operation
 /// it classifies as Clifford, but that classification is the only wall
-/// between the engines, so a fully-Clifford circuit is also dry-run once on
-/// a tableau: a defect degrades to correct-but-slower dense execution
-/// instead of an error, and every later tableau application is infallible.
-pub(crate) fn route_plan(circuit: &Circuit, backend: Backend, router: bool) -> RoutePlan<'_> {
+/// between the engines, so a fully-Clifford circuit is also dry-run once
+/// through the tableau lowering: a defect degrades to correct-but-slower
+/// dense execution instead of an error, and every later tableau
+/// application is infallible.
+pub(crate) fn route_plan<'c>(
+    circuit: &'c Circuit,
+    backend: Backend,
+    router: bool,
+    noise: Option<&NoiseModel>,
+) -> RoutePlan<'c> {
     let dense = RoutePlan {
         engine: backend.into(),
         circuit: Cow::Borrowed(circuit),
         route: RunRoute::dense(backend, circuit.len()),
     };
-    if !router {
+    if !router || noise.is_some_and(|model| !model.is_pauli()) {
         return dense;
     }
     let segments = circuit.clifford_segments();
@@ -177,7 +197,7 @@ pub(crate) fn route_plan(circuit: &Circuit, backend: Backend, router: bool) -> R
             dense
         };
     }
-    if segments.prefix_len > 0 {
+    if segments.prefix_len > 0 && noise.is_none() {
         if let Some(stitched) = stitch_prefix(circuit, segments.prefix_len) {
             return RoutePlan {
                 engine: backend.into(),
@@ -200,20 +220,16 @@ pub(crate) fn route_plan(circuit: &Circuit, backend: Backend, router: bool) -> R
     dense
 }
 
-/// Dry-runs every operation of `circuit` on a tableau — conditioned ones
-/// unconditionally, since a shot may fire any of them — and reports
-/// whether the tableau lowered them all.  Acceptance depends on the
-/// operation alone, never on the state or the drawn outcomes.
+/// Lowers every operation of `circuit` onto the tableau primitives and
+/// reports whether all of them lowered and none makes the tableau's X/Z
+/// bits depend on the classical record (a conditioned non-Pauli gate, a
+/// conditioned measure or reset) — the condition for compiling the run
+/// into one sign program.  Acceptance depends on the operations alone,
+/// never on the state or the drawn outcomes.
 fn tableau_accepts(circuit: &Circuit) -> bool {
-    let mut tab = Tableau::zero_state(usize::from(circuit.num_qubits()).max(1));
-    let mut rng = SmallRng::seed_from_u64(0);
-    let mut record = 0u64;
+    let num_qubits = usize::from(circuit.num_qubits()).max(1);
     circuit.iter().enumerate().all(|(op_index, op)| {
-        let op = match op {
-            Operation::Conditioned { op, .. } => op.as_ref(),
-            other => other,
-        };
-        tableau::apply_operation(&mut tab, op, op_index, &mut record, &mut rng).is_ok()
+        tableau::lower(op, op_index, num_qubits).is_ok_and(|lowered| lowered.fixes_structure())
     })
 }
 
@@ -303,7 +319,7 @@ mod tests {
     #[test]
     fn fully_clifford_circuits_route_to_the_tableau() {
         let ghz = algorithms::ghz(4);
-        let plan = route_plan(&ghz, Backend::DecisionDiagram, true);
+        let plan = route_plan(&ghz, Backend::DecisionDiagram, true, None);
         assert_eq!(plan.engine, EngineKind::Tableau);
         assert!(matches!(plan.circuit, Cow::Borrowed(_)));
         let outcome = crate::WeakSimulator::new(Backend::DecisionDiagram)
@@ -324,7 +340,7 @@ mod tests {
     fn non_clifford_circuits_without_clifford_prefix_stay_dense() {
         let mut c = Circuit::new(1);
         c.t(Qubit(0));
-        let plan = route_plan(&c, Backend::DecisionDiagram, true);
+        let plan = route_plan(&c, Backend::DecisionDiagram, true, None);
         assert_eq!(plan.engine, EngineKind::DecisionDiagram);
         assert_eq!(plan.route, RunRoute::dense(Backend::DecisionDiagram, 1));
         let outcome = crate::WeakSimulator::new(Backend::DecisionDiagram)
@@ -333,5 +349,87 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.route, plan.route);
         assert!(outcome.state.is_some(), "dense runs keep their state");
+    }
+
+    #[test]
+    fn pauli_noisy_clifford_circuits_route_to_the_tableau() {
+        let cycle = algorithms::stabilizer_cycle(4, 2);
+        let pauli = algorithms::hardware_noise(0.01);
+        let plan = route_plan(&cycle, Backend::DecisionDiagram, true, Some(&pauli));
+        assert_eq!(plan.engine, EngineKind::Tableau);
+        let outcome = crate::WeakSimulator::new(Backend::DecisionDiagram)
+            .with_clifford_router()
+            .with_noise(pauli)
+            .run(&cycle, 500, 3)
+            .unwrap();
+        assert_eq!(outcome.route, plan.route);
+
+        // Amplitude damping is not a Pauli channel.
+        let damping = NoiseModel::new()
+            .with_gate_noise(circuit::NoiseChannel::depolarizing(0.01))
+            .with_qubit_noise(Qubit(0), circuit::NoiseChannel::amplitude_damping(0.05));
+        let plan = route_plan(&cycle, Backend::DecisionDiagram, true, Some(&damping));
+        assert_eq!(plan.engine, EngineKind::DecisionDiagram);
+        assert_eq!(
+            plan.route,
+            RunRoute::dense(Backend::DecisionDiagram, cycle.len())
+        );
+    }
+
+    #[test]
+    fn record_dependent_structure_stays_dense() {
+        // A guarded Pauli only flips signs: still the tableau.
+        let mut pauli = Circuit::new(2);
+        pauli
+            .h(Qubit(0))
+            .measure(Qubit(0), 0)
+            .conditioned_gate(1, circuit::OneQubitGate::Z, Qubit(1))
+            .measure(Qubit(1), 1);
+        let plan = route_plan(&pauli, Backend::StateVector, true, None);
+        assert_eq!(plan.engine, EngineKind::Tableau);
+
+        // A guarded H or a guarded measurement changes the X/Z bits only
+        // on the shots it fires.
+        let mut guarded_h = Circuit::new(2);
+        guarded_h
+            .h(Qubit(0))
+            .measure(Qubit(0), 0)
+            .conditioned_gate(1, circuit::OneQubitGate::H, Qubit(1))
+            .measure(Qubit(1), 1);
+        let mut guarded_measure = Circuit::new(2);
+        guarded_measure
+            .h(Qubit(0))
+            .measure(Qubit(0), 0)
+            .h(Qubit(1))
+            .conditioned(
+                1,
+                Operation::Measure {
+                    qubit: Qubit(1),
+                    cbit: 1,
+                },
+            );
+        for c in [&guarded_h, &guarded_measure] {
+            assert!(c.clifford_segments().is_fully_clifford());
+            let plan = route_plan(c, Backend::StateVector, true, None);
+            assert_eq!(plan.engine, EngineKind::StateVector);
+            assert_eq!(plan.route, RunRoute::dense(Backend::StateVector, c.len()));
+        }
+    }
+
+    #[test]
+    fn noisy_runs_are_never_stitched() {
+        // A basis-state Clifford prefix folds into X preparations when
+        // noiseless; under noise its gates keep their noise sites.
+        let mut c = Circuit::new(2);
+        c.x(Qubit(0)).t(Qubit(1)).measure(Qubit(0), 0).h(Qubit(1));
+        let noiseless = route_plan(&c, Backend::DecisionDiagram, true, None);
+        assert!(matches!(noiseless.circuit, Cow::Owned(_)));
+        let noise = algorithms::hardware_noise(0.01);
+        let noisy = route_plan(&c, Backend::DecisionDiagram, true, Some(&noise));
+        assert!(matches!(noisy.circuit, Cow::Borrowed(_)));
+        assert_eq!(
+            noisy.route,
+            RunRoute::dense(Backend::DecisionDiagram, c.len())
+        );
     }
 }

@@ -160,10 +160,12 @@ impl From<DdError> for RunError {
             DdError::MemoryOut { .. } | DdError::ArenaOverflow { .. } => RunError::DdMemoryOut(e),
             // The front end validates circuits up front and routes dynamic
             // ones through the trajectory engine, so these two cannot escape
-            // it; map them to the dynamic-circuit error they describe.
-            DdError::NonUnitaryOperation { .. } | DdError::ConditionedOperation { .. } => {
-                RunError::DynamicCircuit { op_index: 0 }
-            }
+            // it; map them to the dynamic-circuit error they describe, at
+            // the index the applying caller stamped.
+            DdError::NonUnitaryOperation { op_index, .. }
+            | DdError::ConditionedOperation { op_index, .. } => RunError::DynamicCircuit {
+                op_index: op_index.unwrap_or(0),
+            },
         }
     }
 }
@@ -423,17 +425,19 @@ impl WeakSimulator {
     }
 
     /// Enables the segmented Clifford router (see [`crate::router`]):
-    /// noiseless [`run`](Self::run) calls then execute fully-Clifford
-    /// circuits on the polynomial-time stabilizer-tableau engine, fold a
-    /// basis-state Clifford prefix into the dense backend where cheap, and
-    /// fall back to whole-circuit dense execution otherwise.
-    /// [`RunOutcome::route`] reports which engine(s) executed each segment.
+    /// [`run`](Self::run) calls then execute fully-Clifford circuits on the
+    /// polynomial-time stabilizer-tableau engine, fold a basis-state
+    /// Clifford prefix into the dense backend where cheap, and fall back to
+    /// whole-circuit dense execution otherwise.  [`RunOutcome::route`]
+    /// reports which engine(s) executed each segment.
     ///
     /// Routing never changes the sampled distribution, but tableau-routed
     /// outcomes carry no dense [`RunOutcome::state`] (calling
     /// [`RunOutcome::strong`] on them panics) and report the stabilizer
-    /// generator count as their representation size.  Runs with an effective
-    /// [noise model](Self::with_noise) bypass the router entirely.
+    /// generator count as their representation size.  Under a [noise
+    /// model](Self::with_noise) made of Pauli channels only, fully-Clifford
+    /// circuits still run on the tableau (Pauli errors are native there)
+    /// but nothing is stitched; any other channel keeps the run dense.
     #[must_use]
     pub fn with_clifford_router(mut self) -> Self {
         self.clifford_router = true;
@@ -660,20 +664,31 @@ impl WeakSimulator {
     /// `circuit`: the route plan picks the engine and the circuit it runs
     /// (original or stitched), and that engine prepares the sampler.  Also
     /// returns the [`StrongState`] when a dense engine built one, so the
-    /// building run can still expose [`RunOutcome::strong`].
+    /// building run can still expose [`RunOutcome::strong`].  A dynamic
+    /// circuit fails with [`RunError::DynamicCircuit`] at its first dynamic
+    /// operation.
     pub(crate) fn prepare_artifact(
         &self,
         circuit: &Circuit,
     ) -> Result<(SimArtifact, Option<StrongState>), RunError> {
-        let plan = route_plan(circuit, self.backend, self.clifford_router);
+        if circuit.is_dynamic() {
+            // The first non-unitary or conditioned operation of a dynamic
+            // circuit is always a dynamic one.
+            let op_index = circuit
+                .iter()
+                .position(|op| op.is_non_unitary() || op.is_conditioned())
+                .unwrap_or(0);
+            return Err(RunError::DynamicCircuit { op_index });
+        }
+        let plan = route_plan(circuit, self.backend, self.clifford_router, None);
         let circuit = plan.circuit.as_ref();
         // Measure-free circuits — every classic benchmark — skip the
         // prefix-splitting clone entirely.
         let (prefix, mapping) = if circuit.has_measurements() {
-            // `None` only for dynamic circuits, which never get here.
-            let (prefix, mapping) = circuit
-                .split_terminal_measurements()
-                .ok_or(RunError::DynamicCircuit { op_index: 0 })?;
+            // Stitching keeps a static circuit static.
+            let Some((prefix, mapping)) = circuit.split_terminal_measurements() else {
+                unreachable!("dynamic circuits are rejected above")
+            };
             (Cow::Owned(prefix), mapping)
         } else {
             (Cow::Borrowed(circuit), Vec::new())
@@ -701,11 +716,7 @@ impl WeakSimulator {
         seed: u64,
     ) -> Result<RunOutcome, RunError> {
         let noise = self.effective_noise();
-        let plan = route_plan(
-            circuit,
-            self.backend,
-            self.clifford_router && noise.is_none(),
-        );
+        let plan = route_plan(circuit, self.backend, self.clifford_router, noise);
         let outcome = crate::trajectory::run_trajectories(
             plan.engine,
             &plan.circuit,
@@ -1051,6 +1062,38 @@ mod tests {
                 "{backend}"
             );
         }
+    }
+
+    #[test]
+    fn dynamic_circuit_errors_report_the_first_dynamic_operation() {
+        // x q1; t q1; measure q0 -> c0; h q0; measure q0 -> c1: the
+        // mid-circuit measurement is op 2, with or without a stitched
+        // Clifford prefix.
+        let mut circuit = Circuit::new(2);
+        circuit
+            .x(Qubit(1))
+            .t(Qubit(1))
+            .measure(Qubit(0), 0)
+            .h(Qubit(0))
+            .measure(Qubit(0), 1);
+        for sim in [
+            WeakSimulator::new(Backend::DecisionDiagram),
+            WeakSimulator::new(Backend::DecisionDiagram).with_clifford_router(),
+        ] {
+            assert!(matches!(
+                sim.prepare_artifact(&circuit),
+                Err(RunError::DynamicCircuit { op_index: 2 })
+            ));
+        }
+        // A DD failure keeps the index its applying caller stamped.
+        let err = DdError::NonUnitaryOperation {
+            op: "reset q[0]".into(),
+            op_index: None,
+        };
+        assert_eq!(
+            RunError::from(err.with_op_index(3)),
+            RunError::DynamicCircuit { op_index: 3 }
+        );
     }
 
     #[test]

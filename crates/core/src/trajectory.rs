@@ -64,11 +64,18 @@
 //!
 //! The dense statevector runner keeps the shared unitary prefix (everything
 //! before the first event) as a base state and re-evolves a clone of it per
-//! shot, collapsing, damping and renormalizing in place.  The stabilizer
-//! tableau runner — chosen by the Clifford router for noiseless
-//! fully-Clifford circuits — does the same with a base tableau: its
-//! outcome probabilities are 0, 1 or 1/2, and a measurement collapses onto
-//! the drawn bit.
+//! shot, collapsing, damping and renormalizing in place.
+//!
+//! The stabilizer tableau runner is chosen by the Clifford router for
+//! fully-Clifford circuits, noiseless or under Pauli noise, whose tableau
+//! structure does not depend on the classical record.  It compiles the plan
+//! once into a [`SignProgram`]: Clifford gates, Pauli errors and collapses
+//! onto a drawn outcome change the tableau's X/Z bits identically on every
+//! shot, so only the stabilizer signs are per-shot state, and every event is
+//! a fixed XOR on them.  A shot then copies the base signs and XORs a few
+//! masks per event; its outcome probabilities are 0, 1 or 1/2, drawn by the
+//! same loop as every other engine, so it is bit-identical to stepping a
+//! full tableau per shot.
 //!
 //! # Determinism
 //!
@@ -125,7 +132,7 @@ use rand::{Rng, SeedableRng};
 use statevector::{MemoryBudget, StateVector};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
-use tableau::Tableau;
+use tableau::{Pauli, SignCompiler, SignProgram};
 
 /// Maximum number of decision prefixes the decision-diagram runner caches
 /// (states, outcome masses and compiled leaf samplers).  Trajectories beyond
@@ -471,7 +478,7 @@ fn run_shot(
     for (k, &event) in plan.events.iter().enumerate() {
         let decision = if event.fires(record) {
             let p_one = if event.kind.needs_state_probability() {
-                runner.p_one(event.kind.qubit())?
+                runner.p_one(k, event.kind.qubit())?
             } else {
                 0.0
             };
@@ -659,7 +666,7 @@ impl TrajectoryRunner for DdRunner<'_> {
         self.state = self.nodes[0].state;
     }
 
-    fn p_one(&mut self, qubit: Qubit) -> Result<f64, DdError> {
+    fn p_one(&mut self, _k: usize, qubit: Qubit) -> Result<f64, DdError> {
         let state = self.state;
         let masses = self.masses(self.at, &state, qubit)?;
         let total = masses[0] + masses[1];
@@ -827,7 +834,7 @@ impl TrajectoryRunner for SvRunner<'_> {
         self.norm_sqr = self.base_norm_sqr;
     }
 
-    fn p_one(&mut self, qubit: Qubit) -> Result<f64, DdError> {
+    fn p_one(&mut self, _k: usize, qubit: Qubit) -> Result<f64, DdError> {
         Ok(self.scratch.marginal_one_probability(qubit.0) / self.norm_sqr)
     }
 
@@ -897,59 +904,81 @@ impl TrajectoryRunner for SvRunner<'_> {
     }
 }
 
-/// Applies a unitary segment to a tableau, resolving classical conditions
-/// against `record` (shared by the tableau engine's static preparation and
-/// its trajectory runner).
-pub(crate) fn apply_tableau_segment(tab: &mut Tableau, segment: &[Operation], record: u64) {
-    // Neither the RNG nor the inner record is consulted: segment operations
-    // are unitary and their conditions are resolved here.
-    let mut rng = SmallRng::seed_from_u64(0);
-    let mut inner_record = 0u64;
-    for op in segment.iter().filter_map(|op| effective_op(op, record)) {
-        // Infallible: the router only picks the tableau after dry-running
-        // every operation of the circuit on one.
+/// The stabilizer-tableau trajectory runner: replays a [`SignProgram`]
+/// compiled from the plan.
+///
+/// The router sends it fully-Clifford circuits whose tableau structure does
+/// not depend on the classical record, noiseless or under Pauli noise.
+/// Their X/Z bits then evolve identically on every shot, so the runner
+/// compiles them once and each shot only XORs sign masks: a unitary
+/// segment, a Pauli error or a collapse is a few word operations, a
+/// measurement's outcome is fixed or a fair coin, and the terminal read-out
+/// is the fixed [`MeasurementSampler`](tableau::MeasurementSampler) basis
+/// around a reference element computed from the signs.  Plan segment `k` is
+/// program step `2k` and event `k` is step `2k + 1`.
+pub(crate) struct TableauRunner {
+    program: SignProgram,
+    /// The signs after the shared unitary prefix (`segments[0]`).
+    base: Vec<u64>,
+    /// The current shot's signs.
+    signs: Vec<u64>,
+    /// Terminal read-out buffer.
+    out: Vec<u64>,
+}
+
+impl TableauRunner {
+    pub(crate) fn new(plan: &TrajectoryPlan) -> Self {
+        // Infallible: the router only picks the tableau after lowering every
+        // operation and checking that no condition guards a structure
+        // change, and its noise is Pauli-only.
         #[allow(clippy::expect_used)]
-        tableau::apply_operation(tab, op, 0, &mut inner_record, &mut rng)
-            .expect("the router dry-ran every operation on a tableau");
-    }
-}
-
-/// The stabilizer-tableau trajectory runner.  The router sends it noiseless
-/// fully-Clifford circuits only, so every event is a measurement or a
-/// reset: stabilizer measurement is native to the tableau, and each shot
-/// costs `O(n)` word operations per gate.
-pub(crate) struct TableauRunner<'p> {
-    plan: &'p TrajectoryPlan,
-    /// The shared unitary prefix (`segments[0]`) applied to `|0...0>`.
-    base: Tableau,
-    /// The per-shot working tableau, reset from `base` at the start of
-    /// every shot.
-    scratch: Tableau,
-}
-
-impl<'p> TableauRunner<'p> {
-    pub(crate) fn new(plan: &'p TrajectoryPlan) -> Self {
-        let mut base = Tableau::zero_state(usize::from(plan.num_qubits).max(1));
+        let program = compile_sign_program(plan).expect("the router dry-ran the plan's operations");
+        let mut base = vec![0; program.sign_words()];
         // Conditions in the shared leading segment resolve against the
         // all-zeros classical record, same as the dense runners.
-        apply_tableau_segment(&mut base, &plan.segments[0], 0);
-        let scratch = base.clone();
+        program.apply_segment(0, &mut base, 0);
         Self {
-            plan,
+            signs: base.clone(),
+            out: vec![0; program.sign_words()],
             base,
-            scratch,
+            program,
         }
     }
 }
 
-impl TrajectoryRunner for TableauRunner<'_> {
+/// Walks `plan` once on a structure-only tableau, compiling segment `k` to
+/// step `2k` and event `k` to step `2k + 1`.
+fn compile_sign_program(plan: &TrajectoryPlan) -> Result<SignProgram, tableau::TableauError> {
+    let mut compiler = SignCompiler::new(usize::from(plan.num_qubits).max(1));
+    compiler.segment(&plan.segments[0])?;
+    for (event, segment) in plan.events.iter().zip(&plan.segments[1..]) {
+        // The router declines what would make the structure shot-dependent
+        // (a guarded measure or reset) and non-Pauli noise.
+        assert!(
+            match event.kind {
+                EventKind::Noise { channel, .. } => channel.is_state_independent(),
+                _ => event.condition.is_none(),
+            },
+            "the router sends the tableau no guarded collapse and only Pauli noise"
+        );
+        match event.kind {
+            EventKind::Measure { qubit, .. } => compiler.measure(qubit.index()),
+            EventKind::Reset { qubit } => compiler.reset(qubit.index()),
+            EventKind::Noise { qubit, .. } => compiler.pauli_site(qubit.index()),
+        };
+        compiler.segment(segment)?;
+    }
+    Ok(compiler.finish(plan.record == RecordSource::FinalMeasurement))
+}
+
+impl TrajectoryRunner for TableauRunner {
     fn begin_shot(&mut self) {
-        self.scratch.clone_from(&self.base);
+        self.signs.copy_from_slice(&self.base);
     }
 
-    fn p_one(&mut self, qubit: Qubit) -> Result<f64, DdError> {
+    fn p_one(&mut self, k: usize, _qubit: Qubit) -> Result<f64, DdError> {
         // A stabilizer measurement is either fixed or a fair coin.
-        Ok(match self.scratch.deterministic_outcome(qubit.index()) {
+        Ok(match self.program.outcome(2 * k + 1, &self.signs) {
             Some(outcome) => f64::from(u8::from(outcome)),
             None => 0.5,
         })
@@ -962,33 +991,35 @@ impl TrajectoryRunner for TableauRunner<'_> {
         decision: u8,
         record: u64,
     ) -> Result<(), DdError> {
+        let step = 2 * k + 1;
         if decision != SKIPPED {
-            let qubit = event.kind.qubit().index();
             match event.kind {
-                EventKind::Measure { .. } => {
-                    self.scratch.measure_forced(qubit, decision == 1);
+                EventKind::Measure { .. } | EventKind::Reset { .. } => {
+                    self.program.collapse(step, &mut self.signs, decision == 1);
                 }
-                EventKind::Reset { .. } => {
-                    if self.scratch.measure_forced(qubit, decision == 1) {
-                        self.scratch.x(qubit);
+                EventKind::Noise { channel, .. } => {
+                    if let Some(pauli) = channel
+                        .branch_gate(decision)
+                        .and_then(|g| Pauli::from_gate(&g))
+                    {
+                        self.program.apply_pauli(step, &mut self.signs, pauli);
                     }
-                }
-                EventKind::Noise { .. } => {
-                    unreachable!("the router sends only noiseless runs to the tableau")
                 }
             }
         }
-        apply_tableau_segment(&mut self.scratch, &self.plan.segments[k + 1], record);
+        self.program
+            .apply_segment(step + 1, &mut self.signs, record);
         Ok(())
     }
 
     fn terminal_sample(&mut self, rng: &mut SmallRng) -> Result<u64, DdError> {
-        Ok(self.scratch.measurement_sampler().sample_u64(rng))
+        self.program.sample_final(&self.signs, &mut self.out, rng);
+        Ok(self.out[0])
     }
 
     fn representation_size(&self) -> u128 {
         // The stabilizer generator count.
-        2 * self.base.num_qubits() as u128
+        2 * self.program.num_qubits() as u128
     }
 }
 

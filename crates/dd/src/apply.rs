@@ -191,10 +191,14 @@ fn apply_operation_impl(
                 n,
             ))
         }
-        Operation::Measure { .. } | Operation::Reset { .. } => {
-            Err(DdError::NonUnitaryOperation { op: op.to_string() })
-        }
-        Operation::Conditioned { .. } => Err(DdError::ConditionedOperation { op: op.to_string() }),
+        Operation::Measure { .. } | Operation::Reset { .. } => Err(DdError::NonUnitaryOperation {
+            op: op.to_string(),
+            op_index: None,
+        }),
+        Operation::Conditioned { .. } => Err(DdError::ConditionedOperation {
+            op: op.to_string(),
+            op_index: None,
+        }),
     }
 }
 

@@ -115,6 +115,9 @@ pub enum DdError {
     NonUnitaryOperation {
         /// Display form of the offending operation.
         op: String,
+        /// Circuit op index of the operation, once a caller that knows it
+        /// has stamped it ([`DdError::with_op_index`]).
+        op_index: Option<usize>,
     },
     /// A classically-conditioned operation was passed to the pure
     /// gate-application path; resolve the condition (trajectory engine)
@@ -122,26 +125,29 @@ pub enum DdError {
     ConditionedOperation {
         /// Display form of the offending operation.
         op: String,
+        /// Circuit op index of the operation, once a caller that knows it
+        /// has stamped it ([`DdError::with_op_index`]).
+        op_index: Option<usize>,
     },
 }
 
 impl DdError {
-    /// Stamps the circuit op index onto a resource failure that does not
-    /// carry one yet (leaves an already-stamped index and the non-resource
-    /// variants untouched).
+    /// Stamps the circuit op index onto a failure that does not carry one
+    /// yet (leaves an already-stamped index and arena overflows, which
+    /// belong to no single operation, untouched).
     #[must_use]
     pub fn with_op_index(mut self, index: usize) -> Self {
         match &mut self {
             DdError::MemoryOut { op_index, .. }
             | DdError::Deadline { op_index }
-            | DdError::Cancelled { op_index } => {
+            | DdError::Cancelled { op_index }
+            | DdError::NonUnitaryOperation { op_index, .. }
+            | DdError::ConditionedOperation { op_index, .. } => {
                 if op_index.is_none() {
                     *op_index = Some(index);
                 }
             }
-            DdError::ArenaOverflow { .. }
-            | DdError::NonUnitaryOperation { .. }
-            | DdError::ConditionedOperation { .. } => {}
+            DdError::ArenaOverflow { .. } => {}
         }
         self
     }
@@ -189,16 +195,23 @@ impl fmt::Display for DdError {
                 write!(f, "decision-diagram run cancelled")?;
                 fmt_at(f, *op_index)
             }
-            DdError::NonUnitaryOperation { op } => write!(
-                f,
-                "non-unitary operation '{op}' cannot be applied as a gate; \
-                 use measure_qubit/reset_qubit"
-            ),
-            DdError::ConditionedOperation { op } => write!(
-                f,
-                "classically-conditioned operation '{op}' depends on the classical \
-                 record; resolve the condition (trajectory engine) before applying"
-            ),
+            DdError::NonUnitaryOperation { op, op_index } => {
+                write!(f, "non-unitary operation '{op}'")?;
+                fmt_at(f, *op_index)?;
+                write!(
+                    f,
+                    " cannot be applied as a gate; use measure_qubit/reset_qubit"
+                )
+            }
+            DdError::ConditionedOperation { op, op_index } => {
+                write!(f, "classically-conditioned operation '{op}'")?;
+                fmt_at(f, *op_index)?;
+                write!(
+                    f,
+                    " depends on the classical record; resolve the condition \
+                     (trajectory engine) before applying"
+                )
+            }
         }
     }
 }
@@ -657,7 +670,22 @@ mod tests {
         assert_eq!(err, DdError::Deadline { op_index: Some(7) });
         let stamped = err.with_op_index(9);
         assert_eq!(stamped, DdError::Deadline { op_index: Some(7) });
-        // Non-resource variants pass through untouched.
+        // Dynamic-operation failures are stamped too.
+        let conditioned = DdError::ConditionedOperation {
+            op: "if (c==1) x q[0]".into(),
+            op_index: None,
+        }
+        .with_op_index(4)
+        .with_op_index(8);
+        assert!(matches!(
+            conditioned,
+            DdError::ConditionedOperation {
+                op_index: Some(4),
+                ..
+            }
+        ));
+        assert!(conditioned.to_string().contains("at circuit op 4"));
+        // Arena overflows belong to no single operation.
         let overflow = DdError::ArenaOverflow { arena: "vector" }.with_op_index(3);
         assert_eq!(overflow, DdError::ArenaOverflow { arena: "vector" });
     }

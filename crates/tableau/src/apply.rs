@@ -11,8 +11,8 @@
 //! `CX`/`CY`/`CZ`.  Matching is exact within [`mathkit::DEFAULT_TOLERANCE`],
 //! so the lowering can never silently approximate a non-Clifford gate.
 
-use crate::state::Tableau;
-use circuit::{Circuit, Operation};
+use crate::state::{Gate, Pauli, Tableau};
+use circuit::{Circuit, Condition, Operation};
 use mathkit::{Complex, DEFAULT_TOLERANCE};
 use rand::RngCore;
 use std::collections::HashMap;
@@ -27,6 +27,17 @@ pub enum TableauError {
     NotClifford {
         /// Position of the operation in the circuit (0 for single-operation
         /// application).
+        op_index: usize,
+        /// Rendered form of the offending operation.
+        op: String,
+    },
+    /// The operation cannot be compiled into a
+    /// [`SignProgram`](crate::SignProgram): a classically-conditioned
+    /// operation that is not a Pauli (whether it fires would change the
+    /// tableau's X/Z bits from shot to shot), or a measurement or reset
+    /// inside a unitary segment.
+    NotSignCompilable {
+        /// Position of the operation in the compiled segment.
         op_index: usize,
         /// Rendered form of the offending operation.
         op: String,
@@ -48,6 +59,10 @@ impl fmt::Display for TableauError {
             TableauError::NotClifford { op_index, op } => {
                 write!(f, "operation {op_index} (`{op}`) is not Clifford")
             }
+            TableauError::NotSignCompilable { op_index, op } => write!(
+                f,
+                "operation {op_index} (`{op}`) changes the tableau structure per shot and cannot join a sign program"
+            ),
             TableauError::QubitOutOfRange {
                 op_index,
                 qubit,
@@ -67,6 +82,14 @@ impl std::error::Error for TableauError {}
 enum Prim {
     H,
     S,
+}
+
+/// How a single-qubit Clifford class is realized on the tableau: the four
+/// Pauli classes as sign-only updates, the rest as `{H, S}` words.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Class {
+    Pauli(Pauli),
+    Word(Vec<Prim>),
 }
 
 /// Quantized canonical form of a 2×2 unitary, global phase removed: the
@@ -101,10 +124,12 @@ fn mat_mul(a: &[[Complex; 2]; 2], b: &[[Complex; 2]; 2]) -> [[Complex; 2]; 2] {
     out
 }
 
-/// The 24 single-qubit Clifford classes as canonical keys, each mapped to a
-/// shortest `{H, S}` word realizing it (applied left-to-right in time).
-fn clifford_table() -> &'static HashMap<[i64; 8], Vec<Prim>> {
-    static TABLE: OnceLock<HashMap<[i64; 8], Vec<Prim>>> = OnceLock::new();
+/// The 24 single-qubit Clifford classes as canonical keys, each mapped to
+/// its realization: the Pauli for the four Pauli classes (so a gate equal
+/// to a Pauli up to phase, like `Rz(pi)`, changes signs only), otherwise a
+/// shortest `{H, S}` word (applied left-to-right in time).
+fn clifford_table() -> &'static HashMap<[i64; 8], Class> {
+    static TABLE: OnceLock<HashMap<[i64; 8], Class>> = OnceLock::new();
     TABLE.get_or_init(|| {
         let h_mat = circuit::OneQubitGate::H.matrix();
         let s_mat = circuit::OneQubitGate::S.matrix();
@@ -112,7 +137,7 @@ fn clifford_table() -> &'static HashMap<[i64; 8], Vec<Prim>> {
         let mut table = HashMap::new();
         let mut queue = std::collections::VecDeque::new();
         if let Some(key) = canonical_key(&identity) {
-            table.insert(key, Vec::new());
+            table.insert(key, Class::Word(Vec::new()));
             queue.push_back((identity, Vec::new()));
         }
         // BFS over left-multiplication: appending a primitive to the word
@@ -127,57 +152,55 @@ fn clifford_table() -> &'static HashMap<[i64; 8], Vec<Prim>> {
                 if let std::collections::hash_map::Entry::Vacant(entry) = table.entry(key) {
                     let mut next_word = word.clone();
                     next_word.push(prim);
-                    entry.insert(next_word.clone());
+                    entry.insert(Class::Word(next_word.clone()));
                     queue.push_back((next, next_word));
                 }
+            }
+        }
+        // A Pauli conjugates the generators exactly like its {H, S} word
+        // (e.g. X = H S S H), so the tableau is the same either way.
+        for (gate, pauli) in [
+            (circuit::OneQubitGate::I, Pauli::I),
+            (circuit::OneQubitGate::X, Pauli::X),
+            (circuit::OneQubitGate::Y, Pauli::Y),
+            (circuit::OneQubitGate::Z, Pauli::Z),
+        ] {
+            if let Some(key) = canonical_key(&gate.matrix()) {
+                table.insert(key, Class::Pauli(pauli));
             }
         }
         table
     })
 }
 
-/// Applies an uncontrolled single-qubit gate, or reports `None` if it is
+/// Lowers an uncontrolled single-qubit gate, or reports `None` if it is
 /// outside the Clifford group.
-fn apply_one_qubit(tab: &mut Tableau, gate: &circuit::OneQubitGate, q: usize) -> Option<()> {
+fn lower_one_qubit(gate: &circuit::OneQubitGate, q: usize) -> Option<Vec<Gate>> {
     use circuit::OneQubitGate as G;
     // Fast path: named gates with a dedicated tableau update.
-    match gate {
-        G::I => return Some(()),
-        G::X => {
-            tab.x(q);
-            return Some(());
-        }
-        G::Y => {
-            tab.y(q);
-            return Some(());
-        }
-        G::Z => {
-            tab.z(q);
-            return Some(());
-        }
-        G::H => {
-            tab.h(q);
-            return Some(());
-        }
-        G::S => {
-            tab.s(q);
-            return Some(());
-        }
-        G::Sdg => {
-            tab.sdg(q);
-            return Some(());
-        }
+    let class = match gate {
+        G::H => return Some(vec![Gate::H(q)]),
+        G::S => return Some(vec![Gate::S(q)]),
+        G::Sdg => return Some(vec![Gate::Sdg(q)]),
         G::T | G::Tdg => return None,
-        _ => {}
-    }
-    let word = clifford_table().get(&canonical_key(&gate.matrix())?)?;
-    for prim in word {
-        match prim {
-            Prim::H => tab.h(q),
-            Prim::S => tab.s(q),
-        }
-    }
-    Some(())
+        _ => match Pauli::from_gate(gate) {
+            Some(pauli) => Class::Pauli(pauli),
+            None => clifford_table()
+                .get(&canonical_key(&gate.matrix())?)?
+                .clone(),
+        },
+    };
+    Some(match class {
+        Class::Pauli(Pauli::I) => Vec::new(),
+        Class::Pauli(pauli) => vec![Gate::Pauli(q, pauli)],
+        Class::Word(word) => word
+            .iter()
+            .map(|prim| match prim {
+                Prim::H => Gate::H(q),
+                Prim::S => Gate::S(q),
+            })
+            .collect(),
+    })
 }
 
 /// Matches `m` exactly (not up to phase — the phase of the base matrix is
@@ -203,36 +226,36 @@ fn as_phased_pauli(m: &[[Complex; 2]; 2]) -> Option<(u32, circuit::OneQubitGate)
     None
 }
 
-/// Applies a singly-controlled gate whose base matrix is `i^k P`.
-fn apply_controlled(
-    tab: &mut Tableau,
+/// Lowers a singly-controlled gate whose base matrix is `i^k P`.
+fn lower_controlled(
     gate: &circuit::OneQubitGate,
     control: usize,
     target: usize,
-) -> Option<()> {
+) -> Option<Vec<Gate>> {
     use circuit::OneQubitGate as G;
     let (k, pauli) = as_phased_pauli(&gate.matrix())?;
+    let mut gates = Vec::new();
     // The i^k phase of the base gate acts as S^k on the control.
     match k {
         0 => {}
-        1 => tab.s(control),
-        2 => tab.z(control),
-        _ => tab.sdg(control),
+        1 => gates.push(Gate::S(control)),
+        2 => gates.push(Gate::Pauli(control, Pauli::Z)),
+        _ => gates.push(Gate::Sdg(control)),
     }
     match pauli {
         G::I => {}
-        G::X => tab.cx(control, target),
-        G::Z => tab.cz(control, target),
-        G::Y => {
-            // C-Y = (I (x) S) C-X (I (x) S†): conjugating the target by S
-            // turns X into Y.
-            tab.sdg(target);
-            tab.cx(control, target);
-            tab.s(target);
-        }
+        G::X => gates.push(Gate::Cx(control, target)),
+        G::Z => gates.push(Gate::Cz(control, target)),
+        // C-Y = (I (x) S) C-X (I (x) S†): conjugating the target by S
+        // turns X into Y.
+        G::Y => gates.extend([
+            Gate::Sdg(target),
+            Gate::Cx(control, target),
+            Gate::S(target),
+        ]),
         _ => return None,
     }
-    Some(())
+    Some(gates)
 }
 
 fn check_range(op: &Operation, op_index: usize, num_qubits: usize) -> Result<(), TableauError> {
@@ -246,6 +269,139 @@ fn check_range(op: &Operation, op_index: usize, num_qubits: usize) -> Result<(),
         }
     }
     Ok(())
+}
+
+/// An operation lowered onto tableau primitives by [`lower`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Lowered {
+    /// A unitary: the gate updates, in time order.
+    Gates(Vec<Gate>),
+    /// Measure `qubit` into classical bit `cbit`.
+    Measure {
+        /// The measured qubit.
+        qubit: usize,
+        /// The classical bit written.
+        cbit: u16,
+    },
+    /// Reset `qubit` to `|0>`.
+    Reset {
+        /// The reset qubit.
+        qubit: usize,
+    },
+    /// An operation that fires only when the classical record satisfies
+    /// `condition`.
+    Conditioned {
+        /// The classical guard.
+        condition: Condition,
+        /// The guarded operation.
+        op: Box<Lowered>,
+    },
+}
+
+impl Lowered {
+    /// Whether the operation changes the tableau's X/Z bits the same way on
+    /// every shot.  Gates, measurements and resets do (see the crate docs'
+    /// sign-program section); a conditioned operation does only when it
+    /// changes signs alone — a Pauli — because otherwise whether the X/Z
+    /// bits change depends on the shot's classical record.
+    #[must_use]
+    pub fn fixes_structure(&self) -> bool {
+        match self {
+            Lowered::Conditioned { op, .. } => op.pauli_gates().is_some(),
+            _ => true,
+        }
+    }
+
+    /// The `(qubit, Pauli)` updates of a unitary made of Paulis only.
+    pub(crate) fn pauli_gates(&self) -> Option<Vec<(usize, Pauli)>> {
+        let Lowered::Gates(gates) = self else {
+            return None;
+        };
+        gates
+            .iter()
+            .map(|gate| match *gate {
+                Gate::Pauli(q, pauli) => Some((q, pauli)),
+                _ => None,
+            })
+            .collect()
+    }
+}
+
+/// Lowers one operation onto the tableau primitives: the single lowering
+/// pass behind [`apply_operation`], the `weaksim` router's dry run and the
+/// [sign-program compiler](crate::SignCompiler).  `op_index` is only used
+/// in error reports.
+///
+/// # Errors
+///
+/// [`TableauError::NotClifford`] if the operation (or, for a conditioned
+/// operation, the guarded one) is outside the stabilizer alphabet,
+/// [`TableauError::QubitOutOfRange`] if it addresses a qubit beyond
+/// `num_qubits`.
+pub fn lower(op: &Operation, op_index: usize, num_qubits: usize) -> Result<Lowered, TableauError> {
+    check_range(op, op_index, num_qubits)?;
+    let not_clifford = || TableauError::NotClifford {
+        op_index,
+        op: op.to_string(),
+    };
+    Ok(match op {
+        Operation::Unitary {
+            gate,
+            target,
+            controls,
+        } => Lowered::Gates(
+            match controls.as_slice() {
+                [] => lower_one_qubit(gate, target.index()),
+                [control] => lower_controlled(gate, control.index(), target.index()),
+                _ => None,
+            }
+            .ok_or_else(not_clifford)?,
+        ),
+        Operation::Swap { a, b, controls } if controls.is_empty() => {
+            Lowered::Gates(vec![Gate::Swap(a.index(), b.index())])
+        }
+        Operation::Swap { .. } | Operation::Permute { .. } => return Err(not_clifford()),
+        Operation::Measure { qubit, cbit } => Lowered::Measure {
+            qubit: qubit.index(),
+            cbit: *cbit,
+        },
+        Operation::Reset { qubit } => Lowered::Reset {
+            qubit: qubit.index(),
+        },
+        // The guarded operation is classified even when a shot skips it, so
+        // acceptance never depends on the record.
+        Operation::Conditioned { condition, op } => Lowered::Conditioned {
+            condition: *condition,
+            op: Box::new(lower(op, op_index, num_qubits).map_err(|_| not_clifford())?),
+        },
+    })
+}
+
+/// Applies a lowered operation, updating the classical `record` for
+/// measurements and reading it for conditioned operations.
+fn apply_lowered<R: RngCore + ?Sized>(
+    tab: &mut Tableau,
+    lowered: &Lowered,
+    record: &mut u64,
+    rng: &mut R,
+) {
+    match lowered {
+        Lowered::Gates(gates) => {
+            for &gate in gates {
+                tab.apply_gate(gate);
+            }
+        }
+        Lowered::Measure { qubit, cbit } => {
+            let outcome = tab.measure(*qubit, rng);
+            *record = (*record & !(1u64 << cbit)) | (u64::from(outcome) << cbit);
+        }
+        Lowered::Reset { qubit } => tab.reset(*qubit, rng),
+        Lowered::Conditioned { condition, op } => {
+            if condition.is_satisfied_by(*record) {
+                apply_lowered(tab, op, record, rng);
+            }
+        }
+    }
 }
 
 /// Applies one operation to the tableau, updating the classical `record`
@@ -264,54 +420,9 @@ pub fn apply_operation<R: RngCore + ?Sized>(
     record: &mut u64,
     rng: &mut R,
 ) -> Result<(), TableauError> {
-    check_range(op, op_index, tab.num_qubits())?;
-    let not_clifford = || TableauError::NotClifford {
-        op_index,
-        op: op.to_string(),
-    };
-    match op {
-        Operation::Unitary {
-            gate,
-            target,
-            controls,
-        } => match controls.as_slice() {
-            [] => apply_one_qubit(tab, gate, target.index()).ok_or_else(not_clifford),
-            [control] => apply_controlled(tab, gate, control.index(), target.index())
-                .ok_or_else(not_clifford),
-            _ => Err(not_clifford()),
-        },
-        Operation::Swap { a, b, controls } => {
-            if controls.is_empty() {
-                tab.swap(a.index(), b.index());
-                Ok(())
-            } else {
-                Err(not_clifford())
-            }
-        }
-        Operation::Permute { .. } => Err(not_clifford()),
-        Operation::Measure { qubit, cbit } => {
-            let outcome = tab.measure(qubit.index(), rng);
-            *record = (*record & !(1u64 << cbit)) | (u64::from(outcome) << cbit);
-            Ok(())
-        }
-        Operation::Reset { qubit } => {
-            tab.reset(qubit.index(), rng);
-            Ok(())
-        }
-        Operation::Conditioned { condition, op } => {
-            if condition.is_satisfied_by(*record) {
-                apply_operation(tab, op, op_index, record, rng)
-            } else {
-                // Still classify: a skipped non-Clifford operation must fail
-                // identically on every shot, not depend on the record.
-                if op.is_clifford() {
-                    Ok(())
-                } else {
-                    Err(not_clifford())
-                }
-            }
-        }
-    }
+    let lowered = lower(op, op_index, tab.num_qubits())?;
+    apply_lowered(tab, &lowered, record, rng);
+    Ok(())
 }
 
 /// Applies every operation of `circuit` to `tab` in order, starting from
@@ -361,7 +472,16 @@ mod tests {
         assert_eq!(clifford_table().len(), 24);
         // Longest {H, S} word needed is small (the Cayley graph of the
         // 1-qubit Clifford group over {H, S} has diameter <= 7).
-        assert!(clifford_table().values().all(|w| w.len() <= 7));
+        assert!(clifford_table().values().all(|class| match class {
+            Class::Word(word) => word.len() <= 7,
+            Class::Pauli(_) => true,
+        }));
+        // The four Pauli classes change signs only.
+        let paulis = clifford_table()
+            .values()
+            .filter(|class| matches!(class, Class::Pauli(_)))
+            .count();
+        assert_eq!(paulis, 4);
     }
 
     /// Applies `ops` to dense 2x2 matrices and compares (up to global
@@ -381,8 +501,11 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(11);
         for _ in 0..shots {
             let mut tab = Tableau::zero_state(1);
-            apply_one_qubit(&mut tab, &gate, 0).expect("gate must be Clifford");
-            apply_one_qubit(&mut tab, &basis, 0).expect("basis change must be Clifford");
+            for g in [gate, basis] {
+                for prim in lower_one_qubit(&g, 0).expect("gate must be Clifford") {
+                    tab.apply_gate(prim);
+                }
+            }
             if !tab.measure(0, &mut rng) {
                 zeros += 1;
             }

@@ -13,15 +13,16 @@
 //!
 //! # The Clifford gate set
 //!
-//! [`apply_operation`] accepts exactly the operations
+//! [`lower`] (and so [`apply_operation`]) accepts exactly the operations
 //! [`circuit::Operation::is_clifford`] admits:
 //!
 //! * every single-qubit gate in the Clifford group: `I`, `X`, `Y`, `Z`,
 //!   `H`, `S`, `Sdg`, `SqrtX`, `SqrtXdg`, `SqrtY`, `SqrtYdg`, and the
 //!   parametric gates `Phase`/`Rx`/`Ry`/`Rz`/`U` whose angles are integer
-//!   multiples of `pi/2` (each is resolved to a product of the tableau's
-//!   `H`/`S` primitives by matrix matching against the 24 single-qubit
-//!   Clifford classes, so e.g. `rz(pi/2)` runs as `S` up to global phase);
+//!   multiples of `pi/2` (each is resolved by matrix matching against the
+//!   24 single-qubit Clifford classes: a Pauli class to the Pauli itself, so
+//!   `rz(pi)` runs as `Z`, any other to a product of the tableau's `H`/`S`
+//!   primitives, so `rz(pi/2)` runs as `S`, both up to global phase);
 //! * singly-controlled Paulis up to a power-of-`i` phase: `CX`, `CY`, `CZ`
 //!   and phase-equivalents like controlled-`Rz(pi)` (the `i^k` factor
 //!   becomes an `S^k` on the control);
@@ -73,6 +74,49 @@
 //! and the router re-runs the whole circuit densely instead; the tableau
 //! result is never approximated into the dense engine.
 //!
+//! # Sign programs
+//!
+//! Many shots of one Clifford trajectory need not step a tableau each.
+//! Every update rule above changes the X/Z bits as a function of the X/Z
+//! bits alone: gates permute and XOR columns, a random-outcome collapse
+//! picks its pivot from the X bits and multiplies rows together (the row
+//! *product* does not depend on the signs), and the collapsed row becomes
+//! `±Z_q` whichever sign is drawn.  Paulis, deterministic outcomes and the
+//! drawn bit touch only signs.  So as long as the *sequence* of operations
+//! is the same on every shot, so is the structure, and each step acts on
+//! the signs as a fixed XOR — affine over GF(2):
+//!
+//! * a unitary segment XORs one mask (the sign flips its gates produce),
+//!   and a Pauli — a noise branch, or a gate conditioned on the record —
+//!   XORs the mask of rows that anticommute with it;
+//! * a random collapse on stabilizer `p`: every other row that absorbs row
+//!   `p` flips by `p`'s sign plus a constant from the Pauli product, and
+//!   `p`'s sign becomes the drawn bit; a deterministic outcome is the
+//!   parity of the signs of the stabilizers in `Z_q`'s decomposition, plus
+//!   a constant; a reset adds the `X` flip mask on outcome 1;
+//! * the terminal read-out keeps the final structure's
+//!   [`MeasurementSampler`] basis, and its reference element — a
+//!   forced-zero sweep, itself affine in the signs — becomes one parity
+//!   mask per qubit.
+//!
+//! [`SignCompiler`] walks the steps once on a structure-only tableau
+//! (signs cleared after each step, so each step's sign change is read off
+//! directly) and emits a [`SignProgram`]; a shot is then a copy of the
+//! base signs and a few word XORs per step, and given the same outcomes it
+//! is bit-identical to stepping a full tableau.  Only the `n` stabilizer
+//! signs are tracked: destabilizer signs are never read by a measurement,
+//! a collapse or the read-out.
+//!
+//! What cannot be compiled is whatever makes the structure depend on the
+//! shot: a classically-conditioned gate that is not a Pauli (it changes
+//! the X/Z bits only on shots whose record satisfies the guard), and a
+//! conditioned measurement or reset (likewise).
+//! [`Lowered::fixes_structure`] is that test; the compiler fails with
+//! [`TableauError::NotSignCompilable`], and the `weaksim` router declines
+//! such circuits up front.  Every use of the tableau — the router's dry
+//! run, static preparation, [`apply_operation`] and the compiler — goes
+//! through the same [`lower`] pass.
+//!
 //! # Examples
 //!
 //! ```
@@ -102,9 +146,11 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod apply;
+mod program;
 mod sample;
 mod state;
 
-pub use apply::{apply_circuit, apply_operation, simulate, TableauError};
+pub use apply::{apply_circuit, apply_operation, lower, simulate, Lowered, TableauError};
+pub use program::{SignCompiler, SignProgram};
 pub use sample::MeasurementSampler;
-pub use state::{Pauli, Tableau};
+pub use state::{Gate, Pauli, Tableau};

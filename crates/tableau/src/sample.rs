@@ -127,6 +127,17 @@ impl MeasurementSampler {
     pub fn sample_into<R: RngCore + ?Sized>(&self, out: &mut [u64], rng: &mut R) {
         assert_eq!(out.len(), self.words, "output buffer has the wrong width");
         out.copy_from_slice(&self.reference);
+        self.draw_into(out, rng);
+    }
+
+    /// The support element every shot starts from.
+    pub(crate) fn reference(&self) -> &[u64] {
+        &self.reference
+    }
+
+    /// XORs a uniformly drawn element of the basis span into `out`, which
+    /// holds a support element: the random half of a shot.
+    pub(crate) fn draw_into<R: RngCore + ?Sized>(&self, out: &mut [u64], rng: &mut R) {
         // One RNG word covers 64 inclusion coins; refill as needed.
         let mut coins = 0u64;
         let mut left = 0u32;

@@ -16,6 +16,55 @@ pub enum Pauli {
     Z,
 }
 
+impl Pauli {
+    /// The Pauli a named gate is, or `None` for any other gate (a gate that
+    /// is only *equivalent* to a Pauli, like `Rz(pi)`, is matched during
+    /// [lowering](crate::lower) instead).
+    #[must_use]
+    pub fn from_gate(gate: &circuit::OneQubitGate) -> Option<Self> {
+        use circuit::OneQubitGate as G;
+        match gate {
+            G::I => Some(Pauli::I),
+            G::X => Some(Pauli::X),
+            G::Y => Some(Pauli::Y),
+            G::Z => Some(Pauli::Z),
+            _ => None,
+        }
+    }
+
+    /// Whether conjugating by this Pauli flips the sign of a row whose
+    /// entry on the qubit has X bit `x` and Z bit `z`: X flips rows holding
+    /// `Z` or `Y` there, Z flips `X` or `Y`, Y flips `X` or `Z`.
+    fn flips(self, x: bool, z: bool) -> bool {
+        match self {
+            Pauli::I => false,
+            Pauli::X => z,
+            Pauli::Y => x != z,
+            Pauli::Z => x,
+        }
+    }
+}
+
+/// One tableau gate update: the primitives a Clifford operation lowers to
+/// (see [`lower`](crate::lower)).  Qubits are `usize` indices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Gate {
+    /// Hadamard.
+    H(usize),
+    /// Phase gate `S`.
+    S(usize),
+    /// Inverse phase gate `Sdg`.
+    Sdg(usize),
+    /// A Pauli: only row signs change.
+    Pauli(usize, Pauli),
+    /// CNOT `(control, target)`.
+    Cx(usize, usize),
+    /// Controlled-Z (symmetric).
+    Cz(usize, usize),
+    /// Qubit swap.
+    Swap(usize, usize),
+}
+
 /// An `n`-qubit stabilizer state as an Aaronson–Gottesman tableau.
 ///
 /// The tableau stores `2n + 1` generator rows — `n` destabilizers (rows
@@ -186,14 +235,7 @@ impl Tableau {
             let base = row * self.words;
             let xq = self.x[base + w] >> b & 1 == 1;
             let zq = self.z[base + w] >> b & 1 == 1;
-            // Conjugating by X flips rows containing Z_q or Y_q; by Z flips
-            // X_q or Y_q; by Y flips X_q or Z_q.
-            self.r[row] ^= match pauli {
-                Pauli::I => false,
-                Pauli::X => zq,
-                Pauli::Y => xq != zq,
-                Pauli::Z => xq,
-            };
+            self.r[row] ^= pauli.flips(xq, zq);
         }
     }
 
@@ -286,6 +328,20 @@ impl Tableau {
         }
     }
 
+    /// Applies one lowered gate (panics under the same conditions as the
+    /// gate's own method).
+    pub(crate) fn apply_gate(&mut self, gate: Gate) {
+        match gate {
+            Gate::H(q) => self.h(q),
+            Gate::S(q) => self.s(q),
+            Gate::Sdg(q) => self.sdg(q),
+            Gate::Pauli(q, pauli) => self.apply_pauli(q, pauli),
+            Gate::Cx(c, t) => self.cx(c, t),
+            Gate::Cz(a, b) => self.cz(a, b),
+            Gate::Swap(a, b) => self.swap(a, b),
+        }
+    }
+
     /// Multiplies generator row `h` by generator row `i` (the CHP `rowsum`),
     /// tracking the `i^k` phase bit-parallel across the packed words.
     fn rowsum(&mut self, h: usize, i: usize) {
@@ -321,7 +377,7 @@ impl Tableau {
     /// Index of a stabilizer row whose `X` bit at `q` is set, i.e. a
     /// generator anticommuting with `Z_q` — the symplectic-rank witness that
     /// a `Z_q` measurement is random.  `None` means deterministic.
-    fn anticommuting_stabilizer(&self, q: usize) -> Option<usize> {
+    pub(crate) fn anticommuting_stabilizer(&self, q: usize) -> Option<usize> {
         (self.num_qubits..2 * self.num_qubits).find(|&row| Self::bit(&self.x, row * self.words, q))
     }
 
@@ -370,7 +426,7 @@ impl Tableau {
     /// The random-outcome collapse: every other anticommuting row absorbs
     /// row `p`, row `p` moves to the destabilizer block, and the stabilizer
     /// slot becomes `(-1)^outcome Z_q`.
-    fn collapse(&mut self, q: usize, p: usize, outcome: bool) {
+    pub(crate) fn collapse(&mut self, q: usize, p: usize, outcome: bool) {
         for row in 0..self.gate_rows() {
             if row != p && Self::bit(&self.x, row * self.words, q) {
                 self.rowsum(row, p);
@@ -392,7 +448,7 @@ impl Tableau {
     /// The deterministic outcome of `Z_q`: accumulate, in the scratch row,
     /// the stabilizer rows matching the destabilizers that anticommute with
     /// `Z_q`; the resulting sign is the outcome.
-    fn reconstruct_deterministic(&mut self, q: usize) -> bool {
+    pub(crate) fn reconstruct_deterministic(&mut self, q: usize) -> bool {
         let scratch = 2 * self.num_qubits;
         let base = scratch * self.words;
         for w in 0..self.words {
@@ -482,6 +538,45 @@ impl Tableau {
     #[must_use]
     pub fn measurement_sampler(&self) -> crate::MeasurementSampler {
         crate::MeasurementSampler::new(self)
+    }
+
+    /// Packs the stabilizer signs into `out` (bit `i` is the sign of
+    /// stabilizer row `n + i`) and clears every sign bit of the tableau, so
+    /// the sign-program compiler reads each step's sign change in isolation.
+    pub(crate) fn take_stabilizer_signs(&mut self, out: &mut [u64]) {
+        out.fill(0);
+        for i in 0..self.num_qubits {
+            if self.r[self.num_qubits + i] {
+                out[i / 64] |= 1 << (i % 64);
+            }
+        }
+        self.r.fill(false);
+    }
+
+    /// Packs into `out` the stabilizers `i` whose sign a `pauli` on `q`
+    /// flips ([`apply_pauli`](Self::apply_pauli) without the update).
+    pub(crate) fn pauli_flips(&self, q: usize, pauli: Pauli, out: &mut [u64]) {
+        self.check(q);
+        out.fill(0);
+        for i in 0..self.num_qubits {
+            let base = (self.num_qubits + i) * self.words;
+            if pauli.flips(Self::bit(&self.x, base, q), Self::bit(&self.z, base, q)) {
+                out[i / 64] |= 1 << (i % 64);
+            }
+        }
+    }
+
+    /// Packs into `out` the generators `i` of one block (destabilizers for
+    /// `stabilizers == false`) whose X bit at `q` is set.
+    pub(crate) fn x_column(&self, q: usize, stabilizers: bool, out: &mut [u64]) {
+        self.check(q);
+        out.fill(0);
+        let first = if stabilizers { self.num_qubits } else { 0 };
+        for i in 0..self.num_qubits {
+            if Self::bit(&self.x, (first + i) * self.words, q) {
+                out[i / 64] |= 1 << (i % 64);
+            }
+        }
     }
 
     /// The X-bit words of stabilizer row `n + i` (used by the sampler's

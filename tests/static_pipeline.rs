@@ -3,9 +3,10 @@
 //! served from a snapshot-restored broker — goes route plan → artifact →
 //! `SimArtifact::sample`, so all five front doors must return the same
 //! histogram and the same route for a seed.  Also checks the tableau's
-//! trajectory runner against the decision-diagram trajectory engine.
+//! trajectory runner against the decision-diagram trajectory engine,
+//! noiseless and under Pauli noise.
 
-use circuit::{Circuit, Qubit};
+use circuit::{Circuit, NoiseModel, Qubit};
 use std::path::PathBuf;
 use weaksim::service::{ServiceBroker, ServiceConfig};
 use weaksim::{
@@ -172,39 +173,57 @@ fn feed_forward() -> Circuit {
     c
 }
 
+/// A trajectory comparison: the circuit, its noise model, and the support
+/// every record must lie in (when it is known).
+type TrajectoryCase<'a> = (Circuit, Option<&'a NoiseModel>, Option<&'a [u64]>);
+
 #[test]
 fn tableau_trajectories_match_the_decision_diagram_engine() {
     // The repetition-code cycle (GHZ-encoded logical |+>, parity checks with
     // ancilla resets, read-out of every data qubit) records all-zeros or
     // all-ones; the feed-forward circuit records c1 == c0 and c2 == 0.
-    let cases: [(Circuit, &[u64]); 2] = [
-        (algorithms::stabilizer_cycle(6, 2), &[0, (1 << 6) - 1]),
-        (feed_forward(), &[0b000, 0b011]),
+    // Under Pauli noise (depolarizing gates, bit-flip read-out) the cycle
+    // still routes to the tableau, and any record can occur.
+    let noise = algorithms::hardware_noise(0.02);
+    let cases: [TrajectoryCase; 3] = [
+        (
+            algorithms::stabilizer_cycle(6, 2),
+            None,
+            Some(&[0, (1 << 6) - 1]),
+        ),
+        (feed_forward(), None, Some(&[0b000, 0b011])),
+        (algorithms::stabilizer_cycle(6, 2), Some(&noise), None),
     ];
     let shots = 8_000;
-    for (circuit, support) in cases {
-        let name = circuit.name().to_owned();
-        let routed = WeakSimulator::new(Backend::DecisionDiagram)
-            .with_clifford_router()
-            .run(&circuit, shots, 11)
-            .unwrap();
+    for (circuit, noise, support) in cases {
+        let name = format!("{} (noise: {})", circuit.name(), noise.is_some());
+        let with_noise = |sim: WeakSimulator| match noise {
+            Some(model) => sim.with_noise(model.clone()),
+            None => sim,
+        };
+        let routed =
+            with_noise(WeakSimulator::new(Backend::DecisionDiagram).with_clifford_router())
+                .run(&circuit, shots, 11)
+                .unwrap();
         assert_eq!(routed.route.segments.len(), 1, "{name}");
         assert_eq!(routed.route.segments[0].engine, EngineKind::Tableau);
         assert_eq!(routed.histogram.shots(), shots, "{name}");
 
-        let dd = WeakSimulator::new(Backend::DecisionDiagram)
+        let dd = with_noise(WeakSimulator::new(Backend::DecisionDiagram))
             .run(&circuit, shots, 12)
             .unwrap();
         assert!(!dd.route.used_tableau(), "{name}");
-        for outcome in [&routed, &dd] {
-            assert!(
-                outcome
-                    .histogram
-                    .counts()
-                    .keys()
-                    .all(|k| support.contains(k)),
-                "{name}: record outside the support"
-            );
+        if let Some(support) = support {
+            for outcome in [&routed, &dd] {
+                assert!(
+                    outcome
+                        .histogram
+                        .counts()
+                        .keys()
+                        .all(|k| support.contains(k)),
+                    "{name}: record outside the support"
+                );
+            }
         }
         let p = homogeneity_p_value(&routed.histogram, &dd.histogram);
         assert!(p > 0.001, "{name}: tableau vs DD records, p = {p}");
