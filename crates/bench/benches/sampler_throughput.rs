@@ -277,6 +277,11 @@ fn record_baseline_json(_c: &mut Criterion) {
 
     let dd_sampler = DdSampler::new(&package, &state);
     let normalized = NormalizedSampler::new(&package, &state);
+    // The dense baseline on the same state: prefix sums over its 2^20
+    // amplitudes, searched once per shot.
+    let prefix = PrefixSampler::new(&statevector::StateVector::from_amplitudes(
+        state.to_amplitudes(&package),
+    ));
     let threads = rayon::current_num_threads();
 
     let time = |f: &mut dyn FnMut() -> u64| -> f64 {
@@ -310,6 +315,10 @@ fn record_baseline_json(_c: &mut Criterion) {
             .sample_many_parallel(BENCH_SEED, shots)
             .iter()
             .sum()
+    });
+    let prefix_seconds = time(&mut || {
+        let mut rng = StdRng::seed_from_u64(BENCH_SEED);
+        prefix.sample_many(&mut rng, shots).iter().sum()
     });
 
     // The dynamic-circuit trajectory engine on the teleportation and the
@@ -555,7 +564,7 @@ fn record_baseline_json(_c: &mut Criterion) {
 
     let rate = |seconds: f64| shots as f64 / seconds;
     let json = format!(
-        "{{\n  \"benchmark\": \"{name}\",\n  \"qubits\": {qubits},\n  \"dd_nodes\": {nodes},\n  \"shots\": {shots},\n  \"threads\": {threads},\n  \"construction\": {construction_json},\n  \"dd_stats\": {dd_stats_json},\n  \"compile_seconds\": {compile_seconds:.6},\n  \"samplers\": {{\n    \"dd_sampler\": {{ \"seconds\": {dd:.6}, \"shots_per_second\": {dd_rate:.0} }},\n    \"normalized_sampler\": {{ \"seconds\": {nm:.6}, \"shots_per_second\": {nm_rate:.0} }},\n    \"compiled_sampler\": {{ \"seconds\": {cp:.6}, \"shots_per_second\": {cp_rate:.0} }},\n    \"compiled_parallel\": {{ \"seconds\": {pl:.6}, \"shots_per_second\": {pl_rate:.0}, \"threads\": {threads} }}\n  }},\n  \"trajectory\": {trajectory_json},\n  \"trajectory_parallel\": {trajectory_parallel_json},\n  \"trajectory_ipe\": {ipe_json},\n  \"trajectory_noisy\": {noisy_json},\n  \"trajectory_noisy_deep\": {deep_json},\n  \"tableau_ghz\": {tableau_json},\n  \"routed_supremacy\": {routed_json},\n  \"tableau_noisy_cycle\": {noisy_cycle_json},\n  \"artifact_cache\": {artifact_cache_json},\n  \"speedup_compiled_vs_dd_sampler\": {speedup:.2},\n  \"speedup_parallel_vs_dd_sampler\": {pspeedup:.2}\n}}\n",
+        "{{\n  \"benchmark\": \"{name}\",\n  \"qubits\": {qubits},\n  \"dd_nodes\": {nodes},\n  \"shots\": {shots},\n  \"threads\": {threads},\n  \"construction\": {construction_json},\n  \"dd_stats\": {dd_stats_json},\n  \"compile_seconds\": {compile_seconds:.6},\n  \"samplers\": {{\n    \"dd_sampler\": {{ \"seconds\": {dd:.6}, \"shots_per_second\": {dd_rate:.0} }},\n    \"normalized_sampler\": {{ \"seconds\": {nm:.6}, \"shots_per_second\": {nm_rate:.0} }},\n    \"compiled_sampler\": {{ \"seconds\": {cp:.6}, \"shots_per_second\": {cp_rate:.0} }},\n    \"compiled_parallel\": {{ \"seconds\": {pl:.6}, \"shots_per_second\": {pl_rate:.0}, \"threads\": {threads} }},\n    \"prefix_sampler\": {{ \"seconds\": {px:.6}, \"shots_per_second\": {px_rate:.0} }}\n  }},\n  \"trajectory\": {trajectory_json},\n  \"trajectory_parallel\": {trajectory_parallel_json},\n  \"trajectory_ipe\": {ipe_json},\n  \"trajectory_noisy\": {noisy_json},\n  \"trajectory_noisy_deep\": {deep_json},\n  \"tableau_ghz\": {tableau_json},\n  \"routed_supremacy\": {routed_json},\n  \"tableau_noisy_cycle\": {noisy_cycle_json},\n  \"artifact_cache\": {artifact_cache_json},\n  \"speedup_compiled_vs_dd_sampler\": {speedup:.2},\n  \"speedup_parallel_vs_dd_sampler\": {pspeedup:.2}\n}}\n",
         name = circuit.name(),
         qubits = circuit.num_qubits(),
         dd = dd_seconds,
@@ -566,6 +575,8 @@ fn record_baseline_json(_c: &mut Criterion) {
         cp_rate = rate(compiled_seconds),
         pl = parallel_seconds,
         pl_rate = rate(parallel_seconds),
+        px = prefix_seconds,
+        px_rate = rate(prefix_seconds),
         speedup = dd_seconds / compiled_seconds,
         pspeedup = dd_seconds / parallel_seconds,
     );

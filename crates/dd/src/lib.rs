@@ -34,28 +34,40 @@
 //!
 //! # The compiled-arena layout
 //!
+//! State diagrams built by this crate are **level-complete**: the root
+//! decides qubit `n - 1`, and every non-zero edge out of a node on qubit `v`
+//! leads to a node on qubit `v - 1`, or to the terminal when `v = 0`.  So
+//! every root-to-terminal path visits exactly one node per qubit, most
+//! significant first.  [`CompiledSampler::new`] relies on this (and panics
+//! on a diagram that skips a level), and
+//! [`CompiledSampler::decode_snapshot`] rejects payloads that break it.
+//!
 //! [`CompiledSampler::new`] flattens the subgraph reachable from the root
-//! into one contiguous array of packed 24-byte node records, indexed by a
+//! into one contiguous array of packed 16-byte node records, indexed by a
 //! compact `u32` node id assigned in breadth-first discovery order (the root
-//! is id 0).  Each record holds:
+//! is id 0, and the arena is sorted by level).  Each record holds:
 //!
 //! | field      | type       | meaning                                        |
 //! |------------|------------|------------------------------------------------|
 //! | `p_zero`   | `f64`      | probability of branching to the 0-successor, with each child's downstream probability mass already folded in |
-//! | `children` | `[u32; 2]` | compact ids of the 0/1 successors; `u32::MAX` marks the terminal (and unreachable zero branches) |
-//! | `one_bit`  | `u64`      | `1 << var`, OR-ed into the sample when the 1-branch is taken |
+//! | `children` | `[u32; 2]` | compact ids of the 0/1 successors; `u32::MAX` below qubit 0 and on zero branches |
 //!
-//! The packing matters: a traversal's node visits are data-dependent random
-//! accesses, so on million-node diagrams the walk is cache-miss-bound and
-//! one 24-byte record costs a single cache line where parallel arrays would
-//! cost three.
+//! No record stores its qubit: level completeness means the `l`-th step of
+//! a walk is on qubit `n - 1 - l`, so a shot shifts its bits in, most
+//! significant first (`index = index << 1 | bit`).  The packing matters: a
+//! traversal's node visits are data-dependent random accesses, so on
+//! million-node diagrams the walk is cache-miss-bound and one 16-byte record
+//! costs a single cache line where parallel arrays would cost two.  The
+//! batched draw loops walk eight shots in lockstep so that eight of those
+//! misses overlap.
 //!
 //! Folding the downstream mass into `p_zero` at compile time makes the
 //! representation normalization-agnostic: under
 //! [`Normalization::TwoNorm`] the downstream factors are all 1 and under
 //! [`Normalization::LeftMost`] they are not, but either way a shot reduces
-//! to one uniform draw, one `f64` compare, one masked OR and one `u32` hop
-//! per level — no hashing, no [`DdPackage`] access, no recursion.
+//! to one uniform draw, one `f64` compare, one shift and one `u32` hop per
+//! level — no hashing, no [`DdPackage`] access, no recursion, and no branch
+//! on the drawn bit.
 //!
 //! # The parallel seeding scheme
 //!

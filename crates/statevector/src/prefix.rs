@@ -1,15 +1,42 @@
 //! Prefix-sum construction and binary-search sampling (Section III of the
 //! paper, Fig. 3).
+//!
+//! # The search
+//!
+//! The prefix array has exactly `2^n` entries, so the search for `p̂` is a
+//! fixed `n`-step descent that decides one output bit per step, most
+//! significant first.  The remaining range starts at `index` and holds
+//! `2 · half` entries (`half = 2^(n-1-l)` at step `l`); a step probes the
+//! last entry of its lower half,
+//!
+//! ```text
+//! index += half * (prefix[index + half - 1] <= p̂)
+//! ```
+//!
+//! (with `acc` the `l` bits decided so far, `index = acc << (n - l)` and the
+//! probe is `(((acc << 1) | 1) << (n - 1 - l)) - 1`).  On a non-decreasing
+//! array this returns exactly the index
+//! `prefix.partition_point(|&r| r <= p̂)` does, clamped to the last entry
+//! (`p̂` at or above the total mass).  The comparison result only feeds
+//! address arithmetic, never a branch.  Batched draws run eight searches in
+//! lockstep, so eight independent cache misses overlap per step on large
+//! arrays; they draw each block's eight uniforms first, in stream order, so
+//! every path consumes the RNG exactly like consecutive
+//! [`PrefixSampler::sample`] calls.
 
 use crate::StateVector;
 use mathkit::KahanSum;
 use rand::Rng;
 
+/// Searches walked in lockstep by one block of [`PrefixSampler::sample_into`].
+const LANES: usize = 8;
+
 /// A sampler that precomputes the prefix sums `r_i = sum_{k<=i} p_k` of the
 /// output probability distribution and answers each sample with a binary
 /// search, exactly as described in Section III of the paper.
 ///
-/// Precomputation is `O(2^n)`; each sample costs `O(n)` comparisons.
+/// Precomputation is `O(2^n)`; each sample costs exactly `n` comparisons
+/// (see the module docs).
 ///
 /// # Examples
 ///
@@ -111,18 +138,60 @@ impl PrefixSampler {
     /// Draws `shots` samples.
     #[must_use = "the samples are the result of the weak simulation"]
     pub fn sample_many<R: Rng + ?Sized>(&self, rng: &mut R, shots: usize) -> Vec<u64> {
-        (0..shots).map(|_| self.sample(rng)).collect()
+        let mut out = vec![0u64; shots];
+        self.sample_into(rng, &mut out);
+        out
+    }
+
+    /// Fills `out` with consecutive samples: the same values as
+    /// `out.len()` [`sample`](Self::sample) calls on `rng`, drawn eight
+    /// searches at a time (see the module docs).
+    pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [u64]) {
+        let total = self.total_mass();
+        let mut blocks = out.chunks_exact_mut(LANES);
+        for block in &mut blocks {
+            let p_hat: [f64; LANES] = std::array::from_fn(|_| rng.gen::<f64>() * total);
+            let mut index = [0usize; LANES];
+            let mut half = self.prefix.len() >> 1;
+            while half > 0 {
+                for lane in 0..LANES {
+                    index[lane] = self.step(index[lane], half, p_hat[lane]);
+                }
+                half >>= 1;
+            }
+            for (slot, index) in block.iter_mut().zip(index) {
+                *slot = index as u64;
+            }
+        }
+        for slot in blocks.into_remainder() {
+            *slot = self.sample(rng);
+        }
     }
 
     /// Locates the output index for a given cumulative probability value
     /// `p_hat` in `[0, 1)`: the smallest index whose prefix sum exceeds
-    /// `p_hat`.  Exposed so tests (and the figure generator) can reproduce
-    /// the worked example of Fig. 3.
+    /// `p_hat`, or the last index if none does (`p_hat` at or above the
+    /// total mass, which only rounding can produce).  Exposed so tests (and
+    /// the figure generator) can reproduce the worked example of Fig. 3.
     #[must_use]
     pub fn locate(&self, p_hat: f64) -> u64 {
-        let idx = self.prefix.partition_point(|&r| r <= p_hat);
-        // Guard against p_hat == total mass (can only happen through rounding).
-        idx.min(self.prefix.len() - 1) as u64
+        let mut index = 0usize;
+        let mut half = self.prefix.len() >> 1;
+        while half > 0 {
+            index = self.step(index, half, p_hat);
+            half >>= 1;
+        }
+        index as u64
+    }
+
+    /// One step of the search: `index` is the start of a remaining range
+    /// of `2 · half` entries; keep its lower half unless its last prefix
+    /// sum is still `<= p_hat`.
+    #[inline(always)]
+    fn step(&self, index: usize, half: usize, p_hat: f64) -> usize {
+        let upper = self.prefix[index + half - 1] <= p_hat;
+        // A conditional move: a branch here would mispredict half the time.
+        std::hint::select_unpredictable(upper, index + half, index)
     }
 
     /// Serializes the prefix-sum array into `out` as little-endian plain
@@ -273,6 +342,82 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn from_probabilities_requires_power_of_two() {
         let _ = PrefixSampler::from_probabilities(&[0.5, 0.25, 0.25]);
+    }
+
+    /// The search the lockstep kernel replaced, kept as the reference.
+    fn reference_locate(prefix: &[f64], p_hat: f64) -> u64 {
+        let idx = prefix.partition_point(|&r| r <= p_hat);
+        idx.min(prefix.len() - 1) as u64
+    }
+
+    /// Probability vectors with zero runs (prefix plateaus), point masses
+    /// and the 0- and 1-qubit edge cases.
+    fn distributions() -> Vec<Vec<f64>> {
+        let mut rng = StdRng::seed_from_u64(0xd15c);
+        let mut out = vec![vec![1.0], vec![0.0, 1.0], vec![1.0, 0.0], vec![0.3, 0.7]];
+        for n in 2..=12 {
+            let len = 1usize << n;
+            out.push(
+                (0..len)
+                    .map(|_| {
+                        if rng.gen_bool(0.4) {
+                            0.0
+                        } else {
+                            rng.gen::<f64>()
+                        }
+                    })
+                    .collect(),
+            );
+            let mut ghz = vec![0.0; len];
+            ghz[0] = 0.5;
+            ghz[len - 1] = 0.5;
+            out.push(ghz);
+            let mut basis = vec![0.0; len];
+            basis[rng.gen_range(0..len)] = 1.0;
+            out.push(basis);
+        }
+        out
+    }
+
+    #[test]
+    fn locate_matches_partition_point_at_and_around_every_prefix_value() {
+        for probabilities in distributions() {
+            let sampler = PrefixSampler::from_probabilities(&probabilities);
+            let prefix = sampler.prefix_sums();
+            let total = sampler.total_mass();
+            let mut probes = vec![0.0, total, total.next_up(), 2.0 * total, f64::INFINITY];
+            for &r in prefix {
+                probes.extend([r, r.next_up(), r.next_down()]);
+            }
+            for p_hat in probes {
+                assert_eq!(
+                    sampler.locate(p_hat),
+                    reference_locate(prefix, p_hat),
+                    "p_hat {p_hat:e} over {} entries",
+                    prefix.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_draw_path_matches_the_reference_and_consumes_the_rng_alike() {
+        for probabilities in distributions() {
+            let sampler = PrefixSampler::from_probabilities(&probabilities);
+            let prefix = sampler.prefix_sums();
+            for shots in [0, 1, 7, 8, 9, 17, 1023, 1024, 1025] {
+                let mut ours = StdRng::seed_from_u64(shots as u64);
+                let mut theirs = ours.clone();
+                let expected: Vec<u64> = (0..shots)
+                    .map(|_| reference_locate(prefix, theirs.gen::<f64>() * sampler.total_mass()))
+                    .collect();
+                assert_eq!(sampler.sample_many(&mut ours, shots), expected);
+                assert_eq!(ours.gen::<u64>(), theirs.gen::<u64>(), "RNG drift");
+                let mut ours = StdRng::seed_from_u64(shots as u64);
+                let single: Vec<u64> = (0..shots).map(|_| sampler.sample(&mut ours)).collect();
+                assert_eq!(single, expected);
+            }
+        }
     }
 
     #[test]
