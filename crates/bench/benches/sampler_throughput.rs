@@ -257,16 +257,8 @@ fn record_baseline_json(_c: &mut Criterion) {
 
     let (circuit, _) = algorithms::supremacy(4, 5, 10, BENCH_SEED);
     let mut package = DdPackage::new();
-    // Fan construction out over the rayon pool when one is worth having;
-    // on a single-core box the plain sequential path is the fastest build.
-    let construction_threads = rayon::current_num_threads().max(1);
     let construction_start = Instant::now();
-    let state = if construction_threads > 1 {
-        dd::simulate_with_threads(&mut package, &circuit, construction_threads)
-            .expect("valid circuit")
-    } else {
-        dd::simulate(&mut package, &circuit).expect("valid circuit")
-    };
+    let state = dd::simulate(&mut package, &circuit).expect("valid circuit");
     let construction_seconds = construction_start.elapsed().as_secs_f64();
     let construction_stats = package.stats();
     let nodes = state.node_count(&package);
@@ -394,8 +386,9 @@ fn record_baseline_json(_c: &mut Criterion) {
     // backend can even allocate — and `routed_supremacy` runs a dense
     // workload *through* the router, so the cost of the routing decision
     // (classify, attempt to stitch, fall back) stays visible next to the
-    // unrouted numbers.
-    let router_entry = |circuit: &circuit::Circuit, router_shots: u64, workers: usize| -> String {
+    // unrouted numbers.  Both are static runs, which draw on the calling
+    // thread, so each records one thread.
+    let router_entry = |circuit: &circuit::Circuit, router_shots: u64| -> String {
         let mut sim = WeakSimulator::new(Backend::DecisionDiagram).with_clifford_router();
         let mut route = String::new();
         let seconds = time(&mut || {
@@ -406,14 +399,14 @@ fn record_baseline_json(_c: &mut Criterion) {
             outcome.histogram.shots()
         });
         format!(
-            "{{\n    \"benchmark\": \"{name}\",\n    \"route\": \"{route}\",\n    \"shots\": {router_shots},\n    \"threads\": {workers},\n    \"seconds\": {seconds:.6},\n    \"shots_per_second\": {rate:.0}\n  }}",
+            "{{\n    \"benchmark\": \"{name}\",\n    \"route\": \"{route}\",\n    \"shots\": {router_shots},\n    \"threads\": 1,\n    \"seconds\": {seconds:.6},\n    \"shots_per_second\": {rate:.0}\n  }}",
             name = circuit.name(),
             rate = router_shots as f64 / seconds,
         )
     };
     let ghz_circuit = algorithms::ghz(1000);
-    let tableau_json = router_entry(&ghz_circuit, trajectory_shots, 1);
-    let routed_json = router_entry(&deep_circuit, trajectory_shots, threads);
+    let tableau_json = router_entry(&ghz_circuit, trajectory_shots);
+    let routed_json = router_entry(&deep_circuit, trajectory_shots);
 
     // `tableau_noisy_cycle`: the repetition-code cycle under Pauli hardware
     // noise, routed to the tableau's compiled sign program vs the unrouted
@@ -543,8 +536,10 @@ fn record_baseline_json(_c: &mut Criterion) {
             c.hits, c.misses, c.evictions
         )
     };
+    // `dd::simulate` is sequential; the entry keeps `threads` (always 1) so
+    // every artifact in the history has the same keys.
     let construction_json = format!(
-        "{{\n    \"seconds\": {construction_seconds:.6},\n    \"threads\": {construction_threads},\n    \"nodes\": {nodes},\n    \"vector_unique_hit_rate\": {vu:.4},\n    \"compute_hit_rate\": {ch:.4}\n  }}",
+        "{{\n    \"seconds\": {construction_seconds:.6},\n    \"threads\": 1,\n    \"nodes\": {nodes},\n    \"vector_unique_hit_rate\": {vu:.4},\n    \"compute_hit_rate\": {ch:.4}\n  }}",
         vu = construction_stats.vector_unique_hit_rate(),
         ch = construction_stats.compute_hit_rate(),
     );

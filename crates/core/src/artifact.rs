@@ -394,14 +394,14 @@ impl SimArtifact {
     /// [`WeakSimulator::sample`](crate::WeakSimulator::sample), all sample
     /// through here.
     ///
-    /// Decision-diagram and tableau samplers draw chunk `i` of
-    /// [`PARALLEL_CHUNK_SHOTS`] shots from its own
-    /// [`chunk_stream_seed`]-derived stream, so their histograms do not
-    /// depend on the thread count; the dense sampler draws from one
-    /// sequential `StdRng`.  The histogram depends only on the artifact and
-    /// the seed, so a cache hit is bit-identical to the run that built it.
-    /// `&self` only: any number of threads may sample one shared artifact
-    /// concurrently, each with its own seed stream.
+    /// Every sampler draws on the calling thread.  Decision-diagram and
+    /// tableau samplers draw chunk `i` of [`PARALLEL_CHUNK_SHOTS`] shots
+    /// from its own [`chunk_stream_seed`]-derived stream; the dense sampler
+    /// draws from one sequential `StdRng`.  The histogram depends only on
+    /// the artifact and the seed, so a cache hit is bit-identical to the run
+    /// that built it.  `&self` only: any number of threads may sample one
+    /// shared artifact concurrently, each with its own seed stream, which is
+    /// how a broker's serving threads share the cores.
     #[must_use]
     pub fn sample(&self, shots: u64, seed: u64) -> ShotHistogram {
         let width = if self.mapping.is_empty() {
@@ -412,27 +412,16 @@ impl SimArtifact {
         let mut histogram = ShotHistogram::new(width);
         match &self.sampler {
             PreparedSampler::DecisionDiagram(sampler) => {
-                // Whole parallel chunks per batch, advancing chunk offsets:
-                // stitching consecutive calls reproduces one giant
-                // `sample_many_parallel` call exactly.  64 chunks keep the
-                // sample buffer at 512 KiB while still giving every worker
-                // whole chunks to draw.
-                const BATCH_CHUNKS: usize = 64;
-                let batch_shots = (BATCH_CHUNKS * PARALLEL_CHUNK_SHOTS) as u64;
-                let threads = rayon::current_num_threads();
+                // Chunk by chunk into one reused block: the same samples, in
+                // the same order, as one `sample_many_parallel` call.
+                let chunk_len = PARALLEL_CHUNK_SHOTS as u64;
                 histogram.reserve_for_shots(shots);
-                let mut drawn = 0u64;
-                while drawn < shots {
-                    // At most `batch_shots`, so the cast cannot truncate.
-                    let batch = (shots - drawn).min(batch_shots) as usize;
-                    let samples = sampler.sample_batch_parallel(
-                        seed,
-                        drawn / PARALLEL_CHUNK_SHOTS as u64,
-                        batch,
-                        threads,
-                    );
-                    self.record(&mut histogram, &samples);
-                    drawn += batch as u64;
+                let mut block = vec![0u64; PARALLEL_CHUNK_SHOTS];
+                for chunk_index in 0..shots.div_ceil(chunk_len) {
+                    // At most one chunk, so the cast cannot truncate.
+                    let len = chunk_len.min(shots - chunk_index * chunk_len) as usize;
+                    sampler.sample_chunk(seed, chunk_index, &mut block[..len]);
+                    self.record(&mut histogram, &block[..len]);
                 }
             }
             PreparedSampler::StateVector(sampler) => {

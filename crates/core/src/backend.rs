@@ -132,22 +132,17 @@ pub(crate) struct TableauEngine;
 
 impl DdEngine {
     /// Strong-simulates `circuit` into a fresh package armed with
-    /// `governor`.  `construction_threads` fans gate construction out over a
-    /// worker pool (`None` = sequential; `Some(0)` = one worker per CPU).
+    /// `governor`.
     pub(crate) fn strong(
         circuit: &Circuit,
         governor: &RunGovernor,
-        construction_threads: Option<usize>,
     ) -> Result<StrongState, RunError> {
         // Decision diagrams grow with the state's structure, not with 2^n,
         // so the dense memory budget never applies; their memory is bounded
         // by the governor's node/byte budget instead.
         let mut package = Box::new(DdPackage::new());
         package.set_governor(governor.arm());
-        let state = match construction_threads {
-            None => dd::simulate(&mut package, circuit)?,
-            Some(workers) => dd::simulate_with_threads(&mut package, circuit, workers)?,
-        };
+        let state = dd::simulate(&mut package, circuit)?;
         Ok(StrongState::DecisionDiagram { package, state })
     }
 }
@@ -177,7 +172,7 @@ impl Engine for DdEngine {
         circuit: &Circuit,
         sim: &WeakSimulator,
     ) -> Result<(Prepared, Option<StrongState>), RunError> {
-        prepare_dense(|| Self::strong(circuit, sim.governor(), sim.construction_threads()))
+        prepare_dense(|| Self::strong(circuit, sim.governor()))
     }
 
     fn trajectory_runner<'p>(
@@ -279,7 +274,7 @@ mod tests {
         let circuit = algorithms::ghz(12);
         let tight = MemoryBudget::from_bytes(64);
         let governor = RunGovernor::unlimited();
-        let dd = DdEngine::strong(&circuit, &governor, None).unwrap();
+        let dd = DdEngine::strong(&circuit, &governor).unwrap();
         assert_eq!(dd.backend(), Backend::DecisionDiagram);
         assert!(matches!(
             SvEngine::strong(&circuit, tight),

@@ -382,7 +382,6 @@ pub struct WeakSimulator {
     noise: Option<NoiseModel>,
     governor: RunGovernor,
     threads: Option<usize>,
-    construction_threads: Option<usize>,
     clifford_router: bool,
     cache: Option<ArtifactCache>,
 }
@@ -398,7 +397,6 @@ impl WeakSimulator {
             noise: None,
             governor: RunGovernor::unlimited(),
             threads: None,
-            construction_threads: None,
             clifford_router: false,
             cache: None,
         }
@@ -485,22 +483,6 @@ impl WeakSimulator {
         self
     }
 
-    /// Fans every gate's decision-diagram construction out over `threads`
-    /// construction workers (`0` means one worker per available CPU).
-    ///
-    /// Strong simulation on the decision-diagram backend decomposes each
-    /// matrix–vector multiply into independent sub-cones computed on
-    /// worker-private table shards and canonically re-merged, so the built
-    /// diagram — root edge, node ids and table statistics — is bit-identical
-    /// for every worker count (see the `dd::parallel` module docs).  The
-    /// default, and the statevector backend in every case, constructs
-    /// sequentially.
-    #[must_use]
-    pub fn with_construction_threads(mut self, threads: usize) -> Self {
-        self.construction_threads = Some(threads);
-        self
-    }
-
     /// Attaches a stochastic noise model: every [`run`](Self::run) realizes
     /// the model's channels per shot through the trajectory engine (a noisy
     /// circuit is dynamic by definition — its evolution depends on sampled
@@ -531,11 +513,6 @@ impl WeakSimulator {
         self.memory_budget
     }
 
-    /// The decision-diagram construction worker count, if fanned out.
-    pub(crate) fn construction_threads(&self) -> Option<usize> {
-        self.construction_threads
-    }
-
     /// Runs strong simulation only.
     ///
     /// Any attached noise model is ignored: strong simulation produces the
@@ -553,9 +530,7 @@ impl WeakSimulator {
     /// [`RunError::Deadline`] or [`RunError::Cancelled`].
     pub fn strong(&self, circuit: &Circuit) -> Result<StrongState, RunError> {
         match self.backend {
-            Backend::DecisionDiagram => {
-                DdEngine::strong(circuit, &self.governor, self.construction_threads)
-            }
+            Backend::DecisionDiagram => DdEngine::strong(circuit, &self.governor),
             Backend::StateVector => SvEngine::strong(circuit, self.memory_budget),
         }
     }

@@ -1,11 +1,10 @@
 //! Strong simulation of circuits on decision diagrams.
 
-use crate::edge::{MatrixEdge, VectorEdge};
+use crate::edge::MatrixEdge;
 use crate::govern::DdError;
 use crate::matrix::OperatorDd;
 use crate::ops::matrix_vector_multiply;
 use crate::package::OperatorKey;
-use crate::parallel::matrix_vector_multiply_parallel;
 use crate::{DdPackage, StateDd};
 use circuit::{Circuit, OneQubitGate, Operation, Qubit};
 use std::fmt;
@@ -110,49 +109,6 @@ pub fn apply_operation(
     state: StateDd,
     op: &Operation,
 ) -> Result<StateDd, DdError> {
-    apply_operation_impl(package, state, op, None)
-}
-
-/// [`apply_operation`] with the gate's matrix–vector multiply fanned out
-/// over `workers` construction workers (see
-/// [the `parallel` module](crate::parallel)).
-///
-/// Any `workers >= 1` goes through the same deterministic task machinery,
-/// so the resulting state — and the package's entire post-call node layout —
-/// is bit-identical across worker counts.
-///
-/// # Errors
-///
-/// Same failure surface as [`apply_operation`].
-pub fn apply_operation_with_threads(
-    package: &mut DdPackage,
-    state: StateDd,
-    op: &Operation,
-    workers: usize,
-) -> Result<StateDd, DdError> {
-    apply_operation_impl(package, state, op, Some(workers.max(1)))
-}
-
-/// Routes one matrix–vector multiply either through the sequential recursion
-/// (`workers == None`) or the deterministic parallel decomposition.
-fn multiply(
-    package: &mut DdPackage,
-    operator: MatrixEdge,
-    state: VectorEdge,
-    workers: Option<usize>,
-) -> Result<VectorEdge, DdError> {
-    match workers {
-        None => matrix_vector_multiply(package, operator, state),
-        Some(w) => matrix_vector_multiply_parallel(package, operator, state, w),
-    }
-}
-
-fn apply_operation_impl(
-    package: &mut DdPackage,
-    state: StateDd,
-    op: &Operation,
-    workers: Option<usize>,
-) -> Result<StateDd, DdError> {
     let n = state.num_qubits();
     match op {
         Operation::Unitary {
@@ -162,7 +118,7 @@ fn apply_operation_impl(
         } => {
             let operator = cached_controlled_gate(package, n, *gate, *target, controls)?;
             Ok(StateDd::from_root(
-                multiply(package, operator, state.root(), workers)?,
+                matrix_vector_multiply(package, operator, state.root())?,
                 n,
             ))
         }
@@ -176,8 +132,10 @@ fn apply_operation_impl(
                 all_controls.push(control);
                 let operator =
                     cached_controlled_gate(package, n, OneQubitGate::X, target, &all_controls)?;
-                current =
-                    StateDd::from_root(multiply(package, operator, current.root(), workers)?, n);
+                current = StateDd::from_root(
+                    matrix_vector_multiply(package, operator, current.root())?,
+                    n,
+                );
             }
             Ok(current)
         }
@@ -187,7 +145,7 @@ fn apply_operation_impl(
         } => {
             let operator = OperatorDd::controlled_permutation(package, n, permutation, controls)?;
             Ok(StateDd::from_root(
-                multiply(package, operator.root(), state.root(), workers)?,
+                matrix_vector_multiply(package, operator.root(), state.root())?,
                 n,
             ))
         }
@@ -225,41 +183,6 @@ pub fn apply_circuit(
     state: StateDd,
     circuit: &Circuit,
 ) -> Result<StateDd, ApplyError> {
-    apply_circuit_impl(package, state, circuit, None)
-}
-
-/// [`apply_circuit`] with every gate's construction fanned out over
-/// `workers` construction workers; `0` means one worker per available CPU
-/// ([`rayon::current_num_threads`]).
-///
-/// The garbage-collection and graceful-degradation (collect + shrink +
-/// retry once) semantics are identical to [`apply_circuit`], and any
-/// `workers >= 1` produces a bit-identical package evolution (see
-/// [the `parallel` module](crate::parallel)).
-///
-/// # Errors
-///
-/// Same failure surface as [`apply_circuit`].
-pub fn apply_circuit_with_threads(
-    package: &mut DdPackage,
-    state: StateDd,
-    circuit: &Circuit,
-    workers: usize,
-) -> Result<StateDd, ApplyError> {
-    let workers = if workers == 0 {
-        rayon::current_num_threads()
-    } else {
-        workers
-    };
-    apply_circuit_impl(package, state, circuit, Some(workers.max(1)))
-}
-
-fn apply_circuit_impl(
-    package: &mut DdPackage,
-    state: StateDd,
-    circuit: &Circuit,
-    workers: Option<usize>,
-) -> Result<StateDd, ApplyError> {
     circuit.validate()?;
     if let Some(op_index) = circuit
         .iter()
@@ -269,7 +192,7 @@ fn apply_circuit_impl(
     }
     let mut current = state;
     for (op_index, op) in circuit.iter().enumerate() {
-        current = match apply_operation_impl(package, current, op, workers) {
+        current = match apply_operation(package, current, op) {
             Ok(next) => next,
             Err(DdError::MemoryOut { .. }) => {
                 // Degrade before failing: drop everything not reachable from
@@ -279,7 +202,7 @@ fn apply_circuit_impl(
                 let roots = package.collect_garbage(&[current.root()]);
                 let retry_state = StateDd::from_root(roots[0], current.num_qubits());
                 package.shrink_compute_caches();
-                apply_operation_impl(package, retry_state, op, workers)
+                apply_operation(package, retry_state, op)
                     .map_err(|e| ApplyError::Dd(e.with_op_index(op_index)))?
             }
             Err(e) => return Err(ApplyError::Dd(e.with_op_index(op_index))),
@@ -320,26 +243,6 @@ fn apply_circuit_impl(
 pub fn simulate(package: &mut DdPackage, circuit: &Circuit) -> Result<StateDd, ApplyError> {
     let state = StateDd::zero_state(package, circuit.num_qubits())?;
     apply_circuit(package, state, circuit)
-}
-
-/// [`simulate`] with parallel gate construction: every matrix–vector
-/// multiply is decomposed over `workers` construction workers (`0` means
-/// one per available CPU).
-///
-/// Runs at different worker counts build bit-identical packages (same root
-/// edge, same node ids, same [`DdStats`](crate::DdStats) node counts); see
-/// [the `parallel` module](crate::parallel) for why.
-///
-/// # Errors
-///
-/// Same failure surface as [`simulate`].
-pub fn simulate_with_threads(
-    package: &mut DdPackage,
-    circuit: &Circuit,
-    workers: usize,
-) -> Result<StateDd, ApplyError> {
-    let state = StateDd::zero_state(package, circuit.num_qubits())?;
-    apply_circuit_with_threads(package, state, circuit, workers)
 }
 
 #[cfg(test)]

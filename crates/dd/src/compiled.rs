@@ -57,7 +57,9 @@
 //! output vector — so the result is **bit-identical for a given master seed
 //! regardless of the number of worker threads** (chunks are merely
 //! distributed round-robin over workers; their content never depends on who
-//! runs them).  See the module docs of [`crate`] for the seeding scheme.
+//! runs them).  [`CompiledSampler::sample_chunk`] draws one such chunk into
+//! a caller's buffer, for callers that draw on their own thread.  See the
+//! module docs of [`crate`] for the seeding scheme.
 
 use crate::edge::VectorNodeId;
 use crate::govern::DdError;
@@ -66,7 +68,8 @@ use rand::rngs::SmallRng;
 use rand::{splitmix64, Rng, SeedableRng};
 
 /// Number of shots drawn per deterministic RNG chunk in
-/// [`CompiledSampler::sample_many_parallel`].
+/// [`CompiledSampler::sample_many_parallel`] and
+/// [`CompiledSampler::sample_chunk`].
 ///
 /// The value trades scheduling granularity against per-chunk seeding
 /// overhead; it is a fixed constant because changing it changes which RNG
@@ -371,32 +374,12 @@ impl CompiledSampler {
         shots: usize,
         threads: usize,
     ) -> Vec<u64> {
-        self.sample_batch_parallel(master_seed, 0, shots, threads)
-    }
-
-    /// Draws one deterministic batch of a larger logical shot sequence.
-    ///
-    /// The batch covers global chunks `chunk_offset ..`, so splitting a huge
-    /// shot count into consecutive batches — every batch except the last
-    /// sized a multiple of [`PARALLEL_CHUNK_SHOTS`], with `chunk_offset`
-    /// advanced by the number of chunks already drawn — produces exactly the
-    /// same samples as one giant [`sample_many_parallel`] call.  This is how
-    /// the `weaksim` front end serves `u64` shot counts that do not fit a
-    /// single `usize` allocation (e.g. on 32-bit targets).
-    #[must_use = "the samples are the result of the weak simulation"]
-    pub fn sample_batch_parallel(
-        &self,
-        master_seed: u64,
-        chunk_offset: u64,
-        shots: usize,
-        threads: usize,
-    ) -> Vec<u64> {
         let threads = threads.max(1);
         let mut out = vec![0u64; shots];
 
         if threads == 1 || shots <= PARALLEL_CHUNK_SHOTS {
             for (chunk_index, chunk) in out.chunks_mut(PARALLEL_CHUNK_SHOTS).enumerate() {
-                self.fill_chunk(master_seed, chunk_offset + chunk_index as u64, chunk);
+                self.sample_chunk(master_seed, chunk_index as u64, chunk);
             }
             return out;
         }
@@ -407,13 +390,13 @@ impl CompiledSampler {
         let mut assignments: Vec<Vec<(u64, &mut [u64])>> =
             (0..threads).map(|_| Vec::new()).collect();
         for (chunk_index, chunk) in out.chunks_mut(PARALLEL_CHUNK_SHOTS).enumerate() {
-            assignments[chunk_index % threads].push((chunk_offset + chunk_index as u64, chunk));
+            assignments[chunk_index % threads].push((chunk_index as u64, chunk));
         }
         // The calling thread draws the first share itself instead of idling
-        // in the join: one spawn fewer per batch.
+        // in the join: one spawn fewer per call.
         let fill_all = |work: Vec<(u64, &mut [u64])>| {
             for (chunk_index, chunk) in work {
-                self.fill_chunk(master_seed, chunk_index, chunk);
+                self.sample_chunk(master_seed, chunk_index, chunk);
             }
         };
         let mut assignments = assignments.into_iter();
@@ -427,9 +410,13 @@ impl CompiledSampler {
         out
     }
 
-    /// Draws one deterministic chunk: chunk `i` always uses the same
-    /// [`SmallRng`] stream derived from `(master_seed, i)`.
-    fn fill_chunk(&self, master_seed: u64, chunk_index: u64, chunk: &mut [u64]) {
+    /// Fills `chunk` with the samples of global chunk `chunk_index`: chunk
+    /// `i` always uses the same [`SmallRng`] stream derived from
+    /// `(master_seed, i)`.  Drawing chunks `0, 1, …` in order into
+    /// consecutive [`PARALLEL_CHUNK_SHOTS`]-shot slices (the last may be
+    /// shorter) reproduces [`sample_many_parallel`](Self::sample_many_parallel)
+    /// on the calling thread, one chunk-sized buffer at a time.
+    pub fn sample_chunk(&self, master_seed: u64, chunk_index: u64, chunk: &mut [u64]) {
         let mut rng = SmallRng::seed_from_u64(chunk_stream_seed(master_seed, chunk_index));
         self.fill(&mut rng, chunk);
     }
@@ -836,16 +823,20 @@ mod tests {
     }
 
     #[test]
-    fn consecutive_batches_match_one_large_call() {
+    fn chunks_drawn_one_by_one_match_one_parallel_call() {
         let mut p = DdPackage::new();
         let s = paper_example(&mut p);
         let sampler = CompiledSampler::new(&p, &s).unwrap();
         let shots = 5 * PARALLEL_CHUNK_SHOTS + 123;
         let reference = sampler.sample_many_parallel_with_threads(7, shots, 2);
-        // Split at chunk boundaries: 2 chunks, then 3 chunks + remainder.
-        let first = sampler.sample_batch_parallel(7, 0, 2 * PARALLEL_CHUNK_SHOTS, 2);
-        let second = sampler.sample_batch_parallel(7, 2, 3 * PARALLEL_CHUNK_SHOTS + 123, 2);
-        let stitched: Vec<u64> = first.into_iter().chain(second).collect();
+        // One reused chunk-sized block, the last chunk short.
+        let mut block = vec![0u64; PARALLEL_CHUNK_SHOTS];
+        let mut stitched = Vec::new();
+        for (index, expected) in reference.chunks(PARALLEL_CHUNK_SHOTS).enumerate() {
+            let chunk = &mut block[..expected.len()];
+            sampler.sample_chunk(7, index as u64, chunk);
+            stitched.extend_from_slice(chunk);
+        }
         assert_eq!(reference, stitched);
     }
 

@@ -303,11 +303,9 @@ pub struct Governor {
     deadline: Option<Instant>,
     cancel: Option<CancelToken>,
     check_interval: u64,
-    /// Shared behind an `Arc` so [`worker_view`](Governor::worker_view)
-    /// clones can aggregate checkpoint counts across the workers of one
-    /// parallel construction region; plain [`Clone`] allocates a fresh
-    /// counter (independent amortization per trajectory worker).
-    counter: Arc<AtomicU64>,
+    /// Checkpoints counted so far.  [`Clone`] starts a fresh counter
+    /// (independent amortization per trajectory worker).
+    counter: AtomicU64,
     /// Cached `any limit configured` flag: the unlimited fast path.
     active: bool,
     #[cfg(feature = "fault-inject")]
@@ -328,7 +326,7 @@ impl Clone for Governor {
             deadline: self.deadline,
             cancel: self.cancel.clone(),
             check_interval: self.check_interval,
-            counter: Arc::new(AtomicU64::new(0)),
+            counter: AtomicU64::new(0),
             active: self.active,
             #[cfg(feature = "fault-inject")]
             fault: self.fault,
@@ -346,7 +344,7 @@ impl Governor {
             deadline: None,
             cancel: None,
             check_interval: DEFAULT_CHECK_INTERVAL,
-            counter: Arc::new(AtomicU64::new(0)),
+            counter: AtomicU64::new(0),
             active: false,
             #[cfg(feature = "fault-inject")]
             fault: None,
@@ -424,29 +422,6 @@ impl Governor {
     #[must_use]
     pub fn is_limited(&self) -> bool {
         self.active
-    }
-
-    /// A view of this governor for one parallel-construction worker: unlike
-    /// [`Clone`] — which hands trajectory workers an *independent* checkpoint
-    /// counter — the view shares the counter, so checkpoint counts (and with
-    /// them the amortized deadline/cancellation probes and any
-    /// `fault-inject` trigger point) aggregate across every worker of the
-    /// construction region exactly as they would in a single-threaded run.
-    /// Deadline, cancellation token, budgets and fault plan are shared as
-    /// always.
-    #[must_use]
-    pub fn worker_view(&self) -> Governor {
-        Self {
-            node_budget: self.node_budget,
-            byte_budget: self.byte_budget,
-            deadline: self.deadline,
-            cancel: self.cancel.clone(),
-            check_interval: self.check_interval,
-            counter: Arc::clone(&self.counter),
-            active: self.active,
-            #[cfg(feature = "fault-inject")]
-            fault: self.fault,
-        }
     }
 
     /// The configured node budget, if any.
@@ -645,23 +620,6 @@ mod tests {
             clone.checkpoint().unwrap();
         }
         assert!(clone.checkpoint().is_err());
-    }
-
-    #[test]
-    fn worker_views_share_the_checkpoint_counter() {
-        let g = Governor::unlimited()
-            .with_deadline_at(Instant::now() - Duration::from_millis(1))
-            .with_check_interval(10);
-        let view = g.worker_view();
-        // Five checkpoints on each side aggregate to ten: the tenth call —
-        // wherever it lands — probes the (expired) deadline.
-        for _ in 0..5 {
-            g.checkpoint().unwrap();
-        }
-        for _ in 0..4 {
-            view.checkpoint().unwrap();
-        }
-        assert!(view.checkpoint().is_err());
     }
 
     #[test]

@@ -123,14 +123,10 @@ mod measure;
 mod node;
 mod ops;
 mod package;
-pub mod parallel;
 mod sample;
 mod vector;
 
-pub use apply::{
-    apply_circuit, apply_circuit_with_threads, apply_operation, apply_operation_with_threads,
-    simulate, simulate_with_threads, ApplyError,
-};
+pub use apply::{apply_circuit, apply_operation, simulate, ApplyError};
 pub use compiled::{chunk_stream_seed, CompiledSampler, PARALLEL_CHUNK_SHOTS};
 pub use edge::{MatrixEdge, MatrixNodeId, VectorEdge, VectorNodeId, WeightId};
 pub use export::to_dot;

@@ -266,13 +266,8 @@ const EMPTY_SLOT: UniqueSlot = UniqueSlot {
 /// equality predicate over arena ids, which is only consulted when the
 /// stored 64-bit hash matches — so node structs are hashed once per lookup
 /// and compared only on probable hits.
-///
-/// Crate-visible because parallel construction (`crate::parallel`) reuses it
-/// as the per-worker overlay shard: the master table is probed read-only
-/// through a shared reference while each worker dedups its private nodes
-/// through its own `UniqueTable`, keyed by the same precomputed 64-bit hash.
 #[derive(Debug)]
-pub(crate) struct UniqueTable {
+struct UniqueTable {
     slots: Vec<UniqueSlot>,
     len: usize,
 }
@@ -282,7 +277,7 @@ impl UniqueTable {
         Self::with_slots(1 << 12)
     }
 
-    pub(crate) fn with_slots(slots: usize) -> Self {
+    fn with_slots(slots: usize) -> Self {
         let slots = slots.next_power_of_two().max(16);
         Self {
             slots: vec![EMPTY_SLOT; slots],
@@ -291,7 +286,7 @@ impl UniqueTable {
     }
 
     #[inline]
-    pub(crate) fn find(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Option<u32> {
+    fn find(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Option<u32> {
         let mask = self.slots.len() - 1;
         let mut i = (hash as usize) & mask;
         loop {
@@ -307,7 +302,7 @@ impl UniqueTable {
     }
 
     /// Inserts an id the caller has verified to be absent.
-    pub(crate) fn insert(&mut self, hash: u64, id: u32) {
+    fn insert(&mut self, hash: u64, id: u32) {
         // Grow at 3/4 load so probe chains stay short.
         if (self.len + 1) * 4 > self.slots.len() * 3 {
             self.grow();
@@ -343,7 +338,7 @@ impl UniqueTable {
 
 /// Hashes a vector node payload (once, by field folding).
 #[inline]
-pub(crate) fn vnode_hash(node: &VectorNode) -> u64 {
+fn vnode_hash(node: &VectorNode) -> u64 {
     let mut h = hash_mix(0, u64::from(node.var));
     for child in node.children {
         h = hash_mix(h, vedge_word(child));
@@ -765,27 +760,13 @@ impl DdPackage {
     /// default.  Intended for table-growth stress tests: starting at the
     /// minimum capacity forces the open-addressing tables to rehash under
     /// load almost immediately, which is exactly the pressure the
-    /// concurrency soak suite wants to exercise.
+    /// table soak suite wants to exercise.
     #[must_use]
     pub fn with_unique_table_slots(slots: usize) -> Self {
         let mut package = Self::new();
         package.vunique = UniqueTable::with_slots(slots);
         package.munique = UniqueTable::with_slots(slots);
         package
-    }
-
-    /// The id the next freshly-created vector node will get.  Parallel
-    /// construction freezes the master at this watermark: worker overlays
-    /// treat every target `< vnode_base()` as a shared master node and
-    /// offset their private ids above it.
-    pub(crate) fn vnode_base(&self) -> u32 {
-        self.vnodes.len() as u32
-    }
-
-    /// Read-only view of the interned-value table, for frozen-master probes
-    /// from worker overlays.
-    pub(crate) fn ctable(&self) -> &CTable {
-        &self.ctable
     }
 
     /// Installs a [`Governor`] checked by every subsequent make-node call
@@ -1045,7 +1026,7 @@ impl DdPackage {
             var,
             children: [zero_edge, one_edge],
         };
-        let id = self.intern_vnode_inner(node)?;
+        let id = self.intern_vnode(node)?;
         Ok(VectorEdge {
             target: id,
             weight: self.weight(factor),
@@ -1053,33 +1034,8 @@ impl DdPackage {
     }
 
     /// Canonically interns a fully-normalized vector node, creating it on a
-    /// unique-table miss.  This is the re-interning primitive of parallel
-    /// construction: worker-private nodes are grafted into the master package
-    /// through this method at layer sync points, in a fixed order, so the
-    /// resulting arena ids are independent of worker count.
-    ///
-    /// The caller must pass children that are already canonical (normalized
-    /// weights, zero edges collapsed); `make_vnode` is the normalizing
-    /// front-end.
-    pub(crate) fn intern_vnode(&mut self, node: VectorNode) -> Result<VectorNodeId, DdError> {
-        self.governor.checkpoint()?;
-        self.intern_vnode_inner(node)
-    }
-
-    /// Read-only unique-table lookup: the id of the canonical node
-    /// structurally equal to `node`, or `None` without interning anything.
-    /// Worker overlays call this through a shared reference to recognise
-    /// frozen-master nodes mid-task without taking a lock (the master is not
-    /// mutated during the parallel region); hit/miss counters are not
-    /// touched, so concurrent probes stay free of data races.
-    pub(crate) fn find_vnode(&self, node: &VectorNode) -> Option<VectorNodeId> {
-        let hash = vnode_hash(node);
-        self.vunique
-            .find(hash, |id| self.vnodes[id as usize] == *node)
-            .map(VectorNodeId)
-    }
-
-    fn intern_vnode_inner(&mut self, node: VectorNode) -> Result<VectorNodeId, DdError> {
+    /// unique-table miss.
+    fn intern_vnode(&mut self, node: VectorNode) -> Result<VectorNodeId, DdError> {
         let hash = vnode_hash(&node);
         let vnodes = &self.vnodes;
         match self.vunique.find(hash, |id| vnodes[id as usize] == node) {

@@ -260,14 +260,9 @@ impl CTable {
     /// Read-only lookup: the id of an existing entry within tolerance of
     /// `value`, or `None` without interning anything.
     ///
-    /// This is the concurrent-interning primitive used by parallel
-    /// decision-diagram construction: worker threads probe a *frozen* master
-    /// table through a shared reference (no lock needed — the table is not
-    /// mutated during the parallel region) and only values the master does
-    /// not know yet go into a worker-private table, to be canonically
-    /// re-interned at the sync point.  The search is exactly the lookup
-    /// phase of [`intern`](Self::intern), so `probe(x).is_none()` guarantees
-    /// a subsequent `intern(x)` on the same (unmodified) table would insert.
+    /// The search is exactly the lookup phase of [`intern`](Self::intern),
+    /// so `probe(x).is_none()` guarantees a subsequent `intern(x)` on the
+    /// same (unmodified) table would insert.
     ///
     /// # Panics
     ///
@@ -277,31 +272,6 @@ impl CTable {
         assert!(value.is_finite(), "cannot probe non-finite value {value}");
         let value = if value == 0.0 { 0.0 } else { value };
         self.find(value).1
-    }
-
-    /// The interned values as a dense slice, indexed by
-    /// [`ValueId::index`].  Useful for offset-coded side tables that address
-    /// a frozen table's values without constructing ids.
-    #[must_use]
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// The id addressing the entry at `index` — the inverse of
-    /// [`ValueId::index`], validated against this table so ids cannot be
-    /// fabricated for slots that do not exist.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    #[must_use]
-    pub fn id_at(&self, index: usize) -> ValueId {
-        assert!(
-            index < self.values.len(),
-            "value index {index} out of range (table has {} entries)",
-            self.values.len()
-        );
-        ValueId(index as u32)
     }
 
     /// The value stored under `id`.

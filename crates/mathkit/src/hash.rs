@@ -122,11 +122,8 @@ pub const HASH_AVALANCHE: u64 = 0x9E37_79B9_7F4A_7C15;
 /// one avalanche constant, so the low bits — the ones an open-addressing
 /// table actually indexes with — depend on every field folded so far.
 ///
-/// Every table that keys on the same payload layout must use the same
-/// finaliser: the decision-diagram unique tables and the per-worker overlay
-/// tables of parallel construction hash node payloads with `hash_mix` +
-/// `hash_finish` so a precomputed hash can be carried across table
-/// boundaries without rehashing.
+/// The decision-diagram unique tables hash node payloads with `hash_mix` +
+/// `hash_finish`, once per lookup, and store the result beside the node id.
 #[inline]
 #[must_use]
 pub fn hash_finish(state: u64) -> u64 {

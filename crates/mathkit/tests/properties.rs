@@ -4,7 +4,7 @@
 //! `proptest`): each property draws a few hundred random cases from a
 //! deterministic RNG, so failures reproduce exactly.
 
-use mathkit::{approx_eq_with, CTable, Complex, KahanSum, Tolerance};
+use mathkit::{approx_eq_with, CTable, Complex, KahanSum, Tolerance, ValueId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -167,6 +167,7 @@ fn ctable_matches_the_bucket_list_reference() {
         let tolerance = Tolerance::new(eps);
         let mut table = CTable::with_tolerance(tolerance);
         let mut reference = ReferenceTable::new(tolerance);
+        let mut ids = vec![ValueId::ZERO, ValueId::ONE];
         for _ in 0..4000 {
             let edge = f64::from(rng.gen_range(-400..400)) + 0.5;
             let value = match rng.gen_range(0..4) {
@@ -183,12 +184,18 @@ fn ctable_matches_the_bucket_list_reference() {
                     "probe({value}) at eps {eps}"
                 );
             }
+            let id = table.intern(value);
             assert_eq!(
-                table.intern(value).index(),
+                id.index(),
                 reference.intern(value),
                 "intern({value}) at eps {eps}"
             );
+            ids.push(id);
         }
-        assert_eq!(table.values(), &reference.values[..]);
+        // Every entry's id was returned by the intern that stored it.
+        assert_eq!(table.len(), reference.values.len());
+        for id in ids {
+            assert_eq!(table.value(id), reference.values[id.index()]);
+        }
     }
 }

@@ -15,24 +15,24 @@
 //!
 //! # The scoped-pool pattern
 //!
-//! Both heavy users — `CompiledSampler::sample_many_parallel` (shot
-//! batching) and `dd::parallel` (parallel DD construction) — follow the
-//! same shape on top of [`scope`]:
+//! Both users — `CompiledSampler::sample_many_parallel` (shot batching) and
+//! the `weaksim` trajectory loop (shot chunks per worker) — follow the same
+//! shape on top of [`scope`]:
 //!
 //! 1. decompose the work into a deterministic, scheduler-independent task
 //!    list *before* spawning anything;
-//! 2. statically partition the tasks into `min(workers, tasks)` contiguous
-//!    chunks (`chunks`/`chunks_mut`, one spawn per chunk) so each output
-//!    slot is written by exactly one worker through a disjoint `&mut` slice
-//!    — no locks, no channels;
+//! 2. statically partition the tasks over `min(workers, tasks)` spawns
+//!    (contiguous chunks for shot batching, round-robin chunks for
+//!    trajectories) so each output slot is written by exactly one worker
+//!    through a disjoint `&mut` — no locks, no channels;
 //! 3. merge the slots *after* the scope joins, in task order, so the result
 //!    is a pure function of the task list and never of thread timing.
 //!
 //! Because [`scope`] joins every task before returning and panics
 //! propagate at the join, a worker failure can never be silently lost;
 //! workers that must fail softly return `Result` through their slot
-//! instead (the DD construction workers do — the lowest-indexed error
-//! wins deterministically).
+//! instead (the trajectory workers do — the lowest-indexed error wins
+//! deterministically).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -159,14 +159,14 @@ impl MeasurementSampler {
     /// Draws one shot and returns its low 64 bits — the full outcome when
     /// `num_qubits <= 64`, and the documented truncation the router's
     /// `u64`-keyed histograms use beyond that.
+    ///
+    /// Consumes the same coins as [`sample_words`](Self::sample_words) but
+    /// XORs only word 0, and allocates nothing.
     #[must_use]
     pub fn sample_u64<R: RngCore + ?Sized>(&self, rng: &mut R) -> u64 {
-        if self.basis.is_empty() {
-            return self.reference[0];
-        }
-        let mut out = self.reference.clone();
-        self.sample_into(&mut out, rng);
-        out[0]
+        let mut low = [self.reference[0]];
+        self.draw_into(&mut low, rng);
+        low[0]
     }
 
     /// Serializes the reference element and basis rows into `out` as
@@ -367,6 +367,32 @@ mod tests {
         let mut bad_rows = bytes;
         bad_rows[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(MeasurementSampler::decode_snapshot(&bad_rows).is_none());
+    }
+
+    #[test]
+    fn sample_u64_is_word_zero_of_sample_words_with_the_same_coins() {
+        // 150 qubits (three words) with a 100-row basis, so a shot needs two
+        // RNG words of coins, and rows past qubit 64 are correlated with
+        // rows below it through the CXs.
+        let mut tab = Tableau::zero_state(150);
+        for q in 0..100 {
+            tab.h(q);
+        }
+        for q in 0..50 {
+            tab.cx(q, q + 100);
+            tab.cx(q + 60, q);
+        }
+        tab.x(3);
+        tab.x(120);
+        let sampler = tab.measurement_sampler();
+        assert_eq!(sampler.support_dimension(), 100);
+        let mut a = SmallRng::seed_from_u64(8);
+        let mut b = SmallRng::seed_from_u64(8);
+        for _ in 0..500 {
+            assert_eq!(sampler.sample_u64(&mut a), sampler.sample_words(&mut b)[0]);
+            // Both consumed exactly the same number of RNG words.
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!
 //! ```text
 //! weaksim-cli [--backend dd|sv] [--shots N] [--seed N] [--router]
-//!             [--cache-bytes N] [--repeat N] [--construction-threads N]
-//!             [--serve-threads N] [--max-inflight-builds N]
-//!             [--snapshot PATH] [--snapshot-every N] [FILE ...]
+//!             [--cache-bytes N] [--repeat N] [--serve-threads N]
+//!             [--max-inflight-builds N] [--snapshot PATH]
+//!             [--snapshot-every N] [FILE ...]
 //! ```
 //!
 //! With no `FILE` arguments the tool enters serve mode: each stdin line
@@ -53,7 +53,6 @@ struct Options {
     router: bool,
     cache_bytes: Option<u64>,
     repeat: u32,
-    construction_threads: Option<usize>,
     serve_threads: usize,
     max_inflight_builds: usize,
     snapshot: Option<PathBuf>,
@@ -62,7 +61,7 @@ struct Options {
 }
 
 const USAGE: &str = "usage: weaksim-cli [--backend dd|sv] [--shots N] [--seed N] [--router] \
-                     [--cache-bytes N] [--repeat N] [--construction-threads N] \
+                     [--cache-bytes N] [--repeat N] \
                      [--serve-threads N] [--max-inflight-builds N] \
                      [--snapshot PATH] [--snapshot-every N] [FILE ...]\n\
                      With no FILEs, reads QASM file paths line-by-line from stdin (serve mode).";
@@ -75,7 +74,6 @@ fn parse_options(args: impl Iterator<Item = String>) -> Result<Options, String> 
         router: false,
         cache_bytes: None,
         repeat: 1,
-        construction_threads: None,
         serve_threads: 1,
         max_inflight_builds: ServiceConfig::default().max_inflight_builds,
         snapshot: None,
@@ -121,15 +119,6 @@ fn parse_options(args: impl Iterator<Item = String>) -> Result<Options, String> 
                 if options.repeat == 0 {
                     return Err("--repeat must be at least 1".into());
                 }
-            }
-            "--construction-threads" => {
-                // Decision-diagram construction workers; 0 = one per CPU.
-                // The built diagram is bit-identical for every worker count.
-                options.construction_threads = Some(
-                    value("--construction-threads")?
-                        .parse()
-                        .map_err(|e| format!("--construction-threads: {e}"))?,
-                );
             }
             "--serve-threads" => {
                 options.serve_threads = value("--serve-threads")?
@@ -388,9 +377,6 @@ fn main() -> ExitCode {
     let mut sim = WeakSimulator::new(options.backend);
     if options.router {
         sim = sim.with_clifford_router();
-    }
-    if let Some(threads) = options.construction_threads {
-        sim = sim.with_construction_threads(threads);
     }
 
     let serve = Serve {

