@@ -456,7 +456,7 @@ fn record_baseline_json(_c: &mut Criterion) {
     // are bit-identical — asserted here, not just claimed.  The entry also
     // times the crash-safe snapshot round trip of the populated cache.
     let artifact_cache_json = {
-        use weaksim::service::{load_snapshot, ServiceBroker, ServiceConfig};
+        use weaksim::service::{ServiceBroker, ServiceConfig};
         let broker = ServiceBroker::new(
             weaksim::ArtifactCache::unbounded(),
             ServiceConfig::default(),
@@ -511,9 +511,14 @@ fn record_baseline_json(_c: &mut Criterion) {
             .write_snapshot(&snap)
             .expect("snapshot write succeeds");
         let snapshot_write_seconds = write_start.elapsed().as_secs_f64();
-        let restored = weaksim::ArtifactCache::unbounded();
+        let restored = ServiceBroker::new(
+            weaksim::ArtifactCache::unbounded(),
+            ServiceConfig::default(),
+        );
         let load_start = Instant::now();
-        let report = load_snapshot(&restored, &snap).expect("snapshot load succeeds");
+        let report = restored
+            .load_snapshot(&snap)
+            .expect("snapshot load succeeds");
         let snapshot_load_seconds = load_start.elapsed().as_secs_f64();
         assert_eq!(report.loaded, 1, "the snapshot round-trips the artifact");
         std::fs::remove_file(&snap).ok();

@@ -3,7 +3,7 @@
 //! precomputations, and the precomputations are linear in the size of the
 //! sampled representation.
 
-use bench::{prepare_state, sample_prepared, BENCH_SEED};
+use bench::{warm_artifact, BENCH_SEED};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dd::{DdPackage, DdSampler};
 use weaksim::experiment::BenchmarkInstance;
@@ -25,15 +25,19 @@ fn bench_sample_scaling(c: &mut Criterion) {
             name: format!("qft_{n}"),
             circuit: algorithms::qft(n, true),
         };
-        let dd_state = prepare_state(&instance, Backend::DecisionDiagram);
-        group.bench_with_input(BenchmarkId::new("dd", n), &dd_state, |b, state| {
-            b.iter(|| sample_prepared(state, SHOTS, BENCH_SEED));
+        let dd_artifact = warm_artifact(&instance, Backend::DecisionDiagram);
+        group.bench_with_input(BenchmarkId::new("dd", n), &dd_artifact, |b, artifact| {
+            b.iter(|| artifact.sample(SHOTS, BENCH_SEED));
         });
         if n <= 20 {
-            let sv_state = prepare_state(&instance, Backend::StateVector);
-            group.bench_with_input(BenchmarkId::new("vector", n), &sv_state, |b, state| {
-                b.iter(|| sample_prepared(state, SHOTS, BENCH_SEED));
-            });
+            let sv_artifact = warm_artifact(&instance, Backend::StateVector);
+            group.bench_with_input(
+                BenchmarkId::new("vector", n),
+                &sv_artifact,
+                |b, artifact| {
+                    b.iter(|| artifact.sample(SHOTS, BENCH_SEED));
+                },
+            );
         }
     }
     group.finish();

@@ -2,7 +2,7 @@
 //! the DD-based sampler, and for the sizes where the dense vector still
 //! fits, the vector-based sampler.
 
-use bench::{prepare_state, sample_prepared, BENCH_SEED};
+use bench::{warm_artifact, BENCH_SEED};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use weaksim::experiment::BenchmarkInstance;
 use weaksim::Backend;
@@ -26,20 +26,20 @@ fn bench_qft(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
 
     for instance in instances() {
-        let dd_state = prepare_state(&instance, Backend::DecisionDiagram);
+        let dd_artifact = warm_artifact(&instance, Backend::DecisionDiagram);
         group.bench_with_input(
             BenchmarkId::new("dd_sample_10k", &instance.name),
-            &dd_state,
-            |b, state| b.iter(|| sample_prepared(state, SHOTS, BENCH_SEED)),
+            &dd_artifact,
+            |b, artifact| b.iter(|| artifact.sample(SHOTS, BENCH_SEED)),
         );
         // The dense vector is only affordable for the 16-qubit instance
         // (qft_32 and qft_48 are the paper's MO rows).
         if instance.circuit.num_qubits() <= 20 {
-            let sv_state = prepare_state(&instance, Backend::StateVector);
+            let sv_artifact = warm_artifact(&instance, Backend::StateVector);
             group.bench_with_input(
                 BenchmarkId::new("vector_sample_10k", &instance.name),
-                &sv_state,
-                |b, state| b.iter(|| sample_prepared(state, SHOTS, BENCH_SEED)),
+                &sv_artifact,
+                |b, artifact| b.iter(|| artifact.sample(SHOTS, BENCH_SEED)),
             );
         }
     }

@@ -2,7 +2,7 @@
 //! samplers (`shor_15_2`, `shor_21_2`, `shor_33_2`; the larger moduli of the
 //! paper are exercised by the `table1` binary at `--scale full`).
 
-use bench::{prepare_state, sample_prepared, BENCH_SEED};
+use bench::{warm_artifact, BENCH_SEED};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use weaksim::experiment::BenchmarkInstance;
 use weaksim::Backend;
@@ -29,17 +29,17 @@ fn bench_shor(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
 
     for instance in instances() {
-        let dd_state = prepare_state(&instance, Backend::DecisionDiagram);
+        let dd_artifact = warm_artifact(&instance, Backend::DecisionDiagram);
         group.bench_with_input(
             BenchmarkId::new("dd_sample_10k", &instance.name),
-            &dd_state,
-            |b, state| b.iter(|| sample_prepared(state, SHOTS, BENCH_SEED)),
+            &dd_artifact,
+            |b, artifact| b.iter(|| artifact.sample(SHOTS, BENCH_SEED)),
         );
-        let sv_state = prepare_state(&instance, Backend::StateVector);
+        let sv_artifact = warm_artifact(&instance, Backend::StateVector);
         group.bench_with_input(
             BenchmarkId::new("vector_sample_10k", &instance.name),
-            &sv_state,
-            |b, state| b.iter(|| sample_prepared(state, SHOTS, BENCH_SEED)),
+            &sv_artifact,
+            |b, artifact| b.iter(|| artifact.sample(SHOTS, BENCH_SEED)),
         );
     }
     group.finish();

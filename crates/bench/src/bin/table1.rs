@@ -18,12 +18,17 @@
 //!                                DD samples against the exact distribution
 //! ```
 //!
+//! The exit code is non-zero when a row fails to run, or when `--validate`
+//! rejects a row's samples or cannot compute its exact distribution, so the
+//! validated smoke table can gate CI.
+//!
 //! The vector-based column reports `MO` when the dense amplitude array would
 //! not fit the budget, mirroring the paper's presentation.  With a DD budget
 //! or deadline configured, governed DD aborts likewise become `MO`/`TO`
 //! cells instead of aborting the whole table.
 
 use statevector::MemoryBudget;
+use std::process::ExitCode;
 use weaksim::experiment::{format_table, run_table1_row, table1_benchmarks, BenchmarkScale};
 use weaksim::stats::chi_square_test;
 use weaksim::{Backend, RunGovernor, WeakSimulator};
@@ -89,7 +94,7 @@ fn parse_options() -> Options {
     options
 }
 
-fn main() {
+fn main() -> ExitCode {
     let options = parse_options();
     let instances = table1_benchmarks(options.scale);
     println!(
@@ -101,6 +106,7 @@ fn main() {
     println!();
 
     let mut rows = Vec::new();
+    let mut failed = false;
     for instance in &instances {
         eprintln!(
             "running {} ({} qubits)...",
@@ -118,11 +124,17 @@ fn main() {
                 if let Some(cell) = row.dd_failure_cell() {
                     eprintln!("  DD backend for {}: {cell}", instance.name);
                 } else if options.validate {
-                    validate(instance, options.shots.min(200_000));
+                    if let Err(message) = validate(instance, options.shots.min(200_000)) {
+                        eprintln!("  validation of {} failed: {message}", instance.name);
+                        failed = true;
+                    }
                 }
                 rows.push(row);
             }
-            Err(e) => eprintln!("  skipped {}: {e}", instance.name),
+            Err(e) => {
+                eprintln!("  skipped {}: {e}", instance.name);
+                failed = true;
+            }
         }
     }
 
@@ -131,27 +143,41 @@ fn main() {
     println!(
         " `MO`/`TO` = memory budget exceeded / deadline hit for that backend, as in the paper)"
     );
+    if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
 }
 
-fn validate(instance: &weaksim::experiment::BenchmarkInstance, shots: u64) {
-    let outcome = WeakSimulator::new(Backend::DecisionDiagram)
-        .run(&instance.circuit, shots, 77)
-        .expect("validated circuit");
+/// Checks `shots` DD samples of `instance` against its exact distribution
+/// with a chi-square test; `Err` when the samples are rejected or a
+/// simulation fails.
+fn validate(instance: &weaksim::experiment::BenchmarkInstance, shots: u64) -> Result<(), String> {
     // Exact probabilities are only affordable for moderate qubit counts.
-    if instance.circuit.num_qubits() <= 26 {
-        let chi = chi_square_test(&outcome.histogram, |i| outcome.strong().probability(i));
-        eprintln!(
-            "  validation: chi2 = {:.1}, dof = {}, p = {:.4} -> {}",
-            chi.statistic,
-            chi.degrees_of_freedom,
-            chi.p_value,
-            if chi.is_consistent(1e-4) {
-                "consistent"
-            } else {
-                "REJECTED"
-            }
-        );
-    } else {
+    if instance.circuit.num_qubits() > 26 {
         eprintln!("  validation skipped (too many qubits for exact comparison)");
+        return Ok(());
+    }
+    let mut sim = WeakSimulator::new(Backend::DecisionDiagram);
+    let outcome = sim
+        .run(&instance.circuit, shots, 77)
+        .map_err(|e| format!("sampling: {e}"))?;
+    let exact = sim
+        .strong(&instance.circuit)
+        .map_err(|e| format!("strong simulation: {e}"))?;
+    let chi = chi_square_test(&outcome.histogram, |i| exact.probability(i));
+    let consistent = chi.is_consistent(1e-4);
+    eprintln!(
+        "  validation: chi2 = {:.1}, dof = {}, p = {:.4} -> {}",
+        chi.statistic,
+        chi.degrees_of_freedom,
+        chi.p_value,
+        if consistent { "consistent" } else { "REJECTED" }
+    );
+    if consistent {
+        Ok(())
+    } else {
+        Err(format!("samples rejected at p = {:.4}", chi.p_value))
     }
 }

@@ -11,9 +11,9 @@
 //! The Criterion benches under `benches/` time the individual families so
 //! regressions in either sampler show up in CI.
 
-use statevector::MemoryBudget;
+use std::sync::Arc;
 use weaksim::experiment::BenchmarkInstance;
-use weaksim::{Backend, WeakSimulator};
+use weaksim::{ArtifactCache, Backend, ServiceBroker, ServiceConfig, SimArtifact, WeakSimulator};
 
 /// Number of samples used by the Criterion benches (Table I uses one
 /// million; the benches default to fewer so a full run stays affordable and
@@ -23,32 +23,26 @@ pub const BENCH_SHOTS: u64 = 100_000;
 /// The seed used everywhere in the harness for reproducibility.
 pub const BENCH_SEED: u64 = 2020;
 
-/// Prepares a strong-simulation state once so benches can time the sampling
-/// step in isolation (the quantity reported in Table I).
+/// Builds the artifact of `instance` on `backend` once, through a broker,
+/// and returns it from the broker's cache, so benches can time the warm
+/// draw ([`SimArtifact::sample`]) in
+/// isolation — the per-request cost of a cache hit.
 ///
 /// # Panics
 ///
 /// Panics if the circuit cannot be simulated, which for the benchmark
 /// circuits indicates a bug rather than a recoverable condition.
 #[must_use]
-pub fn prepare_state(instance: &BenchmarkInstance, backend: Backend) -> weaksim::StrongState {
-    WeakSimulator::new(backend)
-        .with_memory_budget(MemoryBudget::unlimited())
-        .strong(&instance.circuit)
-        .unwrap_or_else(|e| panic!("strong simulation of {} failed: {e}", instance.name))
-}
-
-/// Draws `shots` samples from a prepared state and returns the histogram
-/// (used by benches as the timed body).
-#[must_use]
-pub fn sample_prepared(
-    state: &weaksim::StrongState,
-    shots: u64,
-    seed: u64,
-) -> weaksim::ShotHistogram {
-    let (histogram, _, _) = WeakSimulator::sample(state, shots, seed)
-        .unwrap_or_else(|e| panic!("sampling a prepared benchmark state failed: {e}"));
-    histogram
+pub fn warm_artifact(instance: &BenchmarkInstance, backend: Backend) -> Arc<SimArtifact> {
+    let broker = ServiceBroker::new(ArtifactCache::unbounded(), ServiceConfig::default());
+    let sim = WeakSimulator::new(backend);
+    broker
+        .serve(&sim, &instance.circuit, 1, BENCH_SEED)
+        .unwrap_or_else(|e| panic!("building the artifact of {} failed: {e}", instance.name));
+    broker
+        .cache()
+        .get(sim.request_fingerprint(&instance.circuit))
+        .unwrap_or_else(|| panic!("the artifact of {} was not retained", instance.name))
 }
 
 #[cfg(test)]
@@ -57,12 +51,11 @@ mod tests {
     use weaksim::experiment::{table1_benchmarks, BenchmarkScale};
 
     #[test]
-    fn prepared_states_can_be_sampled() {
+    fn warm_artifacts_can_be_sampled() {
         let instances = table1_benchmarks(BenchmarkScale::Smoke);
         let instance = &instances[0];
         for backend in [Backend::DecisionDiagram, Backend::StateVector] {
-            let state = prepare_state(instance, backend);
-            let histogram = sample_prepared(&state, 100, BENCH_SEED);
+            let histogram = warm_artifact(instance, backend).sample(100, BENCH_SEED);
             assert_eq!(histogram.shots(), 100);
         }
     }

@@ -11,8 +11,8 @@ use std::fmt;
 /// measurement of every qubit (performed by the simulators, not represented
 /// as an operation).  Circuits may also contain explicit measurements that
 /// record into a classical register of [`num_clbits`](Self::num_clbits)
-/// bits, and [`Operation::Reset`] operations; see [`is_dynamic`]
-/// (Self::is_dynamic) for how simulators route such circuits.
+/// bits, and [`Operation::Reset`] operations; see
+/// [`is_dynamic`](Self::is_dynamic) for how simulators route such circuits.
 ///
 /// # Examples
 ///

@@ -174,8 +174,8 @@ impl Circuit {
     /// [`name`](Self::name) is excluded — it is presentation metadata, and
     /// derived names (`__stitched`, `_dg`) must not change cache identity.
     ///
-    /// Used by the `weaksim` artifact cache as (part of) its key; see the
-    /// [module docs](self) for the full contract.
+    /// Used by the `weaksim` artifact cache as (part of) its key; the
+    /// `fingerprint` module docs in the source spell out the full contract.
     ///
     /// # Examples
     ///

@@ -36,9 +36,9 @@ use std::fmt;
 ///
 /// The first three channels are *Pauli channels*: every Kraus operator is a
 /// scaled Pauli, so the stochastic realization applies a Pauli error with a
-/// state-independent probability.  [`AmplitudeDamping`]
-/// (NoiseChannel::AmplitudeDamping) is non-unital: its branch probabilities
-/// depend on the state (a qubit in `|0>` never decays), so the trajectory
+/// state-independent probability.
+/// [`AmplitudeDamping`](NoiseChannel::AmplitudeDamping) is non-unital: its
+/// branch probabilities depend on the state (a qubit in `|0>` never decays), so the trajectory
 /// engine draws its branch from the measured-one probability, like a
 /// generalized measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]

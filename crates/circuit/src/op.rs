@@ -234,8 +234,9 @@ pub enum Operation {
     /// A classically-conditioned operation (QASM `if (c==k) gate;`, `if
     /// (c==k) measure ...;` or `if (c==k) reset ...;`): `op` is applied only
     /// when the classical register equals `condition.value`.  The inner
-    /// operation may be any non-conditioned operation; [`Circuit::validate`]
-    /// (crate::Circuit::validate) rejects nested conditions.
+    /// operation may be any non-conditioned operation;
+    /// [`Circuit::validate`](crate::Circuit::validate) rejects nested
+    /// conditions.
     Conditioned {
         /// The classical guard.
         condition: Condition,

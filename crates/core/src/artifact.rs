@@ -15,9 +15,8 @@
 //!   `'static`, so an `Arc<SimArtifact>` can be sampled concurrently by any
 //!   number of tenants.
 //! * [`ArtifactCache`] — a bounded, fingerprint-keyed, byte-budgeted LRU
-//!   store of `Arc<SimArtifact>`s.  Attach one to a simulator with
-//!   [`WeakSimulator::with_cache`](crate::WeakSimulator::with_cache), or
-//!   serve it through a [`ServiceBroker`](crate::ServiceBroker): every
+//!   store of `Arc<SimArtifact>`s, served through a
+//!   [`ServiceBroker`](crate::ServiceBroker) (its only writer): every
 //!   eligible request first consults the cache, and a hit skips strong
 //!   simulation *and* sampler compilation entirely.
 //!
@@ -39,9 +38,8 @@
 //! bit of drift — an angle's last mantissa bit, a creg relabelling, a noise
 //! parameter — produces a different key and a rebuild.
 
-use crate::govern::RunGovernor;
 use crate::router::RunRoute;
-use crate::simulator::{map_terminal_record, Backend, RunError, StrongState};
+use crate::simulator::{map_terminal_record, Backend};
 use crate::ShotHistogram;
 use circuit::Qubit;
 use dd::{chunk_stream_seed, CompiledSampler, DdStats, PARALLEL_CHUNK_SHOTS};
@@ -49,7 +47,7 @@ use rand::rngs::{SmallRng, StdRng};
 use rand::SeedableRng;
 use statevector::PrefixSampler;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tableau::MeasurementSampler;
 
 /// The prepared sampler inside a [`SimArtifact`]: one variant per engine,
@@ -80,10 +78,11 @@ impl PreparedSampler {
 /// detached from every borrowed resource so it can outlive its builder and
 /// be shared across threads and runs.
 ///
-/// Every noise-free static run builds one; obtain shared ones through an
-/// [`ArtifactCache`] attached with
-/// [`WeakSimulator::with_cache`](crate::WeakSimulator::with_cache), and
-/// sample them (concurrently, if desired) with [`SimArtifact::sample`].
+/// Every noise-free static run builds one; a
+/// [`ServiceBroker`](crate::ServiceBroker) keeps them in its
+/// [`ArtifactCache`], from which they can be fetched with
+/// [`ArtifactCache::get`] and sampled (concurrently, if desired) with
+/// [`SimArtifact::sample`].
 #[derive(Debug)]
 pub struct SimArtifact {
     sampler: PreparedSampler,
@@ -110,31 +109,6 @@ pub(crate) struct Prepared {
     pub(crate) dd_stats: Option<DdStats>,
     pub(crate) strong_time: Duration,
     pub(crate) precompute_time: Duration,
-}
-
-impl Prepared {
-    /// Compiles the prepared sampler of a dense strong state and snapshots
-    /// its metadata; the caller may drop `state` (and with it the DD
-    /// package) afterwards.
-    pub(crate) fn from_state(state: &StrongState, strong_time: Duration) -> Result<Self, RunError> {
-        let precompute_start = Instant::now();
-        let sampler = match state {
-            StrongState::DecisionDiagram { package, state } => {
-                PreparedSampler::DecisionDiagram(CompiledSampler::new(package, state)?)
-            }
-            StrongState::StateVector(vector) => {
-                PreparedSampler::StateVector(PrefixSampler::new(vector))
-            }
-        };
-        let precompute_time = precompute_start.elapsed();
-        Ok(Self {
-            sampler,
-            representation_size: state.representation_size(),
-            dd_stats: state.dd_stats(),
-            strong_time,
-            precompute_time,
-        })
-    }
 }
 
 impl SimArtifact {
@@ -390,9 +364,7 @@ impl SimArtifact {
     }
 
     /// Draws `shots` seed-deterministic samples — the one static draw loop:
-    /// uncached, cached and brokered runs, and
-    /// [`WeakSimulator::sample`](crate::WeakSimulator::sample), all sample
-    /// through here.
+    /// uncached and brokered runs all sample through here.
     ///
     /// Every sampler draws on the calling thread.  Decision-diagram and
     /// tableau samplers draw chunk `i` of [`PARALLEL_CHUNK_SHOTS`] shots
@@ -621,9 +593,8 @@ pub enum CacheOutcome {
     /// fingerprint: this request waited on the shared build slot (or found
     /// the artifact published between its miss and its build) and was
     /// served without building.  Only requests that race a concurrent build
-    /// report this — through a shared
-    /// [`ServiceBroker`](crate::service::ServiceBroker), or `with_cache`
-    /// simulators sharing one cache.
+    /// through a shared [`ServiceBroker`](crate::service::ServiceBroker)
+    /// report this.
     Coalesced,
 }
 
@@ -666,6 +637,32 @@ struct CacheInner {
 }
 
 impl CacheInner {
+    /// Stores `artifact` under `key` as the most recently used entry.
+    /// Replaces any existing entry for the key; under a byte budget, evicts
+    /// least-recently-used entries until the newcomer fits, and retains
+    /// nothing when the artifact alone exceeds the whole budget.
+    fn store(&mut self, key: [u64; 2], artifact: Arc<SimArtifact>) {
+        let bytes = artifact.heap_bytes() as u64;
+        if let Some(existing) = self.entries.iter().position(|entry| entry.key == key) {
+            let removed = self.entries.swap_remove(existing);
+            self.bytes -= removed.bytes;
+        }
+        if let Some(budget) = self.byte_budget {
+            if bytes > budget {
+                return;
+            }
+            self.evict_to_fit(bytes, budget);
+        }
+        self.tick += 1;
+        self.bytes += bytes;
+        self.entries.push(CacheEntry {
+            key,
+            artifact,
+            bytes,
+            last_used: self.tick,
+        });
+    }
+
     /// Evicts least-recently-used entries until at least `needed` bytes fit
     /// under `budget`.
     fn evict_to_fit(&mut self, needed: u64, budget: u64) {
@@ -684,8 +681,9 @@ impl CacheInner {
 }
 
 /// A bounded, fingerprint-keyed store of [`Arc<SimArtifact>`]s shared
-/// across runs (and across simulator clones — the handle is cheaply
-/// cloneable and internally synchronized).
+/// across runs.  The handle is cheaply cloneable and internally
+/// synchronized; a [`ServiceBroker`](crate::ServiceBroker) is the only
+/// writer, so requests share one cache by sharing one broker.
 ///
 /// Retention is LRU under an optional byte budget, following the bounded
 /// compute-cache idiom of the DD package: inserting over budget first
@@ -696,17 +694,17 @@ impl CacheInner {
 /// # Examples
 ///
 /// ```
-/// use weaksim::{ArtifactCache, Backend, CacheOutcome, WeakSimulator};
+/// use weaksim::{ArtifactCache, Backend, ServiceBroker, ServiceConfig, WeakSimulator};
 ///
 /// let circuit = algorithms::w_state(6);
-/// let cache = ArtifactCache::unbounded();
-/// let mut sim = WeakSimulator::new(Backend::DecisionDiagram).with_cache(&cache);
-/// let cold = sim.run(&circuit, 1000, 7)?;
-/// assert_eq!(cold.cache, Some(CacheOutcome::Miss));
-/// let warm = sim.run(&circuit, 1000, 7)?;
-/// assert_eq!(warm.cache, Some(CacheOutcome::Hit));
-/// assert_eq!(cold.histogram, warm.histogram); // same seed: bit-identical
-/// assert_eq!(cache.stats().hits, 1);
+/// let cache = ArtifactCache::with_byte_budget(1 << 20);
+/// let broker = ServiceBroker::new(cache, ServiceConfig::default());
+/// let sim = WeakSimulator::new(Backend::DecisionDiagram);
+/// broker.serve(&sim, &circuit, 1000, 7)?;
+/// let artifact = broker.cache().get(sim.request_fingerprint(&circuit)).expect("retained");
+/// assert_eq!(artifact.sample(1000, 7).shots(), 1000);
+/// let stats = broker.cache().stats();
+/// assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
 /// # Ok::<(), weaksim::RunError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -732,17 +730,6 @@ impl ArtifactCache {
         }
     }
 
-    /// A cache bounded by the governor's byte budget (unbounded when the
-    /// governor has none), so retained artifacts live under the same
-    /// ceiling the governor enforces on package footprints.
-    #[must_use]
-    pub fn governed(governor: &RunGovernor) -> Self {
-        match governor.byte_budget() {
-            Some(bytes) => Self::with_byte_budget(bytes),
-            None => Self::unbounded(),
-        }
-    }
-
     /// The artifact stored under `key`, bumping its recency; counts a hit
     /// or miss either way.
     #[must_use]
@@ -764,37 +751,14 @@ impl ArtifactCache {
         }
     }
 
-    /// Stores `artifact` under `key` and returns the shared handle.
-    ///
-    /// Replaces any existing entry for the key (two simulators racing on
-    /// the same miss both insert; last wins, both handles stay valid).
-    /// Under a byte budget, least-recently-used entries are evicted until
-    /// the newcomer fits; an artifact larger than the whole budget is
-    /// returned without being retained.
-    pub fn insert(&self, key: [u64; 2], artifact: SimArtifact) -> Arc<SimArtifact> {
-        let bytes = artifact.heap_bytes() as u64;
+    /// Stores a freshly built `artifact` under `key` (replacing, evicting
+    /// and skipping oversized artifacts as described on the type) and
+    /// returns the shared handle, which stays valid either way.
+    pub(crate) fn insert(&self, key: [u64; 2], artifact: SimArtifact) -> Arc<SimArtifact> {
         let artifact = Arc::new(artifact);
         let mut inner = self.lock();
         inner.insertions += 1;
-        if let Some(existing) = inner.entries.iter().position(|entry| entry.key == key) {
-            let removed = inner.entries.swap_remove(existing);
-            inner.bytes -= removed.bytes;
-        }
-        if let Some(budget) = inner.byte_budget {
-            if bytes > budget {
-                return Arc::clone(&artifact);
-            }
-            inner.evict_to_fit(bytes, budget);
-        }
-        inner.tick += 1;
-        let last_used = inner.tick;
-        inner.bytes += bytes;
-        inner.entries.push(CacheEntry {
-            key,
-            artifact: Arc::clone(&artifact),
-            bytes,
-            last_used,
-        });
+        inner.store(key, Arc::clone(&artifact));
         artifact
     }
 
@@ -841,7 +805,7 @@ impl ArtifactCache {
     /// never calls [`get`](Self::get), yet the entry it was served from must
     /// become the *most* recently used — otherwise an artifact serving heavy
     /// concurrent traffic could still be the LRU eviction victim.
-    pub fn touch(&self, key: [u64; 2]) -> bool {
+    pub(crate) fn touch(&self, key: [u64; 2]) -> bool {
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -889,32 +853,11 @@ impl ArtifactCache {
             .collect()
     }
 
-    /// Inserts an already-shared artifact (the snapshot-load path), with the
-    /// same replace/evict/oversize semantics as [`insert`](Self::insert) but
-    /// without counting an insertion — restoring a snapshot is not request
-    /// traffic.
+    /// Stores an already-shared artifact like [`insert`](Self::insert),
+    /// but without counting an insertion — restoring a snapshot is not
+    /// request traffic.
     pub(crate) fn restore(&self, key: [u64; 2], artifact: Arc<SimArtifact>) {
-        let bytes = artifact.heap_bytes() as u64;
-        let mut inner = self.lock();
-        if let Some(existing) = inner.entries.iter().position(|entry| entry.key == key) {
-            let removed = inner.entries.swap_remove(existing);
-            inner.bytes -= removed.bytes;
-        }
-        if let Some(budget) = inner.byte_budget {
-            if bytes > budget {
-                return;
-            }
-            inner.evict_to_fit(bytes, budget);
-        }
-        inner.tick += 1;
-        let last_used = inner.tick;
-        inner.bytes += bytes;
-        inner.entries.push(CacheEntry {
-            key,
-            artifact,
-            bytes,
-            last_used,
-        });
+        self.lock().store(key, artifact);
     }
 
     /// Locks the store.  A poisoned mutex is recovered, not propagated: the
@@ -933,21 +876,12 @@ impl ArtifactCache {
 mod tests {
     use super::*;
 
-    /// A minimal artifact for cache-mechanics tests (the simulator-level
+    /// A minimal artifact for cache-mechanics tests (the broker-level
     /// integration lives in the workspace `artifact_cache` test).
     fn tiny_artifact(n: u16) -> SimArtifact {
-        let circuit = algorithms::ghz(n);
-        let state = crate::WeakSimulator::new(Backend::DecisionDiagram)
-            .strong(&circuit)
-            .unwrap();
-        SimArtifact::new(
-            Prepared::from_state(&state, Duration::ZERO).unwrap(),
-            Vec::new(),
-            n,
-            0,
-            Backend::DecisionDiagram,
-            RunRoute::dense(Backend::DecisionDiagram, circuit.len()),
-        )
+        crate::WeakSimulator::new(Backend::DecisionDiagram)
+            .prepare_artifact(&algorithms::ghz(n))
+            .unwrap()
     }
 
     #[test]
@@ -1012,13 +946,47 @@ mod tests {
     }
 
     #[test]
-    fn governed_cache_adopts_the_byte_budget() {
-        let governor = RunGovernor::unlimited().with_byte_budget(10);
-        let cache = ArtifactCache::governed(&governor);
-        cache.insert([1, 1], tiny_artifact(4)); // far over 10 bytes
-        assert!(cache.is_empty(), "governed budget applies to artifacts");
-        let unbounded = ArtifactCache::governed(&RunGovernor::unlimited());
-        unbounded.insert([1, 1], tiny_artifact(4));
-        assert_eq!(unbounded.len(), 1);
+    fn restore_replaces_evicts_and_skips_like_insert_without_counting() {
+        let one = tiny_artifact(4).heap_bytes() as u64;
+        let cache = ArtifactCache::with_byte_budget(one * 2 + one / 2);
+        cache.restore([1, 0], Arc::new(tiny_artifact(4)));
+        cache.restore([1, 0], Arc::new(tiny_artifact(4)));
+        assert_eq!(cache.len(), 1, "same key replaces");
+        cache.restore([2, 0], Arc::new(tiny_artifact(4)));
+        cache.restore([3, 0], Arc::new(tiny_artifact(4)));
+        assert_eq!(cache.len(), 2);
+        assert!(cache.peek([1, 0]).is_none(), "LRU entry was evicted");
+        assert_eq!(cache.stats().insertions, 0);
+        let tiny = ArtifactCache::with_byte_budget(1);
+        tiny.restore([9, 9], Arc::new(tiny_artifact(4)));
+        assert!(tiny.is_empty(), "oversized artifacts are not retained");
+    }
+
+    #[test]
+    fn touch_keeps_a_slot_served_entry_off_the_eviction_block() {
+        // Regression for the serve-path LRU ordering: a broker-served entry
+        // never goes through `get` (coalesced waiters take the artifact from
+        // the build slot), so recency must be bumped via `touch` — without
+        // it, an entry that just served a burst of concurrent traffic is
+        // still ranked by its *insertion* time and becomes the eviction
+        // victim at the next insert.  The budget holds exactly two.
+        let one = tiny_artifact(4).heap_bytes() as u64;
+        let cache = ArtifactCache::with_byte_budget(one * 2);
+        let (key_a, key_b) = ([1, 0], [2, 0]);
+        cache.insert(key_a, tiny_artifact(4));
+        cache.insert(key_b, tiny_artifact(4));
+        assert!(cache.touch(key_a), "a is resident and must be touchable");
+        cache.insert([3, 0], tiny_artifact(4));
+
+        // The victim must be b — the true least-recently-*used* entry — not a.
+        assert!(
+            cache.get(key_a).is_some(),
+            "touched entry a must survive the eviction"
+        );
+        assert!(
+            cache.get(key_b).is_none(),
+            "untouched entry b must be the eviction victim"
+        );
+        assert!(!cache.touch(key_b), "touching an evicted key reports false");
     }
 }

@@ -5,10 +5,11 @@
 //! [`trajectory`](crate::trajectory) module never match on an engine
 //! themselves (the one exception is the public dense-only
 //! [`WeakSimulator::strong`](crate::WeakSimulator::strong), which picks
-//! `DdEngine::strong` or `SvEngine::strong` by backend).  Each engine — decision diagrams, dense vectors and the
-//! stabilizer tableau — ships an [`Engine`] (static preparation: strong
-//! simulation plus the sampler [`SimArtifact::sample`] draws from, and the
-//! trajectory memory hook) and a [`TrajectoryRunner`] (the per-shot
+//! `DdEngine::strong` or `SvEngine::strong` by backend).  Each engine —
+//! decision diagrams, dense vectors and the stabilizer tableau — ships an
+//! [`Engine`] (static preparation: strong simulation compiled into the
+//! sampler [`SimArtifact::sample`] draws from, and the trajectory memory
+//! hook) and a [`TrajectoryRunner`] (the per-shot
 //! measure/reset/collapse primitives), and [`EngineKind::engine`] is the
 //! single dispatch table.  Every run then follows one of two code paths
 //! written once for all engines: the static pipeline (route plan →
@@ -23,10 +24,10 @@ use crate::router::EngineKind;
 use crate::simulator::{RunError, StrongState, WeakSimulator};
 use crate::trajectory::{DdRunner, Event, SvRunner, TableauRunner, TrajectoryPlan};
 use circuit::{Circuit, Qubit};
-use dd::{DdError, DdPackage, DdStats, Governor};
+use dd::{CompiledSampler, DdError, DdPackage, DdStats, Governor};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use statevector::MemoryBudget;
+use statevector::{MemoryBudget, PrefixSampler};
 use std::time::Instant;
 use tableau::Tableau;
 
@@ -39,14 +40,9 @@ use tableau::Tableau;
 pub(crate) trait Engine: Sync {
     /// Strong-simulates the validated, measure-free static `circuit` under
     /// `sim`'s configuration and prepares this engine's sampler — the
-    /// expensive half of a static run.  Dense engines also return their
-    /// strong state, so a building run can still expose
-    /// [`RunOutcome::strong`](crate::RunOutcome::strong).
-    fn prepare(
-        &self,
-        circuit: &Circuit,
-        sim: &WeakSimulator,
-    ) -> Result<(Prepared, Option<StrongState>), RunError>;
+    /// expensive half of a static run.  Only the sampler is kept: the
+    /// strong state is dropped as soon as it is compiled.
+    fn prepare(&self, circuit: &Circuit, sim: &WeakSimulator) -> Result<Prepared, RunError>;
 
     /// Pre-checks the peak memory a trajectory run with `workers` concurrent
     /// workers would allocate against `budget`.  Engines whose memory grows
@@ -156,22 +152,35 @@ impl SvEngine {
 }
 
 /// The `prepare` hook of both dense engines: the engine's timed `strong`
-/// simulation, then sampler compilation.
+/// simulation, then sampler compilation.  The state — and with it the DD
+/// package's tables and caches, or the dense amplitudes — is dropped on
+/// return, before any shot is drawn.
 fn prepare_dense(
     strong: impl FnOnce() -> Result<StrongState, RunError>,
-) -> Result<(Prepared, Option<StrongState>), RunError> {
+) -> Result<Prepared, RunError> {
     let strong_start = Instant::now();
     let state = strong()?;
-    let prepared = Prepared::from_state(&state, strong_start.elapsed())?;
-    Ok((prepared, Some(state)))
+    let strong_time = strong_start.elapsed();
+    let precompute_start = Instant::now();
+    let sampler = match &state {
+        StrongState::DecisionDiagram { package, state } => {
+            PreparedSampler::DecisionDiagram(CompiledSampler::new(package, state)?)
+        }
+        StrongState::StateVector(vector) => {
+            PreparedSampler::StateVector(PrefixSampler::new(vector))
+        }
+    };
+    Ok(Prepared {
+        sampler,
+        representation_size: state.representation_size(),
+        dd_stats: state.dd_stats(),
+        strong_time,
+        precompute_time: precompute_start.elapsed(),
+    })
 }
 
 impl Engine for DdEngine {
-    fn prepare(
-        &self,
-        circuit: &Circuit,
-        sim: &WeakSimulator,
-    ) -> Result<(Prepared, Option<StrongState>), RunError> {
+    fn prepare(&self, circuit: &Circuit, sim: &WeakSimulator) -> Result<Prepared, RunError> {
         prepare_dense(|| Self::strong(circuit, sim.governor()))
     }
 
@@ -185,11 +194,7 @@ impl Engine for DdEngine {
 }
 
 impl Engine for SvEngine {
-    fn prepare(
-        &self,
-        circuit: &Circuit,
-        sim: &WeakSimulator,
-    ) -> Result<(Prepared, Option<StrongState>), RunError> {
+    fn prepare(&self, circuit: &Circuit, sim: &WeakSimulator) -> Result<Prepared, RunError> {
         prepare_dense(|| Self::strong(circuit, sim.memory_budget()))
     }
 
@@ -224,11 +229,7 @@ impl Engine for SvEngine {
 }
 
 impl Engine for TableauEngine {
-    fn prepare(
-        &self,
-        circuit: &Circuit,
-        _sim: &WeakSimulator,
-    ) -> Result<(Prepared, Option<StrongState>), RunError> {
+    fn prepare(&self, circuit: &Circuit, _sim: &WeakSimulator) -> Result<Prepared, RunError> {
         let num_qubits = usize::from(circuit.num_qubits()).max(1);
         let strong_start = Instant::now();
         let mut tab = Tableau::zero_state(num_qubits);
@@ -240,7 +241,7 @@ impl Engine for TableauEngine {
         let strong_time = strong_start.elapsed();
         let precompute_start = Instant::now();
         let sampler = PreparedSampler::Tableau(tab.measurement_sampler());
-        let prepared = Prepared {
+        Ok(Prepared {
             sampler,
             // The stabilizer generator count — the tableau analogue of DD
             // node count / dense amplitude count.
@@ -248,8 +249,7 @@ impl Engine for TableauEngine {
             dd_stats: None,
             strong_time,
             precompute_time: precompute_start.elapsed(),
-        };
-        Ok((prepared, None))
+        })
     }
 
     fn trajectory_runner<'p>(

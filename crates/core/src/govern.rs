@@ -94,14 +94,6 @@ impl RunGovernor {
         self
     }
 
-    /// The configured byte budget, if any — shared with the artifact cache
-    /// ([`ArtifactCache::governed`](crate::ArtifactCache::governed)), so
-    /// retained samplers live under the same ceiling as package footprints.
-    #[must_use]
-    pub fn byte_budget(&self) -> Option<u64> {
-        self.byte_budget
-    }
-
     /// Limits every run to `timeout` of wall-clock time, measured from the
     /// moment the run starts (i.e. from [`arm`](RunGovernor::arm)).
     #[must_use]

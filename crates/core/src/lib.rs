@@ -26,9 +26,8 @@
 //!   simulation (a compiled DD sampler, dense prefix sums or a tableau
 //!   measurement sampler, plus route and stats), and [`ArtifactCache`] is a
 //!   bounded, fingerprint-keyed store ([`circuit::Circuit::fingerprint`])
-//!   that lets [`WeakSimulator::with_cache`] and the [`ServiceBroker`] serve
-//!   warm requests without re-simulating — same seed, bit-identical
-//!   histogram;
+//!   that lets the [`ServiceBroker`] serve warm requests without
+//!   re-simulating — same seed, bit-identical histogram;
 //! * [`govern`] — run governance: attach a [`RunGovernor`] (node/byte
 //!   budgets, a per-run timeout, a shareable [`dd::CancelToken`]) with
 //!   [`WeakSimulator::with_governor`].  Static runs that hit a limit fail
@@ -55,14 +54,16 @@
 //!
 //! * a noise-free circuit whose only non-unitary content is a *trailing*
 //!   block of `measure` operations (or none at all) is **static**.  Every
-//!   static run — uncached, through [`WeakSimulator::with_cache`], or
-//!   through a [`ServiceBroker`] — goes route plan → artifact → sample: the
-//!   router (when enabled) picks the engine and the circuit, that engine
-//!   strong-simulates once and prepares its sampler into a [`SimArtifact`],
-//!   and [`SimArtifact::sample`] draws the shots, the trailing measurements
-//!   reduced to a bit-relabelling of the sampled strings.  The cache and
-//!   the broker only decide whether the artifact is kept, so the
-//!   histogram for a seed is the same whichever way the request came in;
+//!   static run — uncached through [`WeakSimulator::run`], or cached
+//!   through [`ServiceBroker::serve`] — goes route plan → artifact →
+//!   sample: the router (when enabled) picks the engine and the circuit,
+//!   that engine strong-simulates once and prepares its sampler into a
+//!   [`SimArtifact`], and [`SimArtifact::sample`] draws the shots, the
+//!   trailing measurements reduced to a bit-relabelling of the sampled
+//!   strings.  The broker only
+//!   decides whether the artifact is kept, so the histogram for a seed is
+//!   the same whichever way the request came in.  Exact probabilities
+//!   come from [`WeakSimulator::strong`] alone;
 //! * a circuit with a measurement followed by more gates, any `reset`, any
 //!   classically-conditioned gate, or a non-trivial noise model runs on the
 //!   **trajectory loop**: collapse at each event, evolve the suffix

@@ -343,12 +343,18 @@ mod tests {
         let plan = route_plan(&c, Backend::DecisionDiagram, true, None);
         assert_eq!(plan.engine, EngineKind::DecisionDiagram);
         assert_eq!(plan.route, RunRoute::dense(Backend::DecisionDiagram, 1));
-        let outcome = crate::WeakSimulator::new(Backend::DecisionDiagram)
-            .with_clifford_router()
-            .run(&c, 10, 0)
-            .unwrap();
+        let broker = crate::ServiceBroker::new(
+            crate::ArtifactCache::unbounded(),
+            crate::ServiceConfig::default(),
+        );
+        let sim = crate::WeakSimulator::new(Backend::DecisionDiagram).with_clifford_router();
+        let outcome = broker.serve(&sim, &c, 10, 0).unwrap();
         assert_eq!(outcome.route, plan.route);
-        assert!(outcome.state.is_some(), "dense runs keep their state");
+        assert_eq!(
+            outcome.cache,
+            Some(crate::CacheOutcome::Miss),
+            "dense runs stay on the static pipeline"
+        );
     }
 
     #[test]

@@ -77,7 +77,7 @@
 //! ```
 
 use crate::artifact::{ArtifactCache, CacheOutcome, SimArtifact};
-use crate::simulator::{outcome_from_artifact, RunError, RunOutcome, StrongState, WeakSimulator};
+use crate::simulator::{outcome_from_artifact, RunError, RunOutcome, WeakSimulator};
 use circuit::Circuit;
 use std::collections::HashMap;
 use std::io::{self, Write as _};
@@ -355,7 +355,6 @@ impl ServiceBroker {
                 shots,
                 seed,
                 Some(CacheOutcome::Hit),
-                None,
             ));
         }
         let deadline = sim.governor().timeout().map(|t| Instant::now() + t);
@@ -368,7 +367,6 @@ impl ServiceBroker {
                     shots,
                     seed,
                     Some(CacheOutcome::Coalesced),
-                    None,
                 ))
             }
             Admission::Wait(slot) => self.wait_on_slot(&slot, key, shots, seed),
@@ -474,7 +472,6 @@ impl ServiceBroker {
                         shots,
                         seed,
                         Some(CacheOutcome::Coalesced),
-                        None,
                     ));
                 }
                 SlotState::Failed(error) => return Err(error.clone()),
@@ -505,7 +502,7 @@ impl ServiceBroker {
         let built = self.build_with_retry(sim, circuit);
         guard.armed = false;
         match built {
-            Ok((artifact, state, build_seconds)) => {
+            Ok((artifact, build_seconds)) => {
                 let artifact = self.cache.insert(key, artifact);
                 self.resolve_slot(key, slot, SlotState::Done(Arc::clone(&artifact)));
                 self.builds.fetch_add(1, Ordering::Relaxed);
@@ -515,7 +512,6 @@ impl ServiceBroker {
                     shots,
                     seed,
                     Some(CacheOutcome::Miss),
-                    state,
                 ))
             }
             Err(error) => {
@@ -527,23 +523,20 @@ impl ServiceBroker {
     }
 
     /// One construction with bounded retry-with-backoff on transient
-    /// ([`RunError::Deadline`]) failures; returns the artifact, the strong
-    /// state (dense path) and the successful attempt's build seconds.
-    #[allow(clippy::type_complexity)]
+    /// ([`RunError::Deadline`]) failures; returns the artifact and the
+    /// successful attempt's build seconds.
     fn build_with_retry(
         &self,
         sim: &WeakSimulator,
         circuit: &Circuit,
-    ) -> Result<(SimArtifact, Option<StrongState>, f64), RunError> {
+    ) -> Result<(SimArtifact, f64), RunError> {
         let max_attempts = self.config.retry.max_attempts.max(1);
         let mut attempt = 0u32;
         loop {
             attempt += 1;
             let start = Instant::now();
             match self.attempt_build(sim, circuit) {
-                Ok((artifact, state)) => {
-                    return Ok((artifact, state, start.elapsed().as_secs_f64()))
-                }
+                Ok(artifact) => return Ok((artifact, start.elapsed().as_secs_f64())),
                 Err(error) => {
                     let transient = matches!(error, RunError::Deadline(_));
                     if !transient || attempt >= max_attempts {
@@ -561,7 +554,7 @@ impl ServiceBroker {
         &self,
         sim: &WeakSimulator,
         circuit: &Circuit,
-    ) -> Result<(SimArtifact, Option<StrongState>), RunError> {
+    ) -> Result<SimArtifact, RunError> {
         let attempt = self.build_attempts.fetch_add(1, Ordering::Relaxed) + 1;
         #[cfg(feature = "fault-inject")]
         {
@@ -646,15 +639,19 @@ impl ServiceBroker {
         }
     }
 
-    /// Writes a crash-safe snapshot of the cache to `path`; see
-    /// [`write_snapshot`].
+    /// Writes a crash-safe snapshot of the cache to `path`, atomically:
+    /// the bytes are staged in a sibling `.tmp` file, `fsync`ed, and renamed
+    /// into place — a crash mid-write leaves the previous snapshot intact.
+    /// Entries are written in LRU order; each section carries an FNV-1a 64
+    /// checksum so the loader can skip exactly the damaged ones.  See the
+    /// [module docs](self) for the file format.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures (and the injected write fault of a
-    /// [`ServiceFaultPlan`]); the previous snapshot at `path`, if any,
-    /// survives every failure mode because the data is staged in a temp
-    /// file and renamed into place only after `fsync`.
+    /// Propagates I/O failures from creating, writing, syncing or renaming
+    /// the temp file (and, under the `fault-inject` feature, the injected
+    /// write fault); the previous snapshot at `path`, if any, survives every
+    /// failure mode.
     pub fn write_snapshot(&self, path: &Path) -> io::Result<SnapshotWriteReport> {
         #[cfg(feature = "fault-inject")]
         {
@@ -663,17 +660,58 @@ impl ServiceBroker {
                 return Err(io::Error::other("injected snapshot write failure"));
             }
         }
-        write_snapshot(&self.cache, path)
+        let entries = self.cache.entries_lru_order();
+        let mut buf = Vec::new();
+        buf.extend_from_slice(SNAPSHOT_MAGIC);
+        buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+        let mut payload = Vec::new();
+        for (key, artifact) in &entries {
+            payload.clear();
+            artifact.encode_snapshot(&mut payload);
+            buf.extend_from_slice(&key[0].to_le_bytes());
+            buf.extend_from_slice(&key[1].to_le_bytes());
+            buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            buf.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+            buf.extend_from_slice(&payload);
+        }
+
+        let file_name = path.file_name().ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "snapshot path has no file name",
+            )
+        })?;
+        let mut tmp_name = file_name.to_os_string();
+        tmp_name.push(".tmp");
+        let tmp_path = path.with_file_name(tmp_name);
+        let mut file = std::fs::File::create(&tmp_path)?;
+        file.write_all(&buf)?;
+        file.sync_all()?;
+        drop(file);
+        std::fs::rename(&tmp_path, path)?;
+        Ok(SnapshotWriteReport {
+            entries: entries.len(),
+            bytes: buf.len() as u64,
+        })
     }
 
-    /// Loads a snapshot from `path` into the cache; see [`load_snapshot`].
+    /// Loads a snapshot written by [`write_snapshot`](Self::write_snapshot)
+    /// into the cache, restoring entries oldest-first so the cache's LRU
+    /// order (and, under a byte budget, its eviction victims) match the
+    /// saved state.
+    ///
+    /// Corruption tolerance: an unusable header loads nothing; a section
+    /// whose checksum fails or whose payload does not decode is skipped; a
+    /// file that ends before its declared entry count stops there.  All
+    /// three are reported in the returned [`SnapshotLoadReport`] — never a
+    /// panic, and never an `Err`; a skipped entry is simply rebuilt cold on
+    /// first request.
     ///
     /// # Errors
     ///
     /// Fails only when the file cannot be *read* (not found, permissions,
-    /// or the injected read fault of a [`ServiceFaultPlan`]).  Corrupted
-    /// *content* never errors: damaged sections are skipped and reported
-    /// in the returned [`SnapshotLoadReport`].
+    /// or, under the `fault-inject` feature, the injected read fault).
     pub fn load_snapshot(&self, path: &Path) -> io::Result<SnapshotLoadReport> {
         #[cfg(feature = "fault-inject")]
         {
@@ -682,7 +720,81 @@ impl ServiceBroker {
                 return Err(io::Error::other("injected snapshot read failure"));
             }
         }
-        load_snapshot(&self.cache, path)
+        let bytes = std::fs::read(path)?;
+        let mut report = SnapshotLoadReport::default();
+        if bytes.len() < 16 || &bytes[..8] != SNAPSHOT_MAGIC {
+            report.torn = true;
+            report
+                .messages
+                .push("snapshot header missing or unrecognized; starting cold".to_owned());
+            return Ok(report);
+        }
+        let version = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
+        if version != SNAPSHOT_VERSION {
+            report.torn = true;
+            report.messages.push(format!(
+                "unsupported snapshot version {version}; starting cold"
+            ));
+            return Ok(report);
+        }
+        let declared = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]) as usize;
+        let mut offset = 16usize;
+        for index in 0..declared {
+            if bytes.len() - offset < 32 {
+                report.torn = true;
+                report.messages.push(format!(
+                    "snapshot truncated in the header of entry {index} of {declared}; \
+                     remaining entries lost"
+                ));
+                break;
+            }
+            let word = |at: usize| -> u64 {
+                let mut out = [0u8; 8];
+                out.copy_from_slice(&bytes[at..at + 8]);
+                u64::from_le_bytes(out)
+            };
+            let key = [word(offset), word(offset + 8)];
+            let payload_len = word(offset + 16);
+            let checksum = word(offset + 24);
+            offset += 32;
+            let payload_len = match usize::try_from(payload_len) {
+                Ok(len) if len <= bytes.len() - offset => len,
+                _ => {
+                    report.torn = true;
+                    report.messages.push(format!(
+                        "snapshot truncated in the payload of entry {index} of {declared}; \
+                         remaining entries lost"
+                    ));
+                    break;
+                }
+            };
+            let payload = &bytes[offset..offset + payload_len];
+            offset += payload_len;
+            if fnv1a64(payload) != checksum {
+                report.skipped += 1;
+                report.messages.push(format!(
+                    "entry {index} (key {:016x}{:016x}): checksum mismatch, skipped \
+                     (will rebuild cold)",
+                    key[0], key[1]
+                ));
+                continue;
+            }
+            match SimArtifact::decode_snapshot(payload) {
+                Some(artifact) => {
+                    self.cache.restore(key, Arc::new(artifact));
+                    report.loaded += 1;
+                }
+                None => {
+                    report.skipped += 1;
+                    report.messages.push(format!(
+                        "entry {index} (key {:016x}{:016x}): payload malformed, skipped \
+                         (will rebuild cold)",
+                        key[0], key[1]
+                    ));
+                }
+            }
+        }
+        Ok(report)
     }
 }
 
@@ -734,145 +846,6 @@ pub struct SnapshotLoadReport {
     pub messages: Vec<String>,
 }
 
-/// Serializes every retained artifact of `cache` to `path`, atomically:
-/// the bytes are staged in a sibling `.tmp` file, `fsync`ed, and renamed
-/// into place — a crash mid-write leaves the previous snapshot intact.
-/// Entries are written in LRU order; each section carries an FNV-1a 64
-/// checksum so the loader can skip exactly the damaged ones.  See the
-/// [module docs](self) for the file format.
-///
-/// # Errors
-///
-/// Propagates I/O failures from creating, writing, syncing or renaming the
-/// temp file.
-pub fn write_snapshot(cache: &ArtifactCache, path: &Path) -> io::Result<SnapshotWriteReport> {
-    let entries = cache.entries_lru_order();
-    let mut buf = Vec::new();
-    buf.extend_from_slice(SNAPSHOT_MAGIC);
-    buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    let mut payload = Vec::new();
-    for (key, artifact) in &entries {
-        payload.clear();
-        artifact.encode_snapshot(&mut payload);
-        buf.extend_from_slice(&key[0].to_le_bytes());
-        buf.extend_from_slice(&key[1].to_le_bytes());
-        buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        buf.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        buf.extend_from_slice(&payload);
-    }
-
-    let file_name = path.file_name().ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "snapshot path has no file name",
-        )
-    })?;
-    let mut tmp_name = file_name.to_os_string();
-    tmp_name.push(".tmp");
-    let tmp_path = path.with_file_name(tmp_name);
-    let mut file = std::fs::File::create(&tmp_path)?;
-    file.write_all(&buf)?;
-    file.sync_all()?;
-    drop(file);
-    std::fs::rename(&tmp_path, path)?;
-    Ok(SnapshotWriteReport {
-        entries: entries.len(),
-        bytes: buf.len() as u64,
-    })
-}
-
-/// Loads a snapshot written by [`write_snapshot`] into `cache`, restoring
-/// entries oldest-first so the cache's LRU order (and, under a byte
-/// budget, its eviction victims) match the saved state.
-///
-/// Corruption tolerance: an unusable header loads nothing; a section whose
-/// checksum fails or whose payload does not decode is skipped; a file that
-/// ends before its declared entry count stops there.  All three are
-/// reported in the [`SnapshotLoadReport`] — never a panic, and never an
-/// `Err` (those are reserved for failing to read the file at all).
-///
-/// # Errors
-///
-/// Propagates the error from reading `path` (e.g. not found).
-pub fn load_snapshot(cache: &ArtifactCache, path: &Path) -> io::Result<SnapshotLoadReport> {
-    let bytes = std::fs::read(path)?;
-    let mut report = SnapshotLoadReport::default();
-    if bytes.len() < 16 || &bytes[..8] != SNAPSHOT_MAGIC {
-        report.torn = true;
-        report
-            .messages
-            .push("snapshot header missing or unrecognized; starting cold".to_owned());
-        return Ok(report);
-    }
-    let version = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-    if version != SNAPSHOT_VERSION {
-        report.torn = true;
-        report.messages.push(format!(
-            "unsupported snapshot version {version}; starting cold"
-        ));
-        return Ok(report);
-    }
-    let declared = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]) as usize;
-    let mut offset = 16usize;
-    for index in 0..declared {
-        if bytes.len() - offset < 32 {
-            report.torn = true;
-            report.messages.push(format!(
-                "snapshot truncated in the header of entry {index} of {declared}; \
-                 remaining entries lost"
-            ));
-            break;
-        }
-        let word = |at: usize| -> u64 {
-            let mut out = [0u8; 8];
-            out.copy_from_slice(&bytes[at..at + 8]);
-            u64::from_le_bytes(out)
-        };
-        let key = [word(offset), word(offset + 8)];
-        let payload_len = word(offset + 16);
-        let checksum = word(offset + 24);
-        offset += 32;
-        let payload_len = match usize::try_from(payload_len) {
-            Ok(len) if len <= bytes.len() - offset => len,
-            _ => {
-                report.torn = true;
-                report.messages.push(format!(
-                    "snapshot truncated in the payload of entry {index} of {declared}; \
-                     remaining entries lost"
-                ));
-                break;
-            }
-        };
-        let payload = &bytes[offset..offset + payload_len];
-        offset += payload_len;
-        if fnv1a64(payload) != checksum {
-            report.skipped += 1;
-            report.messages.push(format!(
-                "entry {index} (key {:016x}{:016x}): checksum mismatch, skipped \
-                 (will rebuild cold)",
-                key[0], key[1]
-            ));
-            continue;
-        }
-        match SimArtifact::decode_snapshot(payload) {
-            Some(artifact) => {
-                cache.restore(key, Arc::new(artifact));
-                report.loaded += 1;
-            }
-            None => {
-                report.skipped += 1;
-                report.messages.push(format!(
-                    "entry {index} (key {:016x}{:016x}): payload malformed, skipped \
-                     (will rebuild cold)",
-                    key[0], key[1]
-                ));
-            }
-        }
-    }
-    Ok(report)
-}
-
 /// FNV-1a 64 over a snapshot section payload.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -916,6 +889,9 @@ mod tests {
             .unwrap();
         assert_eq!(cold.cache, Some(CacheOutcome::Miss));
         assert_eq!(warm.cache, Some(CacheOutcome::Hit));
+        // A hit pays nothing but the per-shot draw.
+        assert_eq!(warm.strong_time, Duration::ZERO);
+        assert_eq!(warm.precompute_time, Duration::ZERO);
         assert_eq!(cold.histogram, plain.histogram);
         assert_eq!(warm.histogram, plain.histogram);
         assert_eq!(broker.stats().builds, 1);

@@ -11,8 +11,9 @@
 //!   as in the paper.  A trailing block of `measure` operations is allowed:
 //!   it is split off and applied as a qubit→classical-bit relabelling of
 //!   the sampled bitstrings, so circuits imported from QASM with a terminal
-//!   `measure q -> c;` stay on the fast path.  An attached cache changes
-//!   only whether the artifact is kept.
+//!   `measure q -> c;` stay on the fast path.  Serving the request through
+//!   a [`ServiceBroker`](crate::ServiceBroker) changes only whether the
+//!   artifact is kept.
 //! * **Dynamic** circuits — mid-circuit measurement, reset or
 //!   classically-conditioned gates (`if (c==k)` feed-forward) — and every
 //!   circuit under a non-trivial noise model are handed to the
@@ -22,11 +23,10 @@
 //!   chunk-seeding scheme so the result is seed-deterministic independent
 //!   of the worker-thread count.
 
-use crate::artifact::{ArtifactCache, CacheOutcome, Prepared, SimArtifact};
+use crate::artifact::{CacheOutcome, SimArtifact};
 use crate::backend::{DdEngine, SvEngine};
 use crate::govern::{Interruption, RunGovernor};
 use crate::router::{route_plan, RunRoute};
-use crate::service::{ServiceBroker, ServiceConfig};
 use crate::ShotHistogram;
 use circuit::{Circuit, NoiseModel, Qubit};
 use dd::{DdError, DdPackage, DdStats, StateDd};
@@ -201,14 +201,13 @@ impl From<dd::ApplyError> for RunError {
     }
 }
 
-/// The result of strong simulation, kept so repeated sampling does not redo
-/// the simulation itself.
+/// The result of strong simulation ([`WeakSimulator::strong`]): the exact
+/// final state, for amplitude and probability queries.
 ///
-/// Cross-call reuse of the *compiled sampler* lives one layer up: a
-/// [`SimArtifact`] detaches the sampler from the package entirely and an
-/// [`ArtifactCache`] shares it across runs, so the strong state carries no
-/// lazily-filled sampler cell — each direct [`WeakSimulator::sample`] call
-/// compiles afresh.
+/// Sampling never goes through a `StrongState`: a static run compiles its
+/// sampler into a [`SimArtifact`] and drops the state (and with it the DD
+/// package) before drawing, and a [`ServiceBroker`](crate::ServiceBroker)
+/// shares that artifact across requests.
 #[derive(Debug)]
 pub enum StrongState {
     /// A decision-diagram state together with its owning package.
@@ -300,9 +299,6 @@ pub struct RunOutcome {
     /// hit/miss/eviction counters — for DD-backend runs (for trajectory
     /// runs: summed over all worker packages); `None` on the dense backend.
     pub dd_stats: Option<DdStats>,
-    /// The final strong-simulation state, for follow-up queries.  `None`
-    /// for dynamic circuits, whose final state differs per trajectory.
-    pub state: Option<StrongState>,
     /// Set when a governed trajectory run was interrupted (budget, deadline
     /// or cancellation): the histogram then holds only the shots completed
     /// before the interruption.  Always `None` for static runs, which fail
@@ -313,11 +309,11 @@ pub struct RunOutcome {
     /// backend; runs under [`WeakSimulator::with_clifford_router`] may report
     /// a tableau-only route or a tableau-prefix + dense-suffix stitch.
     pub route: RunRoute,
-    /// Whether an attached [`ArtifactCache`] served this run
-    /// ([`CacheOutcome::Hit`]: no strong simulation ran) or was populated by
-    /// it ([`CacheOutcome::Miss`]).  `None` when no cache was consulted — no
-    /// cache attached, or the request was cache-ineligible (noisy or
-    /// dynamic).
+    /// Whether a [`ServiceBroker`](crate::ServiceBroker)'s cache served
+    /// this run ([`CacheOutcome::Hit`]: no strong simulation ran) or was
+    /// populated by it ([`CacheOutcome::Miss`]).  `None` when no cache was
+    /// consulted — an uncached [`WeakSimulator::run`], or a cache-ineligible
+    /// (noisy or dynamic) request.
     pub cache: Option<CacheOutcome>,
 }
 
@@ -327,23 +323,6 @@ impl RunOutcome {
     #[must_use]
     pub fn weak_time(&self) -> Duration {
         self.precompute_time + self.sampling_time
-    }
-
-    /// The strong-simulation state of a static run.
-    ///
-    /// # Panics
-    ///
-    /// Panics for trajectory (dynamic-circuit) runs, which have no single
-    /// final state, and for cache *hits*, which skip strong simulation
-    /// entirely (check [`RunOutcome::cache`], or query the shared
-    /// [`SimArtifact`] instead).
-    #[must_use]
-    pub fn strong(&self) -> &StrongState {
-        // The panic is this accessor's documented contract.
-        #[allow(clippy::expect_used)]
-        self.state
-            .as_ref()
-            .expect("dynamic-circuit runs have no single final state")
     }
 }
 
@@ -359,6 +338,9 @@ impl RunOutcome {
 /// let mut sim = WeakSimulator::new(Backend::StateVector);
 /// let outcome = sim.run(&circuit, 500, 1)?;
 /// assert_eq!(outcome.histogram.shots(), 500);
+/// // Exact probabilities come from strong simulation alone.
+/// let exact = sim.strong(&circuit)?;
+/// assert!((exact.probability(0) - 0.5).abs() < 1e-12);
 /// # Ok::<(), weaksim::RunError>(())
 /// ```
 ///
@@ -372,7 +354,7 @@ impl RunOutcome {
 /// let noise = NoiseModel::new().with_gate_noise(NoiseChannel::depolarizing(0.02));
 /// let mut sim = WeakSimulator::new(Backend::DecisionDiagram).with_noise(noise);
 /// let outcome = sim.run(&circuit, 500, 1)?;
-/// assert!(outcome.state.is_none(), "noisy runs have no single final state");
+/// assert_eq!(outcome.histogram.shots(), 500);
 /// # Ok::<(), weaksim::RunError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -383,7 +365,6 @@ pub struct WeakSimulator {
     governor: RunGovernor,
     threads: Option<usize>,
     clifford_router: bool,
-    cache: Option<ArtifactCache>,
 }
 
 impl WeakSimulator {
@@ -398,28 +379,7 @@ impl WeakSimulator {
             governor: RunGovernor::unlimited(),
             threads: None,
             clifford_router: false,
-            cache: None,
         }
-    }
-
-    /// Attaches an [`ArtifactCache`]: noise-free static [`run`](Self::run)
-    /// requests are then served through the same front door as a
-    /// [`ServiceBroker`] with the default [`ServiceConfig`] over this cache.
-    /// A warm request skips strong simulation and sampler preparation
-    /// entirely and pays only the per-shot sampling cost; every request
-    /// draws the histogram the uncached run draws for the same seed.
-    /// [`RunOutcome::cache`] reports whether the artifact was found or
-    /// built, and a build that hits the governor's deadline is retried per
-    /// the default [`RetryPolicy`](crate::RetryPolicy).
-    ///
-    /// The handle is shared: clone one cache into many simulators (or hand
-    /// it to many threads) and they serve each other's requests.  Noisy and
-    /// dynamic requests bypass the cache — their per-shot evolution has no
-    /// reusable prepared sampler.
-    #[must_use]
-    pub fn with_cache(mut self, cache: &ArtifactCache) -> Self {
-        self.cache = Some(cache.clone());
-        self
     }
 
     /// Enables the segmented Clifford router (see [`crate::router`]):
@@ -430,9 +390,8 @@ impl WeakSimulator {
     /// reports which engine(s) executed each segment.
     ///
     /// Routing never changes the sampled distribution, but tableau-routed
-    /// outcomes carry no dense [`RunOutcome::state`] (calling
-    /// [`RunOutcome::strong`] on them panics) and report the stabilizer
-    /// generator count as their representation size.  Under a [noise
+    /// outcomes report the stabilizer generator count as their
+    /// representation size.  Under a [noise
     /// model](Self::with_noise) made of Pauli channels only, fully-Clifford
     /// circuits still run on the tableau (Pauli errors are native there)
     /// but nothing is stitched; any other channel keeps the run dense.
@@ -549,6 +508,9 @@ impl WeakSimulator {
     /// Either way the histogram is seed-deterministic independent of the
     /// worker-thread count.
     ///
+    /// Nothing is kept between calls: to reuse the prepared sampler across
+    /// requests, serve them through a [`ServiceBroker`](crate::ServiceBroker).
+    ///
     /// # Errors
     ///
     /// Returns [`RunError::InvalidCircuit`] for malformed circuits,
@@ -566,14 +528,10 @@ impl WeakSimulator {
         shots: u64,
         seed: u64,
     ) -> Result<RunOutcome, RunError> {
-        if let Some(cache) = &self.cache {
-            return ServiceBroker::new(cache.clone(), ServiceConfig::default())
-                .serve(self, circuit, shots, seed);
-        }
         self.validate(circuit)?;
         if self.runs_static(circuit) {
-            let (artifact, state) = self.prepare_artifact(circuit)?;
-            return Ok(outcome_from_artifact(&artifact, shots, seed, None, state));
+            let artifact = self.prepare_artifact(circuit)?;
+            return Ok(outcome_from_artifact(&artifact, shots, seed, None));
         }
         self.run_trajectories(circuit, shots, seed)
     }
@@ -637,15 +595,10 @@ impl WeakSimulator {
 
     /// Builds the [`SimArtifact`] for a validated, noise-free, static
     /// `circuit`: the route plan picks the engine and the circuit it runs
-    /// (original or stitched), and that engine prepares the sampler.  Also
-    /// returns the [`StrongState`] when a dense engine built one, so the
-    /// building run can still expose [`RunOutcome::strong`].  A dynamic
-    /// circuit fails with [`RunError::DynamicCircuit`] at its first dynamic
-    /// operation.
-    pub(crate) fn prepare_artifact(
-        &self,
-        circuit: &Circuit,
-    ) -> Result<(SimArtifact, Option<StrongState>), RunError> {
+    /// (original or stitched), and that engine prepares the sampler.  A
+    /// dynamic circuit fails with [`RunError::DynamicCircuit`] at its first
+    /// dynamic operation.
+    pub(crate) fn prepare_artifact(&self, circuit: &Circuit) -> Result<SimArtifact, RunError> {
         if circuit.is_dynamic() {
             // The first non-unitary or conditioned operation of a dynamic
             // circuit is always a dynamic one.
@@ -668,16 +621,15 @@ impl WeakSimulator {
         } else {
             (Cow::Borrowed(circuit), Vec::new())
         };
-        let (prepared, state) = plan.engine.engine().prepare(&prefix, self)?;
-        let artifact = SimArtifact::new(
+        let prepared = plan.engine.engine().prepare(&prefix, self)?;
+        Ok(SimArtifact::new(
             prepared,
             mapping,
             circuit.num_qubits(),
             circuit.num_clbits(),
             self.backend,
             plan.route,
-        );
-        Ok((artifact, state))
+        ))
     }
 
     /// The trajectory path of a validated request: dynamic circuits, and
@@ -710,66 +662,22 @@ impl WeakSimulator {
             strong_time: Duration::ZERO,
             precompute_time: outcome.precompute_time,
             sampling_time: outcome.sampling_time,
-            state: None,
             interruption: outcome.interruption,
             route: plan.route,
             cache: None,
         })
     }
-
-    /// Draws `shots` samples from an already strong-simulated state.
-    ///
-    /// Returns the histogram together with the precomputation time (prefix
-    /// sums or sampler compilation) and the pure sampling time.  The state
-    /// is compiled into a one-off [`SimArtifact`] *per call* and drawn with
-    /// [`SimArtifact::sample`]; to reuse a compiled sampler across calls (or
-    /// threads, or runs), keep the artifact instead —
-    /// [`ArtifactCache`] shares it across requests.
-    ///
-    /// The decision-diagram path draws on every available worker thread;
-    /// the output is deterministic for a given `seed` regardless of the
-    /// thread count (see the `dd` crate docs for the seeding scheme).
-    ///
-    /// # Errors
-    ///
-    /// Sampler compilation runs under the governor of the package that
-    /// produced `state`: on a governed state it can fail with
-    /// [`RunError::Deadline`] or [`RunError::Cancelled`] (compilation
-    /// allocates no decision-diagram nodes, so budgets cannot trip here).
-    /// Ungoverned states never fail.
-    pub fn sample(
-        state: &StrongState,
-        shots: u64,
-        seed: u64,
-    ) -> Result<(ShotHistogram, Duration, Duration), RunError> {
-        let prepared = Prepared::from_state(state, Duration::ZERO)?;
-        let precompute_time = prepared.precompute_time;
-        let backend = state.backend();
-        let artifact = SimArtifact::new(
-            prepared,
-            Vec::new(),
-            state.num_qubits(),
-            0,
-            backend,
-            RunRoute::dense(backend, 0),
-        );
-        let sampling_start = Instant::now();
-        let histogram = artifact.sample(shots, seed);
-        Ok((histogram, precompute_time, sampling_start.elapsed()))
-    }
 }
 
 /// Builds the [`RunOutcome`] for a request served from a prepared artifact
 /// — every noise-free static run, cached or not.  Building outcomes (no
-/// cache, or [`CacheOutcome::Miss`]) report the artifact's build times and
-/// carry the strong state when a dense engine produced one; hit and
-/// coalesced outcomes paid only the per-shot draw.
+/// cache, or [`CacheOutcome::Miss`]) report the artifact's build times; hit
+/// and coalesced outcomes paid only the per-shot draw.
 pub(crate) fn outcome_from_artifact(
     artifact: &SimArtifact,
     shots: u64,
     seed: u64,
     cache: Option<CacheOutcome>,
-    state: Option<StrongState>,
 ) -> RunOutcome {
     let sampling_start = Instant::now();
     let histogram = artifact.sample(shots, seed);
@@ -792,7 +700,6 @@ pub(crate) fn outcome_from_artifact(
         strong_time,
         precompute_time,
         sampling_time,
-        state,
         interruption: None,
         route: artifact.route().clone(),
         cache,
@@ -884,7 +791,7 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.representation_size, 10); // product state: 1 node/qubit
         assert!(outcome.weak_time() >= outcome.sampling_time);
-        assert_eq!(outcome.strong().num_qubits(), 10);
+        assert_eq!(outcome.histogram.num_qubits(), 10);
         let sv = WeakSimulator::new(Backend::StateVector)
             .run(&circuit, 100, 7)
             .unwrap();
@@ -923,43 +830,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_runs_hit_after_a_miss_and_stay_bit_identical() {
-        let circuit = algorithms::ghz(8);
-        let cache = ArtifactCache::unbounded();
-        let mut cached = WeakSimulator::new(Backend::DecisionDiagram).with_cache(&cache);
-        let mut uncached = WeakSimulator::new(Backend::DecisionDiagram);
-
-        let cold = cached.run(&circuit, 2000, 5).unwrap();
-        assert_eq!(cold.cache, Some(CacheOutcome::Miss));
-        assert!(
-            cold.state.is_some(),
-            "a miss still exposes the strong state"
-        );
-
-        let warm = cached.run(&circuit, 2000, 5).unwrap();
-        assert_eq!(warm.cache, Some(CacheOutcome::Hit));
-        assert!(warm.state.is_none(), "a hit never rebuilds the state");
-        assert_eq!(warm.strong_time, Duration::ZERO);
-        assert_eq!(warm.precompute_time, Duration::ZERO);
-
-        let plain = uncached.run(&circuit, 2000, 5).unwrap();
-        assert_eq!(plain.cache, None, "no cache attached, none consulted");
-        assert_eq!(cold.histogram, plain.histogram, "miss matches uncached");
-        assert_eq!(warm.histogram, plain.histogram, "hit matches uncached");
-
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-
-        // A second simulator sharing the cache handle hits immediately.
-        let shared = WeakSimulator::new(Backend::DecisionDiagram)
-            .with_cache(&cache)
-            .run(&circuit, 2000, 5)
-            .unwrap();
-        assert_eq!(shared.cache, Some(CacheOutcome::Hit));
-        assert_eq!(shared.histogram, plain.histogram);
-    }
-
-    #[test]
     fn trailing_measurements_stay_on_the_static_path_and_relabel_bits() {
         // GHZ with the measurement order swapped: c0 <- q1, c1 <- q0, and
         // qubit 2 never read.  Records are 2 bits wide, only 00 and 11 occur.
@@ -967,7 +837,14 @@ mod tests {
         circuit.measure(Qubit(1), 0).measure(Qubit(0), 1);
         assert!(!circuit.is_dynamic());
         for backend in [Backend::DecisionDiagram, Backend::StateVector] {
-            let outcome = WeakSimulator::new(backend).run(&circuit, 4000, 9).unwrap();
+            let sim = WeakSimulator::new(backend);
+            // Only static requests consult (and populate) a broker's cache.
+            let broker = crate::ServiceBroker::new(
+                crate::ArtifactCache::unbounded(),
+                crate::ServiceConfig::default(),
+            );
+            let outcome = broker.serve(&sim, &circuit, 4000, 9).unwrap();
+            assert_eq!(outcome.cache, Some(CacheOutcome::Miss));
             assert_eq!(outcome.histogram.num_qubits(), 2);
             assert!(outcome
                 .histogram
@@ -975,8 +852,6 @@ mod tests {
                 .keys()
                 .all(|&k| k == 0 || k == 0b11));
             assert!((outcome.histogram.frequency(0) - 0.5).abs() < 0.03);
-            // The static path keeps the pre-measurement strong state.
-            assert_eq!(outcome.strong().num_qubits(), 3);
         }
     }
 
@@ -992,7 +867,7 @@ mod tests {
         assert!(circuit.is_dynamic());
         for backend in [Backend::DecisionDiagram, Backend::StateVector] {
             let outcome = WeakSimulator::new(backend).run(&circuit, 4000, 21).unwrap();
-            assert!(outcome.state.is_none(), "trajectory runs keep no state");
+            assert_eq!(outcome.strong_time, Duration::ZERO, "{backend}");
             // Both bits always agree: only records 00 and 11.
             assert!(outcome
                 .histogram

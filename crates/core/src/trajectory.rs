@@ -31,7 +31,7 @@
 //! A [`NoiseModel`] attaches single-qubit channels to gate sites (after
 //! every unitary operation, per touched qubit), to specific qubits, and to
 //! read-outs (before each measurement).  The trajectory plan expands those
-//! attachment points into explicit [`EventKind::Noise`] events.  Pauli
+//! attachment points into explicit `EventKind::Noise` events.  Pauli
 //! channels (bit flip, phase flip, depolarizing) draw their branch from
 //! fixed probabilities; amplitude damping draws its decay branch from
 //! `gamma * P(qubit = 1)` like a generalized measurement, decays via
@@ -80,7 +80,7 @@
 //! # Determinism
 //!
 //! Shots are partitioned into fixed chunks of
-//! [`PARALLEL_CHUNK_SHOTS`](dd::PARALLEL_CHUNK_SHOTS) trajectories, and
+//! [`PARALLEL_CHUNK_SHOTS`] trajectories, and
 //! chunk `i` draws all its randomness — measurement outcomes *and* noise
 //! choices — from a dedicated [`SmallRng`] stream seeded with
 //! [`dd::chunk_stream_seed`]`(master_seed, i)` — the exact scheme of
@@ -105,7 +105,7 @@
 //! # Governance and interruption
 //!
 //! Runs launched through [`WeakSimulator`](crate::WeakSimulator) with a
-//! limited [`RunGovernor`](crate::RunGovernor) are governed end to end:
+//! limited [`RunGovernor`] are governed end to end:
 //! every worker package checks its node/byte budget at allocation sites and
 //! the deadline/token at amortized checkpoints, and every worker —
 //! including the statevector and tableau runners, whose per-shot

@@ -52,7 +52,7 @@
 //!
 //! # Fault injection
 //!
-//! With the `fault-inject` feature, a [`FaultPlan`] forces a budget, deadline
+//! With the `fault-inject` feature, a `FaultPlan` forces a budget, deadline
 //! or cancellation failure at an exact checkpoint count, making the
 //! abort-and-recover paths deterministically testable.  The plan keeps firing
 //! from its trigger point onward, so degradation retries fail too and the

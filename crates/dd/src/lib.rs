@@ -106,7 +106,7 @@
 //! Every long-running phase — node construction, gate application, sampler
 //! compilation — is budgeted, deadlined and cancellable through a
 //! [`Governor`] installed with [`DdPackage::set_governor`]; failures surface
-//! as typed [`DdError`]s rather than panics.  See the [`govern`](crate::govern)
+//! as typed [`DdError`]s rather than panics.  See the [`govern`]
 //! module docs for the amortized-check scheme and the degradation policy.
 
 #![forbid(unsafe_code)]

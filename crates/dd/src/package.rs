@@ -96,7 +96,7 @@ pub enum Normalization {
 // ---------------------------------------------------------------------------
 
 /// Maximum entries of the vector-addition compute cache (power of two).
-/// Caches start at [`COMPUTE_CACHE_MIN_ENTRIES`] and double — clearing on
+/// Caches start at `COMPUTE_CACHE_MIN_ENTRIES` and double — clearing on
 /// each growth step, losing only cached work — whenever eviction pressure
 /// shows the working set does not fit, so small packages stay small while
 /// million-node builds get the full capacity.

@@ -258,8 +258,9 @@ impl StateVector {
     /// Applies the amplitude-damping *no-decay* Kraus operator
     /// `K0 = diag(1, sqrt(1 - gamma))` to `qubit` in place and renormalizes
     /// to unit norm — the post-channel state of the branch in which the
-    /// qubit did not relax.  (The decay branch is [`collapse_qubit`]
-    /// (Self::collapse_qubit) to `1` followed by an `X` flip.)
+    /// qubit did not relax.  (The decay branch is
+    /// [`collapse_qubit`](Self::collapse_qubit) to `1` followed by an `X`
+    /// flip.)
     ///
     /// # Panics
     ///

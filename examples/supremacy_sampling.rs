@@ -48,14 +48,13 @@ fn main() -> Result<(), weaksim::RunError> {
     );
 
     // Validate statistical indistinguishability against the exact
-    // distribution (available from either strong simulation).
+    // distribution (available from either strong simulation; the dense one
+    // is the cheaper of the two here).
+    let exact = WeakSimulator::new(Backend::StateVector).strong(&circuit)?;
     for outcome in [&dd, &sv] {
-        let chi = stats::chi_square_test(&outcome.histogram, |index| {
-            outcome.strong().probability(index)
-        });
-        let tvd = stats::total_variation_distance(&outcome.histogram, |index| {
-            outcome.strong().probability(index)
-        });
+        let chi = stats::chi_square_test(&outcome.histogram, |index| exact.probability(index));
+        let tvd =
+            stats::total_variation_distance(&outcome.histogram, |index| exact.probability(index));
         println!(
             "{}: chi-square = {:.1} (dof {}), p = {:.3}, TVD = {:.4} -> {}",
             outcome.backend,

@@ -39,9 +39,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::Instant;
 
-use weaksim::{
-    ArtifactCache, Backend, CacheOutcome, RunGovernor, ServiceBroker, ServiceConfig, WeakSimulator,
-};
+use weaksim::{ArtifactCache, Backend, CacheOutcome, ServiceBroker, ServiceConfig, WeakSimulator};
 
 /// How many distinct outcomes to print per request.
 const TOP_OUTCOMES: usize = 4;
@@ -337,7 +335,7 @@ fn main() -> ExitCode {
     };
 
     let cache = match options.cache_bytes {
-        Some(bytes) => ArtifactCache::governed(&RunGovernor::unlimited().with_byte_budget(bytes)),
+        Some(bytes) => ArtifactCache::with_byte_budget(bytes),
         None => ArtifactCache::unbounded(),
     };
     let config = ServiceConfig {

@@ -1,16 +1,34 @@
-//! Integration tests for the artifact layer: cached runs must be
-//! bit-identical to uncached ones for the same seed on every engine, the
-//! request fingerprint must be sensitive to everything that changes the
-//! prepared sampler, shared artifacts must sample correctly from many
-//! threads at once, and the byte-budgeted cache must evict LRU-first and
-//! rebuild evicted artifacts transparently.
+//! Integration tests for the artifact layer: runs served through a
+//! `ServiceBroker`'s cache must be bit-identical to uncached ones for the
+//! same seed on every engine, the request fingerprint must be sensitive to
+//! everything that changes the prepared sampler, shared artifacts must
+//! sample correctly from many threads at once, and the byte-budgeted cache
+//! must evict LRU-first and rebuild evicted artifacts transparently.  Each
+//! test shares one broker, the cache's only writer.
 
 use circuit::{Circuit, NoiseChannel, NoiseModel, OneQubitGate, Qubit};
 use mathkit::Angle;
-use weaksim::{ArtifactCache, Backend, CacheOutcome, RunGovernor, WeakSimulator};
+use weaksim::{ArtifactCache, Backend, CacheOutcome, ServiceBroker, ServiceConfig, WeakSimulator};
 
-/// Runs `circuit` cold and warm through a fresh cache plus once without any
-/// cache, asserting that all three histograms are bit-identical and the
+/// A broker over `cache` with the default configuration.
+fn broker(cache: ArtifactCache) -> ServiceBroker {
+    ServiceBroker::new(cache, ServiceConfig::default())
+}
+
+/// Bytes retained after serving `circuits` into an unbounded cache — the
+/// size a byte budget must be chosen against.
+fn retained_bytes(circuits: &[&Circuit]) -> u64 {
+    let sizing = broker(ArtifactCache::unbounded());
+    let sim = WeakSimulator::new(Backend::DecisionDiagram);
+    for circuit in circuits {
+        sizing.serve(&sim, circuit, 100, 1).unwrap();
+    }
+    assert_eq!(sizing.cache().stats().entries, circuits.len());
+    sizing.cache().stats().bytes
+}
+
+/// Serves `circuit` cold and warm through a fresh broker plus once without
+/// any cache, asserting that all three histograms are bit-identical and the
 /// cache outcomes are reported correctly.
 fn assert_cached_runs_bit_identical(mut sim: WeakSimulator, circuit: &Circuit) {
     let shots = 20_000;
@@ -18,11 +36,10 @@ fn assert_cached_runs_bit_identical(mut sim: WeakSimulator, circuit: &Circuit) {
     let uncached = sim.run(circuit, shots, seed).unwrap();
     assert_eq!(uncached.cache, None);
 
-    let cache = ArtifactCache::unbounded();
-    let mut sim = sim.with_cache(&cache);
-    let cold = sim.run(circuit, shots, seed).unwrap();
+    let broker = broker(ArtifactCache::unbounded());
+    let cold = broker.serve(&sim, circuit, shots, seed).unwrap();
     assert_eq!(cold.cache, Some(CacheOutcome::Miss));
-    let warm = sim.run(circuit, shots, seed).unwrap();
+    let warm = broker.serve(&sim, circuit, shots, seed).unwrap();
     assert_eq!(warm.cache, Some(CacheOutcome::Hit));
 
     assert_eq!(cold.histogram, uncached.histogram, "cold != uncached");
@@ -120,11 +137,12 @@ fn request_fingerprint_is_sensitive_to_the_whole_request() {
 #[test]
 fn shared_artifacts_sample_concurrently() {
     let circuit = algorithms::w_state(6);
-    let cache = ArtifactCache::unbounded();
-    let mut sim = WeakSimulator::new(Backend::DecisionDiagram).with_cache(&cache);
-    let reference = sim.run(&circuit, 10_000, 7).unwrap();
+    let broker = broker(ArtifactCache::unbounded());
+    let sim = WeakSimulator::new(Backend::DecisionDiagram);
+    let reference = broker.serve(&sim, &circuit, 10_000, 7).unwrap();
 
-    let artifact = cache
+    let artifact = broker
+        .cache()
         .get(sim.request_fingerprint(&circuit))
         .expect("the run above populated the cache");
     std::thread::scope(|scope| {
@@ -155,43 +173,38 @@ fn byte_budget_evicts_lru_and_rebuilds_transparently() {
     let b = algorithms::qft(9, false);
 
     // Size the budget to hold exactly one of the two artifacts.
-    let probe = ArtifactCache::unbounded();
-    let mut sizing = WeakSimulator::new(Backend::DecisionDiagram).with_cache(&probe);
-    sizing.run(&a, 100, 1).unwrap();
-    sizing.run(&b, 100, 1).unwrap();
-    let both = probe.stats().bytes;
-    assert_eq!(probe.stats().entries, 2);
+    let both = retained_bytes(&[&a, &b]);
 
-    let cache = ArtifactCache::governed(&RunGovernor::unlimited().with_byte_budget(both - 1));
-    let mut sim = WeakSimulator::new(Backend::DecisionDiagram).with_cache(&cache);
-    let cold_a = sim.run(&a, 5_000, 3).unwrap();
+    let broker = broker(ArtifactCache::with_byte_budget(both - 1));
+    let sim = WeakSimulator::new(Backend::DecisionDiagram);
+    let cold_a = broker.serve(&sim, &a, 5_000, 3).unwrap();
     assert_eq!(cold_a.cache, Some(CacheOutcome::Miss));
-    let cold_b = sim.run(&b, 5_000, 3).unwrap();
+    let cold_b = broker.serve(&sim, &b, 5_000, 3).unwrap();
     assert_eq!(cold_b.cache, Some(CacheOutcome::Miss));
 
     // `b` displaced `a` (least recently used), so `a` misses and is rebuilt —
     // with a histogram identical to its first run.
-    let stats = cache.stats();
+    let stats = broker.cache().stats();
     assert!(stats.evictions >= 1, "budget must have forced an eviction");
     assert!(stats.bytes < both, "budget must hold after eviction");
-    let rebuilt_a = sim.run(&a, 5_000, 3).unwrap();
+    let rebuilt_a = broker.serve(&sim, &a, 5_000, 3).unwrap();
     assert_eq!(rebuilt_a.cache, Some(CacheOutcome::Miss));
     assert_eq!(rebuilt_a.histogram, cold_a.histogram);
 
     // And `a`'s rebuild in turn displaced `b`; a fresh `b` run still matches.
-    let rebuilt_b = sim.run(&b, 5_000, 3).unwrap();
+    let rebuilt_b = broker.serve(&sim, &b, 5_000, 3).unwrap();
     assert_eq!(rebuilt_b.cache, Some(CacheOutcome::Miss));
     assert_eq!(rebuilt_b.histogram, cold_b.histogram);
 }
 
 #[test]
 fn touch_on_hit_keeps_broker_served_entries_off_the_eviction_block() {
-    // Regression for the serve-path LRU ordering: a broker-served entry
-    // never goes through `ArtifactCache::get` (coalesced waiters take the
-    // artifact from the build slot), so recency must be bumped via
-    // `ArtifactCache::touch` — without it, an entry that just served a
-    // burst of concurrent traffic is still ranked by its *insertion* time
-    // and becomes the eviction victim at the next insert.
+    // Regression for the serve-path LRU ordering: every request the broker
+    // serves from an entry must make that entry the most recently used, so
+    // an artifact that just served traffic is never ranked by its
+    // *insertion* time and evicted at the next insert.  (Coalesced waiters
+    // never call `ArtifactCache::get`; the cache's own unit tests cover the
+    // `touch` they use instead.)
     //
     // Three near-identical circuits (same structure, different angles) give
     // three same-sized artifacts; a budget sized to hold exactly two forces
@@ -208,59 +221,48 @@ fn touch_on_hit_keeps_broker_served_entries_off_the_eviction_block() {
         c
     };
     let (a, b, c) = (variant(0.25), variant(0.5), variant(0.75));
+    let two = retained_bytes(&[&a, &b]);
 
-    let probe = ArtifactCache::unbounded();
-    let mut sizing = WeakSimulator::new(Backend::DecisionDiagram).with_cache(&probe);
-    sizing.run(&a, 100, 1).unwrap();
-    sizing.run(&b, 100, 1).unwrap();
-    let two = probe.stats().bytes;
-    assert_eq!(probe.stats().entries, 2);
+    let broker = broker(ArtifactCache::with_byte_budget(two));
+    let sim = WeakSimulator::new(Backend::DecisionDiagram);
+    let (key_a, key_b) = (sim.request_fingerprint(&a), sim.request_fingerprint(&b));
 
-    let cache = ArtifactCache::governed(&RunGovernor::unlimited().with_byte_budget(two));
-    let mut sim = WeakSimulator::new(Backend::DecisionDiagram).with_cache(&cache);
-    let sim_ro = WeakSimulator::new(Backend::DecisionDiagram);
-    let (key_a, key_b) = (
-        sim_ro.request_fingerprint(&a),
-        sim_ro.request_fingerprint(&b),
-    );
-
-    // Insert a then b, then interleave a broker-style slot-serve of `a`
-    // (touch, not get) before inserting c at the full budget.
-    sim.run(&a, 100, 1).unwrap();
-    sim.run(&b, 100, 1).unwrap();
-    assert!(cache.touch(key_a), "a is resident and must be touchable");
-    sim.run(&c, 100, 1).unwrap();
+    // Build a then b, serve `a` warm, then build c at the full budget.
+    broker.serve(&sim, &a, 100, 1).unwrap();
+    broker.serve(&sim, &b, 100, 1).unwrap();
+    let warm = broker.serve(&sim, &a, 100, 1).unwrap();
+    assert_eq!(warm.cache, Some(CacheOutcome::Hit));
+    broker.serve(&sim, &c, 100, 1).unwrap();
 
     // The victim must be b — the true least-recently-*used* entry — not a.
     assert!(
-        cache.get(key_a).is_some(),
-        "touched entry a must survive the eviction"
+        broker.cache().get(key_a).is_some(),
+        "served entry a must survive the eviction"
     );
     assert!(
-        cache.get(key_b).is_none(),
-        "untouched entry b must be the eviction victim"
+        broker.cache().get(key_b).is_none(),
+        "unserved entry b must be the eviction victim"
     );
-    assert!(!cache.touch(key_b), "touching an evicted key reports false");
+    assert_eq!(broker.cache().stats().evictions, 1);
 }
 
 #[test]
 fn noisy_and_dynamic_requests_bypass_the_cache() {
-    let cache = ArtifactCache::unbounded();
+    let broker = broker(ArtifactCache::unbounded());
 
     let mut dynamic = algorithms::ghz(3);
     dynamic.measure(Qubit(0), 0);
     dynamic.h(Qubit(1)); // gate after measurement: dynamic
-    let mut sim = WeakSimulator::new(Backend::DecisionDiagram).with_cache(&cache);
-    let outcome = sim.run(&dynamic, 500, 1).unwrap();
+    let sim = WeakSimulator::new(Backend::DecisionDiagram);
+    let outcome = broker.serve(&sim, &dynamic, 500, 1).unwrap();
     assert_eq!(outcome.cache, None);
 
-    let mut noisy = WeakSimulator::new(Backend::DecisionDiagram)
-        .with_noise(NoiseModel::new().with_gate_noise(NoiseChannel::depolarizing(0.02)))
-        .with_cache(&cache);
-    let outcome = noisy.run(&algorithms::ghz(3), 500, 1).unwrap();
+    let noisy = WeakSimulator::new(Backend::DecisionDiagram)
+        .with_noise(NoiseModel::new().with_gate_noise(NoiseChannel::depolarizing(0.02)));
+    let outcome = broker.serve(&noisy, &algorithms::ghz(3), 500, 1).unwrap();
     assert_eq!(outcome.cache, None);
 
-    let stats = cache.stats();
+    let stats = broker.cache().stats();
     assert_eq!(
         (stats.hits, stats.misses, stats.entries),
         (0, 0, 0),

@@ -101,6 +101,28 @@ fn unreadable_path_mid_stream_keeps_serving_too() {
 }
 
 #[test]
+fn cache_bytes_budget_serves_oversized_artifacts_without_retaining_them() {
+    let good = fixture("good-budget.qasm", GOOD_QASM);
+    let good_path = good.to_str().expect("utf-8 path");
+
+    // A one-byte budget is smaller than any artifact: both repeats are
+    // served, but neither build is retained, so the second one misses too.
+    let (stdout, stderr, ok) = serve(&["--cache-bytes", "1", "--repeat", "2"], &[good_path]);
+    assert!(ok, "budgeted session failed:\n{stderr}");
+    assert_eq!(
+        stdout.matches("top outcomes").count(),
+        2,
+        "stdout:\n{stdout}"
+    );
+    assert!(stdout.contains("0 hits / 2 misses"), "stdout:\n{stdout}");
+
+    // Without a budget the first build is retained and the repeat hits.
+    let (stdout, stderr, ok) = serve(&["--repeat", "2"], &[good_path]);
+    assert!(ok, "unbudgeted session failed:\n{stderr}");
+    assert!(stdout.contains("1 hits / 1 misses"), "stdout:\n{stdout}");
+}
+
+#[test]
 fn broken_stdout_pipe_still_reports_the_summary_and_exits_nonzero() {
     let good = fixture("good-pipe.qasm", GOOD_QASM);
     let good_path = good.to_str().expect("utf-8 path");

@@ -11,10 +11,10 @@ const SIGNIFICANCE: f64 = 1e-4;
 
 fn assert_statistically_indistinguishable(circuit: &circuit::Circuit, seed: u64) {
     for backend in [Backend::DecisionDiagram, Backend::StateVector] {
-        let outcome = WeakSimulator::new(backend)
-            .run(circuit, SHOTS, seed)
-            .expect("simulation succeeds");
-        let chi = chi_square_test(&outcome.histogram, |i| outcome.strong().probability(i));
+        let mut sim = WeakSimulator::new(backend);
+        let outcome = sim.run(circuit, SHOTS, seed).expect("simulation succeeds");
+        let exact = sim.strong(circuit).expect("strong simulation succeeds");
+        let chi = chi_square_test(&outcome.histogram, |i| exact.probability(i));
         assert!(
             chi.is_consistent(SIGNIFICANCE),
             "{} sampling of {} rejected: chi2 = {:.2}, dof = {}, p = {:.6}",
@@ -24,7 +24,7 @@ fn assert_statistically_indistinguishable(circuit: &circuit::Circuit, seed: u64)
             chi.degrees_of_freedom,
             chi.p_value
         );
-        let tvd = total_variation_distance(&outcome.histogram, |i| outcome.strong().probability(i));
+        let tvd = total_variation_distance(&outcome.histogram, |i| exact.probability(i));
         // The expected TVD of a faithful sampler grows with the support size:
         // roughly sqrt(2K / (pi * shots)) for K outcomes. Allow 1.5x that.
         let support = 1u64 << circuit.num_qubits();
@@ -39,7 +39,7 @@ fn assert_statistically_indistinguishable(circuit: &circuit::Circuit, seed: u64)
         // No impossible outcome may ever be produced (error-free sampling).
         for &index in outcome.histogram.counts().keys() {
             assert!(
-                outcome.strong().probability(index) > 0.0,
+                exact.probability(index) > 0.0,
                 "{} produced impossible outcome {index:b}",
                 backend
             );

@@ -7,7 +7,8 @@
 use circuit::{qasm, Circuit, NoiseChannel, NoiseModel, Qubit};
 use weaksim::{
     simulate_noisy_trajectories, simulate_noisy_trajectories_with_threads,
-    simulate_trajectories_with_threads, stats, Backend, WeakSimulator,
+    simulate_trajectories_with_threads, stats, ArtifactCache, Backend, CacheOutcome, ServiceBroker,
+    ServiceConfig, WeakSimulator,
 };
 
 /// Quantum teleportation with mid-circuit measurement, expressed in the
@@ -520,19 +521,31 @@ fn backends_agree_exactly_on_noisy_records() {
     );
 }
 
+/// A broker that serves static requests from its cache: its outcomes
+/// report `cache == Some(Miss)` on a static request's first serve and
+/// `None` for a trajectory request, which bypasses the cache.
+fn broker() -> ServiceBroker {
+    ServiceBroker::new(ArtifactCache::unbounded(), ServiceConfig::default())
+}
+
 /// `WeakSimulator::with_noise` routes every circuit — static ones included —
 /// through the trajectory engine, while a zero-strength model keeps the
-/// static fast path (and its strong state).
+/// static fast path.
 #[test]
 fn weak_simulator_routes_noisy_circuits_through_trajectories() {
     let circuit = algorithms::ghz(3);
-    let noisy = WeakSimulator::new(Backend::DecisionDiagram)
-        .with_noise(algorithms::hardware_noise(0.02))
-        .run(&circuit, 2_000, 5)
+    let noisy = broker()
+        .serve(
+            &WeakSimulator::new(Backend::DecisionDiagram)
+                .with_noise(algorithms::hardware_noise(0.02)),
+            &circuit,
+            2_000,
+            5,
+        )
         .unwrap();
-    assert!(
-        noisy.state.is_none(),
-        "noisy runs have no single final state"
+    assert_eq!(
+        noisy.cache, None,
+        "noisy runs take the trajectory path, with no artifact to cache"
     );
     assert_eq!(noisy.histogram.num_qubits(), 3);
     // Noise makes the forbidden middle outcomes appear.
@@ -542,12 +555,18 @@ fn weak_simulator_routes_noisy_circuits_through_trajectories() {
         "2% depolarizing noise must break some GHZ shots"
     );
 
-    let silent = WeakSimulator::new(Backend::DecisionDiagram)
-        .with_noise(algorithms::hardware_noise(0.0))
-        .run(&circuit, 2_000, 5)
+    let silent = broker()
+        .serve(
+            &WeakSimulator::new(Backend::DecisionDiagram)
+                .with_noise(algorithms::hardware_noise(0.0)),
+            &circuit,
+            2_000,
+            5,
+        )
         .unwrap();
-    assert!(
-        silent.state.is_some(),
+    assert_eq!(
+        silent.cache,
+        Some(CacheOutcome::Miss),
         "a zero-strength model keeps the static fast path"
     );
     let ideal = WeakSimulator::new(Backend::DecisionDiagram)
@@ -656,14 +675,18 @@ if (c==1) measure q[1] -> c[1];
 #[test]
 fn static_circuits_still_keep_their_strong_state() {
     // A static circuit with a terminal measurement block keeps the fast
-    // path: the outcome exposes the strong state and a classical histogram.
-    let mut circuit = Circuit::new(2);
-    circuit.h(Qubit(0)).cx(Qubit(0), Qubit(1)).measure_all();
+    // path: it builds a cacheable artifact, the strong state of its unitary
+    // part stays available, and the histogram holds classical records.
+    let mut bell = Circuit::new(2);
+    bell.h(Qubit(0)).cx(Qubit(0), Qubit(1));
+    let mut circuit = bell.clone();
+    circuit.measure_all();
     assert!(!circuit.is_dynamic());
-    let outcome = WeakSimulator::new(Backend::DecisionDiagram)
-        .run(&circuit, 1000, 1)
-        .unwrap();
-    assert!(outcome.state.is_some());
+    let sim = WeakSimulator::new(Backend::DecisionDiagram);
+    let outcome = broker().serve(&sim, &circuit, 1000, 1).unwrap();
+    assert_eq!(outcome.cache, Some(CacheOutcome::Miss));
+    let exact = sim.strong(&bell).unwrap();
+    assert!((exact.probability(0b11) - 0.5).abs() < 1e-12);
     assert!(outcome
         .histogram
         .counts()
