@@ -385,7 +385,7 @@ fn record_baseline_json(_c: &mut Criterion) {
     // entirely on the stabilizer-tableau engine — a register no dense
     // backend can even allocate — and `routed_supremacy` runs a dense
     // workload *through* the router, so the cost of the routing decision
-    // (classify, attempt to stitch, fall back) stays visible next to the
+    // (classify, fall back to the dense backend) stays visible next to the
     // unrouted numbers.  Both are static runs, which draw on the calling
     // thread, so each records one thread.
     let router_entry = |circuit: &circuit::Circuit, router_shots: u64| -> String {

@@ -34,52 +34,6 @@ pub struct Circuit {
     ops: Vec<Operation>,
 }
 
-/// The three-way split computed by [`Circuit::clifford_segments`]: a maximal
-/// Clifford prefix, a non-Clifford core scored by T-count, and a maximal
-/// Clifford suffix.
-///
-/// For a fully-Clifford circuit the prefix covers everything and the core
-/// and suffix are empty.  Otherwise the three segments partition the
-/// operation list: `prefix_len + core_len + suffix_len == len`, with the
-/// core containing at least one (non-Clifford) operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CliffordSegments {
-    /// Total number of operations in the analysed circuit.
-    pub len: usize,
-    /// Number of leading operations that are all Clifford
-    /// ([`Operation::is_clifford`]).
-    pub prefix_len: usize,
-    /// Number of trailing Clifford operations after the core (zero when the
-    /// circuit is fully Clifford — the prefix already covers everything).
-    pub suffix_len: usize,
-    /// Number of non-Clifford operations inside the core: `T`/`Tdg` gates
-    /// plus any other operation outside the Clifford alphabet (non-dyadic
-    /// rotations, multi-controlled gates, permutations), each counted once.
-    pub core_t_count: usize,
-}
-
-impl CliffordSegments {
-    /// Returns `true` when every operation is Clifford, so the whole circuit
-    /// can run on a stabilizer-tableau engine.
-    #[must_use]
-    pub fn is_fully_clifford(&self) -> bool {
-        self.prefix_len == self.len
-    }
-
-    /// The index range of the non-Clifford core (empty for fully-Clifford
-    /// circuits).
-    #[must_use]
-    pub fn core_range(&self) -> std::ops::Range<usize> {
-        self.prefix_len..self.len - self.suffix_len
-    }
-
-    /// Number of operations in the non-Clifford core.
-    #[must_use]
-    pub fn core_len(&self) -> usize {
-        self.core_range().len()
-    }
-}
-
 /// Error returned by [`Circuit::validate`] when an operation references
 /// qubits outside the circuit or overlaps controls with targets.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -615,62 +569,13 @@ impl Circuit {
         CircuitStats::of(self)
     }
 
-    /// Decomposes the operation list into a maximal Clifford prefix, a
-    /// non-Clifford core and a maximal Clifford suffix (see
-    /// [`Operation::is_clifford`] for what counts as Clifford — including
-    /// measurements and resets, which the stabilizer formalism handles).
-    ///
-    /// The split drives segmented routing: Clifford segments can run on a
-    /// polynomial-time stabilizer-tableau engine at thousands of qubits,
-    /// while only the core needs a dense (decision-diagram or statevector)
-    /// backend.  The core is scored by its T-count so routers can judge
-    /// whether dense simulation of the core is worthwhile.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use circuit::{Circuit, Qubit};
-    ///
-    /// let mut c = Circuit::new(2);
-    /// c.h(Qubit(0)).cx(Qubit(0), Qubit(1)).t(Qubit(1)).h(Qubit(0));
-    /// let seg = c.clifford_segments();
-    /// assert_eq!(seg.prefix_len, 2);
-    /// assert_eq!(seg.core_range(), 2..3);
-    /// assert_eq!(seg.suffix_len, 1);
-    /// assert_eq!(seg.core_t_count, 1);
-    /// assert!(!seg.is_fully_clifford());
-    /// ```
+    /// Returns `true` when every operation is Clifford
+    /// ([`Operation::is_clifford`]: measurements and resets count), so the
+    /// whole circuit can run on a stabilizer-tableau engine.  The empty
+    /// circuit is Clifford.
     #[must_use]
-    pub fn clifford_segments(&self) -> CliffordSegments {
-        let len = self.ops.len();
-        let prefix_len = self
-            .ops
-            .iter()
-            .position(|op| !op.is_clifford())
-            .unwrap_or(len);
-        if prefix_len == len {
-            return CliffordSegments {
-                len,
-                prefix_len,
-                suffix_len: 0,
-                core_t_count: 0,
-            };
-        }
-        let suffix_len = self.ops[prefix_len..]
-            .iter()
-            .rev()
-            .position(|op| !op.is_clifford())
-            .unwrap_or(0);
-        let core_t_count = self.ops[prefix_len..len - suffix_len]
-            .iter()
-            .filter(|op| !op.is_clifford())
-            .count();
-        CliffordSegments {
-            len,
-            prefix_len,
-            suffix_len,
-            core_t_count,
-        }
+    pub fn is_clifford(&self) -> bool {
+        self.ops.iter().all(Operation::is_clifford)
     }
 
     /// Returns the circuit with every operation replaced by its inverse, in
@@ -1059,47 +964,23 @@ mod tests {
     }
 
     #[test]
-    fn clifford_segments_cover_the_whole_circuit() {
-        // Fully Clifford, including a trailing measurement block.
+    fn is_clifford_covers_measure_and_reset() {
         let mut ghz = Circuit::new(3);
         ghz.h(Qubit(0))
             .cx(Qubit(0), Qubit(1))
             .cx(Qubit(1), Qubit(2))
+            .reset(Qubit(2))
             .measure_all();
-        let seg = ghz.clifford_segments();
-        assert!(seg.is_fully_clifford());
-        assert_eq!(seg.prefix_len, ghz.len());
-        assert_eq!(seg.suffix_len, 0);
-        assert_eq!(seg.core_t_count, 0);
-        assert!(seg.core_range().is_empty());
+        assert!(ghz.is_clifford());
 
-        // Clifford prefix, T-heavy core, Clifford suffix.
         let mut c = Circuit::new(2);
         c.h(Qubit(0))
             .cx(Qubit(0), Qubit(1))
-            .t(Qubit(0))
-            .cx(Qubit(0), Qubit(1))
             .gate(OneQubitGate::Tdg, Qubit(1))
-            .h(Qubit(1))
-            .s(Qubit(0));
-        let seg = c.clifford_segments();
-        assert_eq!(seg.prefix_len, 2);
-        assert_eq!(seg.suffix_len, 2);
-        assert_eq!(seg.core_range(), 2..5);
-        assert_eq!(seg.core_len(), 3);
-        assert_eq!(seg.core_t_count, 2, "the CX inside the core is Clifford");
-        assert_eq!(seg.prefix_len + seg.core_len() + seg.suffix_len, c.len());
+            .h(Qubit(1));
+        assert!(!c.is_clifford());
 
-        // A circuit that opens non-Clifford has an empty prefix.
-        let mut t_first = Circuit::new(1);
-        t_first.t(Qubit(0)).h(Qubit(0));
-        let seg = t_first.clifford_segments();
-        assert_eq!(seg.prefix_len, 0);
-        assert_eq!(seg.suffix_len, 1);
-        assert_eq!(seg.core_t_count, 1);
-
-        // Empty circuits are (vacuously) fully Clifford.
-        assert!(Circuit::new(1).clifford_segments().is_fully_clifford());
+        assert!(Circuit::new(1).is_clifford());
     }
 
     #[test]

@@ -16,9 +16,8 @@
 //! permutation tables, measure/reset wiring, condition values), and for
 //! [`NoiseModel::fingerprint`] every channel with its attachment point and
 //! parameter bits.  The circuit *name* is deliberately excluded: it is
-//! presentation metadata (the router derives `{name}__stitched` circuits,
-//! the adjoint builder `{name}_dg`), and renaming a circuit must not evict
-//! its artifact.
+//! presentation metadata (the adjoint builder derives `{name}_dg`
+//! circuits), and renaming a circuit must not evict its artifact.
 //!
 //! The hash itself is two independent [`mathkit::hash_mix`] lanes folded
 //! over the same word stream from distinct initial states — the
@@ -172,7 +171,8 @@ impl Circuit {
     /// `f64` *bit patterns*, so two circuits fingerprint equal exactly when
     /// they are operationally identical down to the last bit.  The circuit
     /// [`name`](Self::name) is excluded — it is presentation metadata, and
-    /// derived names (`__stitched`, `_dg`) must not change cache identity.
+    /// derived names (such as the adjoint's `_dg`) must not change cache
+    /// identity.
     ///
     /// Used by the `weaksim` artifact cache as (part of) its key; the
     /// `fingerprint` module docs in the source spell out the full contract.

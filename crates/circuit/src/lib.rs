@@ -51,7 +51,7 @@ mod op;
 pub mod qasm;
 mod stats;
 
-pub use crate::circuit::{Circuit, CliffordSegments, ValidateCircuitError};
+pub use crate::circuit::{Circuit, ValidateCircuitError};
 pub use gate::OneQubitGate;
 pub use noise::{NoiseChannel, NoiseModel, NoiseModelError};
 pub use op::{Condition, Operation, Permutation};

@@ -14,13 +14,12 @@
 //!   [`circuit::NoiseModel`] (noisy-hardware emulation by per-shot Kraus
 //!   branch insertion), with decision-prefix-tree caching on the
 //!   decision-diagram backend;
-//! * [`router`] — the opt-in segmented Clifford router
+//! * [`router`] — the opt-in Clifford router
 //!   ([`WeakSimulator::with_clifford_router`]): fully-Clifford circuits
-//!   (see [`circuit::Circuit::clifford_segments`]) execute on the
+//!   (see [`circuit::Circuit::is_clifford`]) execute on the
 //!   polynomial-time stabilizer-tableau engine (`tableau` crate) at
-//!   thousands of qubits, Clifford prefixes ending in a basis state are
-//!   stitched into the dense backend, and [`RunOutcome::route`] reports
-//!   which engine executed each segment;
+//!   thousands of qubits, every other circuit on the dense backend, and
+//!   [`RunOutcome::route`] reports which engine executed the run;
 //! * [`artifact`] — the pay-once layer: [`SimArtifact`] is a self-contained,
 //!   `Arc`-shared snapshot of everything a request needs *after* strong
 //!   simulation (a compiled DD sampler, dense prefix sums or a tableau

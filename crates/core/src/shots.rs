@@ -157,11 +157,16 @@ impl ShotHistogram {
 
     /// Formats an outcome as a bitstring `q_{n-1} ... q_1 q_0` (most
     /// significant qubit first), matching the notation of the paper.
+    /// Positions 64 and up lie outside the `u64` key and render as `?`.
     #[must_use]
     pub fn bitstring(&self, outcome: u64) -> String {
-        (0..self.num_qubits)
+        (0..u32::from(self.num_qubits))
             .rev()
-            .map(|bit| if outcome & (1 << bit) != 0 { '1' } else { '0' })
+            .map(|bit| match outcome.checked_shr(bit) {
+                None => '?',
+                Some(shifted) if shifted & 1 != 0 => '1',
+                Some(_) => '0',
+            })
             .collect()
     }
 
@@ -250,6 +255,16 @@ mod tests {
         assert_eq!(h.bitstring(0b0101), "0101");
         assert_eq!(h.bitstring(0b1000), "1000");
         assert_eq!(h.bitstring(0), "0000");
+    }
+
+    #[test]
+    fn bitstring_marks_positions_beyond_the_key_as_unknown() {
+        let h = ShotHistogram::new(70);
+        let s = h.bitstring(u64::MAX);
+        assert_eq!(s.len(), 70);
+        assert_eq!(&s[..6], "??????");
+        assert_eq!(&s[6..], "1".repeat(64));
+        assert_eq!(h.bitstring(1), format!("??????{:064b}", 1));
     }
 
     #[test]

@@ -306,8 +306,8 @@ pub struct RunOutcome {
     pub interruption: Option<Interruption>,
     /// Which engine executed each contiguous segment of the circuit.
     /// Unrouted runs (the default) report a single segment on the configured
-    /// backend; runs under [`WeakSimulator::with_clifford_router`] may report
-    /// a tableau-only route or a tableau-prefix + dense-suffix stitch.
+    /// backend; runs under [`WeakSimulator::with_clifford_router`] report a
+    /// tableau segment instead when the whole circuit is Clifford.
     pub route: RunRoute,
     /// Whether a [`ServiceBroker`](crate::ServiceBroker)'s cache served
     /// this run ([`CacheOutcome::Hit`]: no strong simulation ran) or was
@@ -382,19 +382,17 @@ impl WeakSimulator {
         }
     }
 
-    /// Enables the segmented Clifford router (see [`crate::router`]):
+    /// Enables the Clifford router (see [`crate::router`]):
     /// [`run`](Self::run) calls then execute fully-Clifford circuits on the
-    /// polynomial-time stabilizer-tableau engine, fold a basis-state
-    /// Clifford prefix into the dense backend where cheap, and fall back to
-    /// whole-circuit dense execution otherwise.  [`RunOutcome::route`]
-    /// reports which engine(s) executed each segment.
+    /// polynomial-time stabilizer-tableau engine and every other circuit on
+    /// the dense backend.  [`RunOutcome::route`] reports which engine ran.
     ///
     /// Routing never changes the sampled distribution, but tableau-routed
     /// outcomes report the stabilizer generator count as their
     /// representation size.  Under a [noise
     /// model](Self::with_noise) made of Pauli channels only, fully-Clifford
-    /// circuits still run on the tableau (Pauli errors are native there)
-    /// but nothing is stitched; any other channel keeps the run dense.
+    /// circuits still run on the tableau (Pauli errors are native there);
+    /// any other channel keeps the run dense.
     #[must_use]
     pub fn with_clifford_router(mut self) -> Self {
         self.clifford_router = true;
@@ -594,8 +592,8 @@ impl WeakSimulator {
     }
 
     /// Builds the [`SimArtifact`] for a validated, noise-free, static
-    /// `circuit`: the route plan picks the engine and the circuit it runs
-    /// (original or stitched), and that engine prepares the sampler.  A
+    /// `circuit`: the route plan picks the engine, and that engine prepares
+    /// the sampler.  A
     /// dynamic circuit fails with [`RunError::DynamicCircuit`] at its first
     /// dynamic operation.
     pub(crate) fn prepare_artifact(&self, circuit: &Circuit) -> Result<SimArtifact, RunError> {
@@ -608,12 +606,10 @@ impl WeakSimulator {
                 .unwrap_or(0);
             return Err(RunError::DynamicCircuit { op_index });
         }
-        let plan = route_plan(circuit, self.backend, self.clifford_router, None);
-        let circuit = plan.circuit.as_ref();
+        let engine = route_plan(circuit, self.backend, self.clifford_router, None);
         // Measure-free circuits — every classic benchmark — skip the
         // prefix-splitting clone entirely.
         let (prefix, mapping) = if circuit.has_measurements() {
-            // Stitching keeps a static circuit static.
             let Some((prefix, mapping)) = circuit.split_terminal_measurements() else {
                 unreachable!("dynamic circuits are rejected above")
             };
@@ -621,14 +617,14 @@ impl WeakSimulator {
         } else {
             (Cow::Borrowed(circuit), Vec::new())
         };
-        let prepared = plan.engine.engine().prepare(&prefix, self)?;
+        let prepared = engine.engine().prepare(&prefix, self)?;
         Ok(SimArtifact::new(
             prepared,
             mapping,
             circuit.num_qubits(),
             circuit.num_clbits(),
             self.backend,
-            plan.route,
+            RunRoute::single(engine, circuit.len()),
         ))
     }
 
@@ -643,10 +639,10 @@ impl WeakSimulator {
         seed: u64,
     ) -> Result<RunOutcome, RunError> {
         let noise = self.effective_noise();
-        let plan = route_plan(circuit, self.backend, self.clifford_router, noise);
+        let engine = route_plan(circuit, self.backend, self.clifford_router, noise);
         let outcome = crate::trajectory::run_trajectories(
-            plan.engine,
-            &plan.circuit,
+            engine,
+            circuit,
             noise,
             shots,
             seed,
@@ -663,7 +659,7 @@ impl WeakSimulator {
             precompute_time: outcome.precompute_time,
             sampling_time: outcome.sampling_time,
             interruption: outcome.interruption,
-            route: plan.route,
+            route: RunRoute::single(engine, circuit.len()),
             cache: None,
         })
     }
@@ -917,8 +913,7 @@ mod tests {
     #[test]
     fn dynamic_circuit_errors_report_the_first_dynamic_operation() {
         // x q1; t q1; measure q0 -> c0; h q0; measure q0 -> c1: the
-        // mid-circuit measurement is op 2, with or without a stitched
-        // Clifford prefix.
+        // mid-circuit measurement is op 2, with or without the router.
         let mut circuit = Circuit::new(2);
         circuit
             .x(Qubit(1))

@@ -44,5 +44,5 @@ mod state;
 pub use apply::{apply_circuit, apply_operation, simulate, simulate_with_budget, SimulateError};
 pub use memory::MemoryBudget;
 pub use prefix::PrefixSampler;
-pub use sample::{sample_counts, sample_many, LinearSampler};
+pub use sample::LinearSampler;
 pub use state::StateVector;

@@ -1,8 +1,7 @@
-//! Linear-traversal sampling and sampling conveniences.
+//! Linear-traversal sampling.
 
 use crate::StateVector;
 use rand::Rng;
-use std::collections::BTreeMap;
 
 /// A sampler that draws each sample by a linear traversal of the probability
 /// array (no precomputation).
@@ -78,32 +77,6 @@ impl LinearSampler {
     }
 }
 
-/// Draws `shots` samples from `state` using the prefix-sum sampler and
-/// returns them in draw order.
-///
-/// This is the convenience entry point for "vector-based weak simulation" as
-/// evaluated in Table I of the paper.
-#[must_use = "the samples are the result of the weak simulation"]
-pub fn sample_many<R: Rng + ?Sized>(state: &StateVector, rng: &mut R, shots: usize) -> Vec<u64> {
-    crate::PrefixSampler::new(state).sample_many(rng, shots)
-}
-
-/// Draws `shots` samples and aggregates them into a histogram keyed by basis
-/// state index.
-#[must_use = "the histogram is the result of the weak simulation"]
-pub fn sample_counts<R: Rng + ?Sized>(
-    state: &StateVector,
-    rng: &mut R,
-    shots: usize,
-) -> BTreeMap<u64, u64> {
-    let sampler = crate::PrefixSampler::new(state);
-    let mut counts = BTreeMap::new();
-    for _ in 0..shots {
-        *counts.entry(sampler.sample(rng)).or_insert(0) += 1;
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,27 +112,6 @@ mod tests {
             assert!((lf - expected).abs() < 0.02, "linear index {i}");
             assert!((pf - expected).abs() < 0.02, "prefix index {i}");
         }
-    }
-
-    #[test]
-    fn sample_counts_aggregates_all_shots() {
-        let mut c = Circuit::new(2);
-        c.h(Qubit(0));
-        let state = simulate(&c).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        let counts = sample_counts(&state, &mut rng, 1000);
-        assert_eq!(counts.values().sum::<u64>(), 1000);
-        // Only |00> and |01> can appear.
-        assert!(counts.keys().all(|&k| k == 0 || k == 1));
-    }
-
-    #[test]
-    fn sample_many_returns_requested_number_of_shots() {
-        let state = crate::StateVector::basis_state(2, 2);
-        let mut rng = StdRng::seed_from_u64(9);
-        let samples = sample_many(&state, &mut rng, 37);
-        assert_eq!(samples.len(), 37);
-        assert!(samples.iter().all(|&s| s == 2));
     }
 
     #[test]

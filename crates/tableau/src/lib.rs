@@ -55,7 +55,7 @@
 //! ([`Tableau::apply_noise`]): a sampled `X`/`Y`/`Z` only toggles `O(n)`
 //! row signs, so noisy stabilizer trajectories stay polynomial.
 //!
-//! # Sampling and the stitching contract
+//! # Sampling
 //!
 //! Terminal full-register sampling goes through
 //! [`Tableau::measurement_sampler`]: the support of a stabilizer state in
@@ -65,14 +65,6 @@
 //! and a basis `B` of the X-row space of the stabilizer generators once,
 //! after which every shot is `|B|` coin flips and word-XORs — independent
 //! of circuit depth.
-//!
-//! The router's **stitching contract** is [`Tableau::as_basis_state`]: when
-//! a Clifford prefix leaves the register in a computational basis state
-//! `|b>` (no stabilizer generator carries an X bit), the method returns
-//! `b`, and the dense backend resumes from `|b>` — bit-for-bit the state
-//! the tableau ended in.  A prefix ending in superposition returns `None`
-//! and the router re-runs the whole circuit densely instead; the tableau
-//! result is never approximated into the dense engine.
 //!
 //! # Sign programs
 //!

@@ -511,10 +511,6 @@ impl Tableau {
     /// `q / 64`, bit `q % 64`) — or `None` if the state is in superposition
     /// (some stabilizer generator carries an X bit, so some qubit would
     /// measure randomly).
-    ///
-    /// This is the router's stitching contract: a `Some(b)` is exact, and a
-    /// dense backend seeded with `|b>` continues bit-for-bit from the
-    /// tableau's state.
     #[must_use]
     pub fn as_basis_state(&mut self) -> Option<Vec<u64>> {
         for row in self.num_qubits..2 * self.num_qubits {

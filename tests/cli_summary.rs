@@ -261,3 +261,29 @@ fn removed_construction_threads_flag_is_rejected_as_unknown() {
     assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
     assert!(!stdout.contains("top outcomes"), "stdout:\n{stdout}");
 }
+
+#[test]
+fn router_serves_registers_wider_than_the_histogram_key() {
+    // A 70-qubit GHZ state runs on the tableau; the `u64` histogram key
+    // holds only the low 64 qubits, so the top outcomes print the six high
+    // positions as `?`.
+    let mut qasm = String::from("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[70];\nh q[0];\n");
+    for q in 1..70 {
+        qasm.push_str(&format!("cx q[{}],q[{q}];\n", q - 1));
+    }
+    let wide = fixture("ghz70.qasm", &qasm);
+    let wide_path = wide.to_str().expect("utf-8 path");
+
+    let (stdout, stderr, ok) = serve(&["--router"], &[wide_path]);
+    assert!(ok, "wide session failed:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+    let top = stdout
+        .lines()
+        .find(|line| line.contains("top outcomes"))
+        .unwrap_or_else(|| panic!("no top outcomes in stdout:\n{stdout}"));
+    assert!(
+        top.contains(&format!("??????{}", "0".repeat(64)))
+            && top.contains(&format!("??????{}", "1".repeat(64))),
+        "top outcomes: {top}"
+    );
+}

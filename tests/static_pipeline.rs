@@ -47,8 +47,8 @@ fn circuits() -> Vec<(Circuit, Via)> {
     swapped.measure(Qubit(1), 0).measure(Qubit(0), 1);
 
     // Clifford prefix ending in the basis state |0110>, then a T gate.
-    let mut stitched = Circuit::with_name(4, "x_prefix_t");
-    stitched
+    let mut x_prefix_t = Circuit::with_name(4, "x_prefix_t");
+    x_prefix_t
         .x(Qubit(1))
         .cx(Qubit(1), Qubit(2))
         .z(Qubit(0))
@@ -59,22 +59,22 @@ fn circuits() -> Vec<(Circuit, Via)> {
     vec![
         (ghz, Via::Tableau),
         (swapped, Via::Tableau),
-        (stitched, Via::Stitch),
+        (x_prefix_t, Via::Dense),
         (clifford_mix(), Via::Tableau),
     ]
 }
 
 /// How the Clifford router runs a table circuit: entirely on the tableau,
-/// or as a tableau prefix stitched into the dense backend.
+/// or entirely on the dense backend.
 #[derive(Clone, Copy)]
 enum Via {
     Tableau,
-    Stitch,
+    Dense,
 }
 
-/// Serves one request every way in and checks that each returns the
-/// uncached histogram and route.
-fn assert_front_doors_agree(sim: &WeakSimulator, circuit: &Circuit) {
+/// Serves one request every way in, checks that each returns the uncached
+/// histogram and route, and returns that histogram.
+fn assert_front_doors_agree(sim: &WeakSimulator, circuit: &Circuit) -> ShotHistogram {
     let label = format!("{} on {}", circuit.name(), sim.backend());
     let uncached = sim.clone().run(circuit, SHOTS, SEED).unwrap();
     assert_eq!(uncached.cache, None, "{label}");
@@ -99,12 +99,14 @@ fn assert_front_doors_agree(sim: &WeakSimulator, circuit: &Circuit) {
     let warm = restored.serve(sim, circuit, SHOTS, SEED).unwrap();
     assert_eq!(warm.cache, Some(CacheOutcome::Hit), "{label}");
     check("restored broker", &warm.histogram, &warm.route);
+    uncached.histogram
 }
 
 #[test]
 fn every_front_door_serves_the_uncached_histogram_and_route() {
     for (circuit, via) in circuits() {
         for backend in [Backend::DecisionDiagram, Backend::StateVector] {
+            let mut histograms = Vec::new();
             for router in [false, true] {
                 let sim = WeakSimulator::new(backend);
                 let sim = if router {
@@ -112,17 +114,24 @@ fn every_front_door_serves_the_uncached_histogram_and_route() {
                 } else {
                     sim
                 };
-                assert_front_doors_agree(&sim, &circuit);
+                histograms.push(assert_front_doors_agree(&sim, &circuit));
 
                 let route = sim.clone().run(&circuit, 10, 0).unwrap().route;
                 let engines: Vec<_> = route.segments.iter().map(|s| s.engine).collect();
                 let dense = EngineKind::from(backend);
                 let expected = match (router, via) {
-                    (false, _) => vec![dense],
                     (true, Via::Tableau) => vec![EngineKind::Tableau],
-                    (true, Via::Stitch) => vec![EngineKind::Tableau, dense],
+                    (false, _) | (true, Via::Dense) => vec![dense],
                 };
                 assert_eq!(engines, expected, "{} on {backend}", circuit.name());
+            }
+            if matches!(via, Via::Dense) {
+                assert_eq!(
+                    histograms[0],
+                    histograms[1],
+                    "{} on {backend}: routing changed a dense histogram",
+                    circuit.name()
+                );
             }
         }
     }
