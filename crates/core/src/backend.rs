@@ -56,6 +56,14 @@ pub(crate) trait Engine: Sync {
         Ok(())
     }
 
+    /// Pre-checks that a final measurement of all `num_qubits` qubits fits
+    /// this engine's `u64` samples, before any state is built.  The default
+    /// accepts: a dense vector that wide already fails its memory check,
+    /// and the tableau read-out keeps the low 64 qubits.
+    fn check_sample_width(&self, _num_qubits: u16) -> Result<(), RunError> {
+        Ok(())
+    }
+
     /// Builds this engine's per-worker trajectory runner for `plan`, under
     /// one worker's armed governor clone.  Fails only when the governor
     /// interrupts the shared-prefix construction — before any shot has run.
@@ -182,6 +190,14 @@ fn prepare_dense(
 impl Engine for DdEngine {
     fn prepare(&self, circuit: &Circuit, sim: &WeakSimulator) -> Result<Prepared, RunError> {
         prepare_dense(|| Self::strong(circuit, sim.governor()))
+    }
+
+    fn check_sample_width(&self, num_qubits: u16) -> Result<(), RunError> {
+        // The compiled sampler draws `u64` bitstrings.
+        if num_qubits > 64 {
+            return Err(RunError::RegisterTooWide { num_qubits });
+        }
+        Ok(())
     }
 
     fn trajectory_runner<'p>(

@@ -95,6 +95,16 @@ pub enum RunError {
     /// The run was cancelled through its
     /// [`CancelToken`](dd::CancelToken).
     Cancelled(DdError),
+    /// The run's record is a final measurement of every qubit, and the
+    /// register is wider than the 64 bits a sample holds.  Only the
+    /// decision-diagram engine fails this way (the dense engine reports
+    /// [`MemoryOut`](Self::MemoryOut) first); the check runs before strong
+    /// simulation, for every static run and for trajectory runs without a
+    /// `measure`.
+    RegisterTooWide {
+        /// Number of qubits of the requested simulation.
+        num_qubits: u16,
+    },
     /// The service broker shed this request before admitting it to a cold
     /// build: every construction slot was busy, and the bounded queue was
     /// full or the estimated wait exceeded the request's deadline (see
@@ -127,6 +137,10 @@ impl fmt::Display for RunError {
                 "operation {op_index} is a mid-circuit measurement/reset/conditioned gate; strong simulation is undefined for dynamic circuits (use run, which simulates trajectories)"
             ),
             RunError::InvalidNoise(e) => write!(f, "invalid noise model: {e}"),
+            RunError::RegisterTooWide { num_qubits } => write!(
+                f,
+                "register too wide: samples are 64-bit strings, but the final measurement reads {num_qubits} qubits"
+            ),
             RunError::DdMemoryOut(e) | RunError::Deadline(e) | RunError::Cancelled(e) => {
                 write!(f, "{e}")
             }
@@ -512,9 +526,10 @@ impl WeakSimulator {
     /// # Errors
     ///
     /// Returns [`RunError::InvalidCircuit`] for malformed circuits,
-    /// [`RunError::InvalidNoise`] for malformed noise models and
-    /// [`RunError::MemoryOut`] when the dense backend exceeds its budget.
-    /// Under a limited [governor](Self::with_governor), a *static* run that
+    /// [`RunError::InvalidNoise`] for malformed noise models,
+    /// [`RunError::MemoryOut`] when the dense backend exceeds its budget and
+    /// [`RunError::RegisterTooWide`] when a decision-diagram run would read
+    /// out more than 64 qubits.  Under a limited [governor](Self::with_governor), a *static* run that
     /// hits a limit fails with [`RunError::DdMemoryOut`],
     /// [`RunError::Deadline`] or [`RunError::Cancelled`]; an interrupted
     /// *trajectory* run instead returns `Ok` with
@@ -607,6 +622,7 @@ impl WeakSimulator {
             return Err(RunError::DynamicCircuit { op_index });
         }
         let engine = route_plan(circuit, self.backend, self.clifford_router, None);
+        engine.engine().check_sample_width(circuit.num_qubits())?;
         // Measure-free circuits — every classic benchmark — skip the
         // prefix-splitting clone entirely.
         let (prefix, mapping) = if circuit.has_measurements() {

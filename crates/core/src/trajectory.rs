@@ -1277,6 +1277,10 @@ pub(crate) fn run_trajectories(
     engine
         .engine()
         .check_trajectory_memory(circuit.num_qubits(), workers, budget)?;
+    if !circuit.has_measurements() {
+        // The record is the terminal read-out of every qubit.
+        engine.engine().check_sample_width(circuit.num_qubits())?;
+    }
 
     let precompute_start = Instant::now();
     let plan = TrajectoryPlan::new(circuit, noise);

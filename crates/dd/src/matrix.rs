@@ -1,4 +1,10 @@
 //! Operator (matrix) decision diagrams and gate constructors.
+//!
+//! Gate operators are built in the gate's cone.  Identity chains come from
+//! one memo per [`DdPackage`], and a controlled gate's block recursion
+//! stops as soon as the rest of a block is a multiple of the identity, so
+//! building a gate costs work in proportion to the levels it touches rather
+//! than to the register width times four.
 
 use crate::edge::{MatrixEdge, VectorEdge};
 use crate::govern::DdError;
@@ -51,19 +57,16 @@ impl OperatorDd {
         self.num_qubits
     }
 
-    /// The identity operator on `num_qubits` qubits.
+    /// The identity operator on `num_qubits` qubits, read from the
+    /// package's identity-chain memo.
     ///
     /// # Errors
     ///
     /// Fails with a [`DdError`] when the package's governor interrupts the
     /// run or a node arena overflows.
     pub fn identity(package: &mut DdPackage, num_qubits: u16) -> Result<Self, DdError> {
-        let mut edge = package.matrix_terminal(Complex::ONE);
-        for var in 0..num_qubits {
-            edge = package.make_mnode(var, [edge, MatrixEdge::ZERO, MatrixEdge::ZERO, edge])?;
-        }
         Ok(Self {
-            root: edge,
+            root: package.identity_chain(num_qubits)?,
             num_qubits,
         })
     }
@@ -74,6 +77,17 @@ impl OperatorDd {
     /// construction handles both by building, below the target level, the
     /// combination `delta_rc * (I - P) + u_rc * P` where `P` projects onto
     /// "all lower controls are 1".
+    ///
+    /// The work is proportional to the levels the gate touches.  Identity
+    /// chains come from the package memo, and each of the four blocks stops
+    /// descending as soon as its remainder is a multiple of the identity:
+    /// below the lowest control (`P = I` there, so the block is
+    /// `u_rc * I`), or wherever `delta_rc = u_rc` (every block of the
+    /// identity, the zero off-diagonal blocks of a diagonal gate).  Only the
+    /// levels above the target still cost one node lookup each.  The
+    /// shortcuts create the same nodes and intern the same values in the
+    /// same order as a full descent, so the resulting diagram is
+    /// bit-identical to it.
     ///
     /// # Errors
     ///
@@ -109,15 +123,11 @@ impl OperatorDd {
         }
         let u = gate.matrix();
         let target_level = target.index() as u16;
+        let lowest_control = controls.iter().map(|c| i32::from(c.0)).min();
 
-        // Identity chains for every prefix of levels, used in control branches.
-        let mut identity_chain = Vec::with_capacity(usize::from(num_qubits) + 1);
-        identity_chain.push(package.matrix_terminal(Complex::ONE));
-        for var in 0..num_qubits {
-            let below = identity_chain[usize::from(var)];
-            identity_chain
-                .push(package.make_mnode(var, [below, MatrixEdge::ZERO, MatrixEdge::ZERO, below])?);
-        }
+        // The whole chain exists before the first block is built, so nodes
+        // are created in the same order as by a full descent.
+        package.identity_chain(num_qubits)?;
 
         // mixed(level, a, b) builds `a * (I - P) + b * P` over levels 0..=level,
         // where P projects onto "all controls at those levels equal 1".
@@ -127,15 +137,18 @@ impl OperatorDd {
             a: Complex,
             b: Complex,
             is_control: &[bool],
-            identity_chain: &[MatrixEdge],
+            lowest_control: Option<i32>,
         ) -> Result<MatrixEdge, DdError> {
-            if level < 0 {
-                return Ok(package.matrix_terminal(b));
+            // With no control at or below this level P = I, and with a = b
+            // the projector drops out: either way the block is b * I.
+            if a == b || lowest_control.is_none_or(|c| c > level) {
+                let identity = package.identity_chain((level + 1) as u16)?;
+                return Ok(package.matrix_edge(identity.target, b));
             }
             let var = level as u16;
-            let below = mixed(package, level - 1, a, b, is_control, identity_chain)?;
-            if is_control[level as usize] {
-                let id_below = identity_chain[level as usize];
+            let below = mixed(package, level - 1, a, b, is_control, lowest_control)?;
+            if is_control[usize::from(var)] {
+                let id_below = package.identity_chain(var)?;
                 let zero_branch = package.scale_medge(id_below, a);
                 package.make_mnode(
                     var,
@@ -161,7 +174,7 @@ impl OperatorDd {
                     delta,
                     u[row][col],
                     &is_control,
-                    &identity_chain,
+                    lowest_control,
                 )?;
             }
         }
@@ -171,7 +184,7 @@ impl OperatorDd {
         // pass it through diagonally.
         for var in (target_level + 1)..num_qubits {
             edge = if is_control[usize::from(var)] {
-                let id_below = identity_chain[usize::from(var)];
+                let id_below = package.identity_chain(var)?;
                 package.make_mnode(var, [id_below, MatrixEdge::ZERO, MatrixEdge::ZERO, edge])?
             } else {
                 package.make_mnode(var, [edge, MatrixEdge::ZERO, MatrixEdge::ZERO, edge])?
@@ -227,14 +240,9 @@ impl OperatorDd {
             register_bit[q.index()] = Some(bit);
         }
 
-        // Identity chain reused by the control-failure term and chain builders.
-        let mut identity_chain = Vec::with_capacity(usize::from(num_qubits) + 1);
-        identity_chain.push(package.matrix_terminal(Complex::ONE));
-        for var in 0..num_qubits {
-            let below = identity_chain[usize::from(var)];
-            identity_chain
-                .push(package.make_mnode(var, [below, MatrixEdge::ZERO, MatrixEdge::ZERO, below])?);
-        }
+        // Every level's identity chain exists before term 1 is built, which
+        // fixes the order in which nodes are created.
+        package.identity_chain(num_qubits)?;
 
         // Term 1: identity on the subspace where not all controls are 1,
         // i.e. I - P (x) I_R.  Built with the same mixed recursion as gates:
@@ -244,26 +252,20 @@ impl OperatorDd {
             package: &mut DdPackage,
             level: i32,
             is_control: &[bool],
-            identity_chain: &[MatrixEdge],
         ) -> Result<MatrixEdge, DdError> {
             if level < 0 {
                 return Ok(MatrixEdge::ZERO);
             }
             let var = level as u16;
-            let below = not_all_controls(package, level - 1, is_control, identity_chain)?;
-            if is_control[level as usize] {
-                let id_below = identity_chain[level as usize];
+            let below = not_all_controls(package, level - 1, is_control)?;
+            if is_control[usize::from(var)] {
+                let id_below = package.identity_chain(var)?;
                 package.make_mnode(var, [id_below, MatrixEdge::ZERO, MatrixEdge::ZERO, below])
             } else {
                 package.make_mnode(var, [below, MatrixEdge::ZERO, MatrixEdge::ZERO, below])
             }
         }
-        let mut total = not_all_controls(
-            package,
-            i32::from(num_qubits) - 1,
-            &is_control,
-            &identity_chain,
-        )?;
+        let mut total = not_all_controls(package, i32::from(num_qubits) - 1, &is_control)?;
 
         // One chain per register value v: P (x) |perm(v)><v| (x) I elsewhere.
         for (value, &mapped) in permutation.mapping().iter().enumerate() {
@@ -391,7 +393,207 @@ impl OperatorDd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mathkit::SQRT1_2;
+    use mathkit::{Angle, SQRT1_2};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The full-descent construction `controlled_gate` must reproduce bit
+    /// for bit: a fresh identity chain per operator, and all four blocks
+    /// recursed down to level 0.
+    fn reference_controlled_gate(
+        package: &mut DdPackage,
+        num_qubits: u16,
+        gate: OneQubitGate,
+        target: Qubit,
+        controls: &[Qubit],
+    ) -> Result<MatrixEdge, DdError> {
+        let mut is_control = vec![false; usize::from(num_qubits)];
+        for c in controls {
+            is_control[c.index()] = true;
+        }
+        let u = gate.matrix();
+        let target_level = target.index() as u16;
+
+        let mut identity_chain = Vec::with_capacity(usize::from(num_qubits) + 1);
+        identity_chain.push(package.matrix_terminal(Complex::ONE));
+        for var in 0..num_qubits {
+            let below = identity_chain[usize::from(var)];
+            identity_chain
+                .push(package.make_mnode(var, [below, MatrixEdge::ZERO, MatrixEdge::ZERO, below])?);
+        }
+
+        fn mixed(
+            package: &mut DdPackage,
+            level: i32,
+            a: Complex,
+            b: Complex,
+            is_control: &[bool],
+            identity_chain: &[MatrixEdge],
+        ) -> Result<MatrixEdge, DdError> {
+            if level < 0 {
+                return Ok(package.matrix_terminal(b));
+            }
+            let var = level as u16;
+            let below = mixed(package, level - 1, a, b, is_control, identity_chain)?;
+            if is_control[level as usize] {
+                let id_below = identity_chain[level as usize];
+                let zero_branch = package.scale_medge(id_below, a);
+                package.make_mnode(
+                    var,
+                    [zero_branch, MatrixEdge::ZERO, MatrixEdge::ZERO, below],
+                )
+            } else {
+                package.make_mnode(var, [below, MatrixEdge::ZERO, MatrixEdge::ZERO, below])
+            }
+        }
+
+        let mut blocks = [MatrixEdge::ZERO; 4];
+        for row in 0..2usize {
+            for col in 0..2usize {
+                let delta = if row == col {
+                    Complex::ONE
+                } else {
+                    Complex::ZERO
+                };
+                blocks[2 * row + col] = mixed(
+                    package,
+                    i32::from(target_level) - 1,
+                    delta,
+                    u[row][col],
+                    &is_control,
+                    &identity_chain,
+                )?;
+            }
+        }
+        let mut edge = package.make_mnode(target_level, blocks)?;
+        for var in (target_level + 1)..num_qubits {
+            edge = if is_control[usize::from(var)] {
+                let id_below = identity_chain[usize::from(var)];
+                package.make_mnode(var, [id_below, MatrixEdge::ZERO, MatrixEdge::ZERO, edge])?
+            } else {
+                package.make_mnode(var, [edge, MatrixEdge::ZERO, MatrixEdge::ZERO, edge])?
+            };
+        }
+        Ok(edge)
+    }
+
+    /// Every `OneQubitGate` variant; the parameterized ones with a dyadic
+    /// angle (as in the QFT) and a random one.
+    fn gate_catalogue(rng: &mut StdRng) -> Vec<OneQubitGate> {
+        use OneQubitGate::*;
+        let mut angle = || Angle::Radians(rng.gen_range(-4.0..4.0));
+        let dyadic = Angle::DyadicPi {
+            numerator: 1,
+            power: 3,
+        };
+        vec![
+            I,
+            X,
+            Y,
+            Z,
+            H,
+            S,
+            Sdg,
+            T,
+            Tdg,
+            SqrtX,
+            SqrtXdg,
+            SqrtY,
+            SqrtYdg,
+            Phase(dyadic),
+            Phase(angle()),
+            Rx(dyadic),
+            Rx(angle()),
+            Ry(angle()),
+            Rz(dyadic),
+            Rz(angle()),
+            U {
+                theta: angle(),
+                phi: angle(),
+                lambda: angle(),
+            },
+        ]
+    }
+
+    #[test]
+    fn controlled_gate_is_bit_identical_to_the_full_descent() {
+        let mut rng = StdRng::seed_from_u64(0x1d_c4a1);
+        // `fast` and `full` see the same build sequence, one builder each:
+        // equal edges and counters after every build mean the same nodes
+        // were created and the same values interned, in the same order.
+        let mut fast = DdPackage::new();
+        let mut full = DdPackage::new();
+        // `shared` interleaves both builders on one package: whichever runs
+        // second must find every node and value already in place.
+        let mut shared = DdPackage::new();
+        let mut placements = [0usize; 3];
+        for round in 0..1500 {
+            let n = rng.gen_range(1..=12u16);
+            let catalogue = gate_catalogue(&mut rng);
+            let gate = catalogue[rng.gen_range(0..catalogue.len())];
+            let target = Qubit(rng.gen_range(0..n));
+            let mut others: Vec<Qubit> = (0..n).map(Qubit).filter(|&q| q != target).collect();
+            let mut controls = Vec::new();
+            for _ in 0..rng.gen_range(0..=3usize).min(others.len()) {
+                controls.push(others.swap_remove(rng.gen_range(0..others.len())));
+            }
+            let below = controls.iter().any(|c| c.0 < target.0);
+            let above = controls.iter().any(|c| c.0 > target.0);
+            match (below, above) {
+                (true, false) => placements[0] += 1,
+                (false, true) => placements[1] += 1,
+                (true, true) => placements[2] += 1,
+                (false, false) => {}
+            }
+            let label =
+                format!("round {round}: {gate:?} on {target} of {n}, controls {controls:?}");
+
+            let expected =
+                reference_controlled_gate(&mut full, n, gate, target, &controls).unwrap();
+            let got = OperatorDd::controlled_gate(&mut fast, n, gate, target, &controls).unwrap();
+            assert_eq!(got.root(), expected, "{label}");
+            let (f, r) = (fast.stats(), full.stats());
+            assert_eq!(f.matrix_unique_misses, r.matrix_unique_misses, "{label}");
+            assert_eq!(f.interned_values, r.interned_values, "{label}");
+
+            let reference_first = round % 2 == 0;
+            let first = if reference_first {
+                reference_controlled_gate(&mut shared, n, gate, target, &controls).unwrap()
+            } else {
+                OperatorDd::controlled_gate(&mut shared, n, gate, target, &controls)
+                    .unwrap()
+                    .root()
+            };
+            let before = shared.stats();
+            let second = if reference_first {
+                OperatorDd::controlled_gate(&mut shared, n, gate, target, &controls)
+                    .unwrap()
+                    .root()
+            } else {
+                reference_controlled_gate(&mut shared, n, gate, target, &controls).unwrap()
+            };
+            let after = shared.stats();
+            assert_eq!(first, second, "{label} (shared package)");
+            assert_eq!(
+                before.matrix_unique_misses, after.matrix_unique_misses,
+                "{label} (shared package)"
+            );
+            assert_eq!(
+                before.interned_values, after.interned_values,
+                "{label} (shared package)"
+            );
+
+            if rng.gen_bool(0.05) {
+                for package in [&mut fast, &mut full, &mut shared] {
+                    package.collect_garbage(&[]);
+                }
+            }
+        }
+        assert!(
+            placements.iter().all(|&count| count > 50),
+            "controls below / above / both sides: {placements:?}"
+        );
+    }
 
     fn assert_matrix_eq(
         package: &DdPackage,
@@ -424,6 +626,14 @@ mod tests {
                 assert!((id.entry(&p, i, j).re - expected).abs() < 1e-12);
             }
         }
+        // The package memo serves shorter chains as prefixes, and garbage
+        // collection drops it with the matrix arena.
+        let nodes = p.allocated_matrix_nodes();
+        assert_eq!(OperatorDd::identity(&mut p, 2).unwrap().node_count(&p), 2);
+        assert_eq!(p.allocated_matrix_nodes(), nodes);
+        p.collect_garbage(&[]);
+        assert_eq!(OperatorDd::identity(&mut p, 4).unwrap(), id);
+        assert_eq!(p.allocated_matrix_nodes(), 4);
     }
 
     #[test]

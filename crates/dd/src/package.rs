@@ -48,7 +48,10 @@
 //!   the multiply recursions in `ops.rs` shortcut through them (`I·v = v`,
 //!   `I·B = B`, `A·I = A`) instead of descending, which removes the
 //!   below-target part of every gate cone — the bulk of a naive gate
-//!   apply — from the compute working set entirely.
+//!   apply — from the compute working set entirely.  The chains
+//!   themselves are built in one place, a per-package memo
+//!   ([`DdPackage::identity_chain`]) that gate constructors read instead
+//!   of re-making one node per level for every operator.
 //!
 //! * Additions of two edges to the **same target** (`wa·v + wb·v`) return
 //!   `(wa + wb)·v` at once, in `ops.rs`, instead of rebuilding `v` node by
@@ -686,6 +689,11 @@ pub struct DdPackage {
     /// the below-target part of every gate cone from the compute working
     /// set.
     midentity: Vec<bool>,
+    /// `identity_chain[k]` is the identity operator over levels `0..k`
+    /// (entry 0 is the terminal one), built bottom-up on first use by
+    /// [`identity_chain`](Self::identity_chain) and dropped with the matrix
+    /// arena.
+    identity_chain: Vec<MatrixEdge>,
     vunique: UniqueTable,
     munique: UniqueTable,
     ctable: CTable,
@@ -734,6 +742,7 @@ impl DdPackage {
             vnodes: Vec::new(),
             mnodes: Vec::new(),
             midentity: Vec::new(),
+            identity_chain: vec![MatrixEdge::ONE],
             vunique: UniqueTable::new(),
             munique: UniqueTable::new(),
             ctable: CTable::with_tolerance(tolerance),
@@ -1158,6 +1167,27 @@ impl DdPackage {
         })
     }
 
+    /// The identity operator over levels `0..num_qubits` — the one place
+    /// identity chains are built.  The chain is memoized per package: the
+    /// first request for `n` levels creates the missing levels bottom-up,
+    /// and every later request for at most `n` levels is an array read.
+    /// Garbage collection drops the memo together with the matrix arena.
+    ///
+    /// # Errors
+    ///
+    /// Fails with a [`DdError`] when the governor interrupts a level's
+    /// construction; the levels built before it stay memoized.
+    pub(crate) fn identity_chain(&mut self, num_qubits: u16) -> Result<MatrixEdge, DdError> {
+        let levels = usize::from(num_qubits);
+        while self.identity_chain.len() <= levels {
+            let var = (self.identity_chain.len() - 1) as u16;
+            let below = self.identity_chain[usize::from(var)];
+            let edge = self.make_mnode(var, [below, MatrixEdge::ZERO, MatrixEdge::ZERO, below])?;
+            self.identity_chain.push(edge);
+        }
+        Ok(self.identity_chain[levels])
+    }
+
     /// Whether `node` is an exact identity chain: diagonal blocks equal with
     /// weight one, off-diagonal blocks zero, and the shared child either the
     /// terminal or itself an identity chain one level down.
@@ -1265,11 +1295,12 @@ impl DdPackage {
     ///
     /// Garbage collection compacts the vector arena, rebuilds the unique
     /// table from the compacted arena (no per-entry map rewrites), drops the
-    /// matrix arena, clears the compute caches and the operator memo (both
-    /// may refer to collected nodes) and — new since the bounded-cache
-    /// overhaul — rebuilds the canonical complex-value table so interned
-    /// weights unreachable from the surviving arena are dropped too, keeping
-    /// the value table from growing monotonically over long runs.
+    /// matrix arena and the identity-chain memo, clears the compute caches
+    /// and the operator memo (both may refer to collected nodes) and — new
+    /// since the bounded-cache overhaul — rebuilds the canonical
+    /// complex-value table so interned weights unreachable from the
+    /// surviving arena are dropped too, keeping the value table from growing
+    /// monotonically over long runs.
     ///
     /// Any [`VectorEdge`]/[`MatrixEdge`]/[`WeightId`] not reachable from a
     /// root is invalidated; the returned vector contains the remapped root
@@ -1320,6 +1351,7 @@ impl DdPackage {
         // with every cache that may point at collected nodes.
         self.mnodes.clear();
         self.midentity.clear();
+        self.identity_chain.truncate(1);
         self.munique.clear();
         self.clear_compute_tables();
         new_roots

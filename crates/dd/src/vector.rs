@@ -56,7 +56,8 @@ impl StateDd {
         Self::basis_state(package, num_qubits, 0)
     }
 
-    /// Builds the computational basis state `|index>`.
+    /// Builds the computational basis state `|index>`.  On registers wider
+    /// than 64 qubits, `index` sets the low 64 and the rest are `|0>`.
     ///
     /// # Errors
     ///
@@ -72,12 +73,12 @@ impl StateDd {
         index: u64,
     ) -> Result<Self, DdError> {
         assert!(
-            num_qubits == 64 || index < (1u64 << num_qubits),
+            num_qubits >= 64 || index < (1u64 << num_qubits),
             "basis index {index} out of range for {num_qubits} qubits"
         );
         let mut edge = package.vector_terminal(Complex::ONE);
         for var in 0..num_qubits {
-            let bit = (index >> var) & 1;
+            let bit = index.checked_shr(u32::from(var)).unwrap_or(0) & 1;
             edge = if bit == 0 {
                 package.make_vnode(var, edge, VectorEdge::ZERO)?
             } else {
@@ -283,6 +284,17 @@ mod tests {
             let expected = if i == 0b1010 { 1.0 } else { 0.0 };
             assert_eq!(s.probability(&p, i), expected, "index {i}");
         }
+        // Wider than 64 qubits: the index sets the low 64, the rest are |0>.
+        let wide = StateDd::basis_state(&mut p, 70, 0b101).unwrap();
+        let mut edge = wide.root();
+        for var in (0..70u16).rev() {
+            let node = p.vnode(edge.target);
+            assert_eq!(node.var, var);
+            let bit = usize::from(var == 0 || var == 2);
+            assert!(node.children[1 - bit].is_zero(), "qubit {var}");
+            edge = node.children[bit];
+        }
+        assert!(edge.target.is_terminal());
     }
 
     #[test]

@@ -171,3 +171,22 @@ fn measurement_collapse_composes_with_further_gates() {
     assert!((final_state.probability(&package, base) - 0.5).abs() < 1e-10);
     assert!((final_state.probability(&package, base | 0b10) - 0.5).abs() < 1e-10);
 }
+
+#[test]
+fn qft_gate_operators_are_built_in_the_gate_cone() {
+    // Gate operators cost work in proportion to the levels they touch: the
+    // nodes and values are exactly those of a full descent of every block
+    // to level 0, but the unique-table lookups that descent repeats (122,492
+    // hits on qft_48) are skipped.
+    let mut package = DdPackage::new();
+    let state = dd::simulate(&mut package, &algorithms::qft(48, true)).unwrap();
+    assert_eq!(state.node_count(&package), 48);
+    let stats = package.stats();
+    assert_eq!(stats.matrix_unique_misses, 36_396);
+    assert_eq!(stats.interned_values, 100);
+    assert!(
+        stats.matrix_unique_hits * 10 <= 122_492,
+        "{} matrix unique-table hits",
+        stats.matrix_unique_hits
+    );
+}

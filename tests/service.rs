@@ -6,7 +6,7 @@
 //! tolerance.  The fault-injected variants are gated behind the
 //! `fault-inject` feature.
 
-use circuit::Circuit;
+use circuit::{Circuit, NoiseChannel, NoiseModel, Qubit};
 use std::path::PathBuf;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
@@ -48,6 +48,53 @@ fn references(circuits: &[Circuit]) -> Vec<ShotHistogram> {
                 .histogram
         })
         .collect()
+}
+
+/// `h q[0]; t q[0]; cx q[0],q[69];` — a non-Clifford 70-qubit circuit
+/// whose final read-out of every qubit does not fit a `u64` sample.
+fn wide_circuit() -> Circuit {
+    let mut circuit = Circuit::new(70);
+    circuit.h(Qubit(0)).t(Qubit(0)).cx(Qubit(0), Qubit(69));
+    circuit
+}
+
+#[test]
+fn too_wide_dd_registers_fail_typed_on_both_front_doors() {
+    let too_wide = Err(RunError::RegisterTooWide { num_qubits: 70 });
+    let broker = ServiceBroker::new(ArtifactCache::unbounded(), ServiceConfig::default());
+    let noise = NoiseModel::new().with_gate_noise(NoiseChannel::depolarizing(0.01));
+    let ideal = WeakSimulator::new(Backend::DecisionDiagram);
+    let noisy = WeakSimulator::new(Backend::DecisionDiagram).with_noise(noise);
+    let mut reset_tail = wide_circuit();
+    reset_tail.reset(Qubit(1));
+    // Static, noisy (trajectory) and dynamic-without-measure runs all read
+    // every qubit at the end.
+    for (sim, circuit, label) in [
+        (&ideal, wide_circuit(), "static"),
+        (&noisy, wide_circuit(), "noisy"),
+        (&ideal, reset_tail, "dynamic"),
+    ] {
+        let run = sim.clone().run(&circuit, 100, SEED).map(|_| ());
+        assert_eq!(run, too_wide, "{label}: WeakSimulator::run");
+        let served = broker.serve(sim, &circuit, 100, SEED).map(|_| ());
+        assert_eq!(served, too_wide, "{label}: ServiceBroker::serve");
+    }
+    // The dense engine rejects the register for its amplitude count.
+    assert!(matches!(
+        WeakSimulator::new(Backend::StateVector).run(&wide_circuit(), 100, SEED),
+        Err(RunError::MemoryOut { num_qubits: 70, .. })
+    ));
+
+    // A classical record of two bits fits, however wide the register.
+    let mut measured = wide_circuit();
+    measured.measure(Qubit(0), 0).measure(Qubit(69), 1);
+    let outcome = broker.serve(&noisy, &measured, 100, SEED).unwrap();
+    assert_eq!(outcome.histogram.shots(), 100);
+    // The broker keeps serving after the failures.
+    let bell = broker
+        .serve(&ideal, &algorithms::ghz(2), SHOTS, SEED)
+        .unwrap();
+    assert_eq!(bell.histogram.count(0) + bell.histogram.count(3), SHOTS);
 }
 
 #[test]
