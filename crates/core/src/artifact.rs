@@ -186,7 +186,7 @@ impl SimArtifact {
     }
 
     /// Wall-clock time the build spent preparing the sampler (compilation,
-    /// prefix sums, or the tableau's measurement sweep).
+    /// prefix sums, or the tableau sampler's elimination).
     #[must_use]
     pub fn build_precompute_time(&self) -> Duration {
         self.build_precompute_time

@@ -60,11 +60,13 @@
 //! Terminal full-register sampling goes through
 //! [`Tableau::measurement_sampler`]: the support of a stabilizer state in
 //! the computational basis is an affine subspace `c XOR span(B)` over which
-//! the outcome distribution is *uniform*, so the sampler extracts one
-//! reference outcome `c` (a forced-zero CHP measurement sweep on a clone)
-//! and a basis `B` of the X-row space of the stabilizer generators once,
-//! after which every shot is `|B|` coin flips and word-XORs — independent
-//! of circuit depth.
+//! the outcome distribution is *uniform*, so the sampler finds one
+//! reference outcome `c` and a basis `B` of the X-row space of the
+//! stabilizer generators once, by one Gaussian elimination of the
+//! generators over GF(2) on a clone, after which every shot is `|B|` coin
+//! flips and word-XORs — independent of circuit depth.  `c` is the support
+//! element that is 0 at every pivot of `B`: the lexicographically smallest
+//! one, read from qubit 0.
 //!
 //! # Sign programs
 //!
@@ -87,9 +89,9 @@
 //!   parity of the signs of the stabilizers in `Z_q`'s decomposition, plus
 //!   a constant; a reset adds the `X` flip mask on outcome 1;
 //! * the terminal read-out keeps the final structure's
-//!   [`MeasurementSampler`] basis, and its reference element — a
-//!   forced-zero sweep, itself affine in the signs — becomes one parity
-//!   mask per qubit.
+//!   [`MeasurementSampler`] basis, and its reference element — found by
+//!   multiplying stabilizer rows together, so itself affine in the signs —
+//!   becomes one parity mask per qubit.
 //!
 //! [`SignCompiler`] walks the steps once on a structure-only tableau
 //! (signs cleared after each step, so each step's sign change is read off

@@ -2,14 +2,14 @@
 //! stabilizer signs (see the crate docs' sign-program section).
 
 use crate::apply::{lower, Lowered, TableauError};
+use crate::sample::{parity, xor};
 use crate::state::{Pauli, Tableau};
 use crate::MeasurementSampler;
 use circuit::{Condition, Operation};
 use rand::RngCore;
 
 /// What a measurement does to the stabilizer signs, with owned masks (the
-/// compiler moves them into the program's mask arena; the read-out sweep
-/// consumes them directly).
+/// compiler moves them into the program's mask arena).
 enum Measured {
     /// A random outcome: stabilizer `pivot` anticommutes with `Z_q`.
     Random {
@@ -57,29 +57,6 @@ fn measure_structure(tab: &mut Tableau, q: usize) -> Measured {
     }
 }
 
-fn xor(signs: &mut [u64], mask: &[u64]) {
-    for (s, m) in signs.iter_mut().zip(mask) {
-        *s ^= m;
-    }
-}
-
-fn parity(signs: &[u64], mask: &[u64]) -> bool {
-    signs
-        .iter()
-        .zip(mask)
-        .fold(0, |acc, (s, m)| acc ^ (s & m).count_ones())
-        & 1
-        == 1
-}
-
-fn set_bits(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    mask.iter().enumerate().flat_map(|(w, &word)| {
-        (0..64)
-            .filter(move |b| word >> b & 1 == 1)
-            .map(move |b| w * 64 + b)
-    })
-}
-
 /// A compiled measure or reset.  Masks are indices into the mask arena.
 #[derive(Debug, Clone, Copy)]
 enum Collapse {
@@ -113,7 +90,12 @@ enum Step {
 }
 
 /// The terminal full-register read-out of a [`MeasurementSampler`], with
-/// its reference element as a function of the shot's signs.
+/// its reference element as a function of the shot's signs.  The
+/// sampler's elimination multiplies stabilizer rows together (the sign of
+/// a product is the XOR of its factors' signs plus a constant that depends
+/// on the X/Z bits alone), then solves and reduces over GF(2), so each
+/// reference bit is a fixed parity of the signs, XOR its bit for
+/// all-clear signs.
 #[derive(Debug, Clone)]
 struct FinalRead {
     /// The sampler of the final structure; its reference element is the
@@ -460,8 +442,8 @@ impl SignCompiler {
         if final_read {
             // The signs are clear, so this sampler's reference element is
             // the one for all-clear signs.
-            let sampler = MeasurementSampler::new(&self.tab);
-            let parities = reference_parities(self.tab.clone())
+            let (sampler, parities) = MeasurementSampler::with_sign_parities(&self.tab);
+            let parities = parities
                 .into_iter()
                 .map(|(q, mask)| (q, self.push_mask(&mask)))
                 .collect();
@@ -471,50 +453,13 @@ impl SignCompiler {
     }
 }
 
-/// The linear part of each reference bit of [`MeasurementSampler::new`]'s
-/// forced-zero sweep, as a function of the signs at read-out: runs the
-/// sweep on `probe` (signs clear) while tracking every stabilizer sign as
-/// a GF(2) combination of the read-out signs.  Qubits whose reference bit
-/// does not depend on the signs are omitted.
-fn reference_parities(mut probe: Tableau) -> Vec<(usize, Vec<u64>)> {
-    let n = probe.num_qubits();
-    let words = probe.words_per_row();
-    // Row i: stabilizer sign i as a combination of the read-out signs.
-    let mut forms = vec![0u64; n * words];
-    for i in 0..n {
-        forms[i * words + i / 64] |= 1 << (i % 64);
-    }
-    let mut parities = Vec::new();
-    for q in 0..n {
-        match measure_structure(&mut probe, q) {
-            Measured::Random { pivot, anti, .. } => {
-                let pivot_form = forms[pivot * words..(pivot + 1) * words].to_vec();
-                for i in set_bits(&anti) {
-                    xor(&mut forms[i * words..(i + 1) * words], &pivot_form);
-                }
-                // Forced to outcome 0: a constant.
-                forms[pivot * words..(pivot + 1) * words].fill(0);
-            }
-            Measured::Fixed { parity, .. } => {
-                let mut form = vec![0; words];
-                for i in set_bits(&parity) {
-                    xor(&mut form, &forms[i * words..(i + 1) * words]);
-                }
-                if form.iter().any(|&w| w != 0) {
-                    parities.push((q, form));
-                }
-            }
-        }
-    }
-    parities
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sample::set_bits;
     use circuit::{Circuit, OneQubitGate, Qubit};
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// One measure/reset of a compiled circuit: the segment step before
     /// it, its own step, and the operation.
@@ -591,6 +536,140 @@ mod tests {
         let mut record = 0;
         let mut rng = SmallRng::seed_from_u64(0);
         crate::apply_operation(tab, op, 0, &mut record, &mut rng).unwrap();
+    }
+
+    /// The forced-zero CHP sweep the sampler's elimination replaced.
+    fn sweep_reference(tab: &Tableau) -> Vec<u64> {
+        let mut probe = tab.clone();
+        let mut reference = vec![0u64; tab.words_per_row()];
+        for q in 0..tab.num_qubits() {
+            if probe.measure_forced(q, false) {
+                reference[q / 64] |= 1 << (q % 64);
+            }
+        }
+        reference
+    }
+
+    /// The X-basis loop the sampler's elimination replaced: each X row
+    /// reduced against the earlier basis rows in turn.
+    fn reference_basis(tab: &Tableau) -> Vec<Vec<u64>> {
+        let mut basis: Vec<Vec<u64>> = Vec::new();
+        let mut pivots = Vec::new();
+        for i in 0..tab.num_qubits() {
+            let mut row = tab.stabilizer_x_row(i).to_vec();
+            for (vec, &p) in basis.iter().zip(&pivots) {
+                if row[p / 64] >> (p % 64) & 1 == 1 {
+                    xor(&mut row, vec);
+                }
+            }
+            let pivot = set_bits(&row).next();
+            if let Some(p) = pivot {
+                basis.push(row);
+                pivots.push(p);
+            }
+        }
+        basis
+    }
+
+    /// The read-out parities the sampler's elimination replaced: runs the
+    /// forced-zero sweep on `probe` (signs clear) while tracking every
+    /// stabilizer sign as a GF(2) combination of the read-out signs.
+    /// Qubits whose reference bit does not depend on the signs are omitted.
+    fn reference_parities(mut probe: Tableau) -> Vec<(usize, Vec<u64>)> {
+        let n = probe.num_qubits();
+        let words = probe.words_per_row();
+        // Row i: stabilizer sign i as a combination of the read-out signs.
+        let mut forms = vec![0u64; n * words];
+        for i in 0..n {
+            forms[i * words + i / 64] |= 1 << (i % 64);
+        }
+        let mut parities = Vec::new();
+        for q in 0..n {
+            match measure_structure(&mut probe, q) {
+                Measured::Random { pivot, anti, .. } => {
+                    let pivot_form = forms[pivot * words..(pivot + 1) * words].to_vec();
+                    for i in set_bits(&anti) {
+                        xor(&mut forms[i * words..(i + 1) * words], &pivot_form);
+                    }
+                    // Forced to outcome 0: a constant.
+                    forms[pivot * words..(pivot + 1) * words].fill(0);
+                }
+                Measured::Fixed { parity, .. } => {
+                    let mut form = vec![0; words];
+                    for i in set_bits(&parity) {
+                        xor(&mut form, &forms[i * words..(i + 1) * words]);
+                    }
+                    if form.iter().any(|&w| w != 0) {
+                        parities.push((q, form));
+                    }
+                }
+            }
+        }
+        parities
+    }
+
+    /// A random stabilizer state: H/S/Sdg/Pauli/CX/CZ gates with
+    /// mid-circuit measurements mixed in.
+    fn random_tableau(n: usize, rng: &mut SmallRng) -> Tableau {
+        let mut tab = Tableau::zero_state(n);
+        let measure_rate = rng.gen_range(0..4u32);
+        for _ in 0..rng.gen_range(0..=6 * n) {
+            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            match rng.gen_range(0..10u32) {
+                0 | 1 => tab.h(a),
+                2 => tab.s(a),
+                3 => tab.sdg(a),
+                4 => tab.apply_pauli(a, [Pauli::X, Pauli::Y, Pauli::Z][b % 3]),
+                5 if measure_rate > 0 && rng.gen_range(0..4u32) < measure_rate => {
+                    tab.measure(a, rng);
+                }
+                6 | 7 if a != b => tab.cx(a, b),
+                8 | 9 if a != b => tab.cz(a, b),
+                _ => {}
+            }
+        }
+        tab
+    }
+
+    /// Checks the elimination against the sweep: the same reference and
+    /// basis under random signs, and the same read-out parities (with the
+    /// same all-clear reference) once the signs are cleared.
+    fn assert_elimination_matches_the_sweep(mut tab: Tableau, rng: &mut SmallRng, label: &str) {
+        for q in 0..tab.num_qubits() {
+            tab.apply_pauli(
+                q,
+                [Pauli::I, Pauli::X, Pauli::Y, Pauli::Z][rng.gen_range(0..4usize)],
+            );
+        }
+        let sampler = tab.measurement_sampler();
+        assert_eq!(sampler.reference(), sweep_reference(&tab), "{label}");
+        assert_eq!(sampler.basis(), reference_basis(&tab), "{label}");
+
+        let mut signs = vec![0; tab.words_per_row()];
+        tab.take_stabilizer_signs(&mut signs);
+        let (sampler, parities) = MeasurementSampler::with_sign_parities(&tab);
+        assert_eq!(sampler.reference(), sweep_reference(&tab), "{label}");
+        assert_eq!(parities, reference_parities(tab), "{label}");
+    }
+
+    #[test]
+    fn elimination_reproduces_the_forced_measurement_sweep() {
+        let mut rng = SmallRng::seed_from_u64(0x5ee9);
+        for n in [1, 2, 3, 5, 9, 31, 63, 64, 65, 100, 129, 200] {
+            let tableaux = if n <= 65 { 24 } else { 6 };
+            for case in 0..tableaux {
+                let tab = random_tableau(n, &mut rng);
+                assert_elimination_matches_the_sweep(tab, &mut rng, &format!("n={n} #{case}"));
+            }
+        }
+        for n in [250, 500, 1000] {
+            let mut ghz = Tableau::zero_state(n);
+            ghz.h(0);
+            for q in 1..n {
+                ghz.cx(q - 1, q);
+            }
+            assert_elimination_matches_the_sweep(ghz, &mut rng, &format!("ghz_{n}"));
+        }
     }
 
     #[test]

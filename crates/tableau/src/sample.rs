@@ -11,11 +11,19 @@ use rand::RngCore;
 /// basis of the row space of the X-parts of the stabilizer generators
 /// (each generator with X-part `v` maps a support element `|b>` to
 /// `|b XOR v>` up to phase), and the outcome distribution is **uniform**
-/// over that subspace.  Construction therefore does the expensive work
-/// once — a forced-zero CHP measurement sweep on a clone to obtain the
-/// reference element `c`, and a Gaussian elimination to obtain `B` — after
-/// which every shot is `|B|` coin flips and `|B|` word-XORs, independent of
-/// circuit depth and of how many shots are drawn.
+/// over that subspace (Van den Nest, arXiv:0811.0898).  Construction
+/// therefore does the expensive work once — one Gaussian elimination of
+/// the generators over GF(2) on a clone — after which every shot is `|B|`
+/// coin flips and `|B|` word-XORs, independent of circuit depth and of how
+/// many shots are drawn.
+///
+/// The elimination reduces the generators' X parts to echelon form, which
+/// gives `B`; the generators whose X part vanishes are `(-1)^r Z^z`, so
+/// every support element `b` satisfies `z·b = r`, and back substitution
+/// finds one.  The reference element `c` is the support element that is 0
+/// at every pivot of `B`: the lexicographically smallest one, read from
+/// qubit 0, which is what a CHP sweep measuring qubits `0, 1, ...` with
+/// every random outcome forced to 0 would return.
 ///
 /// # Examples
 ///
@@ -48,45 +56,112 @@ impl MeasurementSampler {
     /// Builds the sampler from a tableau (which is cloned, not modified).
     #[must_use]
     pub(crate) fn new(tab: &Tableau) -> Self {
+        Self::eliminate(tab, false).0
+    }
+
+    /// Builds the sampler together with its reference element's dependence
+    /// on the stabilizer signs of `tab`: `(qubit, mask)` pairs, where the
+    /// qubit's reference bit flips when the parity of the masked signs is
+    /// odd.  Qubits whose reference bit does not depend on the signs are
+    /// left out.
+    pub(crate) fn with_sign_parities(tab: &Tableau) -> (Self, Vec<(usize, Vec<u64>)>) {
+        let (sampler, forms) = Self::eliminate(tab, true);
+        let parities = forms
+            .chunks_exact(sampler.words)
+            .enumerate()
+            .filter(|(_, form)| form.iter().any(|&w| w != 0))
+            .map(|(q, form)| (q, form.to_vec()))
+            .collect();
+        (sampler, parities)
+    }
+
+    /// The elimination (see the type docs) on a clone of `tab`.
+    ///
+    /// With `track_signs`, every stabilizer sign is carried along as a
+    /// GF(2) form over the signs of `tab` (row `i` of a flat `n x words`
+    /// array), and the second value holds, in row `q`, the form of
+    /// reference bit `q`; without, it is empty.
+    fn eliminate(tab: &Tableau, track_signs: bool) -> (Self, Vec<u64>) {
         let num_qubits = tab.num_qubits();
         let words = tab.words_per_row();
-
-        // Reference support element: collapse a clone with all random
-        // outcomes forced to 0.  The result is a valid (maximum-likelihood-
-        // equivalent, since the distribution is uniform) outcome.
-        let mut probe = tab.clone();
-        let mut reference = vec![0u64; words];
-        for q in 0..num_qubits {
-            if probe.measure_forced(q, false) {
-                reference[q / 64] |= 1 << (q % 64);
+        let mut work = tab.clone();
+        let mut forms = Vec::new();
+        if track_signs {
+            forms = vec![0u64; num_qubits * words];
+            for i in 0..num_qubits {
+                forms[i * words + i / 64] |= 1 << (i % 64);
             }
         }
 
-        // Basis of the X-row space of the stabilizer generators, by Gaussian
-        // elimination over GF(2).
-        let mut basis: Vec<Vec<u64>> = Vec::new();
-        let mut pivots: Vec<usize> = Vec::new();
+        // 1. Reduce each stabilizer's X part against the earlier rows with
+        // an X pivot; the rows left without one are Z products, which are
+        // reduced against each other the same way.  Each multiplication
+        // clears its pivot bit and touches only higher bits, so one upward
+        // scan per row leaves it zero at every earlier pivot, exactly as
+        // reducing by the earlier rows in turn would.
+        let mut x_pivots: Vec<(usize, usize)> = Vec::new();
+        let mut z_pivots: Vec<(usize, usize)> = Vec::new();
+        let mut x_row_at = vec![None; num_qubits];
+        let mut z_row_at = vec![None; num_qubits];
         for i in 0..num_qubits {
-            let mut row = tab.stabilizer_x_row(i).to_vec();
-            for (vec, &p) in basis.iter().zip(&pivots) {
-                if row[p / 64] >> (p % 64) & 1 == 1 {
-                    for (r, v) in row.iter_mut().zip(vec) {
-                        *r ^= v;
+            if let Some(p) = reduce(&mut work, &mut forms, i, &x_row_at, true) {
+                x_row_at[p] = Some(i);
+                x_pivots.push((i, p));
+            } else if let Some(p) = reduce(&mut work, &mut forms, i, &z_row_at, false) {
+                z_row_at[p] = Some(i);
+                z_pivots.push((i, p));
+            }
+        }
+
+        // 2. One support element: solve `z·b = r` by back substitution, in
+        // reverse order, with every bit that is not a Z pivot set to 0.  A
+        // row is zero at the pivots of the rows before it, so only its own
+        // pivot is still unknown.
+        let mut reference = vec![0u64; words];
+        let mut bit_forms = vec![0u64; forms.len()];
+        for &(i, p) in z_pivots.iter().rev() {
+            let z = work.stabilizer_z_row(i);
+            if work.stabilizer_sign(i) ^ parity(z, &reference) {
+                reference[p / 64] |= 1 << (p % 64);
+            }
+            if track_signs {
+                let mut form = forms[i * words..(i + 1) * words].to_vec();
+                for q in set_bits(z).filter(|&q| q != p) {
+                    xor(&mut form, &bit_forms[q * words..(q + 1) * words]);
+                }
+                bit_forms[p * words..(p + 1) * words].copy_from_slice(&form);
+            }
+        }
+
+        // 3. Clear the reference at every X pivot.  A basis row is zero at
+        // the pivots of the rows before it, so a cleared bit stays clear,
+        // and the result is the unique support element that is 0 at every
+        // pivot: the lexicographically smallest.
+        let basis: Vec<Vec<u64>> = x_pivots
+            .iter()
+            .map(|&(i, _)| work.stabilizer_x_row(i).to_vec())
+            .collect();
+        for (row, &(_, p)) in basis.iter().zip(&x_pivots) {
+            if reference[p / 64] >> (p % 64) & 1 == 1 {
+                xor(&mut reference, row);
+            }
+            if track_signs {
+                let pivot_form = bit_forms[p * words..(p + 1) * words].to_vec();
+                if pivot_form.iter().any(|&w| w != 0) {
+                    for q in set_bits(row) {
+                        xor(&mut bit_forms[q * words..(q + 1) * words], &pivot_form);
                     }
                 }
             }
-            if let Some(p) = first_set_bit(&row) {
-                basis.push(row);
-                pivots.push(p);
-            }
         }
 
-        Self {
+        let sampler = Self {
             num_qubits,
             words,
             reference,
             basis,
-        }
+        };
+        (sampler, bit_forms)
     }
 
     /// The register width in qubits.
@@ -133,6 +208,12 @@ impl MeasurementSampler {
     /// The support element every shot starts from.
     pub(crate) fn reference(&self) -> &[u64] {
         &self.reference
+    }
+
+    /// The basis rows, in draw order.
+    #[cfg(test)]
+    pub(crate) fn basis(&self) -> &[Vec<u64>] {
+        &self.basis
     }
 
     /// XORs a uniformly drawn element of the basis span into `out`, which
@@ -188,9 +269,10 @@ impl MeasurementSampler {
     /// Reconstructs a sampler from [`encode_snapshot`](Self::encode_snapshot)
     /// bytes, validating the packed-width invariants the draw loop relies on
     /// (at least one reference word, a basis of at most `num_qubits` rows,
-    /// and an exact payload length).  Returns `None` for any truncated or
-    /// inconsistent payload — a corrupted snapshot section must never panic
-    /// a loader.
+    /// no reference or basis bit at or above `num_qubits`, and an exact
+    /// payload length).  Returns `None` for any truncated or inconsistent
+    /// payload — a corrupted snapshot section must never panic a loader,
+    /// nor draw outcomes outside the register.
     #[must_use]
     pub fn decode_snapshot(bytes: &[u8]) -> Option<Self> {
         if bytes.len() < 16 {
@@ -218,6 +300,14 @@ impl MeasurementSampler {
         let basis = (0..rows)
             .map(|_| next_row(words))
             .collect::<Option<Vec<_>>>()?;
+        let used = num_qubits % 64;
+        let beyond_register = if used == 0 { 0 } else { u64::MAX << used };
+        if std::iter::once(&reference)
+            .chain(&basis)
+            .any(|row| row[words - 1] & beyond_register != 0)
+        {
+            return None;
+        }
         Some(Self {
             num_qubits,
             words,
@@ -227,12 +317,81 @@ impl MeasurementSampler {
     }
 }
 
-fn first_set_bit(words: &[u64]) -> Option<usize> {
-    words
-        .iter()
-        .enumerate()
-        .find(|(_, &w)| w != 0)
-        .map(|(i, &w)| i * 64 + w.trailing_zeros() as usize)
+/// Step 1 of [`MeasurementSampler::eliminate`] for stabilizer `i`:
+/// multiplies in the pivot row of every set bit of its X part (`x_part`)
+/// or Z part that `row_at` maps to a row, mirroring each product on the
+/// sign `forms` when they are tracked.  Returns the lowest bit left, the
+/// row's own pivot, or `None` when the part vanished.
+fn reduce(
+    work: &mut Tableau,
+    forms: &mut [u64],
+    i: usize,
+    row_at: &[Option<usize>],
+    x_part: bool,
+) -> Option<usize> {
+    let words = work.words_per_row();
+    let mut pivot = None;
+    let mut from = 0;
+    while let Some(q) = next_set_bit(
+        if x_part {
+            work.stabilizer_x_row(i)
+        } else {
+            work.stabilizer_z_row(i)
+        },
+        from,
+    ) {
+        match row_at[q] {
+            None => {
+                pivot.get_or_insert(q);
+            }
+            Some(k) => {
+                work.multiply_stabilizers(i, k);
+                if !forms.is_empty() {
+                    for w in 0..words {
+                        forms[i * words + w] ^= forms[k * words + w];
+                    }
+                }
+            }
+        }
+        from = q + 1;
+    }
+    pivot
+}
+
+/// The lowest set bit at or above `from`.
+fn next_set_bit(words: &[u64], from: usize) -> Option<usize> {
+    let mut w = from / 64;
+    let mut word = words.get(w)? & (u64::MAX << (from % 64));
+    while word == 0 {
+        w += 1;
+        word = *words.get(w)?;
+    }
+    Some(w * 64 + word.trailing_zeros() as usize)
+}
+
+/// XORs `mask` into `bits`.
+pub(crate) fn xor(bits: &mut [u64], mask: &[u64]) {
+    for (b, m) in bits.iter_mut().zip(mask) {
+        *b ^= m;
+    }
+}
+
+/// The parity of the bits `mask` selects from `bits`.
+pub(crate) fn parity(bits: &[u64], mask: &[u64]) -> bool {
+    bits.iter()
+        .zip(mask)
+        .fold(0, |acc, (b, m)| acc ^ (b & m).count_ones())
+        & 1
+        == 1
+}
+
+/// The indices of the set bits, in increasing order.
+pub(crate) fn set_bits(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    mask.iter().enumerate().flat_map(|(w, &word)| {
+        (0..64)
+            .filter(move |b| word >> b & 1 == 1)
+            .map(move |b| w * 64 + b)
+    })
 }
 
 #[cfg(test)]
@@ -367,6 +526,37 @@ mod tests {
         let mut bad_rows = bytes;
         bad_rows[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(MeasurementSampler::decode_snapshot(&bad_rows).is_none());
+    }
+
+    #[test]
+    fn snapshot_decode_rejects_bits_beyond_the_register() {
+        // 3 qubits (one word) and 70 qubits (the last word holds 6 bits),
+        // each with a one-row basis: a bit at or above `num_qubits` in the
+        // reference or the basis row would be drawn into every shot.
+        for (n, last_valid) in [(3, 2), (70, 69)] {
+            let mut tab = Tableau::zero_state(n);
+            tab.h(0);
+            tab.cx(0, n - 1);
+            let sampler = tab.measurement_sampler();
+            assert_eq!(sampler.support_dimension(), 1);
+            let mut bytes = Vec::new();
+            sampler.encode_snapshot(&mut bytes);
+            let words = n.div_ceil(64);
+            // Bit `b` of row `row` (0 = the reference, 1 = the basis row).
+            let with_bit = |row: usize, b: usize| {
+                let mut corrupt = bytes.clone();
+                corrupt[16 + (row * words + b / 64) * 8 + b % 64 / 8] |= 1 << (b % 8);
+                corrupt
+            };
+            for row in 0..2 {
+                let valid = MeasurementSampler::decode_snapshot(&with_bit(row, last_valid));
+                assert!(valid.is_some(), "n={n}: bit {last_valid} of row {row}");
+                for b in [n, 40, words * 64 - 1].into_iter().filter(|&b| b >= n) {
+                    let decoded = MeasurementSampler::decode_snapshot(&with_bit(row, b));
+                    assert!(decoded.is_none(), "n={n}: bit {b} of row {row}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -397,10 +397,12 @@ impl Tableau {
     }
 
     /// Measures qubit `q`, forcing the outcome to `forced` when it is
-    /// random (used by the reference sweep of
-    /// [`measurement_sampler`](Self::measurement_sampler)); deterministic
-    /// outcomes are returned as-is.
-    pub fn measure_forced(&mut self, q: usize, forced: bool) -> bool {
+    /// random; deterministic outcomes are returned as-is.  The tests' CHP
+    /// reference: a sweep of forced-zero measurements yields the reference
+    /// element the sampler finds by elimination, and a forced replay steps
+    /// a full tableau through chosen outcomes.
+    #[cfg(test)]
+    pub(crate) fn measure_forced(&mut self, q: usize, forced: bool) -> bool {
         self.check(q);
         match self.anticommuting_stabilizer(q) {
             Some(p) => {
@@ -530,7 +532,7 @@ impl Tableau {
 
     /// Builds the terminal full-register sampler; see
     /// [`MeasurementSampler`](crate::MeasurementSampler).  The tableau
-    /// itself is not modified (the collapsing sweep runs on a clone).
+    /// itself is not modified (the elimination runs on a clone).
     #[must_use]
     pub fn measurement_sampler(&self) -> crate::MeasurementSampler {
         crate::MeasurementSampler::new(self)
@@ -576,10 +578,28 @@ impl Tableau {
     }
 
     /// The X-bit words of stabilizer row `n + i` (used by the sampler's
-    /// basis extraction).
+    /// elimination).
     pub(crate) fn stabilizer_x_row(&self, i: usize) -> &[u64] {
         let base = (self.num_qubits + i) * self.words;
         &self.x[base..base + self.words]
+    }
+
+    /// The Z-bit words of stabilizer row `n + i`.
+    pub(crate) fn stabilizer_z_row(&self, i: usize) -> &[u64] {
+        let base = (self.num_qubits + i) * self.words;
+        &self.z[base..base + self.words]
+    }
+
+    /// The sign of stabilizer row `n + i`.
+    pub(crate) fn stabilizer_sign(&self, i: usize) -> bool {
+        self.r[self.num_qubits + i]
+    }
+
+    /// Multiplies stabilizer `h` by stabilizer `i` ([`rowsum`](Self::rowsum)
+    /// on rows `n + h` and `n + i`): the stabilizer group, and so the
+    /// state, stays the same.
+    pub(crate) fn multiply_stabilizers(&mut self, h: usize, i: usize) {
+        self.rowsum(self.num_qubits + h, self.num_qubits + i);
     }
 }
 

@@ -326,6 +326,50 @@ fn truncated_snapshot_is_a_reported_tear_never_a_panic() {
     std::fs::remove_file(&path).ok();
 }
 
+#[test]
+fn snapshot_tableau_bits_beyond_the_register_are_skipped_and_rebuilt() {
+    // A routed 3-qubit basis state: its tableau sampler has no basis rows,
+    // so the payload ends in the one reference word.
+    let mut circuit = Circuit::with_name(3, "basis_state");
+    circuit.x(Qubit(0)).x(Qubit(2));
+    let broker = ServiceBroker::new(ArtifactCache::unbounded(), ServiceConfig::default());
+    let sim = WeakSimulator::new(Backend::DecisionDiagram).with_clifford_router();
+    let cold = broker
+        .serve(&sim, &circuit, SHOTS, SEED)
+        .expect("cold serve");
+    assert_eq!(cold.histogram.count(0b101), SHOTS);
+
+    let path = snapshot_path("beyond-register.snap");
+    broker.write_snapshot(&path).expect("write snapshot");
+    let mut bytes = std::fs::read(&path).expect("read snapshot back");
+    // Set bit 40 of the reference word, then recompute the entry checksum
+    // (FNV-1a 64 of the payload after the 16-byte file and 32-byte entry
+    // headers) so that only the sampler's own validation can catch it.
+    let reference = bytes.len() - 8;
+    assert_eq!(bytes[reference], 0b101);
+    bytes[reference + 5] |= 1;
+    let checksum = bytes[48..]
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        });
+    bytes[40..48].copy_from_slice(&checksum.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("write corrupted snapshot");
+
+    let restored = ServiceBroker::new(ArtifactCache::unbounded(), ServiceConfig::default());
+    let report = restored.load_snapshot(&path).expect("load corrupted");
+    assert_eq!((report.loaded, report.skipped, report.torn), (0, 1, false));
+    assert!(
+        report.messages.iter().any(|m| m.contains("malformed")),
+        "skip must be reported: {:?}",
+        report.messages
+    );
+    let rebuilt = restored.serve(&sim, &circuit, SHOTS, SEED).expect("serve");
+    assert_eq!(rebuilt.cache, Some(CacheOutcome::Miss));
+    assert_eq!(rebuilt.histogram, cold.histogram);
+    std::fs::remove_file(&path).ok();
+}
+
 #[cfg(feature = "fault-inject")]
 mod fault_injected {
     use super::*;

@@ -244,11 +244,104 @@ fn histogram_digest(histogram: &ShotHistogram) -> u64 {
     hash
 }
 
+/// A 24-qubit static Clifford state whose support has dimension above 1
+/// and misses all-zeros, so the tableau sampler's reference element is
+/// not zero.
+fn pinned_clifford() -> Circuit {
+    let mut c = Circuit::with_name(24, "pinned_clifford");
+    for q in (0..24).step_by(3) {
+        c.h(Qubit(q));
+    }
+    for q in (0..23).filter(|q| q % 4 != 3) {
+        c.cx(Qubit(q), Qubit(q + 1));
+    }
+    for q in (1..24).step_by(5) {
+        c.s(Qubit(q)).cz(Qubit(q), Qubit((q + 7) % 24));
+    }
+    c.h(Qubit(7))
+        .x(Qubit(2))
+        .x(Qubit(11))
+        .y(Qubit(20))
+        .swap(Qubit(4), Qubit(19));
+    c
+}
+
+/// A 100-qubit static Clifford state read out through a terminal
+/// measurement mapping that takes qubits from both sides of the 64-bit
+/// word boundary, out of order.
+fn pinned_wide_clifford() -> Circuit {
+    let mut c = Circuit::with_name(100, "pinned_wide_clifford");
+    for q in [0, 30, 62, 64, 90] {
+        c.h(Qubit(q));
+    }
+    for q in 0..99 {
+        c.cx(Qubit(q), Qubit(q + 1));
+    }
+    c.s(Qubit(63))
+        .h(Qubit(63))
+        .cz(Qubit(63), Qubit(65))
+        .x(Qubit(65))
+        .h(Qubit(40))
+        .x(Qubit(99));
+    for (cbit, q) in [99, 0, 63, 64, 65, 31, 91, 50, 2, 77]
+        .into_iter()
+        .enumerate()
+    {
+        c.measure(Qubit(q), cbit as u16);
+    }
+    c
+}
+
+/// A dynamic Clifford circuit with mid-circuit measurements and resets.
+fn pinned_dynamic() -> Circuit {
+    let mut c = Circuit::with_name(5, "pinned_dynamic");
+    c.h(Qubit(0))
+        .cx(Qubit(0), Qubit(1))
+        .s(Qubit(1))
+        .h(Qubit(2))
+        .cz(Qubit(1), Qubit(2))
+        .measure(Qubit(1), 0)
+        .reset(Qubit(0))
+        .h(Qubit(0))
+        .cx(Qubit(0), Qubit(3))
+        .cx(Qubit(2), Qubit(4))
+        .x(Qubit(4))
+        .reset(Qubit(2))
+        .h(Qubit(2));
+    for q in [0, 2, 3, 4] {
+        c.measure(Qubit(q), q);
+    }
+    c
+}
+
+/// A dynamic Clifford circuit with resets but no measurement: its record
+/// is the terminal read-out of the compiled sign program.
+fn pinned_reset_readout() -> Circuit {
+    let mut c = Circuit::with_name(9, "pinned_reset_readout");
+    c.h(Qubit(0));
+    for q in 0..8 {
+        c.cx(Qubit(q), Qubit(q + 1));
+    }
+    c.s(Qubit(3))
+        .h(Qubit(3))
+        .reset(Qubit(4))
+        .cx(Qubit(3), Qubit(4))
+        .h(Qubit(6))
+        .cz(Qubit(6), Qubit(7))
+        .x(Qubit(8))
+        .reset(Qubit(1))
+        .y(Qubit(5));
+    c
+}
+
 /// Fixed-seed histograms pinned across sampler rewrites: the decision
 /// diagram's chunked draw (several batches and a partial last chunk), the
-/// dense sequential draw, and the decision diagram read out through a
-/// permuting terminal-measurement mapping.  A changed digest means a seed
-/// no longer reproduces the histograms it produced before.
+/// dense sequential draw, the decision diagram read out through a
+/// permuting terminal-measurement mapping, and the tableau behind the
+/// Clifford router (a static state with a non-zero reference element, a
+/// word-spanning measurement mapping, and two dynamic circuits compiled
+/// to sign programs).  A changed digest means a seed no longer reproduces
+/// the histograms it produced before.
 #[test]
 fn pinned_histogram_digests_are_stable() {
     let (supremacy, _) = algorithms::supremacy(3, 3, 8, 4);
@@ -257,34 +350,56 @@ fn pinned_histogram_digests_are_stable() {
     for q in 0..6 {
         measured.measure(Qubit(q), 5 - q);
     }
+    let (clifford, wide, dynamic, reset_readout) = (
+        pinned_clifford(),
+        pinned_wide_clifford(),
+        pinned_dynamic(),
+        pinned_reset_readout(),
+    );
+    let dd = WeakSimulator::new(Backend::DecisionDiagram);
+    let sv = WeakSimulator::new(Backend::StateVector);
+    let routed = dd.clone().with_clifford_router();
     let cases = [
+        ("dd", &dd, &supremacy, 150_003, 0x4f18_845d_7479_efaf_u64),
+        ("sv", &sv, &supremacy, 10_007, 0xedc9_1f4c_acf9_275c),
+        ("dd_mapped", &dd, &measured, 20_011, 0x98cb_81a6_e542_1532),
+        ("tableau", &routed, &clifford, 20_011, 0x5695_5703_c03b_38e6),
         (
-            "dd",
-            Backend::DecisionDiagram,
-            &supremacy,
-            150_003,
-            0x4f18_845d_7479_efaf_u64,
-        ),
-        (
-            "sv",
-            Backend::StateVector,
-            &supremacy,
-            10_007,
-            0xedc9_1f4c_acf9_275c,
-        ),
-        (
-            "dd_mapped",
-            Backend::DecisionDiagram,
-            &measured,
+            "tableau_mapped",
+            &routed,
+            &wide,
             20_011,
-            0x98cb_81a6_e542_1532,
+            0xdf2d_bd5f_0b26_862c,
+        ),
+        (
+            "tableau_dynamic",
+            &routed,
+            &dynamic,
+            5_003,
+            0x9e6d_f2a0_b397_d5c0,
+        ),
+        (
+            "tableau_reset_readout",
+            &routed,
+            &reset_readout,
+            5_003,
+            0x938c_2ecc_8d50_8c8a,
         ),
     ];
-    for (label, backend, circuit, shots, expected) in cases {
-        let outcome = WeakSimulator::new(backend)
-            .run(circuit, shots, 2026)
-            .unwrap();
+    for (label, sim, circuit, shots, expected) in cases {
+        let outcome = sim.clone().run(circuit, shots, 2026).unwrap();
         assert_eq!(outcome.histogram.shots(), shots, "{label}");
+        if label.starts_with("tableau") {
+            assert_eq!(
+                outcome.route.segments[0].engine,
+                EngineKind::Tableau,
+                "{label}"
+            );
+        }
+        if label == "tableau" {
+            let histogram = &outcome.histogram;
+            assert!(histogram.count(0) == 0 && histogram.counts().len() > 2);
+        }
         assert_eq!(
             histogram_digest(&outcome.histogram),
             expected,

@@ -92,6 +92,17 @@ fn random_circuit(case: u64, flavor: Flavor) -> Circuit {
     c
 }
 
+/// A source whose every draw is one decided bit: `Tableau::measure` with
+/// it collapses a random outcome onto that bit and returns a fixed
+/// outcome as it is.
+struct Decided(bool);
+
+impl rand::RngCore for Decided {
+    fn next_u64(&mut self) -> u64 {
+        u64::from(self.0)
+    }
+}
+
 /// `P(qubit = 1)` of a stabilizer state: fixed or a fair coin.
 fn p_one(tab: &mut Tableau, qubit: usize) -> f64 {
     match tab.deterministic_outcome(qubit) {
@@ -136,7 +147,7 @@ fn reference_shot(circuit: &Circuit, noise: &NoiseModel, rng: &mut SmallRng) -> 
                 }
                 if fires(record) {
                     let decision = rng.gen::<f64>() < p_one(&mut tab, q);
-                    let outcome = tab.measure_forced(q, decision);
+                    let outcome = tab.measure(q, &mut Decided(decision));
                     assert_eq!(outcome, decision, "a fixed outcome has P(1) in {{0, 1}}");
                     record = (record & !(1 << cbit)) | u64::from(outcome) << cbit;
                 }
@@ -145,7 +156,7 @@ fn reference_shot(circuit: &Circuit, noise: &NoiseModel, rng: &mut SmallRng) -> 
                 let q = qubit.index();
                 if fires(record) {
                     let decision = rng.gen::<f64>() < p_one(&mut tab, q);
-                    if tab.measure_forced(q, decision) {
+                    if tab.measure(q, &mut Decided(decision)) {
                         tab.x(q);
                     }
                 }
