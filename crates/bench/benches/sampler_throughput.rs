@@ -1,21 +1,24 @@
-//! Raw sampler throughput: precomputation cost and per-sample cost of every
-//! sampling method, measured separately (the two phases that add up to the
-//! `t [s]` columns of Table I).
+//! The benchmark of record for the sampling kernels: one wall-clock run that
+//! writes every measurement to `BENCH_sampler_throughput.json` at the
+//! workspace root.
 //!
-//! Besides the Criterion groups, this bench records the headline baseline —
-//! `CompiledSampler` vs `DdSampler` on the 20-qubit supremacy state — into
-//! `BENCH_sampler_throughput.json` at the workspace root.  Regenerate with:
+//! The headline state is the 20-qubit supremacy circuit: its construction,
+//! the precomputation of each sampler (downstream annotation, prefix sums,
+//! arena compilation) and the per-shot draw of each, the two phases that
+//! add up to the `t [s]` columns of Table I.  Beside it the run records the
+//! 2-norm normalization ablation (Section IV-C), the per-shot draw against
+//! the qubit count, the trajectory engine on both backends, the Clifford
+//! router and the artifact cache.  Regenerate with:
 //!
 //! ```text
 //! cargo bench -p bench --bench sampler_throughput
 //! ```
 //!
-//! (`CRITERION_QUICK=1` shrinks the Criterion windows for CI smoke runs; the
-//! JSON baseline always uses fixed shot counts and wall-clock timing.)
+//! `CRITERION_QUICK=1` cuts the shot count from 200,000 to 20,000 for CI
+//! smoke runs.
 
 use bench::BENCH_SEED;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dd::{CompiledSampler, DdPackage, DdSampler, NormalizedSampler};
+use dd::{CompiledSampler, DdPackage, DdSampler, Normalization, NormalizedSampler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use statevector::PrefixSampler;
@@ -24,8 +27,6 @@ use weaksim::{
     simulate_noisy_trajectories_with_threads, simulate_trajectories_with_threads, Backend,
     WeakSimulator,
 };
-
-const SHOTS: u64 = 10_000;
 
 /// Teleportation with mid-circuit measurement: the reference dynamic-circuit
 /// workload for the trajectory engine (three events, non-trivial suffix).
@@ -62,183 +63,11 @@ fn deep_noisy_workload() -> (circuit::Circuit, circuit::NoiseModel) {
     )
 }
 
-fn workloads() -> Vec<circuit::Circuit> {
-    vec![
-        algorithms::qft(20, true),
-        algorithms::supremacy(4, 4, 10, BENCH_SEED).0,
-        algorithms::w_state(20),
-    ]
-}
-
-fn bench_precompute(c: &mut Criterion) {
-    let mut group = c.benchmark_group("precompute");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(500));
-
-    for circuit in workloads() {
-        let dense = statevector::simulate(&circuit).expect("dense simulation fits");
-        group.bench_with_input(
-            BenchmarkId::new("prefix_sum_construction", circuit.name()),
-            &dense,
-            |b, state| b.iter(|| PrefixSampler::new(state)),
-        );
-
-        let mut package = DdPackage::new();
-        let state = dd::simulate(&mut package, &circuit).expect("valid circuit");
-        group.bench_with_input(
-            BenchmarkId::new("downstream_annotation", circuit.name()),
-            &(&package, &state),
-            |b, (package, state)| b.iter(|| DdSampler::new(package, state)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("arena_compilation", circuit.name()),
-            &(&package, &state),
-            |b, (package, state)| b.iter(|| CompiledSampler::new(package, state)),
-        );
-    }
-    group.finish();
-}
-
-fn bench_per_sample(c: &mut Criterion) {
-    let mut group = c.benchmark_group("per_sample");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.throughput(Throughput::Elements(SHOTS));
-
-    for circuit in workloads() {
-        let dense = statevector::simulate(&circuit).expect("dense simulation fits");
-        let prefix = PrefixSampler::new(&dense);
-        group.bench_with_input(
-            BenchmarkId::new("binary_search", circuit.name()),
-            &prefix,
-            |b, sampler| {
-                b.iter(|| {
-                    let mut rng = StdRng::seed_from_u64(BENCH_SEED);
-                    (0..SHOTS).map(|_| sampler.sample(&mut rng)).sum::<u64>()
-                });
-            },
-        );
-
-        let mut package = DdPackage::new();
-        let state = dd::simulate(&mut package, &circuit).expect("valid circuit");
-        let sampler = DdSampler::new(&package, &state);
-        group.bench_with_input(
-            BenchmarkId::new("dd_path_traversal", circuit.name()),
-            &(&package, &sampler),
-            |b, (package, sampler)| {
-                b.iter(|| {
-                    let mut rng = StdRng::seed_from_u64(BENCH_SEED);
-                    (0..SHOTS)
-                        .map(|_| sampler.sample(package, &mut rng))
-                        .sum::<u64>()
-                });
-            },
-        );
-
-        let compiled = CompiledSampler::new(&package, &state).expect("compiles");
-        group.bench_with_input(
-            BenchmarkId::new("compiled_arena_walk", circuit.name()),
-            &compiled,
-            |b, sampler| {
-                b.iter(|| {
-                    let mut rng = StdRng::seed_from_u64(BENCH_SEED);
-                    (0..SHOTS).map(|_| sampler.sample(&mut rng)).sum::<u64>()
-                });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("compiled_parallel_batch", circuit.name()),
-            &compiled,
-            |b, sampler| {
-                b.iter(|| {
-                    sampler
-                        .sample_many_parallel(BENCH_SEED, SHOTS as usize)
-                        .iter()
-                        .sum::<u64>()
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-/// Per-trajectory throughput of the dynamic-circuit engine on the
-/// teleportation workload, so regressions in the new path show up next to
-/// the static sampler numbers.
-fn bench_trajectories(c: &mut Criterion) {
-    let mut group = c.benchmark_group("trajectory");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.throughput(Throughput::Elements(SHOTS));
-
-    for (name, circuit) in [
-        ("teleportation_shots", trajectory_workload()),
-        ("ipe_shots", ipe_workload()),
-    ] {
-        for backend in [Backend::DecisionDiagram, Backend::StateVector] {
-            group.bench_with_input(
-                BenchmarkId::new(name, format!("{backend}")),
-                &circuit,
-                |b, circuit| {
-                    b.iter(|| {
-                        simulate_trajectories_with_threads(backend, circuit, SHOTS, BENCH_SEED, 1)
-                            .expect("trajectory simulation succeeds")
-                            .histogram
-                            .shots()
-                    });
-                },
-            );
-        }
-    }
-
-    // The stochastic-noise path: every shot draws a Kraus branch per noise
-    // site on top of the measurement draws.
-    let (noisy_circuit, noise) = noisy_workload();
-    for backend in [Backend::DecisionDiagram, Backend::StateVector] {
-        group.bench_with_input(
-            BenchmarkId::new("noisy_teleportation_shots", format!("{backend}")),
-            &(&noisy_circuit, &noise),
-            |b, (circuit, noise)| {
-                b.iter(|| {
-                    simulate_noisy_trajectories_with_threads(
-                        backend, circuit, noise, SHOTS, BENCH_SEED, 1,
-                    )
-                    .expect("noisy trajectory simulation succeeds")
-                    .histogram
-                    .shots()
-                });
-            },
-        );
-    }
-
-    // The deep-noisy off-cache path (decision-diagram backend only: the
-    // interesting cost is the DD construction machinery behind transient
-    // trajectory suffixes).  Fewer shots — each one is a full supremacy
-    // evolution when it falls off the prefix cache.
-    let (deep_circuit, deep_noise) = deep_noisy_workload();
-    group.bench_with_input(
-        BenchmarkId::new("noisy_deep_supremacy_shots", "DD-based"),
-        &(&deep_circuit, &deep_noise),
-        |b, (circuit, noise)| {
-            b.iter(|| {
-                simulate_noisy_trajectories_with_threads(
-                    Backend::DecisionDiagram,
-                    circuit,
-                    noise,
-                    SHOTS / 5,
-                    BENCH_SEED,
-                    1,
-                )
-                .expect("deep noisy trajectory simulation succeeds")
-                .histogram
-                .shots()
-            });
-        },
-    );
-    group.finish();
+/// Runs `f` once and returns its value with the wall-clock seconds it took.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let start = Instant::now();
+    let value = f();
+    (value, start.elapsed().as_secs_f64())
 }
 
 /// Wall-clock throughput of each sampler on the 20-qubit supremacy state,
@@ -251,29 +80,27 @@ fn bench_trajectories(c: &mut Criterion) {
 /// `"routed_supremacy"` / `"tableau_noisy_cycle"`, also grepped by CI) and
 /// the `"artifact_cache"` entry (cold-vs-warm cost of the same request
 /// through an [`weaksim::ArtifactCache`], also grepped by CI).
-fn record_baseline_json(_c: &mut Criterion) {
+fn main() {
     let quick = std::env::var("CRITERION_QUICK").is_ok_and(|v| v != "0" && !v.is_empty());
     let shots: usize = if quick { 20_000 } else { 200_000 };
 
     let (circuit, _) = algorithms::supremacy(4, 5, 10, BENCH_SEED);
     let mut package = DdPackage::new();
-    let construction_start = Instant::now();
-    let state = dd::simulate(&mut package, &circuit).expect("valid circuit");
-    let construction_seconds = construction_start.elapsed().as_secs_f64();
+    let (state, construction_seconds) =
+        timed(|| dd::simulate(&mut package, &circuit).expect("valid circuit"));
     let construction_stats = package.stats();
     let nodes = state.node_count(&package);
 
-    let compile_start = Instant::now();
-    let compiled = CompiledSampler::new(&package, &state).expect("compiles");
-    let compile_seconds = compile_start.elapsed().as_secs_f64();
-
-    let dd_sampler = DdSampler::new(&package, &state);
+    // The precomputation of each sampler: arena compilation, the downstream
+    // annotation of the interpreted sampler, and the dense baseline's prefix
+    // sums over the same state's 2^20 amplitudes (searched once per shot).
+    let (compiled, compile_seconds) =
+        timed(|| CompiledSampler::new(&package, &state).expect("compiles"));
+    let (dd_sampler, downstream_seconds) = timed(|| DdSampler::new(&package, &state));
     let normalized = NormalizedSampler::new(&package, &state);
-    // The dense baseline on the same state: prefix sums over its 2^20
-    // amplitudes, searched once per shot.
-    let prefix = PrefixSampler::new(&statevector::StateVector::from_amplitudes(
-        state.to_amplitudes(&package),
-    ));
+    let dense = statevector::StateVector::from_amplitudes(state.to_amplitudes(&package));
+    let (prefix, prefix_sum_seconds) = timed(|| PrefixSampler::new(&dense));
+    drop(dense);
     let threads = rayon::current_num_threads();
 
     let time = |f: &mut dyn FnMut() -> u64| -> f64 {
@@ -319,8 +146,10 @@ fn record_baseline_json(_c: &mut Criterion) {
     // a run on every available worker so multi-thread scaling is *recorded*
     // with the thread count that actually ran — not assumed from the bench
     // configuration (on a 1-CPU box the parallel entry simply repeats the
-    // single-thread number with "threads": 1).
-    let trajectory_entry = |circuit: &circuit::Circuit,
+    // single-thread number with "threads": 1).  The `_sv` entries run the
+    // same loop on the dense backend.
+    let trajectory_entry = |backend: Backend,
+                            circuit: &circuit::Circuit,
                             noise: Option<&circuit::NoiseModel>,
                             suffix: &str,
                             trajectory_shots: u64,
@@ -329,14 +158,14 @@ fn record_baseline_json(_c: &mut Criterion) {
         let seconds = time(&mut || {
             match noise {
                 None => simulate_trajectories_with_threads(
-                    Backend::DecisionDiagram,
+                    backend,
                     circuit,
                     trajectory_shots,
                     BENCH_SEED,
                     workers,
                 ),
                 Some(noise) => simulate_noisy_trajectories_with_threads(
-                    Backend::DecisionDiagram,
+                    backend,
                     circuit,
                     noise,
                     trajectory_shots,
@@ -349,8 +178,12 @@ fn record_baseline_json(_c: &mut Criterion) {
             .shots()
         });
         let name = format!("{}{suffix}", circuit.name());
+        let backend = match backend {
+            Backend::DecisionDiagram => "dd",
+            Backend::StateVector => "sv",
+        };
         format!(
-            "{{\n    \"benchmark\": \"{name}\",\n    \"backend\": \"dd\",\n    \"shots\": {trajectory_shots},\n    \"threads\": {workers},\n    \"seconds\": {seconds:.6},\n    \"shots_per_second\": {rate:.0}\n  }}",
+            "{{\n    \"benchmark\": \"{name}\",\n    \"backend\": \"{backend}\",\n    \"shots\": {trajectory_shots},\n    \"threads\": {workers},\n    \"seconds\": {seconds:.6},\n    \"shots_per_second\": {rate:.0}\n  }}",
             rate = trajectory_shots as f64 / seconds,
         )
     };
@@ -359,21 +192,35 @@ fn record_baseline_json(_c: &mut Criterion) {
     let ipe_circuit = ipe_workload();
     let (noisy_circuit, noise_model) = noisy_workload();
     let (deep_circuit, deep_noise) = deep_noisy_workload();
-    let trajectory_json = trajectory_entry(&trajectory_circuit, None, "", trajectory_shots, 1);
-    let trajectory_parallel_json =
-        trajectory_entry(&trajectory_circuit, None, "", trajectory_shots, threads);
-    let ipe_json = trajectory_entry(&ipe_circuit, None, "", trajectory_shots, 1);
-    let noisy_json = trajectory_entry(
-        &noisy_circuit,
-        Some(&noise_model),
-        "_noisy",
+    let both = [Backend::DecisionDiagram, Backend::StateVector];
+    let [trajectory_json, trajectory_sv_json] = both.map(|backend| {
+        trajectory_entry(backend, &trajectory_circuit, None, "", trajectory_shots, 1)
+    });
+    let trajectory_parallel_json = trajectory_entry(
+        Backend::DecisionDiagram,
+        &trajectory_circuit,
+        None,
+        "",
         trajectory_shots,
-        1,
+        threads,
     );
+    let [ipe_json, ipe_sv_json] =
+        both.map(|backend| trajectory_entry(backend, &ipe_circuit, None, "", trajectory_shots, 1));
+    let [noisy_json, noisy_sv_json] = both.map(|backend| {
+        trajectory_entry(
+            backend,
+            &noisy_circuit,
+            Some(&noise_model),
+            "_noisy",
+            trajectory_shots,
+            1,
+        )
+    });
     // Deep noisy supremacy: each off-cache shot is a full circuit evolution,
     // so the entry runs a tenth of the shots (still thousands of transient
     // trajectories).
     let deep_json = trajectory_entry(
+        Backend::DecisionDiagram,
         &deep_circuit,
         Some(&deep_noise),
         "_noisy_deep",
@@ -535,6 +382,92 @@ fn record_baseline_json(_c: &mut Criterion) {
         )
     };
 
+    // The normalization ablation (Section IV-C): the general downstream
+    // sampler on a left-most- and on a 2-norm-normalized diagram, and the
+    // `NormalizedSampler` that reads branch probabilities straight off the
+    // 2-norm edge weights, each drawing a tenth of the shots.
+    let ablation_shots = shots / 10;
+    let ablation_rows: Vec<String> = [
+        algorithms::qft(24, true),
+        algorithms::grover(12, BENCH_SEED),
+        algorithms::shor(33, 2).0,
+        algorithms::supremacy(3, 3, 8, BENCH_SEED).0,
+    ]
+    .iter()
+    .map(|circuit| {
+        let mut leftmost = DdPackage::with_normalization(Normalization::LeftMost);
+        let left_state = dd::simulate(&mut leftmost, circuit).expect("valid circuit");
+        let left_sampler = DdSampler::new(&leftmost, &left_state);
+        let mut two_norm = DdPackage::with_normalization(Normalization::TwoNorm);
+        let norm_state = dd::simulate(&mut two_norm, circuit).expect("valid circuit");
+        let norm_sampler = DdSampler::new(&two_norm, &norm_state);
+        let local_sampler = NormalizedSampler::new(&two_norm, &norm_state);
+        let left_seconds = time(&mut || {
+            let mut rng = StdRng::seed_from_u64(BENCH_SEED);
+            left_sampler
+                .sample_many(&leftmost, &mut rng, ablation_shots)
+                .iter()
+                .sum()
+        });
+        let norm_seconds = time(&mut || {
+            let mut rng = StdRng::seed_from_u64(BENCH_SEED);
+            norm_sampler
+                .sample_many(&two_norm, &mut rng, ablation_shots)
+                .iter()
+                .sum()
+        });
+        let local_seconds = time(&mut || {
+            let mut rng = StdRng::seed_from_u64(BENCH_SEED);
+            local_sampler
+                .sample_many(&two_norm, &mut rng, ablation_shots)
+                .iter()
+                .sum()
+        });
+        format!(
+            "      {{ \"benchmark\": \"{name}\", \"leftmost_dd_sampler_seconds\": {left_seconds:.6}, \"two_norm_dd_sampler_seconds\": {norm_seconds:.6}, \"normalized_sampler_seconds\": {local_seconds:.6} }}",
+            name = circuit.name(),
+        )
+    })
+    .collect();
+    let ablation_json = format!(
+        "{{\n    \"shots\": {ablation_shots},\n    \"circuits\": [\n{}\n    ]\n  }}",
+        ablation_rows.join(",\n"),
+    );
+
+    // The O(n) per-shot draw: the compiled arena walk against the qubit
+    // count on QFT states, whose diagram has one node per qubit, next to the
+    // dense prefix-sum search while the vector still fits (20 qubits).
+    let scaling_rows: Vec<String> = [8u16, 16, 24, 32, 40, 48]
+        .into_iter()
+        .map(|n| {
+            let circuit = algorithms::qft(n, true);
+            let mut package = DdPackage::new();
+            let state = dd::simulate(&mut package, &circuit).expect("valid circuit");
+            let compiled = CompiledSampler::new(&package, &state).expect("compiles");
+            let ns_per_shot = |seconds: f64| seconds * 1e9 / shots as f64;
+            let dd_ns = ns_per_shot(time(&mut || {
+                let mut rng = StdRng::seed_from_u64(BENCH_SEED);
+                compiled.sample_many(&mut rng, shots).iter().sum()
+            }));
+            let vector_ns = if n <= 20 {
+                let dense = statevector::simulate(&circuit).expect("dense simulation fits");
+                let prefix = PrefixSampler::new(&dense);
+                let seconds = time(&mut || {
+                    let mut rng = StdRng::seed_from_u64(BENCH_SEED);
+                    prefix.sample_many(&mut rng, shots).iter().sum()
+                });
+                format!("{:.1}", ns_per_shot(seconds))
+            } else {
+                "null".to_owned()
+            };
+            format!(
+                "    {{ \"qubits\": {n}, \"nodes\": {nodes}, \"dd_ns_per_shot\": {dd_ns:.1}, \"vector_ns_per_shot\": {vector_ns} }}",
+                nodes = state.node_count(&package),
+            )
+        })
+        .collect();
+    let scaling_json = format!("[\n{}\n  ]", scaling_rows.join(",\n"));
+
     let cache_json = |c: dd::CacheCounters| -> String {
         format!(
             "{{ \"hits\": {}, \"misses\": {}, \"evictions\": {} }}",
@@ -564,7 +497,7 @@ fn record_baseline_json(_c: &mut Criterion) {
 
     let rate = |seconds: f64| shots as f64 / seconds;
     let json = format!(
-        "{{\n  \"benchmark\": \"{name}\",\n  \"qubits\": {qubits},\n  \"dd_nodes\": {nodes},\n  \"shots\": {shots},\n  \"threads\": {threads},\n  \"construction\": {construction_json},\n  \"dd_stats\": {dd_stats_json},\n  \"compile_seconds\": {compile_seconds:.6},\n  \"samplers\": {{\n    \"dd_sampler\": {{ \"seconds\": {dd:.6}, \"shots_per_second\": {dd_rate:.0} }},\n    \"normalized_sampler\": {{ \"seconds\": {nm:.6}, \"shots_per_second\": {nm_rate:.0} }},\n    \"compiled_sampler\": {{ \"seconds\": {cp:.6}, \"shots_per_second\": {cp_rate:.0} }},\n    \"compiled_parallel\": {{ \"seconds\": {pl:.6}, \"shots_per_second\": {pl_rate:.0}, \"threads\": {threads} }},\n    \"prefix_sampler\": {{ \"seconds\": {px:.6}, \"shots_per_second\": {px_rate:.0} }}\n  }},\n  \"trajectory\": {trajectory_json},\n  \"trajectory_parallel\": {trajectory_parallel_json},\n  \"trajectory_ipe\": {ipe_json},\n  \"trajectory_noisy\": {noisy_json},\n  \"trajectory_noisy_deep\": {deep_json},\n  \"tableau_ghz\": {tableau_json},\n  \"routed_supremacy\": {routed_json},\n  \"tableau_noisy_cycle\": {noisy_cycle_json},\n  \"artifact_cache\": {artifact_cache_json},\n  \"speedup_compiled_vs_dd_sampler\": {speedup:.2},\n  \"speedup_parallel_vs_dd_sampler\": {pspeedup:.2}\n}}\n",
+        "{{\n  \"benchmark\": \"{name}\",\n  \"qubits\": {qubits},\n  \"dd_nodes\": {nodes},\n  \"shots\": {shots},\n  \"threads\": {threads},\n  \"construction\": {construction_json},\n  \"dd_stats\": {dd_stats_json},\n  \"compile_seconds\": {compile_seconds:.6},\n  \"downstream_seconds\": {downstream_seconds:.6},\n  \"prefix_sum_seconds\": {prefix_sum_seconds:.6},\n  \"samplers\": {{\n    \"dd_sampler\": {{ \"seconds\": {dd:.6}, \"shots_per_second\": {dd_rate:.0} }},\n    \"normalized_sampler\": {{ \"seconds\": {nm:.6}, \"shots_per_second\": {nm_rate:.0} }},\n    \"compiled_sampler\": {{ \"seconds\": {cp:.6}, \"shots_per_second\": {cp_rate:.0} }},\n    \"compiled_parallel\": {{ \"seconds\": {pl:.6}, \"shots_per_second\": {pl_rate:.0}, \"threads\": {threads} }},\n    \"prefix_sampler\": {{ \"seconds\": {px:.6}, \"shots_per_second\": {px_rate:.0} }}\n  }},\n  \"trajectory\": {trajectory_json},\n  \"trajectory_sv\": {trajectory_sv_json},\n  \"trajectory_parallel\": {trajectory_parallel_json},\n  \"trajectory_ipe\": {ipe_json},\n  \"trajectory_ipe_sv\": {ipe_sv_json},\n  \"trajectory_noisy\": {noisy_json},\n  \"trajectory_noisy_sv\": {noisy_sv_json},\n  \"trajectory_noisy_deep\": {deep_json},\n  \"tableau_ghz\": {tableau_json},\n  \"routed_supremacy\": {routed_json},\n  \"tableau_noisy_cycle\": {noisy_cycle_json},\n  \"artifact_cache\": {artifact_cache_json},\n  \"normalization_ablation\": {ablation_json},\n  \"sample_scaling\": {scaling_json},\n  \"speedup_compiled_vs_dd_sampler\": {speedup:.2},\n  \"speedup_parallel_vs_dd_sampler\": {pspeedup:.2}\n}}\n",
         name = circuit.name(),
         qubits = circuit.num_qubits(),
         dd = dd_seconds,
@@ -587,12 +520,3 @@ fn record_baseline_json(_c: &mut Criterion) {
     std::fs::write(&path, &json).expect("baseline JSON is writable");
     eprintln!("\nbaseline written to {}:\n{json}", path.display());
 }
-
-criterion_group!(
-    benches,
-    bench_precompute,
-    bench_per_sample,
-    bench_trajectories,
-    record_baseline_json
-);
-criterion_main!(benches);

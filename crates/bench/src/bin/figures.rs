@@ -7,6 +7,9 @@
 //! cargo run -p bench --release --bin figures -- [fig2|fig3|fig4|all]
 //! ```
 //!
+//! With no argument it prints all three; any other name, or more than one,
+//! prints a usage error and exits 2.
+//!
 //! * `fig2` — the weak-simulation flow: circuit, amplitudes/probabilities
 //!   from strong simulation, and sampled measurement outcomes.
 //! * `fig3` — biased random selection via a prefix array and binary search,
@@ -17,17 +20,43 @@
 
 use dd::{DdPackage, EdgeProbabilities, Normalization};
 use statevector::PrefixSampler;
+use std::process::ExitCode;
 use weaksim::{Backend, WeakSimulator};
 
-fn main() -> Result<(), weaksim::RunError> {
-    let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    if matches!(which.as_str(), "fig2" | "all") {
+const USAGE: &str = "usage: figures [fig2|fig3|fig4|all]";
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let which = match args.as_slice() {
+        [] => "all",
+        [which] if matches!(which.as_str(), "fig2" | "fig3" | "fig4" | "all") => which,
+        [other] => {
+            eprintln!("figures: unknown figure `{other}`\n{USAGE}");
+            return ExitCode::from(2);
+        }
+        _ => {
+            eprintln!("figures: expected at most one figure name\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    match draw(which) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("figures: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Prints figure `which` (`fig2`, `fig3`, `fig4`), or all three for `all`.
+fn draw(which: &str) -> Result<(), weaksim::RunError> {
+    if matches!(which, "fig2" | "all") {
         figure_2()?;
     }
-    if matches!(which.as_str(), "fig3" | "all") {
+    if matches!(which, "fig3" | "all") {
         figure_3()?;
     }
-    if matches!(which.as_str(), "fig4" | "all") {
+    if matches!(which, "fig4" | "all") {
         figure_4();
     }
     Ok(())

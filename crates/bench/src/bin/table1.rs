@@ -18,9 +18,10 @@
 //!                                DD samples against the exact distribution
 //! ```
 //!
-//! The exit code is non-zero when a row fails to run, or when `--validate`
-//! rejects a row's samples or cannot compute its exact distribution, so the
-//! validated smoke table can gate CI.
+//! The exit code is 1 when a row fails to run, or when `--validate` rejects
+//! a row's samples or cannot compute its exact distribution, so the
+//! validated smoke table can gate CI.  A malformed or missing value, an
+//! unknown scale or an unknown argument prints a usage error and exits 2.
 //!
 //! The vector-based column reports `MO` when the dense amplitude array would
 //! not fit the budget, mirroring the paper's presentation.  With a DD budget
@@ -29,6 +30,7 @@
 
 use statevector::MemoryBudget;
 use std::process::ExitCode;
+use std::time::Duration;
 use weaksim::experiment::{format_table, run_table1_row, table1_benchmarks, BenchmarkScale};
 use weaksim::stats::chi_square_test;
 use weaksim::{Backend, RunGovernor, WeakSimulator};
@@ -41,7 +43,20 @@ struct Options {
     validate: bool,
 }
 
-fn parse_options() -> Options {
+const USAGE: &str = "usage: table1 [--scale smoke|reduced|full] [--shots N] [--budget-gib G] \
+                     [--dd-node-budget N] [--dd-timeout-secs S] [--validate]";
+
+/// Parses the value that follows `flag`; `Err` names the flag when the value
+/// is missing or malformed.
+fn value<T: std::str::FromStr>(flag: &str, arg: Option<String>) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let arg = arg.ok_or_else(|| format!("{flag} expects a value"))?;
+    arg.parse().map_err(|e| format!("{flag} `{arg}`: {e}"))
+}
+
+fn parse_options(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
     let mut options = Options {
         scale: BenchmarkScale::Reduced,
         shots: 1_000_000,
@@ -49,53 +64,49 @@ fn parse_options() -> Options {
         dd_governor: RunGovernor::unlimited(),
         validate: false,
     };
-    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => {
-                options.scale = match args.next().as_deref() {
-                    Some("smoke") => BenchmarkScale::Smoke,
-                    Some("full") => BenchmarkScale::Full,
-                    Some("reduced") | None => BenchmarkScale::Reduced,
-                    Some(other) => {
-                        eprintln!("unknown scale '{other}', using reduced");
-                        BenchmarkScale::Reduced
+                options.scale = match value::<String>("--scale", args.next())?.as_str() {
+                    "smoke" => BenchmarkScale::Smoke,
+                    "reduced" => BenchmarkScale::Reduced,
+                    "full" => BenchmarkScale::Full,
+                    other => {
+                        return Err(format!(
+                            "unknown scale `{other}` (want smoke, reduced or full)"
+                        ))
                     }
                 }
             }
-            "--shots" => {
-                options.shots = args
-                    .next()
-                    .and_then(|a| a.parse().ok())
-                    .unwrap_or(options.shots)
-            }
+            "--shots" => options.shots = value("--shots", args.next())?,
             "--budget-gib" => {
-                if let Some(gib) = args.next().and_then(|a| a.parse().ok()) {
-                    options.budget = MemoryBudget::from_gib(gib);
-                }
+                options.budget = MemoryBudget::from_gib(value("--budget-gib", args.next())?);
             }
             "--dd-node-budget" => {
-                if let Some(nodes) = args.next().and_then(|a| a.parse().ok()) {
-                    options.dd_governor = options.dd_governor.clone().with_node_budget(nodes);
-                }
+                let nodes = value("--dd-node-budget", args.next())?;
+                options.dd_governor = options.dd_governor.clone().with_node_budget(nodes);
             }
             "--dd-timeout-secs" => {
-                if let Some(secs) = args.next().and_then(|a| a.parse().ok()) {
-                    options.dd_governor = options
-                        .dd_governor
-                        .clone()
-                        .with_timeout(std::time::Duration::from_secs_f64(secs));
-                }
+                let secs: f64 = value("--dd-timeout-secs", args.next())?;
+                let timeout = Duration::try_from_secs_f64(secs)
+                    .map_err(|e| format!("--dd-timeout-secs `{secs}`: {e}"))?;
+                options.dd_governor = options.dd_governor.clone().with_timeout(timeout);
             }
             "--validate" => options.validate = true,
-            other => eprintln!("ignoring unknown argument '{other}'"),
+            other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    options
+    Ok(options)
 }
 
 fn main() -> ExitCode {
-    let options = parse_options();
+    let options = match parse_options(std::env::args().skip(1)) {
+        Ok(options) => options,
+        Err(message) => {
+            eprintln!("table1: {message}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     let instances = table1_benchmarks(options.scale);
     println!(
         "Table I reproduction: {} benchmarks, {} samples each, dense budget {} GiB",

@@ -2,11 +2,9 @@
 //!
 //! This crate implements the *baseline* of the reproduced paper (Section
 //! III): strong simulation into an explicit array of `2^n` amplitudes,
-//! followed by weak simulation using either
-//!
-//! * a **linear traversal** of the probability array per sample, or
-//! * a precomputed **prefix-sum array** and **binary search** per sample
-//!   (`O(n)` per sample after an `O(2^n)` precomputation).
+//! followed by weak simulation with a precomputed **prefix-sum array** and a
+//! **binary search** per sample (`O(n)` per sample after an `O(2^n)`
+//! precomputation).
 //!
 //! The memory wall that motivates the paper's decision-diagram sampler is
 //! modelled by [`MemoryBudget`]: requesting a simulation whose amplitude
@@ -38,11 +36,9 @@
 mod apply;
 mod memory;
 mod prefix;
-mod sample;
 mod state;
 
 pub use apply::{apply_circuit, apply_operation, simulate, simulate_with_budget, SimulateError};
 pub use memory::MemoryBudget;
 pub use prefix::PrefixSampler;
-pub use sample::LinearSampler;
 pub use state::StateVector;
