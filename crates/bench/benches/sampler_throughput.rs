@@ -482,7 +482,7 @@ fn main() {
         ch = construction_stats.compute_hit_rate(),
     );
     let dd_stats_json = format!(
-        "{{\n    \"vector_unique_hits\": {vuh},\n    \"vector_unique_misses\": {vum},\n    \"matrix_unique_hits\": {muh},\n    \"matrix_unique_misses\": {mum},\n    \"add_cache\": {add},\n    \"mv_cache\": {mv},\n    \"madd_cache\": {madd},\n    \"mm_cache\": {mm},\n    \"operator_cache\": {op},\n    \"garbage_collections\": {gcs}\n  }}",
+        "{{\n    \"vector_unique_hits\": {vuh},\n    \"vector_unique_misses\": {vum},\n    \"matrix_unique_hits\": {muh},\n    \"matrix_unique_misses\": {mum},\n    \"add_cache\": {add},\n    \"mv_cache\": {mv},\n    \"madd_cache\": {madd},\n    \"operator_cache\": {op},\n    \"garbage_collections\": {gcs}\n  }}",
         vuh = construction_stats.vector_unique_hits,
         vum = construction_stats.vector_unique_misses,
         muh = construction_stats.matrix_unique_hits,
@@ -490,7 +490,6 @@ fn main() {
         add = cache_json(construction_stats.add_cache),
         mv = cache_json(construction_stats.mv_cache),
         madd = cache_json(construction_stats.madd_cache),
-        mm = cache_json(construction_stats.mm_cache),
         op = cache_json(construction_stats.operator_cache),
         gcs = construction_stats.garbage_collections,
     );

@@ -569,15 +569,6 @@ impl Circuit {
         CircuitStats::of(self)
     }
 
-    /// Returns `true` when every operation is Clifford
-    /// ([`Operation::is_clifford`]: measurements and resets count), so the
-    /// whole circuit can run on a stabilizer-tableau engine.  The empty
-    /// circuit is Clifford.
-    #[must_use]
-    pub fn is_clifford(&self) -> bool {
-        self.ops.iter().all(Operation::is_clifford)
-    }
-
     /// Returns the circuit with every operation replaced by its inverse, in
     /// reverse order (the adjoint circuit).
     ///
@@ -961,26 +952,6 @@ mod tests {
         a.extend_from(&b);
         assert_eq!(a.num_clbits(), 5);
         assert!(a.validate().is_ok());
-    }
-
-    #[test]
-    fn is_clifford_covers_measure_and_reset() {
-        let mut ghz = Circuit::new(3);
-        ghz.h(Qubit(0))
-            .cx(Qubit(0), Qubit(1))
-            .cx(Qubit(1), Qubit(2))
-            .reset(Qubit(2))
-            .measure_all();
-        assert!(ghz.is_clifford());
-
-        let mut c = Circuit::new(2);
-        c.h(Qubit(0))
-            .cx(Qubit(0), Qubit(1))
-            .gate(OneQubitGate::Tdg, Qubit(1))
-            .h(Qubit(1));
-        assert!(!c.is_clifford());
-
-        assert!(Circuit::new(1).is_clifford());
     }
 
     #[test]

@@ -191,95 +191,6 @@ impl OneQubitGate {
         )
     }
 
-    /// Returns `true` if the gate is a member of the single-qubit Clifford
-    /// group (it maps Pauli operators to Pauli operators under conjugation),
-    /// so a stabilizer-tableau simulator can execute it.
-    ///
-    /// The named gates are classified structurally; the parametric gates
-    /// (`Phase`, `Rx`, `Ry`, `Rz`, `U`) are Clifford exactly when their
-    /// angles are integer multiples of `pi/2`, decided by
-    /// [`mathkit::Angle::is_half_pi_multiple`] (exact for dyadic angles,
-    /// within the `mathkit` default tolerance for floating-point ones).  For
-    /// `U(theta, phi, lambda)` the check requires all three Euler angles to
-    /// be multiples of `pi/2`; this is sufficient but not necessary (angle
-    /// combinations that cancel into a Clifford are reported as
-    /// non-Clifford), which errs on the safe side for routing: a false
-    /// `false` only costs dense simulation, a false `true` would corrupt
-    /// stabilizer results.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use circuit::OneQubitGate;
-    /// use mathkit::Angle;
-    ///
-    /// assert!(OneQubitGate::H.is_clifford());
-    /// assert!(OneQubitGate::Rz(Angle::pi_over(2)).is_clifford());
-    /// assert!(!OneQubitGate::Rz(Angle::pi_over(4)).is_clifford());
-    /// assert!(!OneQubitGate::T.is_clifford());
-    /// ```
-    #[must_use]
-    pub fn is_clifford(&self) -> bool {
-        match self {
-            OneQubitGate::I
-            | OneQubitGate::X
-            | OneQubitGate::Y
-            | OneQubitGate::Z
-            | OneQubitGate::H
-            | OneQubitGate::S
-            | OneQubitGate::Sdg
-            | OneQubitGate::SqrtX
-            | OneQubitGate::SqrtXdg
-            | OneQubitGate::SqrtY
-            | OneQubitGate::SqrtYdg => true,
-            OneQubitGate::T | OneQubitGate::Tdg => false,
-            OneQubitGate::Phase(a)
-            | OneQubitGate::Rx(a)
-            | OneQubitGate::Ry(a)
-            | OneQubitGate::Rz(a) => a.is_half_pi_multiple(),
-            OneQubitGate::U { theta, phi, lambda } => {
-                theta.is_half_pi_multiple()
-                    && phi.is_half_pi_multiple()
-                    && lambda.is_half_pi_multiple()
-            }
-        }
-    }
-
-    /// Returns `true` if the gate equals a Pauli operator (`I`, `X`, `Y` or
-    /// `Z`) up to a global phase that is a power of `i`.
-    ///
-    /// This is exactly the condition under which the *controlled* version of
-    /// the gate is Clifford (`CX`, `CY`, `CZ` are Clifford; `CS`, `CH`,
-    /// controlled rotations by other angles are not), so
-    /// [`Operation`](crate::Operation)-level classification builds on it.
-    /// Parametric gates qualify when their angle is an integer multiple of
-    /// `pi` (e.g. `Rz(pi) = -iZ`); like [`is_clifford`](Self::is_clifford)
-    /// the `U` check is conservative.
-    #[must_use]
-    pub fn is_pauli_up_to_phase(&self) -> bool {
-        match self {
-            OneQubitGate::I | OneQubitGate::X | OneQubitGate::Y | OneQubitGate::Z => true,
-            OneQubitGate::H
-            | OneQubitGate::S
-            | OneQubitGate::Sdg
-            | OneQubitGate::T
-            | OneQubitGate::Tdg
-            | OneQubitGate::SqrtX
-            | OneQubitGate::SqrtXdg
-            | OneQubitGate::SqrtY
-            | OneQubitGate::SqrtYdg => false,
-            OneQubitGate::Phase(a)
-            | OneQubitGate::Rx(a)
-            | OneQubitGate::Ry(a)
-            | OneQubitGate::Rz(a) => a.is_pi_multiple(),
-            OneQubitGate::U { theta, phi, lambda } => {
-                // U(theta, phi, lambda) ∝ Rz(phi) Ry(theta) Rz(lambda):
-                // a product of Paulis is a Pauli up to phase.
-                theta.is_pi_multiple() && phi.is_pi_multiple() && lambda.is_pi_multiple()
-            }
-        }
-    }
-
     /// The lowercase OpenQASM-style mnemonic of the gate.
     #[must_use]
     pub fn name(&self) -> &'static str {
@@ -489,139 +400,6 @@ mod tests {
         assert!(OneQubitGate::Rz(Angle::Radians(0.1)).is_diagonal());
         assert!(!OneQubitGate::X.is_diagonal());
         assert!(!OneQubitGate::H.is_diagonal());
-    }
-
-    /// Checks `is_clifford` against the definition: `U` is Clifford iff
-    /// `U P U†` is a Pauli with a `±1` sign for both generators `P ∈ {X, Z}`.
-    fn is_clifford_by_conjugation(g: &OneQubitGate) -> bool {
-        let m = g.matrix();
-        let mdg = adjoint_mat(&m);
-        let paulis = [
-            OneQubitGate::I.matrix(),
-            OneQubitGate::X.matrix(),
-            OneQubitGate::Y.matrix(),
-            OneQubitGate::Z.matrix(),
-        ];
-        ['x', 'z'].iter().all(|axis| {
-            let p = if *axis == 'x' {
-                OneQubitGate::X.matrix()
-            } else {
-                OneQubitGate::Z.matrix()
-            };
-            let conj = mat_mul(&mat_mul(&m, &p), &mdg);
-            // conj must equal ±Q for some Pauli Q.
-            paulis.iter().any(|q| {
-                [1.0, -1.0].iter().any(|sign| {
-                    (0..2).all(|r| (0..2).all(|c| (conj[r][c] - q[r][c] * *sign).norm() < 1e-9))
-                })
-            })
-        })
-    }
-
-    #[test]
-    fn clifford_classification_of_named_gates() {
-        let clifford = [
-            OneQubitGate::I,
-            OneQubitGate::X,
-            OneQubitGate::Y,
-            OneQubitGate::Z,
-            OneQubitGate::H,
-            OneQubitGate::S,
-            OneQubitGate::Sdg,
-            OneQubitGate::SqrtX,
-            OneQubitGate::SqrtXdg,
-            OneQubitGate::SqrtY,
-            OneQubitGate::SqrtYdg,
-        ];
-        for g in clifford {
-            assert!(g.is_clifford(), "{g} must be Clifford");
-            assert!(is_clifford_by_conjugation(&g), "{g} conjugation check");
-        }
-        for g in [OneQubitGate::T, OneQubitGate::Tdg] {
-            assert!(!g.is_clifford(), "{g} must not be Clifford");
-            assert!(!is_clifford_by_conjugation(&g), "{g} conjugation check");
-        }
-    }
-
-    #[test]
-    fn clifford_classification_of_parametric_gates() {
-        // rz(pi/2) is Clifford, rz(pi/4) is not — both as exact dyadic
-        // angles and as floating-point radians within mathkit tolerance.
-        assert!(OneQubitGate::Rz(Angle::pi_over(2)).is_clifford());
-        assert!(!OneQubitGate::Rz(Angle::pi_over(4)).is_clifford());
-        assert!(OneQubitGate::Rz(Angle::Radians(std::f64::consts::FRAC_PI_2)).is_clifford());
-        assert!(
-            OneQubitGate::Rz(Angle::Radians(std::f64::consts::FRAC_PI_2 + 1e-12)).is_clifford()
-        );
-        assert!(!OneQubitGate::Rz(Angle::Radians(std::f64::consts::FRAC_PI_4)).is_clifford());
-
-        for k in -4i64..=4 {
-            let angle = Angle::Radians(k as f64 * std::f64::consts::FRAC_PI_2);
-            for g in [
-                OneQubitGate::Phase(angle),
-                OneQubitGate::Rx(angle),
-                OneQubitGate::Ry(angle),
-                OneQubitGate::Rz(angle),
-            ] {
-                assert!(g.is_clifford(), "{g} at k={k} must be Clifford");
-                assert!(is_clifford_by_conjugation(&g), "{g} at k={k}");
-            }
-        }
-        for theta in [0.3, std::f64::consts::FRAC_PI_4, 2.0] {
-            let angle = Angle::Radians(theta);
-            for g in [
-                OneQubitGate::Phase(angle),
-                OneQubitGate::Rx(angle),
-                OneQubitGate::Ry(angle),
-                OneQubitGate::Rz(angle),
-            ] {
-                assert!(!g.is_clifford(), "{g} must not be Clifford");
-                assert!(!is_clifford_by_conjugation(&g), "{g}");
-            }
-        }
-
-        // U with all Euler angles on the pi/2 grid is Clifford; one off-grid
-        // angle disqualifies it.
-        let u = |t: Angle, p: Angle, l: Angle| OneQubitGate::U {
-            theta: t,
-            phi: p,
-            lambda: l,
-        };
-        let half = Angle::pi_over(2);
-        assert!(u(half, Angle::ZERO, Angle::qft_rotation(1)).is_clifford()); // H
-        assert!(!u(half, Angle::ZERO, Angle::pi_over(4)).is_clifford());
-        assert!(!u(Angle::Radians(0.5), Angle::ZERO, Angle::ZERO).is_clifford());
-    }
-
-    #[test]
-    fn pauli_up_to_phase_classification() {
-        for g in [
-            OneQubitGate::I,
-            OneQubitGate::X,
-            OneQubitGate::Y,
-            OneQubitGate::Z,
-        ] {
-            assert!(g.is_pauli_up_to_phase(), "{g}");
-        }
-        for g in [
-            OneQubitGate::H,
-            OneQubitGate::S,
-            OneQubitGate::Sdg,
-            OneQubitGate::T,
-            OneQubitGate::SqrtX,
-            OneQubitGate::SqrtY,
-        ] {
-            assert!(!g.is_pauli_up_to_phase(), "{g}");
-        }
-        // Rotations by pi are Paulis up to phase (Rz(pi) = -iZ); rotations
-        // by pi/2 are not (Rz(pi/2) ∝ S).
-        let pi = Angle::qft_rotation(1);
-        assert!(OneQubitGate::Rz(pi).is_pauli_up_to_phase());
-        assert!(OneQubitGate::Rx(pi).is_pauli_up_to_phase());
-        assert!(OneQubitGate::Phase(pi).is_pauli_up_to_phase()); // = Z
-        assert!(!OneQubitGate::Rz(Angle::pi_over(2)).is_pauli_up_to_phase());
-        assert!(!OneQubitGate::Phase(Angle::pi_over(2)).is_pauli_up_to_phase()); // = S
-        assert!(OneQubitGate::Phase(Angle::ZERO).is_pauli_up_to_phase()); // = I
     }
 
     #[test]

@@ -319,42 +319,6 @@ impl Operation {
     pub fn is_controlled(&self) -> bool {
         !self.controls().is_empty()
     }
-
-    /// Returns `true` if the operation can be executed within the stabilizer
-    /// formalism, i.e. by a Gottesman–Knill tableau simulator:
-    ///
-    /// * uncontrolled unitaries that are single-qubit Clifford gates
-    ///   ([`OneQubitGate::is_clifford`]);
-    /// * singly-controlled unitaries whose base gate is a Pauli up to a
-    ///   power-of-`i` phase ([`OneQubitGate::is_pauli_up_to_phase`]) — this
-    ///   covers `CX`, `CY`, `CZ` and phase-equivalent rotations like
-    ///   controlled-`Rz(pi)`, while correctly rejecting `CS`, `CH` and
-    ///   `CCX`;
-    /// * uncontrolled [`Swap`](Operation::Swap)s;
-    /// * computational-basis [`Measure`](Operation::Measure)s and
-    ///   [`Reset`](Operation::Reset)s (non-unitary, but exactly the
-    ///   operations the stabilizer measurement rules implement);
-    /// * [`Conditioned`](Operation::Conditioned) operations whose inner
-    ///   operation qualifies — the guard reads only the classical record.
-    ///
-    /// Multi-controlled gates, controlled swaps and basis permutations are
-    /// reported as non-Clifford.  The check is conservative: `false` only
-    /// routes the operation to a dense backend, while `true` is a guarantee
-    /// the tableau engine honours.
-    #[must_use]
-    pub fn is_clifford(&self) -> bool {
-        match self {
-            Operation::Unitary { gate, controls, .. } => match controls.len() {
-                0 => gate.is_clifford(),
-                1 => gate.is_pauli_up_to_phase(),
-                _ => false,
-            },
-            Operation::Swap { controls, .. } => controls.is_empty(),
-            Operation::Permute { .. } => false,
-            Operation::Measure { .. } | Operation::Reset { .. } => true,
-            Operation::Conditioned { op, .. } => op.is_clifford(),
-        }
-    }
 }
 
 impl fmt::Display for Operation {
@@ -506,70 +470,6 @@ mod tests {
         assert!(!cond.is_satisfied_by(0b11));
         assert!(!cond.is_satisfied_by(0));
         assert_eq!(cond.to_string(), "c==2");
-    }
-
-    #[test]
-    fn operation_clifford_classification() {
-        use mathkit::Angle;
-        let unitary = |gate, controls: Vec<Qubit>| Operation::Unitary {
-            gate,
-            target: Qubit(0),
-            controls,
-        };
-        // Uncontrolled single-qubit Cliffords qualify, T does not.
-        assert!(unitary(OneQubitGate::H, vec![]).is_clifford());
-        assert!(unitary(OneQubitGate::S, vec![]).is_clifford());
-        assert!(unitary(OneQubitGate::Rz(Angle::pi_over(2)), vec![]).is_clifford());
-        assert!(!unitary(OneQubitGate::T, vec![]).is_clifford());
-        assert!(!unitary(OneQubitGate::Rz(Angle::pi_over(4)), vec![]).is_clifford());
-
-        // Singly-controlled Paulis are Clifford: CX, CY, CZ, and the
-        // phase-equivalent controlled-Rz(pi); CS, CH and CCX are not.
-        assert!(unitary(OneQubitGate::X, vec![Qubit(1)]).is_clifford());
-        assert!(unitary(OneQubitGate::Y, vec![Qubit(1)]).is_clifford());
-        assert!(unitary(OneQubitGate::Z, vec![Qubit(1)]).is_clifford());
-        assert!(unitary(OneQubitGate::Rz(Angle::qft_rotation(1)), vec![Qubit(1)]).is_clifford());
-        assert!(unitary(OneQubitGate::Phase(Angle::qft_rotation(1)), vec![Qubit(1)]).is_clifford());
-        assert!(!unitary(OneQubitGate::S, vec![Qubit(1)]).is_clifford());
-        assert!(!unitary(OneQubitGate::H, vec![Qubit(1)]).is_clifford());
-        assert!(!unitary(OneQubitGate::Phase(Angle::pi_over(2)), vec![Qubit(1)]).is_clifford());
-        assert!(!unitary(OneQubitGate::X, vec![Qubit(1), Qubit(2)]).is_clifford());
-
-        // Swap yes, Fredkin no, permutations no.
-        assert!(Operation::Swap {
-            a: Qubit(0),
-            b: Qubit(1),
-            controls: vec![]
-        }
-        .is_clifford());
-        assert!(!Operation::Swap {
-            a: Qubit(0),
-            b: Qubit(1),
-            controls: vec![Qubit(2)]
-        }
-        .is_clifford());
-        let p = Permutation::new(vec![Qubit(0)], vec![1, 0]).unwrap();
-        assert!(!Operation::Permute {
-            permutation: p,
-            controls: vec![]
-        }
-        .is_clifford());
-
-        // Measure and reset are stabilizer operations.
-        assert!(Operation::Measure {
-            qubit: Qubit(0),
-            cbit: 0
-        }
-        .is_clifford());
-        assert!(Operation::Reset { qubit: Qubit(0) }.is_clifford());
-
-        // Conditioned operations delegate to the inner operation.
-        let guarded = |op: Operation| Operation::Conditioned {
-            condition: Condition::equals(1),
-            op: Box::new(op),
-        };
-        assert!(guarded(unitary(OneQubitGate::X, vec![])).is_clifford());
-        assert!(!guarded(unitary(OneQubitGate::T, vec![])).is_clifford());
     }
 
     #[test]

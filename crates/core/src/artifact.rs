@@ -466,7 +466,7 @@ fn map_terminal_words(sample: &[u64], mapping: &[(Qubit, u16)]) -> u64 {
 }
 
 /// Number of `u64` words a [`DdStats`] serializes to.
-const DD_STATS_WORDS: usize = 23;
+const DD_STATS_WORDS: usize = 20;
 
 /// Flattens a [`DdStats`] into a fixed-width word array (the snapshot
 /// encoding); [`dd_stats_from_words`] is the inverse.
@@ -475,8 +475,7 @@ fn dd_stats_words(stats: &DdStats) -> [u64; DD_STATS_WORDS] {
     let [a0, a1, a2] = c(&stats.add_cache);
     let [b0, b1, b2] = c(&stats.mv_cache);
     let [d0, d1, d2] = c(&stats.madd_cache);
-    let [e0, e1, e2] = c(&stats.mm_cache);
-    let [f0, f1, f2] = c(&stats.operator_cache);
+    let [e0, e1, e2] = c(&stats.operator_cache);
     [
         stats.vector_nodes as u64,
         stats.matrix_nodes as u64,
@@ -497,9 +496,6 @@ fn dd_stats_words(stats: &DdStats) -> [u64; DD_STATS_WORDS] {
         e0,
         e1,
         e2,
-        f0,
-        f1,
-        f2,
         stats.garbage_collections,
     ]
 }
@@ -523,9 +519,8 @@ fn dd_stats_from_words(words: &[u64; DD_STATS_WORDS]) -> Option<DdStats> {
         add_cache: counters(7),
         mv_cache: counters(10),
         madd_cache: counters(13),
-        mm_cache: counters(16),
-        operator_cache: counters(19),
-        garbage_collections: words[22],
+        operator_cache: counters(16),
+        garbage_collections: words[19],
     })
 }
 

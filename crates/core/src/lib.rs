@@ -16,7 +16,7 @@
 //!   decision-diagram backend;
 //! * [`router`] — the opt-in Clifford router
 //!   ([`WeakSimulator::with_clifford_router`]): fully-Clifford circuits
-//!   (see [`circuit::Circuit::is_clifford`]) execute on the
+//!   (every operation lowers through `tableau::lower`) execute on the
 //!   polynomial-time stabilizer-tableau engine (`tableau` crate) at
 //!   thousands of qubits, every other circuit on the dense backend, and
 //!   [`RunOutcome::route`] reports which engine executed the run;

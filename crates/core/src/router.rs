@@ -6,13 +6,14 @@
 //! ([`WeakSimulator::with_clifford_router`](crate::WeakSimulator::with_clifford_router));
 //! it never changes *what* is sampled, only *which engine* does the work:
 //!
-//! * a **fully-Clifford** circuit (per [`Circuit::is_clifford`]) runs
-//!   entirely on the tableau — thousand-qubit GHZ and stabilizer-code
-//!   circuits sample in milliseconds where a dense backend could not even
-//!   allocate the state.  Dynamic circuits qualify when the tableau's X/Z
-//!   bits cannot depend on the classical record: a conditioned gate must be
-//!   a Pauli, and no measurement or reset may be conditioned.  The
-//!   trajectory runner then compiles the run into one sign program (see the
+//! * a **fully-Clifford** circuit (every operation lowers through
+//!   `tableau::lower`, the one Clifford test) runs entirely on the
+//!   tableau — thousand-qubit GHZ and stabilizer-code circuits sample in
+//!   milliseconds where a dense backend could not even allocate the
+//!   state.  Dynamic circuits qualify when the tableau's X/Z bits cannot
+//!   depend on the classical record: a conditioned gate must be a Pauli,
+//!   and no measurement or reset may be conditioned.  The trajectory
+//!   runner then compiles the run into one sign program (see the
 //!   `tableau` crate docs);
 //! * anything else runs whole on the dense backend.
 //!
@@ -126,22 +127,16 @@ impl fmt::Display for RunRoute {
 /// Noise narrows the choice: only Pauli channels are native to the
 /// tableau, so any other channel keeps the run dense.
 ///
-/// `Operation::is_clifford` guarantees the tableau accepts every operation
-/// it classifies as Clifford, but that classification is the only wall
-/// between the engines, so a fully-Clifford circuit is also dry-run once
-/// through the tableau lowering: a defect degrades to correct-but-slower
-/// dense execution instead of an error, and every later tableau
-/// application is infallible.
+/// The Clifford test is the tableau lowering itself ([`tableau_accepts`]),
+/// so the decision and the execution cannot disagree: every later tableau
+/// application of an accepted circuit is infallible.
 pub(crate) fn route_plan(
     circuit: &Circuit,
     backend: Backend,
     router: bool,
     noise: Option<&NoiseModel>,
 ) -> EngineKind {
-    let tableau = router
-        && noise.is_none_or(NoiseModel::is_pauli)
-        && circuit.is_clifford()
-        && tableau_accepts(circuit);
+    let tableau = router && noise.is_none_or(NoiseModel::is_pauli) && tableau_accepts(circuit);
     if tableau {
         EngineKind::Tableau
     } else {
@@ -272,6 +267,49 @@ mod tests {
     }
 
     #[test]
+    fn the_tableau_lowering_alone_decides_the_route() {
+        // u(0, pi/2, pi/2) = diag(1, e^{i pi}) = Z although no Euler angle
+        // is a multiple of pi, so its controlled form is exactly CZ.  On
+        // |+>|+> followed by H on the target it makes a Bell pair.
+        let mut bell = Circuit::new(2);
+        bell.h(Qubit(0)).h(Qubit(1));
+        bell.push(Operation::Unitary {
+            gate: circuit::OneQubitGate::U {
+                theta: mathkit::Angle::ZERO,
+                phi: mathkit::Angle::pi_over(2),
+                lambda: mathkit::Angle::pi_over(2),
+            },
+            target: Qubit(1),
+            controls: vec![Qubit(0)],
+        });
+        bell.h(Qubit(1));
+        let engine = route_plan(&bell, Backend::StateVector, true, None);
+        assert_eq!(engine, EngineKind::Tableau);
+        let sim = crate::WeakSimulator::new(Backend::StateVector);
+        let dense = sim.strong(&bell).unwrap();
+        let outcome = sim.with_clifford_router().run(&bell, 4000, 5).unwrap();
+        assert_eq!(outcome.route, RunRoute::single(engine, bell.len()));
+        assert!(outcome
+            .histogram
+            .counts()
+            .keys()
+            .all(|&k| dense.probability(k) > 0.25));
+        let fit = crate::stats::chi_square_test(&outcome.histogram, |k| dense.probability(k));
+        assert!(fit.is_consistent(1e-3), "{fit:?}");
+
+        // A near-Clifford is never rounded onto one: it stays dense.
+        let mut near = Circuit::new(1);
+        near.h(Qubit(0)).gate(
+            circuit::OneQubitGate::Rz(mathkit::Angle::radians_value(
+                std::f64::consts::FRAC_PI_2 + 1e-9,
+            )),
+            Qubit(0),
+        );
+        let engine = route_plan(&near, Backend::DecisionDiagram, true, None);
+        assert_eq!(engine, EngineKind::DecisionDiagram);
+    }
+
+    #[test]
     fn record_dependent_structure_stays_dense() {
         // A guarded Pauli only flips signs: still the tableau.
         let mut pauli = Circuit::new(2);
@@ -304,7 +342,9 @@ mod tests {
                 },
             );
         for c in [&guarded_h, &guarded_measure] {
-            assert!(c.is_clifford());
+            // Every operation lowers; the record dependence alone keeps
+            // the run dense.
+            assert!(c.iter().all(|op| tableau::lower(op, 0, 2).is_ok()));
             let engine = route_plan(c, Backend::StateVector, true, None);
             assert_eq!(engine, EngineKind::StateVector);
         }

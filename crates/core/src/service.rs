@@ -35,13 +35,13 @@
 //!   simply rebuilt cold on first request.  A snapshot round-trip re-serves
 //!   bit-identical histograms.
 //!
-//! # Snapshot file format (version 1)
+//! # Snapshot file format (version 2)
 //!
 //! All integers little-endian.
 //!
 //! ```text
 //! header:   magic  b"WSIMSNP1"            8 bytes
-//!           version u32                   4 bytes  (= 1)
+//!           version u32                   4 bytes  (= 2)
 //!           entry_count u32               4 bytes
 //! entry*:   key    [u64; 2]              16 bytes  (request fingerprint)
 //!           payload_len u64               8 bytes
@@ -57,6 +57,9 @@
 //! snapshot, representation size, build times, and the engine crate's own
 //! sampler serialization (see `CompiledSampler::encode_snapshot`,
 //! `PrefixSampler::encode_snapshot`, `MeasurementSampler::encode_snapshot`).
+//! The `DdStats` snapshot is 20 words: occupancy, unique-table counters,
+//! the `add`/`mv`/`madd` and operator cache counters, garbage collections.
+//! A file of any other version loads nothing and the cache starts cold.
 //!
 //! # Example
 //!
@@ -89,7 +92,7 @@ use std::time::{Duration, Instant};
 /// Magic bytes opening a snapshot file.
 const SNAPSHOT_MAGIC: &[u8; 8] = b"WSIMSNP1";
 /// Snapshot format version written (and the only one accepted).
-const SNAPSHOT_VERSION: u32 = 1;
+const SNAPSHOT_VERSION: u32 = 2;
 /// Estimated build seconds used for admission decisions before the first
 /// build has completed (no observation to average yet).
 const DEFAULT_BUILD_ESTIMATE_SECS: f64 = 1.0;

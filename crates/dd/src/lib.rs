@@ -138,10 +138,10 @@ pub use measure::{
     amplitude_damp_keep, branch_masses, collapse_qubit, measure_all, measure_qubit, reset_qubit,
 };
 pub use node::{MatrixNode, VectorNode};
-pub use ops::{add, inner_product, matrix_add, matrix_matrix_multiply, matrix_vector_multiply};
+pub use ops::{add, matrix_add, matrix_vector_multiply};
 pub use package::{
     CacheCounters, DdPackage, DdStats, Normalization, ADD_CACHE_ENTRIES, MADD_CACHE_ENTRIES,
-    MM_CACHE_ENTRIES, MV_CACHE_ENTRIES,
+    MV_CACHE_ENTRIES,
 };
 pub use sample::EdgeProbabilities;
 #[cfg(feature = "comparison-samplers")]

@@ -16,8 +16,7 @@ use mathkit::Complex;
 /// A linear operator on `n` qubits represented as a matrix decision diagram.
 ///
 /// Operator DDs are used internally to apply gates by matrix–vector
-/// multiplication, and exposed so callers can fuse gates or inspect gate
-/// matrices.
+/// multiplication, and exposed so callers can inspect gate matrices.
 ///
 /// # Examples
 ///
@@ -291,55 +290,6 @@ impl OperatorDd {
             root: total,
             num_qubits,
         })
-    }
-
-    /// Builds an operator DD from a dense row-major matrix of size
-    /// `2^n x 2^n` (intended for tests and very small operators).
-    ///
-    /// # Errors
-    ///
-    /// Fails with a [`DdError`] when the package's governor interrupts the
-    /// run or a node arena overflows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square with a power-of-two dimension.
-    pub fn from_dense(package: &mut DdPackage, matrix: &[Vec<Complex>]) -> Result<Self, DdError> {
-        let dim = matrix.len();
-        assert!(
-            dim.is_power_of_two(),
-            "matrix dimension must be a power of two"
-        );
-        assert!(
-            matrix.iter().all(|row| row.len() == dim),
-            "matrix must be square"
-        );
-        let num_qubits = dim.trailing_zeros() as u16;
-
-        fn build(
-            package: &mut DdPackage,
-            matrix: &[Vec<Complex>],
-            row0: usize,
-            col0: usize,
-            size: usize,
-        ) -> Result<MatrixEdge, DdError> {
-            if size == 1 {
-                return Ok(package.matrix_terminal(matrix[row0][col0]));
-            }
-            let half = size / 2;
-            let var = (size.trailing_zeros() - 1) as u16;
-            let mut children = [MatrixEdge::ZERO; 4];
-            for row in 0..2 {
-                for col in 0..2 {
-                    children[2 * row + col] =
-                        build(package, matrix, row0 + row * half, col0 + col * half, half)?;
-                }
-            }
-            package.make_mnode(var, children)
-        }
-
-        let root = build(package, matrix, 0, 0, dim)?;
-        Ok(Self { root, num_qubits })
     }
 
     /// The matrix entry at (`row`, `col`), reconstructed from the path
@@ -736,17 +686,6 @@ mod tests {
             assert!((cp.entry(&p, col, col) - expected).norm() < 1e-12);
             assert!(cp.entry(&p, col, col ^ 1).norm() < 1e-12);
         }
-    }
-
-    #[test]
-    fn from_dense_round_trips() {
-        let mut p = DdPackage::new();
-        let m = vec![
-            vec![Complex::new(1.0, 0.0), Complex::new(0.0, 1.0)],
-            vec![Complex::new(0.5, 0.5), Complex::new(-1.0, 0.0)],
-        ];
-        let op = OperatorDd::from_dense(&mut p, &m).unwrap();
-        assert_matrix_eq(&p, &op, &m, "dense 2x2");
     }
 
     #[test]

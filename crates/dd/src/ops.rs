@@ -1,10 +1,9 @@
-//! Memoized decision-diagram operations: vector addition, matrix addition,
-//! matrix–vector and matrix–matrix multiplication.
+//! Memoized decision-diagram operations: vector addition, matrix addition
+//! and matrix–vector multiplication.
 
 use crate::edge::{MatrixEdge, VectorEdge};
 use crate::govern::DdError;
 use crate::DdPackage;
-use mathkit::Complex;
 
 /// Adds two state DDs (`a + b`), sharing structure through the package's
 /// compute table.
@@ -204,111 +203,11 @@ fn multiply_nodes(
     Ok(result)
 }
 
-/// Multiplies two operator DDs (`a * b`), used to fuse gates.
-///
-/// # Errors
-///
-/// Fails with a [`DdError`] when the package's governor interrupts the run
-/// or a node arena overflows.
-pub fn matrix_matrix_multiply(
-    package: &mut DdPackage,
-    a: MatrixEdge,
-    b: MatrixEdge,
-) -> Result<MatrixEdge, DdError> {
-    if a.is_zero() || b.is_zero() {
-        return Ok(MatrixEdge::ZERO);
-    }
-    let factor = package.weight_value(a.weight) * package.weight_value(b.weight);
-    let normalized = multiply_matrix_nodes(package, a, b)?;
-    Ok(package.scale_medge(normalized, factor))
-}
-
-fn multiply_matrix_nodes(
-    package: &mut DdPackage,
-    a: MatrixEdge,
-    b: MatrixEdge,
-) -> Result<MatrixEdge, DdError> {
-    if a.is_terminal() && b.is_terminal() {
-        return Ok(MatrixEdge::ONE);
-    }
-    debug_assert!(!a.is_terminal() && !b.is_terminal());
-
-    // Identity shortcuts: `I * b = b`, `a * I = a` (sub-diagrams, weights
-    // applied by the caller).
-    if package.is_identity_mnode(a.target) {
-        return Ok(MatrixEdge {
-            target: b.target,
-            weight: crate::edge::WeightId::ONE,
-        });
-    }
-    if package.is_identity_mnode(b.target) {
-        return Ok(MatrixEdge {
-            target: a.target,
-            weight: crate::edge::WeightId::ONE,
-        });
-    }
-
-    let key = (a.target, b.target);
-    if let Some(cached) = package.mm_cache.lookup(key) {
-        return Ok(cached);
-    }
-
-    let a_node = *package.mnode(a.target);
-    let b_node = *package.mnode(b.target);
-    debug_assert_eq!(a_node.var, b_node.var);
-
-    let mut children = [MatrixEdge::ZERO; 4];
-    for row in 0..2 {
-        for col in 0..2 {
-            let mut acc = MatrixEdge::ZERO;
-            for k in 0..2 {
-                let a_child = a_node.children[2 * row + k];
-                let b_child = b_node.children[2 * k + col];
-                if a_child.is_zero() || b_child.is_zero() {
-                    continue;
-                }
-                let sub = multiply_matrix_nodes(package, a_child, b_child)?;
-                let factor =
-                    package.weight_value(a_child.weight) * package.weight_value(b_child.weight);
-                let term = package.scale_medge(sub, factor);
-                acc = matrix_add(package, acc, term)?;
-            }
-            children[2 * row + col] = acc;
-        }
-    }
-    let result = package.make_mnode(a_node.var, children)?;
-    package.mm_cache.insert(key, result);
-    Ok(result)
-}
-
-/// The inner product `<a|b>` of two state DDs over the same qubits.
-pub fn inner_product(package: &mut DdPackage, a: VectorEdge, b: VectorEdge) -> Complex {
-    fn recurse(package: &mut DdPackage, a: VectorEdge, b: VectorEdge) -> Complex {
-        if a.is_zero() || b.is_zero() {
-            return Complex::ZERO;
-        }
-        let wa = package.weight_value(a.weight).conj();
-        let wb = package.weight_value(b.weight);
-        if a.is_terminal() && b.is_terminal() {
-            return wa * wb;
-        }
-        let a_node = *package.vnode(a.target);
-        let b_node = *package.vnode(b.target);
-        debug_assert_eq!(a_node.var, b_node.var);
-        let mut total = Complex::ZERO;
-        for bit in 0..2 {
-            total += recurse(package, a_node.children[bit], b_node.children[bit]);
-        }
-        wa * wb * total
-    }
-    recurse(package, a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::StateDd;
-    use mathkit::SQRT1_2;
+    use mathkit::Complex;
 
     fn from_amps(package: &mut DdPackage, amps: &[Complex]) -> VectorEdge {
         StateDd::from_amplitudes(package, amps).unwrap().root()
@@ -435,25 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn inner_product_of_orthogonal_states_is_zero() {
-        let mut p = DdPackage::new();
-        let zero = StateDd::basis_state(&mut p, 2, 0).unwrap().root();
-        let three = StateDd::basis_state(&mut p, 2, 3).unwrap().root();
-        assert!(inner_product(&mut p, zero, three).norm() < 1e-12);
-        assert!((inner_product(&mut p, zero, zero) - Complex::ONE).norm() < 1e-12);
-    }
-
-    #[test]
-    fn inner_product_of_superpositions() {
-        let mut p = DdPackage::new();
-        let h = Complex::from_real(SQRT1_2);
-        let plus = from_amps(&mut p, &[h, h]);
-        let minus = from_amps(&mut p, &[h, -h]);
-        assert!(inner_product(&mut p, plus, minus).norm() < 1e-12);
-        assert!((inner_product(&mut p, plus, plus) - Complex::ONE).norm() < 1e-12);
-    }
-
-    #[test]
     fn matrix_add_builds_sums() {
         let mut p = DdPackage::new();
         // |0><0| + |1><1| over one qubit equals the identity.
@@ -473,18 +353,5 @@ mod tests {
         let sum = matrix_add(&mut p, proj0, proj1).unwrap();
         let identity = crate::OperatorDd::identity(&mut p, 1).unwrap().root();
         assert_eq!(sum, identity);
-    }
-
-    #[test]
-    fn matrix_matrix_multiply_composes_operators() {
-        let mut p = DdPackage::new();
-        // X * X = I on one qubit.
-        let one = p.matrix_terminal(Complex::ONE);
-        let x = p
-            .make_mnode(0, [MatrixEdge::ZERO, one, one, MatrixEdge::ZERO])
-            .unwrap();
-        let xx = matrix_matrix_multiply(&mut p, x, x).unwrap();
-        let identity = crate::OperatorDd::identity(&mut p, 1).unwrap().root();
-        assert_eq!(xx, identity);
     }
 }

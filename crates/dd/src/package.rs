@@ -15,7 +15,7 @@
 //!   the compacted arena in one linear pass instead of churning tombstones —
 //!   so probe chains stay short and the table is always tombstone-free.
 //!
-//! * **Compute caches** (`add`/`mv`/`madd`/`mm`, see [`ComputeCache`]) are
+//! * **Compute caches** (`add`/`mv`/`madd`, see [`ComputeCache`]) are
 //!   bounded, direct-mapped and *lossy*: a colliding insert simply
 //!   overwrites the previous entry.  Losing an entry only costs a
 //!   recomputation, never correctness, and in exchange the caches have
@@ -23,8 +23,8 @@
 //!     at [`COMPUTE_CACHE_MIN_ENTRIES`] slots (allocated lazily on first
 //!     use, so throwaway packages cost nothing) and doubles under eviction
 //!     pressure up to its fixed maximum — the sizing knobs
-//!     [`ADD_CACHE_ENTRIES`], [`MV_CACHE_ENTRIES`], [`MADD_CACHE_ENTRIES`]
-//!     and [`MM_CACHE_ENTRIES`], or
+//!     [`ADD_CACHE_ENTRIES`], [`MV_CACHE_ENTRIES`] and
+//!     [`MADD_CACHE_ENTRIES`], or
 //!     [`set_compute_cache_capacity`](DdPackage::set_compute_cache_capacity)
 //!     at runtime (`0` disables caching, the reference configuration for
 //!     testing that lossiness never changes results),
@@ -45,8 +45,8 @@
 //!   distinct operators.
 //!
 //! * Matrix nodes that form **identity chains** are flagged at creation;
-//!   the multiply recursions in `ops.rs` shortcut through them (`I·v = v`,
-//!   `I·B = B`, `A·I = A`) instead of descending, which removes the
+//!   the matrix–vector recursion in `ops.rs` shortcuts through them
+//!   (`I·v = v`) instead of descending, which removes the
 //!   below-target part of every gate cone — the bulk of a naive gate
 //!   apply — from the compute working set entirely.  The chains
 //!   themselves are built in one place, a per-package memo
@@ -71,7 +71,7 @@ use crate::edge::{MatrixEdge, MatrixNodeId, VectorEdge, VectorNodeId, WeightId};
 use crate::govern::{DdError, Governor};
 use crate::node::{MatrixNode, VectorNode};
 use circuit::{OneQubitGate, Qubit};
-use mathkit::{hash_finish, hash_mix, CTable, Complex, FxHashMap, Tolerance, ValueId};
+use mathkit::{hash_finish, hash_mix, CTable, Complex, FxHashMap, ValueId};
 use std::mem::size_of;
 
 /// The edge-weight normalization scheme applied when creating vector nodes.
@@ -109,9 +109,6 @@ pub const ADD_CACHE_ENTRIES: usize = 1 << 21;
 pub const MV_CACHE_ENTRIES: usize = 1 << 21;
 /// Maximum entries of the matrix-addition compute cache (power of two).
 pub const MADD_CACHE_ENTRIES: usize = 1 << 14;
-/// Maximum entries of the matrix–matrix multiplication compute cache
-/// (power of two).
-pub const MM_CACHE_ENTRIES: usize = 1 << 14;
 /// Initial allocation of every compute cache (power of two).
 pub const COMPUTE_CACHE_MIN_ENTRIES: usize = 1 << 14;
 /// Maximum number of distinct operator DDs memoized by
@@ -173,8 +170,6 @@ pub struct DdStats {
     pub mv_cache: CacheCounters,
     /// Matrix-addition compute-cache counters.
     pub madd_cache: CacheCounters,
-    /// Matrix–matrix multiplication compute-cache counters.
-    pub mm_cache: CacheCounters,
     /// Memoized gate/projector operator-DD cache counters.
     pub operator_cache: CacheCounters,
     /// Number of garbage collections performed.
@@ -182,28 +177,19 @@ pub struct DdStats {
 }
 
 impl DdStats {
-    /// Total hits across the four node-level compute caches.
+    /// Total hits across the three node-level compute caches.
     #[must_use]
     pub fn compute_hits(&self) -> u64 {
-        self.add_cache.hits + self.mv_cache.hits + self.madd_cache.hits + self.mm_cache.hits
+        self.add_cache.hits + self.mv_cache.hits + self.madd_cache.hits
     }
 
-    /// Total misses across the four node-level compute caches.
+    /// Total misses across the three node-level compute caches.
     #[must_use]
     pub fn compute_misses(&self) -> u64 {
-        self.add_cache.misses + self.mv_cache.misses + self.madd_cache.misses + self.mm_cache.misses
+        self.add_cache.misses + self.mv_cache.misses + self.madd_cache.misses
     }
 
-    /// Total lossy evictions across the four node-level compute caches.
-    #[must_use]
-    pub fn compute_evictions(&self) -> u64 {
-        self.add_cache.evictions
-            + self.mv_cache.evictions
-            + self.madd_cache.evictions
-            + self.mm_cache.evictions
-    }
-
-    /// Hit rate over all four compute caches combined.
+    /// Hit rate over all three compute caches combined.
     #[must_use]
     pub fn compute_hit_rate(&self) -> f64 {
         let total = self.compute_hits() + self.compute_misses();
@@ -239,7 +225,6 @@ impl DdStats {
         self.add_cache.add(&other.add_cache);
         self.mv_cache.add(&other.mv_cache);
         self.madd_cache.add(&other.madd_cache);
-        self.mm_cache.add(&other.mm_cache);
         self.operator_cache.add(&other.operator_cache);
         self.garbage_collections += other.garbage_collections;
     }
@@ -701,7 +686,6 @@ pub struct DdPackage {
     pub(crate) add_cache: ComputeCache<(VectorEdge, VectorEdge), VectorEdge>,
     pub(crate) mv_cache: ComputeCache<(MatrixNodeId, VectorNodeId), VectorEdge>,
     pub(crate) madd_cache: ComputeCache<(MatrixEdge, MatrixEdge), MatrixEdge>,
-    pub(crate) mm_cache: ComputeCache<(MatrixNodeId, MatrixNodeId), MatrixEdge>,
     operator_cache: FxHashMap<OperatorKey, MatrixEdge>,
     vunique_hits: u64,
     vunique_misses: u64,
@@ -728,16 +712,9 @@ impl DdPackage {
     /// Creates a package using the given normalization scheme.
     #[must_use]
     pub fn with_normalization(normalization: Normalization) -> Self {
-        Self::with_settings(normalization, Tolerance::default())
-    }
-
-    /// Creates a package with explicit normalization and interning tolerance.
-    #[must_use]
-    pub fn with_settings(normalization: Normalization, tolerance: Tolerance) -> Self {
         let vv_dummy = (VectorEdge::ZERO, VectorEdge::ZERO);
         let mm_dummy = (MatrixEdge::ZERO, MatrixEdge::ZERO);
         let mv_id_dummy = (MatrixNodeId::TERMINAL, VectorNodeId::TERMINAL);
-        let mm_id_dummy = (MatrixNodeId::TERMINAL, MatrixNodeId::TERMINAL);
         Self {
             vnodes: Vec::new(),
             mnodes: Vec::new(),
@@ -745,12 +722,11 @@ impl DdPackage {
             identity_chain: vec![MatrixEdge::ONE],
             vunique: UniqueTable::new(),
             munique: UniqueTable::new(),
-            ctable: CTable::with_tolerance(tolerance),
+            ctable: CTable::new(),
             normalization,
             add_cache: ComputeCache::new(ADD_CACHE_ENTRIES, (vv_dummy, VectorEdge::ZERO)),
             mv_cache: ComputeCache::new(MV_CACHE_ENTRIES, (mv_id_dummy, VectorEdge::ZERO)),
             madd_cache: ComputeCache::new(MADD_CACHE_ENTRIES, (mm_dummy, MatrixEdge::ZERO)),
-            mm_cache: ComputeCache::new(MM_CACHE_ENTRIES, (mm_id_dummy, MatrixEdge::ZERO)),
             operator_cache: FxHashMap::default(),
             vunique_hits: 0,
             vunique_misses: 0,
@@ -798,7 +774,7 @@ impl DdPackage {
         self.normalization
     }
 
-    /// Resizes all four node-level compute caches to `entries` slots each
+    /// Resizes all three node-level compute caches to `entries` slots each
     /// (rounded up to a power of two); `0` disables compute caching
     /// entirely, which is useful as a reference configuration when testing
     /// that lossy evictions never change results.  Resizing clears the
@@ -807,7 +783,6 @@ impl DdPackage {
         self.add_cache.set_capacity(entries);
         self.mv_cache.set_capacity(entries);
         self.madd_cache.set_capacity(entries);
-        self.mm_cache.set_capacity(entries);
     }
 
     /// Frees the compute caches' backing storage and resets their growth
@@ -818,7 +793,6 @@ impl DdPackage {
         self.add_cache.shrink();
         self.mv_cache.shrink();
         self.madd_cache.shrink();
-        self.mm_cache.shrink();
     }
 
     /// Approximate bytes held by the package right now: node arenas, unique
@@ -837,8 +811,7 @@ impl DdPackage {
             (self.vunique.slots.len() + self.munique.slots.len()) * size_of::<UniqueSlot>();
         let caches = self.add_cache.allocated_bytes()
             + self.mv_cache.allocated_bytes()
-            + self.madd_cache.allocated_bytes()
-            + self.mm_cache.allocated_bytes();
+            + self.madd_cache.allocated_bytes();
         (vnodes + mnodes + tables + caches + self.ctable.heap_bytes()) as u64
     }
 
@@ -856,7 +829,6 @@ impl DdPackage {
             add_cache: self.add_cache.counters(),
             mv_cache: self.mv_cache.counters(),
             madd_cache: self.madd_cache.counters(),
-            mm_cache: self.mm_cache.counters(),
             operator_cache: CacheCounters {
                 hits: self.operator_hits,
                 misses: self.operator_misses,
@@ -884,21 +856,6 @@ impl DdPackage {
         self.ctable.complex(id.re, id.im)
     }
 
-    /// Multiplies two interned weights.
-    pub fn weight_mul(&mut self, a: WeightId, b: WeightId) -> WeightId {
-        if a.is_zero() || b.is_zero() {
-            return WeightId::ZERO;
-        }
-        if a.is_one() {
-            return b;
-        }
-        if b.is_one() {
-            return a;
-        }
-        let value = self.weight_value(a) * self.weight_value(b);
-        self.weight(value)
-    }
-
     // ----- vector nodes --------------------------------------------------
 
     /// The vector node stored under `id`.
@@ -919,17 +876,6 @@ impl DdPackage {
     #[must_use]
     pub fn mnode(&self, id: MatrixNodeId) -> &MatrixNode {
         &self.mnodes[id.index()]
-    }
-
-    /// The variable (qubit) level of the node a vector edge points to, or
-    /// `None` for the terminal.
-    #[must_use]
-    pub fn vedge_var(&self, edge: VectorEdge) -> Option<u16> {
-        if edge.target.is_terminal() {
-            None
-        } else {
-            Some(self.vnode(edge.target).var)
-        }
     }
 
     /// Builds a terminal vector edge with the given complex weight.
@@ -1244,7 +1190,6 @@ impl DdPackage {
         self.add_cache.clear();
         self.mv_cache.clear();
         self.madd_cache.clear();
-        self.mm_cache.clear();
         self.operator_cache.clear();
     }
 
@@ -1529,16 +1474,6 @@ mod tests {
     fn tiny_values_snap_to_zero() {
         let mut p = DdPackage::new();
         assert!(p.weight(Complex::new(1e-14, -1e-14)).is_zero());
-    }
-
-    #[test]
-    fn weight_multiplication_shortcuts() {
-        let mut p = DdPackage::new();
-        let a = p.weight(Complex::new(0.5, 0.5));
-        assert!(p.weight_mul(a, WeightId::ZERO).is_zero());
-        assert_eq!(p.weight_mul(a, WeightId::ONE), a);
-        let sq = p.weight_mul(a, a);
-        assert!((p.weight_value(sq) - Complex::new(0.0, 0.5)).norm() < 1e-12);
     }
 
     #[test]

@@ -86,65 +86,6 @@ impl Angle {
         }
     }
 
-    /// Returns `Some(k)` if the angle equals `k * pi/2` for an integer `k`
-    /// (within [`DEFAULT_TOLERANCE`](crate::DEFAULT_TOLERANCE) for
-    /// floating-point angles; exact for dyadic angles).
-    ///
-    /// These are precisely the rotation angles whose `Rz`/`Phase` gates are
-    /// Clifford, so this is the primitive behind gate classification for
-    /// stabilizer routing.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use mathkit::Angle;
-    ///
-    /// assert_eq!(Angle::pi_over(2).half_pi_multiple(), Some(1));
-    /// assert_eq!(Angle::pi_over(4).half_pi_multiple(), None);
-    /// assert_eq!(Angle::Radians(std::f64::consts::PI).half_pi_multiple(), Some(2));
-    /// ```
-    #[must_use]
-    pub fn half_pi_multiple(&self) -> Option<i64> {
-        match *self {
-            Angle::DyadicPi { numerator, power } => {
-                // numerator * pi / 2^power = k * pi/2  <=>  k = numerator * 2^(1-power).
-                if numerator == 0 {
-                    Some(0)
-                } else if power == 0 {
-                    numerator.checked_mul(2)
-                } else if power <= 63 && numerator % (1i64 << (power - 1)) == 0 {
-                    Some(numerator >> (power - 1))
-                } else {
-                    None
-                }
-            }
-            Angle::Radians(theta) => {
-                let k = (theta / std::f64::consts::FRAC_PI_2).round();
-                let residue = theta - k * std::f64::consts::FRAC_PI_2;
-                if residue.abs() <= crate::DEFAULT_TOLERANCE && k.abs() < 9.0e15 {
-                    Some(k as i64)
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    /// Returns `true` if the angle is an integer multiple of `pi/2` (see
-    /// [`half_pi_multiple`](Self::half_pi_multiple)).
-    #[must_use]
-    pub fn is_half_pi_multiple(&self) -> bool {
-        self.half_pi_multiple().is_some()
-    }
-
-    /// Returns `true` if the angle is an integer multiple of `pi` — the
-    /// angles whose `Rz`/`Rx`/`Ry`/`Phase` gates are Pauli operators up to a
-    /// global phase.
-    #[must_use]
-    pub fn is_pi_multiple(&self) -> bool {
-        self.half_pi_multiple().is_some_and(|k| k % 2 == 0)
-    }
-
     /// The negated angle.
     #[must_use]
     pub fn negated(&self) -> Self {
@@ -262,60 +203,6 @@ mod tests {
         assert!((binary_angle(&[true]) - PI).abs() < 1e-15);
         assert!((binary_angle(&[false, true]) - PI / 2.0).abs() < 1e-15);
         assert!((binary_angle(&[true, true]) - 3.0 * PI / 2.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn half_pi_multiple_classification() {
-        // Exact dyadic angles.
-        assert_eq!(Angle::ZERO.half_pi_multiple(), Some(0));
-        assert_eq!(Angle::pi_over(2).half_pi_multiple(), Some(1));
-        assert_eq!(Angle::qft_rotation(1).half_pi_multiple(), Some(2)); // pi
-        assert_eq!(Angle::pi_over(4).half_pi_multiple(), None);
-        assert_eq!(Angle::pi_over(8).half_pi_multiple(), None);
-        assert_eq!(
-            Angle::DyadicPi {
-                numerator: -3,
-                power: 1
-            }
-            .half_pi_multiple(),
-            Some(-3)
-        );
-        assert_eq!(
-            Angle::DyadicPi {
-                numerator: 6,
-                power: 2
-            }
-            .half_pi_multiple(),
-            Some(3)
-        );
-        assert_eq!(
-            Angle::DyadicPi {
-                numerator: 0,
-                power: 40
-            }
-            .half_pi_multiple(),
-            Some(0)
-        );
-        // Floating-point angles within the default tolerance.
-        assert_eq!(Angle::Radians(PI / 2.0).half_pi_multiple(), Some(1));
-        assert_eq!(Angle::Radians(-PI).half_pi_multiple(), Some(-2));
-        assert_eq!(
-            Angle::Radians(3.0 * PI / 2.0 + 1e-12).half_pi_multiple(),
-            Some(3)
-        );
-        assert_eq!(Angle::Radians(PI / 4.0).half_pi_multiple(), None);
-        assert_eq!(Angle::Radians(0.7).half_pi_multiple(), None);
-    }
-
-    #[test]
-    fn pi_multiple_classification() {
-        assert!(Angle::ZERO.is_pi_multiple());
-        assert!(Angle::qft_rotation(1).is_pi_multiple()); // pi
-        assert!(Angle::Radians(-2.0 * PI).is_pi_multiple());
-        assert!(!Angle::pi_over(2).is_pi_multiple());
-        assert!(!Angle::Radians(0.3).is_pi_multiple());
-        assert!(Angle::pi_over(2).is_half_pi_multiple());
-        assert!(!Angle::pi_over(4).is_half_pi_multiple());
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Lowering [`circuit::Operation`]s onto the tableau primitives.
 //!
 //! Named Clifford gates map directly onto [`Tableau`] methods.  Everything
-//! else — `sqrt(X)`-family gates, parametric rotations at multiples of
-//! `pi/2`, generic `U` gates on the grid — is resolved by **matrix
-//! matching**: the gate's 2×2 unitary is canonicalized up to global phase
-//! and looked up in a table of the 24 single-qubit Clifford classes, built
-//! once by breadth-first closure of the `{H, S}` generators.  Controlled
-//! gates are matched against the sixteen matrices `i^k P` (`k` in `0..4`,
-//! `P` a Pauli); the phase becomes an `S^k` on the control and the Pauli a
-//! `CX`/`CY`/`CZ`.  Matching is exact within [`mathkit::DEFAULT_TOLERANCE`],
-//! so the lowering can never silently approximate a non-Clifford gate.
+//! else — `sqrt(X)`-family gates, parametric rotations, generic `U` gates —
+//! is resolved by **matrix matching**: the gate's 2×2 unitary is
+//! canonicalized up to global phase and looked up in a table of the 24
+//! single-qubit Clifford classes, built once by breadth-first closure of
+//! the `{H, S}` generators.  Controlled gates are matched against the
+//! sixteen matrices `i^k P` (`k` in `0..4`, `P` a Pauli); the phase becomes
+//! an `S^k` on the control and the Pauli a `CX`/`CY`/`CZ`.  Both matches
+//! compare the matrix entry by entry within [`mathkit::DEFAULT_TOLERANCE`]
+//! (the table's quantized key only finds the candidate class), so the
+//! lowering never silently rounds a near-Clifford gate onto a Clifford.
 
 use crate::state::{Gate, Pauli, Tableau};
 use circuit::{Circuit, Condition, Operation};
@@ -92,26 +93,30 @@ enum Class {
     Word(Vec<Prim>),
 }
 
-/// Quantized canonical form of a 2×2 unitary, global phase removed: the
-/// lookup key of the Clifford class table.
-fn canonical_key(m: &[[Complex; 2]; 2]) -> Option<[i64; 8]> {
-    // Rotate by the conjugate phase of the first entry of non-negligible
-    // magnitude, making it real positive; quantize at 1e6 (entries of
-    // canonicalized Cliffords are separated by ~0.2, tolerances are 1e-10).
+/// A 2×2 unitary with its global phase removed: every entry rotated by
+/// the conjugate phase of the first entry of non-negligible magnitude,
+/// which becomes real positive.
+fn canonical(m: &[[Complex; 2]; 2]) -> Option<[Complex; 4]> {
     let flat = [m[0][0], m[0][1], m[1][0], m[1][1]];
     let lead = flat.iter().find(|c| c.norm() > 0.25)?;
     let rot = lead.conj() * (1.0 / lead.norm());
+    Some(flat.map(|c| c * rot))
+}
+
+/// The lookup key of the Clifford class table: the canonical form
+/// quantized at 1e-6 (entries of canonicalized Cliffords are separated by
+/// ~0.2).
+fn canonical_key(canon: &[Complex; 4]) -> [i64; 8] {
     let mut key = [0i64; 8];
-    for (i, c) in flat.iter().enumerate() {
-        let r = *c * rot;
+    for (i, c) in canon.iter().enumerate() {
         // `f64 as i64` saturates; entries are in [-1, 1] so this is exact.
         #[allow(clippy::cast_possible_truncation)]
         {
-            key[2 * i] = (r.re * 1e6).round() as i64;
-            key[2 * i + 1] = (r.im * 1e6).round() as i64;
+            key[2 * i] = (c.re * 1e6).round() as i64;
+            key[2 * i + 1] = (c.im * 1e6).round() as i64;
         }
     }
-    Some(key)
+    key
 }
 
 fn mat_mul(a: &[[Complex; 2]; 2], b: &[[Complex; 2]; 2]) -> [[Complex; 2]; 2] {
@@ -124,36 +129,39 @@ fn mat_mul(a: &[[Complex; 2]; 2], b: &[[Complex; 2]; 2]) -> [[Complex; 2]; 2] {
     out
 }
 
+/// A Clifford class: its realization and the canonical form of its
+/// representative matrix.
+type ClassEntry = (Class, [Complex; 4]);
+
 /// The 24 single-qubit Clifford classes as canonical keys, each mapped to
-/// its realization: the Pauli for the four Pauli classes (so a gate equal
+/// its realization — the Pauli for the four Pauli classes (so a gate equal
 /// to a Pauli up to phase, like `Rz(pi)`, changes signs only), otherwise a
-/// shortest `{H, S}` word (applied left-to-right in time).
-fn clifford_table() -> &'static HashMap<[i64; 8], Class> {
-    static TABLE: OnceLock<HashMap<[i64; 8], Class>> = OnceLock::new();
+/// shortest `{H, S}` word (applied left-to-right in time) — and its
+/// representative.
+fn clifford_table() -> &'static HashMap<[i64; 8], ClassEntry> {
+    static TABLE: OnceLock<HashMap<[i64; 8], ClassEntry>> = OnceLock::new();
     TABLE.get_or_init(|| {
         let h_mat = circuit::OneQubitGate::H.matrix();
         let s_mat = circuit::OneQubitGate::S.matrix();
         let identity = circuit::OneQubitGate::I.matrix();
         let mut table = HashMap::new();
         let mut queue = std::collections::VecDeque::new();
-        if let Some(key) = canonical_key(&identity) {
-            table.insert(key, Class::Word(Vec::new()));
-            queue.push_back((identity, Vec::new()));
-        }
+        queue.push_back((identity, Vec::new()));
         // BFS over left-multiplication: appending a primitive to the word
         // applies it after the existing ones, i.e. multiplies on the left.
         // First-in-first-out order guarantees each class gets a shortest word.
         while let Some((mat, word)) = queue.pop_front() {
-            for (prim, gen) in [(Prim::H, &h_mat), (Prim::S, &s_mat)] {
-                let next = mat_mul(gen, &mat);
-                let Some(key) = canonical_key(&next) else {
-                    continue;
-                };
-                if let std::collections::hash_map::Entry::Vacant(entry) = table.entry(key) {
+            let Some(canon) = canonical(&mat) else {
+                continue;
+            };
+            if let std::collections::hash_map::Entry::Vacant(entry) =
+                table.entry(canonical_key(&canon))
+            {
+                entry.insert((Class::Word(word.clone()), canon));
+                for (prim, gen) in [(Prim::H, &h_mat), (Prim::S, &s_mat)] {
                     let mut next_word = word.clone();
                     next_word.push(prim);
-                    entry.insert(Class::Word(next_word.clone()));
-                    queue.push_back((next, next_word));
+                    queue.push_back((mat_mul(gen, &mat), next_word));
                 }
             }
         }
@@ -165,8 +173,8 @@ fn clifford_table() -> &'static HashMap<[i64; 8], Class> {
             (circuit::OneQubitGate::Y, Pauli::Y),
             (circuit::OneQubitGate::Z, Pauli::Z),
         ] {
-            if let Some(key) = canonical_key(&gate.matrix()) {
-                table.insert(key, Class::Pauli(pauli));
+            if let Some(canon) = canonical(&gate.matrix()) {
+                table.insert(canonical_key(&canon), (Class::Pauli(pauli), canon));
             }
         }
         table
@@ -174,7 +182,9 @@ fn clifford_table() -> &'static HashMap<[i64; 8], Class> {
 }
 
 /// Lowers an uncontrolled single-qubit gate, or reports `None` if it is
-/// outside the Clifford group.
+/// outside the Clifford group: its matrix must equal its class
+/// representative up to global phase, entry by entry within
+/// [`DEFAULT_TOLERANCE`].
 fn lower_one_qubit(gate: &circuit::OneQubitGate, q: usize) -> Option<Vec<Gate>> {
     use circuit::OneQubitGate as G;
     // Fast path: named gates with a dedicated tableau update.
@@ -185,9 +195,18 @@ fn lower_one_qubit(gate: &circuit::OneQubitGate, q: usize) -> Option<Vec<Gate>> 
         G::T | G::Tdg => return None,
         _ => match Pauli::from_gate(gate) {
             Some(pauli) => Class::Pauli(pauli),
-            None => clifford_table()
-                .get(&canonical_key(&gate.matrix())?)?
-                .clone(),
+            None => {
+                let canon = canonical(&gate.matrix())?;
+                let (class, representative) = clifford_table().get(&canonical_key(&canon))?;
+                let exact = canon
+                    .iter()
+                    .zip(representative)
+                    .all(|(entry, rep)| entry.approx_eq(rep, DEFAULT_TOLERANCE));
+                if !exact {
+                    return None;
+                }
+                class.clone()
+            }
         },
     };
     Some(match class {
@@ -472,16 +491,208 @@ mod tests {
         assert_eq!(clifford_table().len(), 24);
         // Longest {H, S} word needed is small (the Cayley graph of the
         // 1-qubit Clifford group over {H, S} has diameter <= 7).
-        assert!(clifford_table().values().all(|class| match class {
+        assert!(clifford_table().values().all(|(class, _)| match class {
             Class::Word(word) => word.len() <= 7,
             Class::Pauli(_) => true,
         }));
         // The four Pauli classes change signs only.
         let paulis = clifford_table()
             .values()
-            .filter(|class| matches!(class, Class::Pauli(_)))
+            .filter(|(class, _)| matches!(class, Class::Pauli(_)))
             .count();
         assert_eq!(paulis, 4);
+    }
+
+    fn adjoint(m: &[[Complex; 2]; 2]) -> [[Complex; 2]; 2] {
+        [
+            [m[0][0].conj(), m[1][0].conj()],
+            [m[0][1].conj(), m[1][1].conj()],
+        ]
+    }
+
+    /// The definition of the Clifford group: `U` is Clifford iff `U P U†`
+    /// is a Pauli with a `±1` sign for both generators `P ∈ {X, Z}`.
+    fn clifford_by_conjugation(g: &OneQubitGate) -> bool {
+        let m = g.matrix();
+        let paulis = [
+            OneQubitGate::I.matrix(),
+            OneQubitGate::X.matrix(),
+            OneQubitGate::Y.matrix(),
+            OneQubitGate::Z.matrix(),
+        ];
+        [OneQubitGate::X, OneQubitGate::Z].iter().all(|p| {
+            let conj = mat_mul(&mat_mul(&m, &p.matrix()), &adjoint(&m));
+            paulis.iter().any(|q| {
+                [1.0, -1.0].iter().any(|sign| {
+                    (0..2).all(|r| (0..2).all(|c| (conj[r][c] - q[r][c] * *sign).norm() < 1e-9))
+                })
+            })
+        })
+    }
+
+    /// The 2×2 unitary of a lowered single-qubit gate sequence.
+    fn lowered_matrix(gates: &[Gate]) -> [[Complex; 2]; 2] {
+        gates.iter().fold(OneQubitGate::I.matrix(), |acc, gate| {
+            let m = match *gate {
+                Gate::H(_) => OneQubitGate::H.matrix(),
+                Gate::S(_) => OneQubitGate::S.matrix(),
+                Gate::Sdg(_) => OneQubitGate::Sdg.matrix(),
+                Gate::Pauli(_, Pauli::I) => OneQubitGate::I.matrix(),
+                Gate::Pauli(_, Pauli::X) => OneQubitGate::X.matrix(),
+                Gate::Pauli(_, Pauli::Y) => OneQubitGate::Y.matrix(),
+                Gate::Pauli(_, Pauli::Z) => OneQubitGate::Z.matrix(),
+                _ => panic!("{gate:?} is not a single-qubit gate"),
+            };
+            mat_mul(&m, &acc)
+        })
+    }
+
+    /// `lower` accepts a single-qubit gate exactly when the conjugation
+    /// oracle calls it Clifford, and what it accepts runs the gate itself
+    /// up to global phase.
+    fn assert_lowering_matches_the_oracle(g: OneQubitGate) {
+        let clifford = clifford_by_conjugation(&g);
+        match lower_one_qubit(&g, 0) {
+            Some(gates) => {
+                assert!(clifford, "{g} lowered but is not Clifford");
+                let got = canonical(&lowered_matrix(&gates)).unwrap();
+                let want = canonical(&g.matrix()).unwrap();
+                assert!(
+                    got.iter().zip(&want).all(|(a, b)| a.approx_eq(b, 1e-9)),
+                    "{g} lowered to {gates:?}"
+                );
+            }
+            None => assert!(!clifford, "{g} is Clifford but was rejected"),
+        }
+    }
+
+    #[test]
+    fn lowering_accepts_exactly_the_clifford_group() {
+        for g in [
+            OneQubitGate::I,
+            OneQubitGate::X,
+            OneQubitGate::Y,
+            OneQubitGate::Z,
+            OneQubitGate::H,
+            OneQubitGate::S,
+            OneQubitGate::Sdg,
+            OneQubitGate::SqrtX,
+            OneQubitGate::SqrtXdg,
+            OneQubitGate::SqrtY,
+            OneQubitGate::SqrtYdg,
+            OneQubitGate::T,
+            OneQubitGate::Tdg,
+        ] {
+            assert_lowering_matches_the_oracle(g);
+        }
+        // Rotations at k·pi/2 are Clifford, off-grid ones are not — as
+        // exact dyadic angles and as floating-point radians.
+        let grid =
+            (-4i64..=4).map(|k| Angle::radians_value(k as f64 * std::f64::consts::FRAC_PI_2));
+        let off_grid = [0.3, std::f64::consts::FRAC_PI_4, 2.0].map(Angle::radians_value);
+        let dyadic = [Angle::pi_over(1), Angle::pi_over(2), Angle::pi_over(4)];
+        for angle in grid.chain(off_grid).chain(dyadic) {
+            for g in [
+                OneQubitGate::Phase(angle),
+                OneQubitGate::Rx(angle),
+                OneQubitGate::Ry(angle),
+                OneQubitGate::Rz(angle),
+            ] {
+                assert_lowering_matches_the_oracle(g);
+            }
+        }
+        // U on and off the pi/2 grid, and off-grid angles that cancel into
+        // a Clifford: u(0, pi/4, pi/4) = S up to phase.
+        let u = |theta, phi, lambda| OneQubitGate::U { theta, phi, lambda };
+        let half = Angle::pi_over(2);
+        for g in [
+            u(half, Angle::ZERO, Angle::pi_over(1)),
+            u(half, Angle::pi_over(1), half),
+            u(half, Angle::ZERO, Angle::pi_over(4)),
+            u(Angle::radians_value(0.5), Angle::ZERO, Angle::ZERO),
+            u(Angle::ZERO, Angle::pi_over(4), Angle::pi_over(4)),
+        ] {
+            assert_lowering_matches_the_oracle(g);
+        }
+        assert_eq!(
+            lower_one_qubit(&u(Angle::ZERO, Angle::pi_over(4), Angle::pi_over(4)), 0),
+            lower_one_qubit(&OneQubitGate::S, 0)
+        );
+    }
+
+    #[test]
+    fn controlled_gates_lower_only_for_phased_paulis() {
+        let controlled = |gate, controls: Vec<Qubit>| Operation::Unitary {
+            gate,
+            target: Qubit(0),
+            controls,
+        };
+        // CX, CY, CZ and the phase-equivalents C-Rz(pi) = C-(-iZ) and
+        // C-u(0, pi/2, pi/2) = C-Z are Clifford.
+        for gate in [
+            OneQubitGate::X,
+            OneQubitGate::Y,
+            OneQubitGate::Z,
+            OneQubitGate::Rz(Angle::pi_over(1)),
+            OneQubitGate::Phase(Angle::pi_over(1)),
+            OneQubitGate::U {
+                theta: Angle::ZERO,
+                phi: Angle::pi_over(2),
+                lambda: Angle::pi_over(2),
+            },
+        ] {
+            let op = controlled(gate, vec![Qubit(1)]);
+            assert!(lower(&op, 0, 3).is_ok(), "{op}");
+        }
+        let cz = lower(&controlled(OneQubitGate::Z, vec![Qubit(1)]), 0, 3);
+        let cu = controlled(
+            OneQubitGate::U {
+                theta: Angle::ZERO,
+                phi: Angle::pi_over(2),
+                lambda: Angle::pi_over(2),
+            },
+            vec![Qubit(1)],
+        );
+        assert_eq!(lower(&cu, 0, 3), cz);
+        // CS, CH, C-Phase(pi/2), CCX, a controlled swap and permutations
+        // are not.
+        let permutation = circuit::Permutation::new(vec![Qubit(0)], vec![1, 0]).unwrap();
+        for op in [
+            controlled(OneQubitGate::S, vec![Qubit(1)]),
+            controlled(OneQubitGate::H, vec![Qubit(1)]),
+            controlled(OneQubitGate::Phase(Angle::pi_over(2)), vec![Qubit(1)]),
+            controlled(OneQubitGate::X, vec![Qubit(1), Qubit(2)]),
+            Operation::Swap {
+                a: Qubit(0),
+                b: Qubit(1),
+                controls: vec![Qubit(2)],
+            },
+            Operation::Permute {
+                permutation,
+                controls: vec![],
+            },
+        ] {
+            assert!(
+                matches!(lower(&op, 0, 3), Err(TableauError::NotClifford { .. })),
+                "{op}"
+            );
+        }
+        // An uncontrolled swap, measurements and resets are stabilizer
+        // operations.
+        for op in [
+            Operation::Swap {
+                a: Qubit(0),
+                b: Qubit(1),
+                controls: vec![],
+            },
+            Operation::Measure {
+                qubit: Qubit(0),
+                cbit: 0,
+            },
+            Operation::Reset { qubit: Qubit(0) },
+        ] {
+            assert!(lower(&op, 0, 3).is_ok(), "{op}");
+        }
     }
 
     /// Applies `ops` to dense 2x2 matrices and compares (up to global
@@ -546,11 +757,21 @@ mod tests {
     #[test]
     fn non_clifford_gates_are_rejected() {
         let mut rng = SmallRng::seed_from_u64(1);
+        let near_s = |offset: f64| {
+            OneQubitGate::Rz(Angle::radians_value(std::f64::consts::FRAC_PI_2 + offset))
+        };
+        // Near-Cliffords are rejected, not rounded onto `S`: the gate must
+        // equal its class representative within the default tolerance.
         for gate in [
             OneQubitGate::T,
             OneQubitGate::Tdg,
             OneQubitGate::Rz(Angle::pi_over(4)),
             OneQubitGate::Rx(Angle::radians_value(0.3)),
+            near_s(1e-9),
+            near_s(-1e-9),
+            near_s(1e-7),
+            near_s(1e-5),
+            OneQubitGate::Rx(Angle::radians_value(std::f64::consts::PI + 1e-9)),
         ] {
             let mut circ = Circuit::new(1);
             circ.gate(gate, Qubit(0));
@@ -559,7 +780,19 @@ mod tests {
                 matches!(err, TableauError::NotClifford { op_index: 0, .. }),
                 "{gate:?}: {err}"
             );
+            let err = crate::SignCompiler::new(1)
+                .segment(circ.operations())
+                .unwrap_err();
+            assert!(
+                matches!(err, TableauError::NotClifford { op_index: 0, .. }),
+                "{gate:?}: {err}"
+            );
         }
+        // Rounding noise far inside the tolerance still lowers to `S`.
+        assert_eq!(
+            lower_one_qubit(&near_s(1e-12), 0),
+            lower_one_qubit(&OneQubitGate::S, 0)
+        );
     }
 
     #[test]

@@ -13,16 +13,21 @@
 //!
 //! # The Clifford gate set
 //!
-//! [`lower`] (and so [`apply_operation`]) accepts exactly the operations
-//! [`circuit::Operation::is_clifford`] admits:
+//! [`lower`] is the workspace's one Clifford test: it decides from each
+//! gate's matrix, and the `weaksim` router sends a circuit to the tableau
+//! only when every operation lowers.  [`lower`] (and so
+//! [`apply_operation`]) accepts:
 //!
 //! * every single-qubit gate in the Clifford group: `I`, `X`, `Y`, `Z`,
-//!   `H`, `S`, `Sdg`, `SqrtX`, `SqrtXdg`, `SqrtY`, `SqrtYdg`, and the
-//!   parametric gates `Phase`/`Rx`/`Ry`/`Rz`/`U` whose angles are integer
-//!   multiples of `pi/2` (each is resolved by matrix matching against the
-//!   24 single-qubit Clifford classes: a Pauli class to the Pauli itself, so
-//!   `rz(pi)` runs as `Z`, any other to a product of the tableau's `H`/`S`
-//!   primitives, so `rz(pi/2)` runs as `S`, both up to global phase);
+//!   `H`, `S`, `Sdg`, `SqrtX`, `SqrtXdg`, `SqrtY`, `SqrtYdg`, and every
+//!   parametric `Phase`/`Rx`/`Ry`/`Rz`/`U` whose matrix equals a Clifford
+//!   up to global phase, entry by entry within
+//!   [`mathkit::DEFAULT_TOLERANCE`]: rotations by multiples of `pi/2`, and
+//!   also off-grid angles that cancel, like `u(0, pi/4, pi/4) = S`.  Each
+//!   is resolved by matrix matching against the 24 single-qubit Clifford
+//!   classes: a Pauli class to the Pauli itself, so `rz(pi)` runs as `Z`,
+//!   any other to a product of the tableau's `H`/`S` primitives, so
+//!   `rz(pi/2)` runs as `S`, both up to global phase;
 //! * singly-controlled Paulis up to a power-of-`i` phase: `CX`, `CY`, `CZ`
 //!   and phase-equivalents like controlled-`Rz(pi)` (the `i^k` factor
 //!   becomes an `S^k` on the control);
@@ -32,8 +37,9 @@
 //!   [`Conditioned`](circuit::Operation::Conditioned) forms of all of the
 //!   above, resolved against the shot's classical record.
 //!
-//! Anything else — `T`, non-dyadic rotations, multi-controlled gates,
-//! permutations, amplitude damping — fails with
+//! Anything else — `T`, rotations off the `pi/2` grid (a near-Clifford
+//! like `rz(pi/2 + 1e-9)` included: it is never rounded onto `S`),
+//! multi-controlled gates, permutations, amplitude damping — fails with
 //! [`TableauError::NotClifford`]; callers (the `weaksim` router) fall back
 //! to a dense backend.
 //!

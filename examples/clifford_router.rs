@@ -1,11 +1,11 @@
 //! Thousand-qubit Clifford circuits through the Clifford router.
 //!
 //! Fully-Clifford circuits do not need a dense backend at all: the router
-//! recognizes them (via `Circuit::is_clifford`) and executes them on
-//! the polynomial-time stabilizer-tableau engine, where a 1000-qubit GHZ
-//! state is prepared and sampled 100 000 times in well under a second —
-//! a register size for which a dense state vector could not even be
-//! allocated (`2^1000` amplitudes).  The example also runs a
+//! recognizes them (every operation lowers through `tableau::lower`) and
+//! executes them on the polynomial-time stabilizer-tableau engine, where a
+//! 1000-qubit GHZ state is prepared and sampled 100 000 times in well
+//! under a second — a register size for which a dense state vector could
+//! not even be allocated (`2^1000` amplitudes).  The example also runs a
 //! repetition-code syndrome-extraction cycle — a *dynamic* Clifford
 //! circuit (mid-circuit resets) — shot by shot on the tableau, and prints
 //! which engine executed each run.

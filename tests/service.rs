@@ -327,6 +327,44 @@ fn truncated_snapshot_is_a_reported_tear_never_a_panic() {
 }
 
 #[test]
+fn snapshot_of_another_format_version_loads_nothing_and_starts_cold() {
+    let circuit = algorithms::ghz(5);
+    let broker = ServiceBroker::new(ArtifactCache::unbounded(), ServiceConfig::default());
+    let sim = WeakSimulator::new(Backend::DecisionDiagram);
+    let cold = broker
+        .serve(&sim, &circuit, SHOTS, SEED)
+        .expect("cold serve");
+
+    let path = snapshot_path("other-version.snap");
+    broker.write_snapshot(&path).expect("write snapshot");
+    let bytes = std::fs::read(&path).expect("read snapshot back");
+    // The header's format version is the u32 after the 8 magic bytes.
+    let written = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+    for version in [written - 1, written + 1] {
+        let mut other = bytes.clone();
+        other[8..12].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&path, &other).expect("write other version");
+
+        let restarted = ServiceBroker::new(ArtifactCache::unbounded(), ServiceConfig::default());
+        let report = restarted.load_snapshot(&path).expect("load other version");
+        assert!(report.torn, "version {version}");
+        assert_eq!((report.loaded, report.skipped), (0, 0), "version {version}");
+        assert!(
+            report
+                .messages
+                .iter()
+                .any(|m| m.contains("unsupported snapshot version")),
+            "version {version}: {:?}",
+            report.messages
+        );
+        let rebuilt = restarted.serve(&sim, &circuit, SHOTS, SEED).expect("serve");
+        assert_eq!(rebuilt.cache, Some(CacheOutcome::Miss), "version {version}");
+        assert_eq!(rebuilt.histogram, cold.histogram, "version {version}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn snapshot_tableau_bits_beyond_the_register_are_skipped_and_rebuilt() {
     // A routed 3-qubit basis state: its tableau sampler has no basis rows,
     // so the payload ends in the one reference word.
