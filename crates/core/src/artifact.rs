@@ -43,6 +43,7 @@ use crate::simulator::{map_terminal_record, Backend};
 use crate::ShotHistogram;
 use circuit::Qubit;
 use dd::{chunk_stream_seed, CompiledSampler, DdStats, PARALLEL_CHUNK_SHOTS};
+use mathkit::SnapshotReader;
 use rand::rngs::{SmallRng, StdRng};
 use rand::SeedableRng;
 use statevector::PrefixSampler;
@@ -269,7 +270,7 @@ impl SimArtifact {
     /// truncated, malformed or inconsistent payload — a corrupted snapshot
     /// section is skipped by the loader, never a panic.
     pub(crate) fn decode_snapshot(bytes: &[u8]) -> Option<Self> {
-        let mut reader = SnapshotReader(bytes);
+        let mut reader = SnapshotReader::new(bytes);
         let kind = reader.u8()?;
         let backend = match reader.u8()? {
             0 => Backend::DecisionDiagram,
@@ -533,47 +534,6 @@ fn duration_from_bits(bits: u64) -> Option<Duration> {
         Some(Duration::from_secs_f64(seconds))
     } else {
         None
-    }
-}
-
-/// A bounds-checked little-endian reader over a snapshot payload.
-struct SnapshotReader<'a>(&'a [u8]);
-
-impl<'a> SnapshotReader<'a> {
-    fn remaining(&self) -> usize {
-        self.0.len()
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.0.len() < n {
-            return None;
-        }
-        let (head, tail) = self.0.split_at(n);
-        self.0 = tail;
-        Some(head)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2).map(|b| u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .and_then(|b| b.try_into().ok().map(u64::from_le_bytes))
-    }
-
-    fn u128(&mut self) -> Option<u128> {
-        self.take(16)
-            .and_then(|b| b.try_into().ok().map(u128::from_le_bytes))
     }
 }
 

@@ -130,6 +130,5 @@ pub use service::{
 pub use shots::ShotHistogram;
 pub use simulator::{Backend, RunError, RunOutcome, StrongState, WeakSimulator};
 pub use trajectory::{
-    simulate_noisy_trajectories, simulate_noisy_trajectories_with_threads, simulate_trajectories,
-    simulate_trajectories_with_threads, TrajectoryOutcome,
+    simulate_noisy_trajectories_with_threads, simulate_trajectories_with_threads,
 };

@@ -82,6 +82,7 @@
 use crate::artifact::{ArtifactCache, CacheOutcome, SimArtifact};
 use crate::simulator::{outcome_from_artifact, RunError, RunOutcome, WeakSimulator};
 use circuit::Circuit;
+use mathkit::SnapshotReader;
 use std::collections::HashMap;
 use std::io::{self, Write as _};
 use std::path::Path;
@@ -360,7 +361,11 @@ impl ServiceBroker {
                 Some(CacheOutcome::Hit),
             ));
         }
-        let deadline = sim.governor().timeout().map(|t| Instant::now() + t);
+        // A timeout too large for `Instant` to represent means no deadline.
+        let deadline = sim
+            .governor()
+            .timeout()
+            .and_then(|t| Instant::now().checked_add(t));
         match self.admit(key, deadline)? {
             Admission::Served(artifact) => {
                 self.coalesced.fetch_add(1, Ordering::Relaxed);
@@ -725,14 +730,17 @@ impl ServiceBroker {
         }
         let bytes = std::fs::read(path)?;
         let mut report = SnapshotLoadReport::default();
-        if bytes.len() < 16 || &bytes[..8] != SNAPSHOT_MAGIC {
+        let mut reader = SnapshotReader::new(&bytes);
+        let magic = reader
+            .take(8)
+            .filter(|magic| magic[..] == SNAPSHOT_MAGIC[..]);
+        let (Some(_), Some(version), Some(declared)) = (magic, reader.u32(), reader.u32()) else {
             report.torn = true;
             report
                 .messages
                 .push("snapshot header missing or unrecognized; starting cold".to_owned());
             return Ok(report);
-        }
-        let version = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
+        };
         if version != SNAPSHOT_VERSION {
             report.torn = true;
             report.messages.push(format!(
@@ -740,39 +748,29 @@ impl ServiceBroker {
             ));
             return Ok(report);
         }
-        let declared = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]) as usize;
-        let mut offset = 16usize;
         for index in 0..declared {
-            if bytes.len() - offset < 32 {
+            let (Some(k0), Some(k1), Some(payload_len), Some(checksum)) =
+                (reader.u64(), reader.u64(), reader.u64(), reader.u64())
+            else {
                 report.torn = true;
                 report.messages.push(format!(
                     "snapshot truncated in the header of entry {index} of {declared}; \
                      remaining entries lost"
                 ));
                 break;
-            }
-            let word = |at: usize| -> u64 {
-                let mut out = [0u8; 8];
-                out.copy_from_slice(&bytes[at..at + 8]);
-                u64::from_le_bytes(out)
             };
-            let key = [word(offset), word(offset + 8)];
-            let payload_len = word(offset + 16);
-            let checksum = word(offset + 24);
-            offset += 32;
-            let payload_len = match usize::try_from(payload_len) {
-                Ok(len) if len <= bytes.len() - offset => len,
-                _ => {
-                    report.torn = true;
-                    report.messages.push(format!(
-                        "snapshot truncated in the payload of entry {index} of {declared}; \
-                         remaining entries lost"
-                    ));
-                    break;
-                }
+            let key = [k0, k1];
+            let Some(payload) = usize::try_from(payload_len)
+                .ok()
+                .and_then(|len| reader.take(len))
+            else {
+                report.torn = true;
+                report.messages.push(format!(
+                    "snapshot truncated in the payload of entry {index} of {declared}; \
+                     remaining entries lost"
+                ));
+                break;
             };
-            let payload = &bytes[offset..offset + payload_len];
-            offset += payload_len;
             if fnv1a64(payload) != checksum {
                 report.skipped += 1;
                 report.messages.push(format!(

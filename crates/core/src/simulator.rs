@@ -484,6 +484,12 @@ impl WeakSimulator {
         self.memory_budget
     }
 
+    /// The trajectory worker count: the [`with_threads`](Self::with_threads)
+    /// override, or the rayon pool size.
+    pub(crate) fn threads(&self) -> usize {
+        self.threads.unwrap_or_else(rayon::current_num_threads)
+    }
+
     /// Runs strong simulation only.
     ///
     /// Any attached noise model is ignored: strong simulation produces the
@@ -571,7 +577,7 @@ impl WeakSimulator {
     }
 
     /// The attached noise model, if it has any non-trivial channel.
-    fn effective_noise(&self) -> Option<&NoiseModel> {
+    pub(crate) fn effective_noise(&self) -> Option<&NoiseModel> {
         self.noise.as_ref().filter(|model| model.has_noise())
     }
 
@@ -647,37 +653,22 @@ impl WeakSimulator {
     /// The trajectory path of a validated request: dynamic circuits, and
     /// every circuit under an effective noise model.  Noiseless runs are
     /// routed like static ones, so a fully-Clifford dynamic circuit runs on
-    /// the tableau's trajectory runner.
+    /// the tableau's trajectory runner.  Every trajectory run — through
+    /// [`run`](Self::run), a [`ServiceBroker`](crate::ServiceBroker) or the
+    /// free `simulate_*_with_threads` functions — goes through here.
     pub(crate) fn run_trajectories(
         &self,
         circuit: &Circuit,
         shots: u64,
         seed: u64,
     ) -> Result<RunOutcome, RunError> {
-        let noise = self.effective_noise();
-        let engine = route_plan(circuit, self.backend, self.clifford_router, noise);
-        let outcome = crate::trajectory::run_trajectories(
-            engine,
+        let engine = route_plan(
             circuit,
-            noise,
-            shots,
-            seed,
-            self.threads.unwrap_or_else(rayon::current_num_threads),
-            self.memory_budget,
-            &self.governor,
-        )?;
-        Ok(RunOutcome {
-            backend: self.backend,
-            representation_size: outcome.representation_size,
-            dd_stats: outcome.dd_stats,
-            histogram: outcome.histogram,
-            strong_time: Duration::ZERO,
-            precompute_time: outcome.precompute_time,
-            sampling_time: outcome.sampling_time,
-            interruption: outcome.interruption,
-            route: RunRoute::single(engine, circuit.len()),
-            cache: None,
-        })
+            self.backend,
+            self.clifford_router,
+            self.effective_noise(),
+        );
+        crate::trajectory::run_trajectories(self, engine, circuit, shots, seed)
     }
 }
 

@@ -104,22 +104,22 @@
 //!
 //! # Governance and interruption
 //!
-//! Runs launched through [`WeakSimulator`](crate::WeakSimulator) with a
-//! limited [`RunGovernor`] are governed end to end:
-//! every worker package checks its node/byte budget at allocation sites and
+//! Runs launched through [`WeakSimulator`] with a limited
+//! [`RunGovernor`](crate::RunGovernor) are governed end to end: every
+//! worker package checks its node/byte budget at allocation sites and
 //! the deadline/token at amortized checkpoints, and every worker —
 //! including the statevector and tableau runners, whose per-shot
 //! arithmetic is otherwise ungoverned — probes the deadline and the
 //! cancellation token at chunk boundaries.  An interrupted run is *not* an
 //! error: the merged histogram keeps every completed shot and
-//! [`TrajectoryOutcome::interruption`] carries the typed reason, so callers
+//! [`RunOutcome::interruption`] carries the typed reason, so callers
 //! can distinguish "finished", "out of budget after N shots" and
 //! "cancelled after N shots" without losing the work already done.
 
 use crate::backend::TrajectoryRunner;
-use crate::govern::{Interruption, RunGovernor};
-use crate::router::EngineKind;
-use crate::simulator::{Backend, RunError};
+use crate::govern::Interruption;
+use crate::router::{EngineKind, RunRoute};
+use crate::simulator::{Backend, RunError, RunOutcome, WeakSimulator};
 use crate::ShotHistogram;
 use circuit::{Circuit, Condition, NoiseChannel, NoiseModel, Operation, Qubit};
 use dd::{
@@ -129,7 +129,7 @@ use dd::{
 use mathkit::FxHashMap;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use statevector::{MemoryBudget, StateVector};
+use statevector::StateVector;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 use tableau::{Pauli, SignCompiler, SignProgram};
@@ -152,32 +152,6 @@ const SKIPPED: u8 = 4;
 /// Number of decision slots per cached prefix node: up to four Kraus
 /// branches plus [`SKIPPED`].
 const MAX_DECISIONS: usize = 5;
-
-/// The result of a trajectory simulation.
-#[derive(Debug)]
-pub struct TrajectoryOutcome {
-    /// Aggregated per-shot records: classical-register values when the
-    /// circuit contains measurements, terminal full-register measurements
-    /// otherwise.
-    pub histogram: ShotHistogram,
-    /// Time spent building the trajectory plan and the shared prefix state.
-    pub precompute_time: Duration,
-    /// Time spent running the trajectories (including per-worker runner
-    /// construction, which re-derives the shared prefix in each worker's
-    /// private arena).
-    pub sampling_time: Duration,
-    /// Peak decision-diagram node count observed among cached trajectory
-    /// states (or the dense amplitude count for the statevector backend).
-    pub representation_size: u128,
-    /// Aggregated decision-diagram package statistics (unique-table and
-    /// compute-cache hit/miss/eviction counters summed over all workers);
-    /// `None` for the statevector backend.
-    pub dd_stats: Option<DdStats>,
-    /// Set when a governed run was interrupted (budget, deadline or
-    /// cancellation): the histogram then holds only the shots that completed
-    /// before the interruption.  `None` for runs that finished every shot.
-    pub interruption: Option<Interruption>,
-}
 
 /// What a non-unitary event does to the state.
 #[derive(Debug, Clone, Copy)]
@@ -1028,43 +1002,44 @@ impl TrajectoryRunner for TableauRunner {
 /// stopped it early, if any.
 type WorkerResult = (ShotHistogram, u128, Option<DdStats>, u64, Option<DdError>);
 
+/// What every worker of one run shares: the plan, the master seed, the
+/// armed governor (the deadline and token its clones share) and the
+/// run-wide `stop` flag a failing worker raises so its peers wind down at
+/// their next chunk boundary instead of burning the remaining budget.
+struct SharedRun {
+    engine: EngineKind,
+    plan: TrajectoryPlan,
+    shots: u64,
+    seed: u64,
+    governor: Governor,
+    stop: AtomicBool,
+}
+
 /// Builds the backend-specific runner for one worker and runs its assigned
 /// chunks, returning the worker's histogram and peak representation size.
 /// Both the single-worker fast path and every spawned worker go through
-/// here, so the two paths cannot drift apart.
-///
-/// `governor` is this worker's armed governor clone (fresh checkpoint
-/// counter, shared deadline and token); `stop` is the run-wide flag a
-/// failing worker raises so its peers wind down at their next chunk
-/// boundary instead of burning the remaining budget.
-#[allow(clippy::too_many_arguments)]
-fn run_worker(
-    engine: EngineKind,
-    plan: &TrajectoryPlan,
-    shots: u64,
-    seed: u64,
-    first: u64,
-    stride: u64,
-    governor: &Governor,
-    stop: &AtomicBool,
-) -> WorkerResult {
-    let mut runner = match engine.engine().trajectory_runner(plan, governor.clone()) {
+/// here, so the two paths cannot drift apart.  The runner's package gets
+/// its own governor clone (fresh checkpoint counter, shared deadline and
+/// token).
+fn run_worker(run: &SharedRun, first: u64, stride: u64) -> WorkerResult {
+    let mut runner = match run
+        .engine
+        .engine()
+        .trajectory_runner(&run.plan, run.governor.clone())
+    {
         Ok(runner) => runner,
         Err(e) => {
-            stop.store(true, Ordering::Relaxed);
-            return (ShotHistogram::new(plan.record_width), 0, None, 0, Some(e));
+            run.stop.store(true, Ordering::Relaxed);
+            return (
+                ShotHistogram::new(run.plan.record_width),
+                0,
+                None,
+                0,
+                Some(e),
+            );
         }
     };
-    let (h, completed, error) = run_assigned_chunks(
-        runner.as_mut(),
-        plan,
-        shots,
-        seed,
-        first,
-        stride,
-        governor,
-        stop,
-    );
+    let (h, completed, error) = run_assigned_chunks(runner.as_mut(), run, first, stride);
     (
         h,
         runner.representation_size(),
@@ -1082,42 +1057,37 @@ fn run_worker(
 /// directly (so even backends whose per-shot work is ungoverned — the dense
 /// runner — honour them) and the run-wide `stop` flag.  A shot interrupted
 /// mid-flight records nothing: the histogram holds completed shots only.
-#[allow(clippy::too_many_arguments)]
 fn run_assigned_chunks(
     runner: &mut dyn TrajectoryRunner,
-    plan: &TrajectoryPlan,
-    shots: u64,
-    seed: u64,
+    run: &SharedRun,
     first: u64,
     stride: u64,
-    governor: &Governor,
-    stop: &AtomicBool,
 ) -> (ShotHistogram, u64, Option<DdError>) {
     let chunk_len = PARALLEL_CHUNK_SHOTS as u64;
-    let total_chunks = shots.div_ceil(chunk_len);
-    let mut histogram = ShotHistogram::new(plan.record_width);
+    let total_chunks = run.shots.div_ceil(chunk_len);
+    let mut histogram = ShotHistogram::new(run.plan.record_width);
     let mut completed = 0u64;
     let mut error = None;
     let mut chunk_index = first;
     'chunks: while chunk_index < total_chunks {
-        if stop.load(Ordering::Relaxed) {
+        if run.stop.load(Ordering::Relaxed) {
             break;
         }
-        if let Err(e) = governor.check_now() {
-            stop.store(true, Ordering::Relaxed);
+        if let Err(e) = run.governor.check_now() {
+            run.stop.store(true, Ordering::Relaxed);
             error = Some(e);
             break;
         }
-        let chunk_shots = chunk_len.min(shots - chunk_index * chunk_len);
-        let mut rng = SmallRng::seed_from_u64(chunk_stream_seed(seed, chunk_index));
+        let chunk_shots = chunk_len.min(run.shots - chunk_index * chunk_len);
+        let mut rng = SmallRng::seed_from_u64(chunk_stream_seed(run.seed, chunk_index));
         for _ in 0..chunk_shots {
-            match run_shot(runner, plan, &mut rng) {
+            match run_shot(runner, &run.plan, &mut rng) {
                 Ok(record) => {
                     histogram.record(record);
                     completed += 1;
                 }
                 Err(e) => {
-                    stop.store(true, Ordering::Relaxed);
+                    run.stop.store(true, Ordering::Relaxed);
                     error = Some(e);
                     break 'chunks;
                 }
@@ -1129,98 +1099,43 @@ fn run_assigned_chunks(
     (histogram, completed, error)
 }
 
-/// Simulates `shots` trajectories of a dynamic circuit on `backend`, using
-/// every available worker thread (see [`rayon::current_num_threads`]).
+/// Simulates `shots` trajectories of `circuit` on `backend` with `threads`
+/// workers, unrouted, with an unlimited memory budget and governor: the
+/// request [`WeakSimulator::run`] sends to the trajectory loop, but with an
+/// explicit worker count and for static circuits too (for determinism tests
+/// and scaling measurements).
 ///
 /// The histogram records classical-register values when the circuit
-/// contains measurements, and terminal full-register measurements otherwise
-/// (e.g. for circuits that only contain resets).  The output is
-/// bit-identical for a given `seed` regardless of the thread count; see the
-/// [module docs](self) for the seeding scheme.
-///
-/// Static circuits are accepted too (the plan degenerates to one segment),
-/// but [`WeakSimulator::run`](crate::WeakSimulator::run) routes them through
-/// the cheaper one-pass compiled sampler instead.
+/// contains measurements, and terminal full-register measurements otherwise.
+/// It is bit-identical for a given `seed` regardless of the thread count;
+/// see the [module docs](self) for the seeding scheme.
 ///
 /// # Errors
 ///
-/// Returns [`RunError::InvalidCircuit`] for malformed circuits.  These
-/// entry points run with an unlimited memory budget; to enforce a budget on
-/// the dense backend (and get [`RunError::MemoryOut`] instead of an
-/// allocation failure), go through
-/// [`WeakSimulator::run`](crate::WeakSimulator::run) with
-/// [`with_memory_budget`](crate::WeakSimulator::with_memory_budget).
-pub fn simulate_trajectories(
-    backend: Backend,
-    circuit: &Circuit,
-    shots: u64,
-    seed: u64,
-) -> Result<TrajectoryOutcome, RunError> {
-    simulate_trajectories_with_threads(backend, circuit, shots, seed, rayon::current_num_threads())
-}
-
-/// [`simulate_trajectories`] with an explicit worker count (primarily for
-/// determinism tests and scaling measurements).
-///
-/// # Errors
-///
-/// See [`simulate_trajectories`].
+/// Returns [`RunError::InvalidCircuit`] for malformed circuits.  To enforce a
+/// memory budget or a governor, go through [`WeakSimulator::run`] instead.
 pub fn simulate_trajectories_with_threads(
     backend: Backend,
     circuit: &Circuit,
     shots: u64,
     seed: u64,
     threads: usize,
-) -> Result<TrajectoryOutcome, RunError> {
-    run_trajectories(
-        backend.into(),
-        circuit,
-        None,
-        shots,
-        seed,
-        threads,
-        MemoryBudget::unlimited(),
-        &RunGovernor::unlimited(),
-    )
+) -> Result<RunOutcome, RunError> {
+    let sim = WeakSimulator::new(backend).with_threads(threads);
+    sim.validate(circuit)?;
+    sim.run_trajectories(circuit, shots, seed)
 }
 
-/// Simulates `shots` noisy trajectories of `circuit` under `noise` — every
-/// shot realizes each noise site as a random Kraus branch — on every
-/// available worker thread.
-///
-/// Noisy histograms are seed-deterministic and bit-identical across thread
-/// counts, exactly like noiseless trajectory runs; a model whose channels
-/// all have zero strength produces output bit-identical to
-/// [`simulate_trajectories`] with the same seed.
+/// [`simulate_trajectories_with_threads`] under `noise`: every shot realizes
+/// each noise site as a random Kraus branch.  A model whose channels all
+/// have zero strength gives output bit-identical to the noiseless run with
+/// the same seed.
 ///
 /// # Errors
 ///
 /// Returns [`RunError::InvalidCircuit`] for malformed circuits and
 /// [`RunError::InvalidNoise`] for malformed noise models (a parameter
 /// outside `[0, 1]`, or a qubit-specific channel outside the circuit).
-pub fn simulate_noisy_trajectories(
-    backend: Backend,
-    circuit: &Circuit,
-    noise: &NoiseModel,
-    shots: u64,
-    seed: u64,
-) -> Result<TrajectoryOutcome, RunError> {
-    simulate_noisy_trajectories_with_threads(
-        backend,
-        circuit,
-        noise,
-        shots,
-        seed,
-        rayon::current_num_threads(),
-    )
-}
-
-/// [`simulate_noisy_trajectories`] with an explicit worker count (primarily
-/// for determinism tests and scaling measurements).
-///
-/// # Errors
-///
-/// See [`simulate_noisy_trajectories`].
 pub fn simulate_noisy_trajectories_with_threads(
     backend: Backend,
     circuit: &Circuit,
@@ -1228,91 +1143,71 @@ pub fn simulate_noisy_trajectories_with_threads(
     shots: u64,
     seed: u64,
     threads: usize,
-) -> Result<TrajectoryOutcome, RunError> {
-    run_trajectories(
-        backend.into(),
-        circuit,
-        Some(noise),
-        shots,
-        seed,
-        threads,
-        MemoryBudget::unlimited(),
-        &RunGovernor::unlimited(),
-    )
+) -> Result<RunOutcome, RunError> {
+    let sim = WeakSimulator::new(backend)
+        .with_threads(threads)
+        .with_noise(noise.clone());
+    sim.validate(circuit)?;
+    sim.run_trajectories(circuit, shots, seed)
 }
 
-/// The full-parameter trajectory entry point used by [`WeakSimulator`]
-/// (crate-internal so the public surface stays small).
+/// Plans and runs `shots` trajectories of a validated `circuit` on `engine`
+/// under `sim`'s noise model, worker count, memory budget and governor
+/// (see [`WeakSimulator::run`], which routes and validates the request).
 ///
 /// The governor is armed once here — every worker gets a clone sharing the
 /// deadline and the cancellation token.  When a worker is interrupted it
-/// raises a run-wide stop flag; the merged outcome then carries an
+/// raises a run-wide stop flag; the outcome then carries an
 /// [`Interruption`] with the total completed shots, rather than an error —
 /// partial histograms are real results.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_trajectories(
+    sim: &WeakSimulator,
     engine: EngineKind,
     circuit: &Circuit,
-    noise: Option<&NoiseModel>,
     shots: u64,
     seed: u64,
-    threads: usize,
-    budget: MemoryBudget,
-    governor: &RunGovernor,
-) -> Result<TrajectoryOutcome, RunError> {
-    circuit.validate().map_err(RunError::InvalidCircuit)?;
-    if let Some(model) = noise {
-        model
-            .validate_for(circuit.num_qubits())
-            .map_err(RunError::InvalidNoise)?;
-    }
-
+) -> Result<RunOutcome, RunError> {
     let chunk_len = PARALLEL_CHUNK_SHOTS as u64;
     let total_chunks = shots.div_ceil(chunk_len);
-    let workers = threads
-        .max(1)
+    let workers = sim
+        .threads()
         .min(usize::try_from(total_chunks).unwrap_or(usize::MAX))
         .max(1);
 
     engine
         .engine()
-        .check_trajectory_memory(circuit.num_qubits(), workers, budget)?;
+        .check_trajectory_memory(circuit.num_qubits(), workers, sim.memory_budget())?;
     if !circuit.has_measurements() {
         // The record is the terminal read-out of every qubit.
         engine.engine().check_sample_width(circuit.num_qubits())?;
     }
 
     let precompute_start = Instant::now();
-    let plan = TrajectoryPlan::new(circuit, noise);
+    let plan = TrajectoryPlan::new(circuit, sim.effective_noise());
     let precompute_time = precompute_start.elapsed();
 
-    let armed = governor.arm();
-    let stop = AtomicBool::new(false);
+    let run = SharedRun {
+        engine,
+        plan,
+        shots,
+        seed,
+        governor: sim.governor().arm(),
+        stop: AtomicBool::new(false),
+    };
     let sampling_start = Instant::now();
     let (histogram, representation_size, dd_stats, completed_shots, error) = if workers == 1 {
-        run_worker(engine, &plan, shots, seed, 0, 1, &armed, &stop)
+        run_worker(&run, 0, 1)
     } else {
         let mut slots: Vec<Option<WorkerResult>> = (0..workers).map(|_| None).collect();
         rayon::scope(|scope| {
             for (worker, slot) in slots.iter_mut().enumerate() {
-                let plan = &plan;
-                let armed = &armed;
-                let stop = &stop;
+                let run = &run;
                 scope.spawn(move || {
-                    *slot = Some(run_worker(
-                        engine,
-                        plan,
-                        shots,
-                        seed,
-                        worker as u64,
-                        workers as u64,
-                        armed,
-                        stop,
-                    ));
+                    *slot = Some(run_worker(run, worker as u64, workers as u64));
                 });
             }
         });
-        let mut histogram = ShotHistogram::new(plan.record_width);
+        let mut histogram = ShotHistogram::new(run.plan.record_width);
         let mut size = 0u128;
         let mut dd_stats: Option<DdStats> = None;
         let mut completed = 0u64;
@@ -1339,8 +1234,10 @@ pub(crate) fn run_trajectories(
     };
     let sampling_time = sampling_start.elapsed();
 
-    Ok(TrajectoryOutcome {
+    Ok(RunOutcome {
+        backend: sim.backend(),
         histogram,
+        strong_time: Duration::ZERO,
         precompute_time,
         sampling_time,
         representation_size,
@@ -1349,6 +1246,8 @@ pub(crate) fn run_trajectories(
             reason,
             completed_shots,
         }),
+        route: RunRoute::single(engine, circuit.len()),
+        cache: None,
     })
 }
 
@@ -1440,7 +1339,9 @@ mod tests {
     fn measure_and_reset_reuse_gives_independent_coins() {
         let shots = 8_000u64;
         for backend in [Backend::DecisionDiagram, Backend::StateVector] {
-            let outcome = simulate_trajectories(backend, &coin_reuse_circuit(), shots, 11).unwrap();
+            let outcome = WeakSimulator::new(backend)
+                .run(&coin_reuse_circuit(), shots, 11)
+                .unwrap();
             assert_eq!(outcome.histogram.shots(), shots);
             for value in 0..4u64 {
                 let freq = outcome.histogram.frequency(value);
@@ -1459,7 +1360,7 @@ mod tests {
         let mut c = Circuit::new(2);
         c.h(Qubit(0)).cx(Qubit(0), Qubit(1)).reset(Qubit(0));
         for backend in [Backend::DecisionDiagram, Backend::StateVector] {
-            let outcome = simulate_trajectories(backend, &c, 4_000, 5).unwrap();
+            let outcome = WeakSimulator::new(backend).run(&c, 4_000, 5).unwrap();
             assert_eq!(outcome.histogram.num_qubits(), 2);
             assert!(outcome.histogram.count(0b01) == 0);
             assert!(outcome.histogram.count(0b11) == 0);
@@ -1552,7 +1453,7 @@ mod tests {
             .conditioned_gate(1, circuit::OneQubitGate::X, Qubit(1))
             .measure(Qubit(1), 1);
         for backend in [Backend::DecisionDiagram, Backend::StateVector] {
-            let outcome = simulate_trajectories(backend, &c, 6_000, 19).unwrap();
+            let outcome = WeakSimulator::new(backend).run(&c, 6_000, 19).unwrap();
             assert_eq!(outcome.histogram.count(0b01), 0, "{backend}");
             assert_eq!(outcome.histogram.count(0b10), 0, "{backend}");
             let f = outcome.histogram.frequency(0b11);
@@ -1575,7 +1476,7 @@ mod tests {
             .measure(Qubit(0), 1);
         assert!(c.validate().is_ok());
         for backend in [Backend::DecisionDiagram, Backend::StateVector] {
-            let outcome = simulate_trajectories(backend, &c, 6_000, 29).unwrap();
+            let outcome = WeakSimulator::new(backend).run(&c, 6_000, 29).unwrap();
             assert_eq!(outcome.histogram.count(0b00), 0, "{backend}");
             assert_eq!(outcome.histogram.count(0b11), 0, "{backend}");
             let f = outcome.histogram.frequency(0b01);
@@ -1598,7 +1499,7 @@ mod tests {
         );
         assert!(c.has_measurements());
         for backend in [Backend::DecisionDiagram, Backend::StateVector] {
-            let outcome = simulate_trajectories(backend, &c, 6_000, 31).unwrap();
+            let outcome = WeakSimulator::new(backend).run(&c, 6_000, 31).unwrap();
             assert_eq!(outcome.histogram.count(0b01), 0, "{backend}");
             assert_eq!(outcome.histogram.count(0b10), 0, "{backend}");
             let f = outcome.histogram.frequency(0b11);
@@ -1618,7 +1519,7 @@ mod tests {
             .conditioned_gate(0b10, circuit::OneQubitGate::X, Qubit(2))
             .measure(Qubit(2), 2);
         for backend in [Backend::DecisionDiagram, Backend::StateVector] {
-            let outcome = simulate_trajectories(backend, &c, 8_000, 23).unwrap();
+            let outcome = WeakSimulator::new(backend).run(&c, 8_000, 23).unwrap();
             for record in 0..8u64 {
                 let expected = match record {
                     0b110 => 0.25,                 // guard fired
@@ -1672,7 +1573,7 @@ mod tests {
         assert_eq!(c.num_clbits(), 1, "conditions grow the register");
         assert!(c.is_dynamic());
         for backend in [Backend::DecisionDiagram, Backend::StateVector] {
-            let outcome = simulate_trajectories(backend, &c, 200, 2).unwrap();
+            let outcome = WeakSimulator::new(backend).run(&c, 200, 2).unwrap();
             assert_eq!(outcome.histogram.count(0b10), 200, "{backend}");
         }
     }
@@ -1681,8 +1582,12 @@ mod tests {
     fn backends_agree_on_a_dynamic_distribution() {
         let c = coin_reuse_circuit();
         let shots = 20_000u64;
-        let dd = simulate_trajectories(Backend::DecisionDiagram, &c, shots, 7).unwrap();
-        let sv = simulate_trajectories(Backend::StateVector, &c, shots, 7).unwrap();
+        let dd = WeakSimulator::new(Backend::DecisionDiagram)
+            .run(&c, shots, 7)
+            .unwrap();
+        let sv = WeakSimulator::new(Backend::StateVector)
+            .run(&c, shots, 7)
+            .unwrap();
         for value in 0..4u64 {
             assert!(
                 (dd.histogram.frequency(value) - sv.histogram.frequency(value)).abs() < 0.02,
@@ -1699,7 +1604,10 @@ mod tests {
         c.x(Qubit(0)).measure(Qubit(0), 0);
         let model = NoiseModel::new().with_gate_noise(NoiseChannel::bit_flip(1.0));
         for backend in [Backend::DecisionDiagram, Backend::StateVector] {
-            let outcome = simulate_noisy_trajectories(backend, &c, &model, 500, 3).unwrap();
+            let outcome = WeakSimulator::new(backend)
+                .with_noise(model.clone())
+                .run(&c, 500, 3)
+                .unwrap();
             assert_eq!(outcome.histogram.count(0), 500, "{backend}");
         }
     }
@@ -1714,7 +1622,10 @@ mod tests {
         let plan = TrajectoryPlan::new(&c, Some(&model));
         assert_eq!(plan.events.len(), 1, "reset alone gains no read-out site");
         for backend in [Backend::DecisionDiagram, Backend::StateVector] {
-            let outcome = simulate_noisy_trajectories(backend, &c, &model, 300, 9).unwrap();
+            let outcome = WeakSimulator::new(backend)
+                .with_noise(model.clone())
+                .run(&c, 300, 9)
+                .unwrap();
             // Terminal read-out of the reset qubit: always 0.
             assert_eq!(outcome.histogram.count(0), 300, "{backend}");
         }
@@ -1734,7 +1645,10 @@ mod tests {
             .measure(Qubit(1), 1);
         let model = NoiseModel::new().with_gate_noise(NoiseChannel::bit_flip(1.0));
         for backend in [Backend::DecisionDiagram, Backend::StateVector] {
-            let outcome = simulate_noisy_trajectories(backend, &c, &model, 2_000, 17).unwrap();
+            let outcome = WeakSimulator::new(backend)
+                .with_noise(model.clone())
+                .run(&c, 2_000, 17)
+                .unwrap();
             for record in [0b10u64, 0b11] {
                 assert_eq!(
                     outcome.histogram.count(record),
@@ -1754,13 +1668,19 @@ mod tests {
         c.x(Qubit(0)).measure(Qubit(0), 0);
         let model = NoiseModel::new().with_gate_noise(NoiseChannel::amplitude_damping(1.0));
         for backend in [Backend::DecisionDiagram, Backend::StateVector] {
-            let outcome = simulate_noisy_trajectories(backend, &c, &model, 400, 21).unwrap();
+            let outcome = WeakSimulator::new(backend)
+                .with_noise(model.clone())
+                .run(&c, 400, 21)
+                .unwrap();
             assert_eq!(outcome.histogram.count(0), 400, "{backend}");
         }
         // ... and with gamma = 0 it never decays.
         let ideal = NoiseModel::new().with_gate_noise(NoiseChannel::amplitude_damping(0.0));
         for backend in [Backend::DecisionDiagram, Backend::StateVector] {
-            let outcome = simulate_noisy_trajectories(backend, &c, &ideal, 400, 21).unwrap();
+            // A static circuit under a zero-strength model would take the
+            // static pipeline through `run`: force the trajectory loop.
+            let outcome =
+                simulate_noisy_trajectories_with_threads(backend, &c, &ideal, 400, 21, 1).unwrap();
             assert_eq!(outcome.histogram.count(1), 400, "{backend}");
         }
     }
@@ -1773,11 +1693,15 @@ mod tests {
         let bad_qubit = NoiseModel::new().with_qubit_noise(Qubit(9), NoiseChannel::bit_flip(0.1));
         for backend in [Backend::DecisionDiagram, Backend::StateVector] {
             assert!(matches!(
-                simulate_noisy_trajectories(backend, &c, &bad_param, 10, 0),
+                WeakSimulator::new(backend)
+                    .with_noise(bad_param.clone())
+                    .run(&c, 10, 0),
                 Err(RunError::InvalidNoise(_))
             ));
             assert!(matches!(
-                simulate_noisy_trajectories(backend, &c, &bad_qubit, 10, 0),
+                WeakSimulator::new(backend)
+                    .with_noise(bad_qubit.clone())
+                    .run(&c, 10, 0),
                 Err(RunError::InvalidNoise(_))
             ));
         }
@@ -1789,7 +1713,7 @@ mod tests {
         c.measure(Qubit(0), 0).h(Qubit(5));
         for backend in [Backend::DecisionDiagram, Backend::StateVector] {
             assert!(matches!(
-                simulate_trajectories(backend, &c, 10, 0),
+                WeakSimulator::new(backend).run(&c, 10, 0),
                 Err(RunError::InvalidCircuit(_))
             ));
         }

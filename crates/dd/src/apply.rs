@@ -100,8 +100,9 @@ fn cached_controlled_gate(
 /// or a node arena overflows.  The non-unitary operations
 /// [`Operation::Measure`] and [`Operation::Reset`] fail with
 /// [`DdError::NonUnitaryOperation`]: their effect depends on a sampled
-/// outcome, so they go through [`measure_qubit`](crate::measure_qubit) /
-/// [`reset_qubit`](crate::reset_qubit) instead.  Classically-conditioned
+/// outcome, so the trajectory engine draws it from
+/// [`branch_masses`](crate::branch_masses) and applies it with
+/// [`collapse_qubit`](crate::collapse_qubit) instead.  Classically-conditioned
 /// operations fail with [`DdError::ConditionedOperation`]; the trajectory
 /// engine resolves conditions against the classical record before applying.
 pub fn apply_operation(

@@ -64,6 +64,7 @@
 use crate::edge::VectorNodeId;
 use crate::govern::DdError;
 use crate::{DdPackage, StateDd};
+use mathkit::SnapshotReader;
 use rand::rngs::SmallRng;
 use rand::{splitmix64, Rng, SeedableRng};
 
@@ -471,7 +472,7 @@ impl CompiledSampler {
     /// a corrupted snapshot section must never panic a loader.
     #[must_use]
     pub fn decode_snapshot(bytes: &[u8]) -> Option<Self> {
-        let mut cursor = Cursor::new(bytes);
+        let mut cursor = SnapshotReader::new(bytes);
         let num_qubits = cursor.u16()?;
         let root = cursor.u32()?;
         let node_count = usize::try_from(cursor.u64()?).ok()?;
@@ -528,42 +529,6 @@ impl CompiledSampler {
             return None;
         }
         Some(Self { nodes, num_qubits })
-    }
-}
-
-/// A bounds-checked little-endian reader over a snapshot payload.
-struct Cursor<'a>(&'a [u8]);
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self(bytes)
-    }
-
-    fn remaining(&self) -> usize {
-        self.0.len()
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.0.len() < n {
-            return None;
-        }
-        let (head, tail) = self.0.split_at(n);
-        self.0 = tail;
-        Some(head)
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2).map(|b| u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .and_then(|b| b.try_into().ok().map(u64::from_le_bytes))
     }
 }
 

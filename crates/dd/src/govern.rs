@@ -110,8 +110,8 @@ pub enum DdError {
         op_index: Option<usize>,
     },
     /// A non-unitary operation (measure / reset) was passed to the pure
-    /// gate-application path; use `measure_qubit` / `reset_qubit` (or the
-    /// trajectory engine) instead.
+    /// gate-application path; run the circuit through the trajectory engine
+    /// instead.
     NonUnitaryOperation {
         /// Display form of the offending operation.
         op: String,
@@ -200,7 +200,7 @@ impl fmt::Display for DdError {
                 fmt_at(f, *op_index)?;
                 write!(
                     f,
-                    " cannot be applied as a gate; use measure_qubit/reset_qubit"
+                    " cannot be applied as a gate; run it through the trajectory engine"
                 )
             }
             DdError::ConditionedOperation { op, op_index } => {
@@ -375,10 +375,13 @@ impl Governor {
         self
     }
 
-    /// Sets the deadline `timeout` from now.
+    /// Sets the deadline `timeout` from now; a timeout too large for
+    /// [`Instant`] to represent clears the deadline instead.
     #[must_use]
-    pub fn with_timeout(self, timeout: Duration) -> Self {
-        self.with_deadline_at(Instant::now() + timeout)
+    pub fn with_timeout(mut self, timeout: Duration) -> Self {
+        self.deadline = Instant::now().checked_add(timeout);
+        self.refresh_active();
+        self
     }
 
     /// Attaches a cooperative cancellation token.

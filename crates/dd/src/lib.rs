@@ -134,9 +134,7 @@ pub use govern::{CancelToken, DdError, Governor, DEFAULT_CHECK_INTERVAL};
 #[cfg(feature = "fault-inject")]
 pub use govern::{FaultPlan, InjectedFault};
 pub use matrix::OperatorDd;
-pub use measure::{
-    amplitude_damp_keep, branch_masses, collapse_qubit, measure_all, measure_qubit, reset_qubit,
-};
+pub use measure::{amplitude_damp_keep, branch_masses, collapse_qubit};
 pub use node::{MatrixNode, VectorNode};
 pub use ops::{add, matrix_add, matrix_vector_multiply};
 pub use package::{

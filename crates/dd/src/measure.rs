@@ -13,10 +13,9 @@ use crate::edge::MatrixEdge;
 use crate::govern::DdError;
 use crate::ops::matrix_vector_multiply;
 use crate::package::OperatorKey;
-use crate::{CompiledSampler, DdPackage, StateDd};
+use crate::{DdPackage, StateDd};
 use circuit::Qubit;
 use mathkit::Complex;
-use rand::Rng;
 
 /// The absolute probability masses of the two measurement outcomes of
 /// `qubit`: `[<psi|P_0|psi>, <psi|P_1|psi>]`, computed from the projected
@@ -83,74 +82,6 @@ pub fn collapse_qubit(
     Ok(StateDd::from_root(renormalized, state.num_qubits()))
 }
 
-/// Measures a single qubit in the computational basis, collapsing the state.
-///
-/// Returns the observed bit and the renormalized post-measurement state.
-/// The outcome probabilities are computed from the masses of *both*
-/// projected subspaces (normalized by their sum), and each branch is
-/// renormalized by its own projected mass — so the result is exact even for
-/// states whose norm has drifted away from 1.0.
-///
-/// # Errors
-///
-/// Fails with a [`DdError`] when the package's governor interrupts the run
-/// or a node arena overflows.
-///
-/// # Panics
-///
-/// Panics if `qubit` is outside the state or the state is the zero vector.
-pub fn measure_qubit<R: Rng + ?Sized>(
-    package: &mut DdPackage,
-    state: &StateDd,
-    qubit: Qubit,
-    rng: &mut R,
-) -> Result<(u8, StateDd), DdError> {
-    assert!(!state.root().is_zero(), "cannot measure the zero vector");
-    let masses = branch_masses(package, state, qubit)?;
-    let total = masses[0] + masses[1];
-    assert!(total > 0.0, "cannot measure a state with zero total mass");
-    let p_one = masses[1] / total;
-    let outcome = u8::from(rng.gen::<f64>() < p_one);
-    Ok((outcome, collapse_qubit(package, state, qubit, outcome)?))
-}
-
-/// Resets a qubit to `|0>`: measures it, then flips it when the outcome was
-/// `1` (the standard measure-and-flip decomposition of the reset channel).
-///
-/// Returns the post-reset state; the sampled intermediate outcome is not
-/// reported (it is not observable through a classical register).
-///
-/// # Errors
-///
-/// Fails with a [`DdError`] when the package's governor interrupts the run
-/// or a node arena overflows.
-///
-/// # Panics
-///
-/// Panics if `qubit` is outside the state or the state is the zero vector.
-pub fn reset_qubit<R: Rng + ?Sized>(
-    package: &mut DdPackage,
-    state: &StateDd,
-    qubit: Qubit,
-    rng: &mut R,
-) -> Result<StateDd, DdError> {
-    let (outcome, collapsed) = measure_qubit(package, state, qubit, rng)?;
-    if outcome == 0 {
-        return Ok(collapsed);
-    }
-    let flip = crate::matrix::OperatorDd::controlled_gate(
-        package,
-        collapsed.num_qubits(),
-        circuit::OneQubitGate::X,
-        qubit,
-        &[],
-    )?;
-    Ok(StateDd::from_root(
-        matrix_vector_multiply(package, flip.root(), collapsed.root())?,
-        collapsed.num_qubits(),
-    ))
-}
-
 /// Applies the amplitude-damping *no-decay* Kraus operator
 /// `K0 = diag(1, sqrt(1 - gamma))` to `qubit` and renormalizes the result to
 /// unit norm — the post-channel state of the branch in which the qubit did
@@ -158,7 +89,7 @@ pub fn reset_qubit<R: Rng + ?Sized>(
 ///
 /// The decay branch (`K1 = sqrt(gamma) |0><1|`) needs no primitive of its
 /// own: up to normalization it is [`collapse_qubit`] to outcome `1` followed
-/// by an `X` flip, exactly the reset decomposition.  The trajectory engine
+/// by an `X` flip, exactly the trajectory engine's reset.  The trajectory engine
 /// draws the branch from `gamma * P(qubit = 1)` (via [`branch_masses`]) and
 /// realizes it with these two primitives.
 ///
@@ -215,33 +146,6 @@ pub fn amplitude_damp_keep(
     Ok(StateDd::from_root(renormalized, n))
 }
 
-/// Measures every qubit, collapsing the state to a computational basis state.
-///
-/// Returns the observed bitstring (qubit `k` at bit `k`) and the collapsed
-/// state.  The sample is drawn through a freshly compiled
-/// [`CompiledSampler`] (one linear pass over the reachable diagram); callers
-/// that draw many shots from an *unchanged* state should compile the sampler
-/// themselves and reuse it.
-///
-/// # Errors
-///
-/// Fails with a [`DdError`] when the package's governor interrupts the run
-/// or a node arena overflows.
-///
-/// # Panics
-///
-/// Panics if the state is the zero vector.
-pub fn measure_all<R: Rng + ?Sized>(
-    package: &mut DdPackage,
-    state: &StateDd,
-    rng: &mut R,
-) -> Result<(u64, StateDd), DdError> {
-    let sampler = CompiledSampler::new(package, state)?;
-    let outcome = sampler.sample(rng);
-    let collapsed = StateDd::basis_state(package, state.num_qubits(), outcome)?;
-    Ok((outcome, collapsed))
-}
-
 /// Projects the state onto the subspace where `qubit` has value `bit`
 /// (without renormalizing).
 fn project(
@@ -278,7 +182,20 @@ fn project(
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// One measurement the way the trajectory engine draws it: `P(1)` from
+    /// the normalized branch masses, outcome `r < P(1)`, then collapse.
+    fn measure(
+        p: &mut DdPackage,
+        state: &StateDd,
+        qubit: Qubit,
+        rng: &mut StdRng,
+    ) -> (u8, StateDd) {
+        let [zero, one] = branch_masses(p, state, qubit).unwrap();
+        let bit = u8::from(rng.gen::<f64>() < one / (zero + one));
+        (bit, collapse_qubit(p, state, qubit, bit).unwrap())
+    }
 
     #[test]
     fn measuring_a_basis_state_is_deterministic() {
@@ -286,7 +203,7 @@ mod tests {
         let state = StateDd::basis_state(&mut p, 4, 0b1010).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
         for q in 0..4u16 {
-            let (bit, post) = measure_qubit(&mut p, &state, Qubit(q), &mut rng).unwrap();
+            let (bit, post) = measure(&mut p, &state, Qubit(q), &mut rng);
             assert_eq!(u64::from(bit), (0b1010 >> q) & 1);
             assert!((post.norm_sqr(&p) - 1.0).abs() < 1e-12);
         }
@@ -307,7 +224,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut saw = [false, false];
         for _ in 0..20 {
-            let (bit, post) = measure_qubit(&mut p, &state, Qubit(2), &mut rng).unwrap();
+            let (bit, post) = measure(&mut p, &state, Qubit(2), &mut rng);
             saw[usize::from(bit)] = true;
             // After measuring one qubit of a GHZ state all qubits agree.
             let expected = if bit == 1 { 0b1111 } else { 0 };
@@ -315,31 +232,6 @@ mod tests {
             assert!((post.norm_sqr(&p) - 1.0).abs() < 1e-10);
         }
         assert!(saw[0] && saw[1], "both outcomes should occur in 20 tries");
-    }
-
-    #[test]
-    fn measure_all_matches_the_distribution() {
-        let mut p = DdPackage::new();
-        let circuit = algorithms::w_state(3);
-        let state = crate::simulate(&mut p, &circuit).unwrap();
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut counts = [0u32; 8];
-        for _ in 0..3000 {
-            let (outcome, collapsed) = measure_all(&mut p, &state, &mut rng).unwrap();
-            counts[outcome as usize] += 1;
-            assert!((collapsed.probability(&p, outcome) - 1.0).abs() < 1e-12);
-        }
-        // Only one-hot outcomes appear, each about a third of the time.
-        for (i, &count) in counts.iter().enumerate() {
-            if [1, 2, 4].contains(&i) {
-                assert!(
-                    (f64::from(count) / 3000.0 - 1.0 / 3.0).abs() < 0.05,
-                    "outcome {i}"
-                );
-            } else {
-                assert_eq!(count, 0, "impossible outcome {i} observed");
-            }
-        }
     }
 
     #[test]
@@ -360,7 +252,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         let mut counts = [0u32; 2];
         for _ in 0..2000 {
-            let (bit, post) = measure_qubit(&mut p, &state, Qubit(0), &mut rng).unwrap();
+            let (bit, post) = measure(&mut p, &state, Qubit(0), &mut rng);
             counts[usize::from(bit)] += 1;
             // Either branch renormalizes to exactly unit norm.
             assert!((post.norm_sqr(&p) - 1.0).abs() < 1e-12);
@@ -392,26 +284,6 @@ mod tests {
         let mut p = DdPackage::new();
         let state = StateDd::basis_state(&mut p, 2, 0b00).unwrap();
         let _ = collapse_qubit(&mut p, &state, Qubit(0), 1);
-    }
-
-    #[test]
-    fn reset_forces_the_qubit_to_zero() {
-        let mut p = DdPackage::new();
-        let mut c = circuit::Circuit::new(2);
-        c.h(Qubit(0));
-        c.cx(Qubit(0), Qubit(1));
-        let state = crate::simulate(&mut p, &c).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..10 {
-            let post = reset_qubit(&mut p, &state, Qubit(0), &mut rng).unwrap();
-            assert!((post.norm_sqr(&p) - 1.0).abs() < 1e-12);
-            // Qubit 0 is |0>; qubit 1 keeps the collapsed partner value.
-            let p0 = post.probability(&p, 0b00);
-            let p2 = post.probability(&p, 0b10);
-            assert!((p0 + p2 - 1.0).abs() < 1e-10);
-            assert!(post.probability(&p, 0b01) < 1e-12);
-            assert!(post.probability(&p, 0b11) < 1e-12);
-        }
     }
 
     #[test]
@@ -454,7 +326,6 @@ mod tests {
     fn measuring_a_missing_qubit_panics() {
         let mut p = DdPackage::new();
         let state = StateDd::zero_state(&mut p, 2).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        let _ = measure_qubit(&mut p, &state, Qubit(5), &mut rng);
+        let _ = branch_masses(&mut p, &state, Qubit(5));
     }
 }

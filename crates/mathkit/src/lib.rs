@@ -20,6 +20,8 @@
 //!   (in the spirit of the Firefox/rustc `FxHash`) so the hot unique-table and
 //!   compute-table lookups do not pay SipHash costs and no external hashing
 //!   crate is required.
+//! * [`SnapshotReader`] — the bounds-checked little-endian reader every
+//!   snapshot decoder shares.
 //!
 //! # Examples
 //!
@@ -39,6 +41,7 @@ mod complex;
 mod ctable;
 mod hash;
 mod kahan;
+mod snapshot;
 mod tolerance;
 
 pub use angle::{binary_angle, Angle};
@@ -49,6 +52,7 @@ pub use hash::{
     HASH_AVALANCHE,
 };
 pub use kahan::{compensated_sum, KahanSum};
+pub use snapshot::SnapshotReader;
 pub use tolerance::{approx_eq, approx_eq_with, Tolerance, DEFAULT_TOLERANCE};
 
 /// The square root of one half, `1/sqrt(2)`, the most common amplitude

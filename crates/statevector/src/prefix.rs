@@ -25,7 +25,7 @@
 //! [`PrefixSampler::sample`] calls.
 
 use crate::StateVector;
-use mathkit::KahanSum;
+use mathkit::{KahanSum, SnapshotReader};
 use rand::Rng;
 
 /// Searches walked in lockstep by one block of [`PrefixSampler::sample_into`].
@@ -212,12 +212,10 @@ impl PrefixSampler {
     /// corrupted snapshot section must never panic a loader.
     #[must_use]
     pub fn decode_snapshot(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 10 {
-            return None;
-        }
-        let (header, body) = bytes.split_at(10);
-        let num_qubits = u16::from_le_bytes([header[0], header[1]]);
-        let len = usize::try_from(u64::from_le_bytes(header[2..10].try_into().ok()?)).ok()?;
+        let mut reader = SnapshotReader::new(bytes);
+        let num_qubits = reader.u16()?;
+        let len = usize::try_from(reader.u64()?).ok()?;
+        let body = reader.rest();
         if num_qubits >= 48
             || len != 1usize.checked_shl(u32::from(num_qubits))?
             || body.len() != len.checked_mul(8)?

@@ -58,7 +58,8 @@
 //!
 //! [`Tableau::reset`] is measure-then-flip, and Pauli noise channels
 //! (bit/phase flip, depolarizing) are realized as **frame flips**
-//! ([`Tableau::apply_noise`]): a sampled `X`/`Y`/`Z` only toggles `O(n)`
+//! ([`Tableau::apply_pauli`]; on the trajectory path,
+//! [`SignProgram::apply_pauli`]): a sampled `X`/`Y`/`Z` only toggles `O(n)`
 //! row signs, so noisy stabilizer trajectories stay polynomial.
 //!
 //! # Sampling

@@ -1,6 +1,7 @@
 //! Terminal full-register sampling from a stabilizer state.
 
 use crate::Tableau;
+use mathkit::SnapshotReader;
 use rand::RngCore;
 
 /// A prepared sampler for full-register computational-basis measurements of
@@ -275,20 +276,19 @@ impl MeasurementSampler {
     /// nor draw outcomes outside the register.
     #[must_use]
     pub fn decode_snapshot(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 16 {
-            return None;
-        }
-        let num_qubits = usize::try_from(u64::from_le_bytes(bytes[..8].try_into().ok()?)).ok()?;
-        let rows = usize::try_from(u64::from_le_bytes(bytes[8..16].try_into().ok()?)).ok()?;
+        let mut reader = SnapshotReader::new(bytes);
+        let num_qubits = usize::try_from(reader.u64()?).ok()?;
+        let rows = usize::try_from(reader.u64()?).ok()?;
         if num_qubits == 0 || rows > num_qubits {
             return None;
         }
         let words = num_qubits.div_ceil(64);
         let expected = rows.checked_add(1)?.checked_mul(words)?.checked_mul(8)?;
-        if bytes.len() - 16 != expected {
+        if reader.remaining() != expected {
             return None;
         }
-        let mut read_words = bytes[16..]
+        let mut read_words = reader
+            .rest()
             .chunks_exact(8)
             .map(|chunk| chunk.try_into().map(u64::from_le_bytes));
         let mut next_row = |count: usize| -> Option<Vec<u64>> {

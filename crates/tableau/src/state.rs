@@ -224,7 +224,7 @@ impl Tableau {
     }
 
     /// Applies a Pauli frame flip on `q` — only row signs change, making
-    /// Pauli noise `O(n)` ([`apply_noise`](Self::apply_noise)).
+    /// Pauli noise `O(n)`.
     pub fn apply_pauli(&mut self, q: usize, pauli: Pauli) {
         self.check(q);
         if pauli == Pauli::I {
@@ -471,41 +471,6 @@ impl Tableau {
         if self.measure(q, rng) {
             self.x(q);
         }
-    }
-
-    /// Realizes one shot of a Pauli noise channel on `q` as a frame flip:
-    /// with probability `p_x`/`p_y`/`p_z` applies `X`/`Y`/`Z` (at most one;
-    /// the probabilities must sum to at most 1).  Returns the Pauli applied.
-    ///
-    /// Bit flip is `(p, 0, 0)`, phase flip `(0, 0, p)` and depolarizing
-    /// strength `p` is `(p/4, p/4, p/4)` — matching the branch
-    /// probabilities of [`circuit::NoiseChannel`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the probabilities are not in `[0, 1]` or sum above 1.
-    pub fn apply_noise<R: RngCore + ?Sized>(
-        &mut self,
-        q: usize,
-        (p_x, p_y, p_z): (f64, f64, f64),
-        rng: &mut R,
-    ) -> Pauli {
-        assert!(
-            p_x >= 0.0 && p_y >= 0.0 && p_z >= 0.0 && p_x + p_y + p_z <= 1.0 + 1e-12,
-            "Pauli branch probabilities must form a sub-distribution"
-        );
-        let u = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        let pauli = if u < p_x {
-            Pauli::X
-        } else if u < p_x + p_y {
-            Pauli::Y
-        } else if u < p_x + p_y + p_z {
-            Pauli::Z
-        } else {
-            Pauli::I
-        };
-        self.apply_pauli(q, pauli);
-        pauli
     }
 
     /// Returns the basis state `|b>` the tableau represents, as
@@ -757,38 +722,15 @@ mod tests {
     }
 
     #[test]
-    fn noise_channel_branch_statistics() {
-        let mut rng = rng(7);
-        let mut counts = [0u32; 4];
-        for _ in 0..40_000 {
-            let mut tab = Tableau::zero_state(1);
-            let p = tab.apply_noise(0, (0.1, 0.2, 0.3), &mut rng);
-            counts[match p {
-                Pauli::I => 0,
-                Pauli::X => 1,
-                Pauli::Y => 2,
-                Pauli::Z => 3,
-            }] += 1;
-        }
-        let freqs: Vec<f64> = counts.iter().map(|&c| f64::from(c) / 40_000.0).collect();
-        assert!((freqs[0] - 0.4).abs() < 0.02, "{freqs:?}");
-        assert!((freqs[1] - 0.1).abs() < 0.02, "{freqs:?}");
-        assert!((freqs[2] - 0.2).abs() < 0.02, "{freqs:?}");
-        assert!((freqs[3] - 0.3).abs() < 0.02, "{freqs:?}");
-    }
-
-    #[test]
     fn bit_and_phase_noise_act_on_outcomes() {
-        let mut rng = rng(8);
-        // A certain bit flip on |0> measures 1.
+        // A bit flip on |0> measures 1.
         let mut tab = Tableau::zero_state(1);
-        tab.apply_noise(0, (1.0, 0.0, 0.0), &mut rng);
+        tab.apply_pauli(0, Pauli::X);
         assert_eq!(tab.deterministic_outcome(0), Some(true));
-        // A certain phase flip between two Hadamards flips the outcome:
-        // H Z H = X.
+        // A phase flip between two Hadamards flips the outcome: H Z H = X.
         let mut tab = Tableau::zero_state(1);
         tab.h(0);
-        tab.apply_noise(0, (0.0, 0.0, 1.0), &mut rng);
+        tab.apply_pauli(0, Pauli::Z);
         tab.h(0);
         assert_eq!(tab.deterministic_outcome(0), Some(true));
     }

@@ -154,22 +154,22 @@ fn garbage_collection_preserves_the_state() {
 #[test]
 fn measurement_collapse_composes_with_further_gates() {
     use circuit::Qubit;
-    use rand::SeedableRng;
-    // Measure one qubit of a Bell pair, then re-entangle with fresh gates:
-    // the library extension (dd::measure_qubit) keeps the package usable.
+    // Collapse one qubit of a Bell pair, then apply fresh gates: the
+    // trajectory engine's collapse keeps the package usable.
     let mut package = DdPackage::new();
     let state = dd::simulate(&mut package, &algorithms::bell_pair()).unwrap();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(21);
-    let (bit, collapsed) = dd::measure_qubit(&mut package, &state, Qubit(0), &mut rng).unwrap();
+    for bit in [0u8, 1] {
+        let collapsed = dd::collapse_qubit(&mut package, &state, Qubit(0), bit).unwrap();
 
-    let mut follow_up = circuit::Circuit::new(2);
-    follow_up.h(Qubit(1));
-    let final_state = dd::apply_circuit(&mut package, collapsed, &follow_up).unwrap();
-    assert!((final_state.norm_sqr(&package) - 1.0).abs() < 1e-10);
-    // Qubit 0 stays in the measured value; qubit 1 is in superposition.
-    let base = u64::from(bit);
-    assert!((final_state.probability(&package, base) - 0.5).abs() < 1e-10);
-    assert!((final_state.probability(&package, base | 0b10) - 0.5).abs() < 1e-10);
+        let mut follow_up = circuit::Circuit::new(2);
+        follow_up.h(Qubit(1));
+        let final_state = dd::apply_circuit(&mut package, collapsed, &follow_up).unwrap();
+        assert!((final_state.norm_sqr(&package) - 1.0).abs() < 1e-10);
+        // Qubit 0 stays in the measured value; qubit 1 is in superposition.
+        let base = u64::from(bit);
+        assert!((final_state.probability(&package, base) - 0.5).abs() < 1e-10);
+        assert!((final_state.probability(&package, base | 0b10) - 0.5).abs() < 1e-10);
+    }
 }
 
 #[test]

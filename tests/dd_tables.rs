@@ -158,16 +158,29 @@ fn soak_lossy_caches_never_change_results() {
         }
 
         // Measurement trajectories consume identical probabilities, so the
-        // same RNG stream must collapse both runs identically.
+        // same RNG stream must collapse both runs identically.  Each draw
+        // follows the trajectory engine: `r < P(1)` from the branch masses.
         let mut rng_a = StdRng::seed_from_u64(7 + seed);
         let mut rng_b = StdRng::seed_from_u64(7 + seed);
         let mut state_a = cached;
         let mut state_b = reference;
         for q in 0..5u16 {
-            let (bit_a, next_a) =
-                dd::measure_qubit(&mut cached_pkg, &state_a, Qubit(q), &mut rng_a).unwrap();
-            let (bit_b, next_b) =
-                dd::measure_qubit(&mut reference_pkg, &state_b, Qubit(q), &mut rng_b).unwrap();
+            let measure = |pkg: &mut DdPackage, state: &StateDd, rng: &mut StdRng| {
+                let [zero, one] = dd::branch_masses(pkg, state, Qubit(q)).unwrap();
+                let bit = u8::from(rng.gen::<f64>() < one / (zero + one));
+                (
+                    bit,
+                    one,
+                    dd::collapse_qubit(pkg, state, Qubit(q), bit).unwrap(),
+                )
+            };
+            let (bit_a, one_a, next_a) = measure(&mut cached_pkg, &state_a, &mut rng_a);
+            let (bit_b, one_b, next_b) = measure(&mut reference_pkg, &state_b, &mut rng_b);
+            assert_eq!(
+                one_a.to_bits(),
+                one_b.to_bits(),
+                "seed {seed}: P(qubit {q} = 1) differs between cached and uncached runs"
+            );
             assert_eq!(
                 bit_a, bit_b,
                 "seed {seed}: measurement of qubit {q} diverged"
@@ -330,31 +343,4 @@ fn soak_applies_gcs_and_evictions_keep_sharing_canonical() {
             "seed {seed}: replay after churn did not share the existing diagram"
         );
     }
-}
-
-/// `measure_all` (ported to the compiled sampler) still draws from the
-/// correct distribution and collapses to the observed basis state.
-#[test]
-fn measure_all_samples_and_collapses_consistently() {
-    let mut package = DdPackage::new();
-    let circuit = {
-        let mut c = Circuit::new(3);
-        c.h(Qubit(0));
-        c.cx(Qubit(0), Qubit(1));
-        c.cx(Qubit(1), Qubit(2));
-        c
-    };
-    let state = dd::simulate(&mut package, &circuit).expect("valid circuit");
-    let mut rng = StdRng::seed_from_u64(33);
-    let mut seen = [false; 2];
-    for _ in 0..40 {
-        let (outcome, collapsed) = dd::measure_all(&mut package, &state, &mut rng).unwrap();
-        assert!(
-            outcome == 0 || outcome == 0b111,
-            "GHZ measurement produced impossible outcome {outcome:03b}"
-        );
-        assert!((collapsed.probability(&package, outcome) - 1.0).abs() < 1e-12);
-        seen[usize::from(outcome != 0)] = true;
-    }
-    assert!(seen[0] && seen[1], "both GHZ outcomes should occur");
 }

@@ -10,7 +10,10 @@
 
 use std::time::{Duration, Instant};
 
-use weaksim::{Backend, CancelToken, DdError, RunError, RunGovernor, WeakSimulator};
+use weaksim::{
+    ArtifactCache, Backend, CacheOutcome, CancelToken, DdError, RunError, RunGovernor,
+    ServiceBroker, ServiceConfig, WeakSimulator,
+};
 
 /// A statically-routed circuit big enough that DD construction performs many
 /// thousands of governed checkpoints but still finishes in well under a
@@ -229,6 +232,52 @@ fn unlimited_governor_changes_nothing() {
         .run(&circuit, 2_000, 11)
         .expect("governed run");
     assert_eq!(plain.histogram.counts(), governed.histogram.counts());
+}
+
+/// A simulator whose timeout is too large for `Instant` to represent: the
+/// deadline it would set lies beyond any run, so the run has none.
+fn unrepresentable_timeout() -> WeakSimulator {
+    WeakSimulator::new(Backend::DecisionDiagram)
+        .with_governor(RunGovernor::unlimited().with_timeout(Duration::MAX))
+}
+
+#[test]
+fn static_run_under_an_unrepresentable_timeout_has_no_deadline() {
+    let circuit = algorithms::ghz(4);
+    let plain = WeakSimulator::new(Backend::DecisionDiagram)
+        .run(&circuit, 1_000, 5)
+        .expect("plain run");
+    let governed = unrepresentable_timeout()
+        .run(&circuit, 1_000, 5)
+        .expect("a static run without a deadline completes");
+    assert_eq!(plain.histogram, governed.histogram);
+}
+
+#[test]
+fn trajectory_run_under_an_unrepresentable_timeout_has_no_deadline() {
+    let circuit = dynamic_workload();
+    let plain = WeakSimulator::new(Backend::DecisionDiagram)
+        .run(&circuit, 1_000, 5)
+        .expect("plain run");
+    let governed = unrepresentable_timeout()
+        .run(&circuit, 1_000, 5)
+        .expect("a trajectory run without a deadline completes");
+    assert!(governed.interruption.is_none());
+    assert_eq!(plain.histogram, governed.histogram);
+}
+
+#[test]
+fn broker_serves_under_an_unrepresentable_timeout() {
+    let circuit = algorithms::ghz(4);
+    let plain = WeakSimulator::new(Backend::DecisionDiagram)
+        .run(&circuit, 1_000, 5)
+        .expect("plain run");
+    let broker = ServiceBroker::new(ArtifactCache::unbounded(), ServiceConfig::default());
+    let served = broker
+        .serve(&unrepresentable_timeout(), &circuit, 1_000, 5)
+        .expect("admission without a deadline serves the request");
+    assert_eq!(served.cache, Some(CacheOutcome::Miss));
+    assert_eq!(plain.histogram, served.histogram);
 }
 
 #[cfg(feature = "fault-inject")]

@@ -6,9 +6,8 @@
 
 use circuit::{qasm, Circuit, NoiseChannel, NoiseModel, Qubit};
 use weaksim::{
-    simulate_noisy_trajectories, simulate_noisy_trajectories_with_threads,
-    simulate_trajectories_with_threads, stats, ArtifactCache, Backend, CacheOutcome, ServiceBroker,
-    ServiceConfig, WeakSimulator,
+    simulate_noisy_trajectories_with_threads, simulate_trajectories_with_threads, stats,
+    ArtifactCache, Backend, CacheOutcome, ServiceBroker, ServiceConfig, WeakSimulator,
 };
 
 /// Quantum teleportation with mid-circuit measurement, expressed in the
@@ -316,7 +315,10 @@ fn depolarized_bell_pair_matches_the_analytic_distribution() {
     };
     let shots = 40_000u64;
     for backend in [Backend::DecisionDiagram, Backend::StateVector] {
-        let outcome = simulate_noisy_trajectories(backend, &bell, &model, shots, 101).unwrap();
+        let outcome = WeakSimulator::new(backend)
+            .with_noise(model.clone())
+            .run(&bell, shots, 101)
+            .unwrap();
         let result = stats::chi_square_test(&outcome.histogram, expected);
         assert!(
             result.is_consistent(0.001),
@@ -341,7 +343,10 @@ fn amplitude_damped_states_match_the_analytic_distributions() {
     let mut excited = Circuit::with_name(1, "damped_excited");
     excited.x(Qubit(0)).measure(Qubit(0), 0);
     for backend in [Backend::DecisionDiagram, Backend::StateVector] {
-        let outcome = simulate_noisy_trajectories(backend, &excited, &model, shots, 103).unwrap();
+        let outcome = WeakSimulator::new(backend)
+            .with_noise(model.clone())
+            .run(&excited, shots, 103)
+            .unwrap();
         let result = stats::chi_square_test(&outcome.histogram, |record| match record {
             0 => gamma,
             1 => 1.0 - gamma,
@@ -362,7 +367,10 @@ fn amplitude_damped_states_match_the_analytic_distributions() {
         .measure(Qubit(1), 1);
     let site = NoiseModel::new().with_qubit_noise(Qubit(1), NoiseChannel::amplitude_damping(gamma));
     for backend in [Backend::DecisionDiagram, Backend::StateVector] {
-        let outcome = simulate_noisy_trajectories(backend, &bell, &site, shots, 107).unwrap();
+        let outcome = WeakSimulator::new(backend)
+            .with_noise(site.clone())
+            .run(&bell, shots, 107)
+            .unwrap();
         assert_eq!(
             outcome.histogram.count(0b10),
             0,
@@ -396,7 +404,10 @@ fn readout_error_composes_with_gate_noise() {
     let p_zero = gamma * (1.0 - q) + (1.0 - gamma) * q;
     let shots = 40_000u64;
     for backend in [Backend::DecisionDiagram, Backend::StateVector] {
-        let outcome = simulate_noisy_trajectories(backend, &c, &model, shots, 109).unwrap();
+        let outcome = WeakSimulator::new(backend)
+            .with_noise(model.clone())
+            .run(&c, shots, 109)
+            .unwrap();
         let result = stats::chi_square_test(&outcome.histogram, move |record| match record {
             0 => p_zero,
             1 => 1.0 - p_zero,
@@ -445,7 +456,10 @@ fn fully_depolarizing_noise_yields_the_uniform_marginal() {
     c.x(Qubit(0)).measure(Qubit(0), 0);
     let shots = 40_000u64;
     for backend in [Backend::DecisionDiagram, Backend::StateVector] {
-        let outcome = simulate_noisy_trajectories(backend, &c, &model, shots, 113).unwrap();
+        let outcome = WeakSimulator::new(backend)
+            .with_noise(model.clone())
+            .run(&c, shots, 113)
+            .unwrap();
         let result = stats::chi_square_test(
             &outcome.histogram,
             |record| {
@@ -512,13 +526,63 @@ fn backends_agree_exactly_on_noisy_records() {
         .with_qubit_noise(Qubit(1), NoiseChannel::amplitude_damping(0.5))
         .with_measurement_noise(NoiseChannel::bit_flip(0.25));
     let shots = 4 * 1024 + 7;
-    let dd =
-        simulate_noisy_trajectories(Backend::DecisionDiagram, &c, &model, shots, 2024).unwrap();
-    let sv = simulate_noisy_trajectories(Backend::StateVector, &c, &model, shots, 2024).unwrap();
+    let dd = WeakSimulator::new(Backend::DecisionDiagram)
+        .with_noise(model.clone())
+        .run(&c, shots, 2024)
+        .unwrap();
+    let sv = WeakSimulator::new(Backend::StateVector)
+        .with_noise(model.clone())
+        .run(&c, shots, 2024)
+        .unwrap();
     assert_eq!(
         dd.histogram, sv.histogram,
         "DD and SV noisy records must be identical for the same seed"
     );
+}
+
+/// The free `simulate_*_with_threads` entry points are the front door with
+/// an explicit worker count: on a dynamic circuit and on a noisy static one
+/// they report exactly what `WeakSimulator::run` reports, and consult no
+/// cache.
+#[test]
+fn free_trajectory_entry_points_match_the_front_door() {
+    let teleportation = qasm::parse(TELEPORTATION_QASM).unwrap();
+    let mut bell = Circuit::with_name(2, "depolarized_bell");
+    bell.h(Qubit(0))
+        .cx(Qubit(0), Qubit(1))
+        .measure(Qubit(0), 0)
+        .measure(Qubit(1), 1);
+    let noise = NoiseModel::new().with_gate_noise(NoiseChannel::depolarizing(0.1));
+    let shots = 2 * 1024 + 9;
+    for backend in [Backend::DecisionDiagram, Backend::StateVector] {
+        for threads in [1, 2] {
+            let sim = WeakSimulator::new(backend).with_threads(threads);
+            let pairs = [
+                (
+                    simulate_trajectories_with_threads(backend, &teleportation, shots, 41, threads),
+                    sim.clone().run(&teleportation, shots, 41),
+                ),
+                (
+                    simulate_noisy_trajectories_with_threads(
+                        backend, &bell, &noise, shots, 43, threads,
+                    ),
+                    sim.clone().with_noise(noise.clone()).run(&bell, shots, 43),
+                ),
+            ];
+            for (free, front) in pairs {
+                let (free, front) = (free.unwrap(), front.unwrap());
+                let context = format!("{backend}/{threads} threads");
+                assert_eq!(free.histogram, front.histogram, "{context}");
+                assert_eq!(
+                    free.representation_size, front.representation_size,
+                    "{context}"
+                );
+                assert_eq!(free.dd_stats, front.dd_stats, "{context}");
+                assert_eq!(free.route, front.route, "{context}");
+                assert_eq!(free.cache, None, "{context}");
+            }
+        }
+    }
 }
 
 /// A broker that serves static requests from its cache: its outcomes
@@ -592,9 +656,10 @@ fn noisy_ipe_error_rate_sweep_degrades_the_recovery_probability() {
     let shots = 6_000u64;
     let mut recoveries = Vec::new();
     for (p, model) in &sweep {
-        let outcome =
-            simulate_noisy_trajectories(Backend::DecisionDiagram, &circuit, model, shots, 606)
-                .unwrap();
+        let outcome = WeakSimulator::new(Backend::DecisionDiagram)
+            .with_noise(model.clone())
+            .run(&circuit, shots, 606)
+            .unwrap();
         recoveries.push((*p, outcome.histogram.frequency(m)));
     }
     assert_eq!(
