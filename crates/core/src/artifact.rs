@@ -108,6 +108,10 @@ pub(crate) struct Prepared {
     /// DD nodes, dense amplitudes, or stabilizer generators.
     pub(crate) representation_size: u128,
     pub(crate) dd_stats: Option<DdStats>,
+    /// The operations a decision diagram ran before handing its state to
+    /// the dense engine, which ran the rest; `None` when one engine ran
+    /// the whole circuit.
+    pub(crate) handoff: Option<usize>,
     pub(crate) strong_time: Duration,
     pub(crate) precompute_time: Duration,
 }
@@ -167,14 +171,16 @@ impl SimArtifact {
     }
 
     /// The decision-diagram statistics snapshot taken at build time, if the
-    /// artifact came from the DD engine.
+    /// artifact came from the DD engine (for a build handed to the dense
+    /// engine: the diagram segment's counters, taken at the handoff).
     #[must_use]
     pub fn dd_stats(&self) -> Option<DdStats> {
         self.dd_stats
     }
 
     /// Representation size of the strong state the artifact was compiled
-    /// from (DD nodes, dense amplitudes, or stabilizer generators).
+    /// from (DD nodes, dense amplitudes, or stabilizer generators; `2^n`
+    /// for a decision-diagram build handed to the dense engine).
     #[must_use]
     pub fn representation_size(&self) -> u128 {
         self.representation_size

@@ -24,11 +24,11 @@ use crate::router::EngineKind;
 use crate::simulator::{RunError, StrongState, WeakSimulator};
 use crate::trajectory::{DdRunner, Event, SvRunner, TableauRunner, TrajectoryPlan};
 use circuit::{Circuit, Qubit};
-use dd::{CompiledSampler, DdError, DdPackage, DdStats, Governor};
+use dd::{CompiledSampler, DdError, DdPackage, DdStats, Governor, StateDd, Until};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use statevector::{MemoryBudget, PrefixSampler};
-use std::time::Instant;
+use statevector::{MemoryBudget, PrefixSampler, StateVector};
+use std::time::{Duration, Instant};
 use tableau::Tableau;
 
 /// An execution engine: everything a run needs from it outside the
@@ -141,13 +141,26 @@ impl DdEngine {
         circuit: &Circuit,
         governor: &RunGovernor,
     ) -> Result<StrongState, RunError> {
+        let (package, state, _) = Self::build(circuit, governor, Until::End)?;
+        Ok(StrongState::DecisionDiagram { package, state })
+    }
+
+    /// Builds the diagram of `circuit` from `|0...0>` in a fresh package
+    /// armed with `governor`, until `until` stops the construction loop;
+    /// returns the package, the state and the number of operations applied.
+    fn build(
+        circuit: &Circuit,
+        governor: &RunGovernor,
+        until: Until,
+    ) -> Result<(Box<DdPackage>, StateDd, usize), RunError> {
         // Decision diagrams grow with the state's structure, not with 2^n,
         // so the dense memory budget never applies; their memory is bounded
         // by the governor's node/byte budget instead.
         let mut package = Box::new(DdPackage::new());
         package.set_governor(governor.arm());
-        let state = dd::simulate(&mut package, circuit)?;
-        Ok(StrongState::DecisionDiagram { package, state })
+        let zero = StateDd::zero_state(&mut package, circuit.num_qubits())?;
+        let (state, applied) = dd::apply_circuit_until(&mut package, zero, circuit, until)?;
+        Ok((package, state, applied))
     }
 }
 
@@ -159,16 +172,11 @@ impl SvEngine {
     }
 }
 
-/// The `prepare` hook of both dense engines: the engine's timed `strong`
-/// simulation, then sampler compilation.  The state — and with it the DD
-/// package's tables and caches, or the dense amplitudes — is dropped on
-/// return, before any shot is drawn.
-fn prepare_dense(
-    strong: impl FnOnce() -> Result<StrongState, RunError>,
-) -> Result<Prepared, RunError> {
-    let strong_start = Instant::now();
-    let state = strong()?;
-    let strong_time = strong_start.elapsed();
+/// The sampler-compilation half of both dense engines' `prepare`: compiles
+/// the strong `state` that took `strong_time` to build.  The state — and
+/// with it the DD package's tables and caches, or the dense amplitudes — is
+/// dropped on return, before any shot is drawn.
+fn compile_dense(state: StrongState, strong_time: Duration) -> Result<Prepared, RunError> {
     let precompute_start = Instant::now();
     let sampler = match &state {
         StrongState::DecisionDiagram { package, state } => {
@@ -182,14 +190,53 @@ fn prepare_dense(
         sampler,
         representation_size: state.representation_size(),
         dd_stats: state.dd_stats(),
+        handoff: None,
         strong_time,
         precompute_time: precompute_start.elapsed(),
     })
 }
 
 impl Engine for DdEngine {
+    /// Builds the diagram and compiles its sampler.  Under the router, a
+    /// build whose diagram stops compressing ([`Until::Incompressible`])
+    /// is handed to the dense engine instead, when its `2^n` amplitudes
+    /// plus their prefix sums fit the simulator's memory budget: the
+    /// diagram is exported once, the package dropped, and the remaining
+    /// operations run on the state vector — still under the governor's
+    /// deadline and cancellation token — which compiles into a
+    /// [`PrefixSampler`].  The prepared half then keeps the diagram
+    /// segment's [`DdStats`] and reports `2^n` as its size.
     fn prepare(&self, circuit: &Circuit, sim: &WeakSimulator) -> Result<Prepared, RunError> {
-        prepare_dense(|| Self::strong(circuit, sim.governor()))
+        let n = circuit.num_qubits();
+        let dense_bytes = MemoryBudget::state_vector_bytes(n) + MemoryBudget::prefix_array_bytes(n);
+        let until = if sim.routes() && sim.memory_budget().allows(dense_bytes) {
+            Until::Incompressible
+        } else {
+            Until::End
+        };
+        let strong_start = Instant::now();
+        let (package, state, applied) = Self::build(circuit, sim.governor(), until)?;
+        if applied == circuit.len() {
+            let strong = StrongState::DecisionDiagram { package, state };
+            return compile_dense(strong, strong_start.elapsed());
+        }
+        let dd_stats = package.stats();
+        let governor = package.governor().clone();
+        let mut vector = StateVector::from_amplitudes(state.to_amplitudes(&package));
+        drop(package);
+        for (op_index, op) in circuit.iter().enumerate().skip(applied) {
+            // The deadline and the cancellation token still hold; the
+            // node/byte budgets bounded the diagram, the memory budget
+            // admitted the vector.
+            governor
+                .check_now()
+                .map_err(|e| RunError::from(e.with_op_index(op_index)))?;
+            statevector::apply_operation(&mut vector, op);
+        }
+        let mut prepared = compile_dense(StrongState::StateVector(vector), strong_start.elapsed())?;
+        prepared.dd_stats = Some(dd_stats);
+        prepared.handoff = Some(applied);
+        Ok(prepared)
     }
 
     fn check_sample_width(&self, num_qubits: u16) -> Result<(), RunError> {
@@ -211,7 +258,9 @@ impl Engine for DdEngine {
 
 impl Engine for SvEngine {
     fn prepare(&self, circuit: &Circuit, sim: &WeakSimulator) -> Result<Prepared, RunError> {
-        prepare_dense(|| Self::strong(circuit, sim.memory_budget()))
+        let strong_start = Instant::now();
+        let state = Self::strong(circuit, sim.memory_budget())?;
+        compile_dense(state, strong_start.elapsed())
     }
 
     fn check_trajectory_memory(
@@ -263,6 +312,7 @@ impl Engine for TableauEngine {
             // node count / dense amplitude count.
             representation_size: 2 * num_qubits as u128,
             dd_stats: None,
+            handoff: None,
             strong_time,
             precompute_time: precompute_start.elapsed(),
         })

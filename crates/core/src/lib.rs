@@ -14,12 +14,14 @@
 //!   [`circuit::NoiseModel`] (noisy-hardware emulation by per-shot Kraus
 //!   branch insertion), with decision-prefix-tree caching on the
 //!   decision-diagram backend;
-//! * [`router`] — the opt-in Clifford router
+//! * [`router`] — the opt-in router
 //!   ([`WeakSimulator::with_clifford_router`]): fully-Clifford circuits
 //!   (every operation lowers through `tableau::lower`) execute on the
 //!   polynomial-time stabilizer-tableau engine (`tableau` crate) at
-//!   thousands of qubits, every other circuit on the dense backend, and
-//!   [`RunOutcome::route`] reports which engine executed the run;
+//!   thousands of qubits, every other circuit on the dense backend, a
+//!   decision-diagram build whose diagram stopped compressing finishes on
+//!   a state vector, and [`RunOutcome::route`] reports which engines
+//!   executed the run;
 //! * [`artifact`] — the pay-once layer: [`SimArtifact`] is a self-contained,
 //!   `Arc`-shared snapshot of everything a request needs *after* strong
 //!   simulation (a compiled DD sampler, dense prefix sums or a tableau

@@ -1,6 +1,7 @@
-//! The Clifford router: runs stabilizer circuits on the polynomial-time
-//! stabilizer-tableau engine (the `tableau` crate) and everything else on
-//! the configured dense backend.
+//! The router: runs stabilizer circuits on the polynomial-time
+//! stabilizer-tableau engine (the `tableau` crate), everything else on the
+//! configured dense backend, and moves a decision-diagram build whose
+//! diagram stopped compressing onto a state vector.
 //!
 //! Routing is opt-in
 //! ([`WeakSimulator::with_clifford_router`](crate::WeakSimulator::with_clifford_router));
@@ -15,22 +16,39 @@
 //!   and no measurement or reset may be conditioned.  The trajectory
 //!   runner then compiles the run into one sign program (see the
 //!   `tableau` crate docs);
-//! * anything else runs whole on the dense backend.
+//! * anything else runs on the dense backend.  On the state-vector
+//!   backend it runs whole there.  On the decision-diagram backend a
+//!   static build runs until its diagram stops compressing — its live node
+//!   count has stayed above `2^n / 128` (and above a 256-node floor) for
+//!   five consecutive gates, see [`dd::Until::Incompressible`].  From
+//!   there the diagram is exported once to `2^n` amplitudes, the rest of
+//!   the circuit runs on the state vector, and the run samples from its
+//!   prefix sums: the route reads `DD-based(k) -> vector-based(m − k)`.
+//!   The paper's Table I shows why: diagrams win on structured states but
+//!   cost a few hundred nanoseconds per node per gate, and a supremacy or
+//!   random circuit ends near `2^n` nodes, where a dense kernel costs
+//!   about one nanosecond per amplitude per gate.  The handoff needs the
+//!   amplitudes plus the prefix sums to fit the simulator's
+//!   [memory budget](crate::WeakSimulator::with_memory_budget) and at
+//!   most 30 qubits; the rule reads node counts only, never the clock, so
+//!   the route and the histogram stay seed-deterministic.  Trajectory runs
+//!   never hand off.
 //!
 //! Noise narrows the choice.  Pauli channels (bit flip, phase flip,
 //! depolarizing) are native to the tableau (Gottesman–Knill), so a noisy
 //! fully-Clifford run still goes there; amplitude damping, whose branch
 //! depends on the state, keeps the whole run dense.
 //!
-//! `route_plan` is the only routing decision: it picks the engine, and the
-//! rest of the run is the ordinary pipeline of that engine.  Static
-//! circuits go plan → artifact → sample through
+//! `route_plan` picks the engine before the run, and the rest of the run is
+//! the ordinary pipeline of that engine; the handoff is the one decision
+//! taken during a run, inside the decision-diagram engine's static build.
+//! Static circuits go plan → artifact → sample through
 //! [`SimArtifact::sample`](crate::SimArtifact::sample); dynamic ones run on
 //! the shared [`trajectory`](crate::trajectory) loop, where the tableau is
 //! one more trajectory runner behind the same chunked seeding, worker pool
 //! and governor checks as the dense engines.  Whichever way a run goes,
-//! [`RunOutcome::route`](crate::RunOutcome::route) reports the engine that
-//! executed it.
+//! [`RunOutcome::route`](crate::RunOutcome::route) reports the engines
+//! that executed it.
 //!
 //! Registers wider than 64 qubits run in full on the tableau, but the
 //! `u64`-keyed [`ShotHistogram`](crate::ShotHistogram) records only the low
@@ -82,9 +100,12 @@ pub struct RouteSegment {
 }
 
 /// How a run was routed: which engine executed each contiguous segment of
-/// the circuit, in order.  Every run reports a single segment — the
-/// tableau, or the configured dense backend — but snapshots written by
-/// older builds may carry multi-segment routes.
+/// the circuit, in order; the segments' operation counts sum to the
+/// circuit's length, terminal measurements included (they count towards
+/// the last segment).  A run reports a single segment — the tableau, or
+/// the configured dense backend — except a routed decision-diagram build
+/// handed to the dense engine, which reports two:
+/// `DD-based(k) -> vector-based(m − k)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunRoute {
     /// The executed segments, in circuit order.
@@ -96,6 +117,24 @@ impl RunRoute {
     pub(crate) fn single(engine: EngineKind, ops: usize) -> Self {
         Self {
             segments: vec![RouteSegment { engine, ops }],
+        }
+    }
+
+    /// The route of a run whose first `dd_ops` operations ran on a
+    /// decision diagram before the dense engine took over the state and
+    /// ran the rest of its `total_ops`.
+    pub(crate) fn handoff(dd_ops: usize, total_ops: usize) -> Self {
+        Self {
+            segments: vec![
+                RouteSegment {
+                    engine: EngineKind::DecisionDiagram,
+                    ops: dd_ops,
+                },
+                RouteSegment {
+                    engine: EngineKind::StateVector,
+                    ops: total_ops - dd_ops,
+                },
+            ],
         }
     }
 

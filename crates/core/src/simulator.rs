@@ -291,7 +291,10 @@ impl StrongState {
 /// Timing and output of one weak-simulation run.
 #[derive(Debug)]
 pub struct RunOutcome {
-    /// The backend that produced this outcome.
+    /// The configured backend of the simulator that produced this
+    /// outcome — also when the router ran the circuit on the tableau, or
+    /// handed a decision-diagram build to the dense engine (see
+    /// [`route`](Self::route) for the engines that ran).
     pub backend: Backend,
     /// Aggregated samples: full-register measurements for circuits without
     /// explicit `measure` operations, classical-register values otherwise.
@@ -306,12 +309,16 @@ pub struct RunOutcome {
     /// Time spent drawing the samples (for dynamic circuits: running the
     /// trajectories).
     pub sampling_time: Duration,
-    /// Representation size (DD nodes or dense amplitudes; for trajectory
-    /// runs the peak over the cached per-trajectory states).
+    /// Representation size of the state sampled from: DD nodes, dense
+    /// amplitudes (`2^n`, also for a build handed off to the dense engine)
+    /// or, on the tableau, stabilizer generators; for trajectory runs the
+    /// peak over the cached per-trajectory states.
     pub representation_size: u128,
     /// Decision-diagram package statistics — unique-table and compute-cache
     /// hit/miss/eviction counters — for DD-backend runs (for trajectory
-    /// runs: summed over all worker packages); `None` on the dense backend.
+    /// runs: summed over all worker packages; for a build handed off to the
+    /// dense engine: the diagram segment's counters, taken at the handoff);
+    /// `None` on the dense backend and the tableau.
     pub dd_stats: Option<DdStats>,
     /// Set when a governed trajectory run was interrupted (budget, deadline
     /// or cancellation): the histogram then holds only the shots completed
@@ -320,8 +327,11 @@ pub struct RunOutcome {
     pub interruption: Option<Interruption>,
     /// Which engine executed each contiguous segment of the circuit.
     /// Unrouted runs (the default) report a single segment on the configured
-    /// backend; runs under [`WeakSimulator::with_clifford_router`] report a
-    /// tableau segment instead when the whole circuit is Clifford.
+    /// backend.  Runs under [`WeakSimulator::with_clifford_router`] report a
+    /// tableau segment instead when the whole circuit is Clifford, and a
+    /// static decision-diagram build whose diagram stopped compressing
+    /// reports `DD-based(k) -> vector-based(m − k)` (see
+    /// [`crate::router`]).
     pub route: RunRoute,
     /// Whether a [`ServiceBroker`](crate::ServiceBroker)'s cache served
     /// this run ([`CacheOutcome::Hit`]: no strong simulation ran) or was
@@ -396,14 +406,17 @@ impl WeakSimulator {
         }
     }
 
-    /// Enables the Clifford router (see [`crate::router`]):
-    /// [`run`](Self::run) calls then execute fully-Clifford circuits on the
-    /// polynomial-time stabilizer-tableau engine and every other circuit on
-    /// the dense backend.  [`RunOutcome::route`] reports which engine ran.
+    /// Enables the router (see [`crate::router`]): [`run`](Self::run)
+    /// calls then execute fully-Clifford circuits on the polynomial-time
+    /// stabilizer-tableau engine and every other circuit on the dense
+    /// backend, and a static decision-diagram build whose diagram stopped
+    /// compressing finishes on a state vector when that fits the
+    /// [memory budget](Self::with_memory_budget).  [`RunOutcome::route`]
+    /// reports which engines ran.
     ///
     /// Routing never changes the sampled distribution, but tableau-routed
     /// outcomes report the stabilizer generator count as their
-    /// representation size.  Under a [noise
+    /// representation size, and handed-off ones `2^n`.  Under a [noise
     /// model](Self::with_noise) made of Pauli channels only, fully-Clifford
     /// circuits still run on the tableau (Pauli errors are native there);
     /// any other channel keeps the run dense.
@@ -417,7 +430,10 @@ impl WeakSimulator {
     /// Decision diagrams grow with the state's structure, not with `2^n`, so
     /// this up-front check never applies to them; to bound *their* memory
     /// use a [`RunGovernor`] node/byte budget instead
-    /// (see [`with_governor`](Self::with_governor)).
+    /// (see [`with_governor`](Self::with_governor)).  Under the
+    /// [router](Self::with_clifford_router), a decision-diagram build
+    /// hands off to a state vector only when the amplitudes plus their
+    /// prefix sums fit this budget; otherwise it stays on the diagram.
     #[must_use]
     pub fn with_memory_budget(mut self, budget: MemoryBudget) -> Self {
         self.memory_budget = budget;
@@ -482,6 +498,11 @@ impl WeakSimulator {
     /// The dense-vector memory budget.
     pub(crate) fn memory_budget(&self) -> MemoryBudget {
         self.memory_budget
+    }
+
+    /// Whether the router is on.
+    pub(crate) fn routes(&self) -> bool {
+        self.clifford_router
     }
 
     /// The trajectory worker count: the [`with_threads`](Self::with_threads)
@@ -640,13 +661,17 @@ impl WeakSimulator {
             (Cow::Borrowed(circuit), Vec::new())
         };
         let prepared = engine.engine().prepare(&prefix, self)?;
+        let route = match prepared.handoff {
+            None => RunRoute::single(engine, circuit.len()),
+            Some(dd_ops) => RunRoute::handoff(dd_ops, circuit.len()),
+        };
         Ok(SimArtifact::new(
             prepared,
             mapping,
             circuit.num_qubits(),
             circuit.num_clbits(),
             self.backend,
-            RunRoute::single(engine, circuit.len()),
+            route,
         ))
     }
 

@@ -5,11 +5,13 @@ use crate::govern::DdError;
 use crate::matrix::OperatorDd;
 use crate::ops::matrix_vector_multiply;
 use crate::package::OperatorKey;
+use crate::vector::MAX_AMPLITUDE_QUBITS;
 use crate::{DdPackage, StateDd};
 use circuit::{Circuit, OneQubitGate, Operation, Qubit};
 use std::fmt;
 
-/// Error returned by [`simulate`] and [`apply_circuit`].
+/// Error returned by [`simulate`], [`apply_circuit`] and
+/// [`apply_circuit_until`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ApplyError {
     /// The circuit failed validation.
@@ -66,6 +68,80 @@ impl From<DdError> for ApplyError {
 /// Number of allocated vector nodes above which garbage is collected between
 /// gates (when the reachable set is much smaller).
 const GC_NODE_THRESHOLD: usize = 250_000;
+
+// The rule of `Until::Incompressible`: the live node count exceeds
+// `max(2^n / INCOMPRESSIBLE_RATIO, INCOMPRESSIBLE_FLOOR)` after each of
+// `INCOMPRESSIBLE_GATES` consecutive gates.  Chosen on perfbench's 100
+// `cold_mix` circuits (live count after every gate; 2-core box, release).
+// These values hand off 11 builds — the four `random_12_10`, the three
+// `shor_*` and four of the 16-qubit `supremacy_4x4_*`, which end at 4,095,
+// 46k–94k and 12k–64k nodes — and no `grover_*` or `qft_*` build; routed
+// `cold_mix` went from 15.4 to 34.0 requests/s (medians of 10 alternating
+// pairs).  A 1-gate hold hands off `grover_13` seed 0 (under a 128-node
+// floor) on a transient peak of 153 nodes, though it ends at 66, and
+// `supremacy_4x5_7` seed 1 one gate before its end, where the dense buffers
+// cost more than the last gate saves.  Ratio 64 misses two of the four
+// `supremacy_4x4_*` handoffs.  Ratio 256 hands off five more supremacy
+// builds (39.6 against 32.8 requests/s over 5 pairs, peak RSS 78 against
+// 50 MB), but it also hands off diagrams whose nodes are cheap: at about
+// 65 ns per node per gate (Grover) such a diagram is still 4× cheaper than
+// the dense kernel's 1 ns per amplitude per gate, where 128 keeps 2×.  The
+// floor keeps registers of up to 8 qubits (at most 255 nodes, a 4 KiB
+// vector) on the diagram whatever their shape, and leaves `grover_13`
+// seed 0 a margin.
+const INCOMPRESSIBLE_RATIO: usize = 128;
+const INCOMPRESSIBLE_GATES: usize = 5;
+const INCOMPRESSIBLE_FLOOR: usize = 256;
+
+/// Where [`apply_circuit_until`] stops applying operations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Until {
+    /// After the last operation.
+    End,
+    /// Early, once the diagram has stopped compressing: its live node count
+    /// has stayed above both `2^n / 128` and 256 nodes for five consecutive
+    /// gates, with operations still left.  From there a dense amplitude
+    /// array — about one nanosecond per amplitude per gate — is cheaper
+    /// than the diagram, which costs a few hundred nanoseconds per node per
+    /// gate.  The rule reads node counts only, never the clock, so where a
+    /// circuit stops depends on the circuit alone.  Registers wider than 30
+    /// qubits never stop early ([`StateDd::to_amplitudes`] refuses them).
+    Incompressible,
+}
+
+impl Until {
+    /// The live node count above which a `num_qubits`-qubit diagram counts
+    /// as incompressible, or `None` when this rule never stops early.
+    fn node_limit(self, num_qubits: u16) -> Option<usize> {
+        match self {
+            Until::End => None,
+            Until::Incompressible => (num_qubits <= MAX_AMPLITUDE_QUBITS)
+                .then(|| ((1usize << num_qubits) / INCOMPRESSIBLE_RATIO).max(INCOMPRESSIBLE_FLOOR)),
+        }
+    }
+}
+
+/// The last reachable-node walk of the construction loop: its count and
+/// the arena size it saw.  `live + (allocated now − allocated)` bounds the
+/// live count without a walk, as long as no gate revives nodes that were
+/// unreachable at the walk; such a gate only delays the next walk.
+#[derive(Clone, Copy)]
+struct LastWalk {
+    live: usize,
+    allocated: usize,
+}
+
+impl LastWalk {
+    /// No walk yet: the bound is the whole arena.
+    const NONE: Self = Self {
+        live: 0,
+        allocated: 0,
+    };
+
+    fn live_bound(self, allocated: usize) -> usize {
+        self.live + allocated.saturating_sub(self.allocated)
+    }
+}
 
 /// The operator DD of a (multi-)controlled single-qubit gate, memoized in
 /// the package's operator cache: repeated gates — ubiquitous in supremacy
@@ -184,6 +260,30 @@ pub fn apply_circuit(
     state: StateDd,
     circuit: &Circuit,
 ) -> Result<StateDd, ApplyError> {
+    apply_circuit_until(package, state, circuit, Until::End).map(|(state, _)| state)
+}
+
+/// [`apply_circuit`] with a stop rule: applies the operations of `circuit`
+/// in order until `until` says stop, and returns the state together with
+/// the number of operations applied (`circuit.len()` unless the rule
+/// stopped the loop early).  The caller finishes the remaining operations
+/// on another engine.
+///
+/// With [`Until::Incompressible`] the loop counts live nodes after each
+/// gate, but walks the diagram only when a cheap bound — the last walked
+/// count plus the nodes allocated since — passes the limit; the garbage
+/// collector's own walk is shared, and its schedule is the same under
+/// either rule.
+///
+/// # Errors
+///
+/// As [`apply_circuit`].
+pub fn apply_circuit_until(
+    package: &mut DdPackage,
+    state: StateDd,
+    circuit: &Circuit,
+    until: Until,
+) -> Result<(StateDd, usize), ApplyError> {
     circuit.validate()?;
     if let Some(op_index) = circuit
         .iter()
@@ -191,6 +291,9 @@ pub fn apply_circuit(
     {
         return Err(ApplyError::NonUnitaryOperation { op_index });
     }
+    let node_limit = until.node_limit(state.num_qubits());
+    let mut last_walk = LastWalk::NONE;
+    let mut gates_above_limit = 0;
     let mut current = state;
     for (op_index, op) in circuit.iter().enumerate() {
         current = match apply_operation(package, current, op) {
@@ -203,20 +306,43 @@ pub fn apply_circuit(
                 let roots = package.collect_garbage(&[current.root()]);
                 let retry_state = StateDd::from_root(roots[0], current.num_qubits());
                 package.shrink_compute_caches();
+                last_walk = LastWalk::NONE;
                 apply_operation(package, retry_state, op)
                     .map_err(|e| ApplyError::Dd(e.with_op_index(op_index)))?
             }
             Err(e) => return Err(ApplyError::Dd(e.with_op_index(op_index))),
         };
-        if package.allocated_vector_nodes() > GC_NODE_THRESHOLD {
+        let allocated = package.allocated_vector_nodes();
+        let gc_due = allocated > GC_NODE_THRESHOLD;
+        let limit_in_reach =
+            node_limit.is_some_and(|limit| last_walk.live_bound(allocated) > limit);
+        let mut live = None;
+        if gc_due || limit_in_reach {
             let reachable = current.node_count(package);
-            if package.allocated_vector_nodes() > 4 * reachable {
+            last_walk = LastWalk {
+                live: reachable,
+                allocated,
+            };
+            if gc_due && allocated > 4 * reachable {
                 let roots = package.collect_garbage(&[current.root()]);
                 current = StateDd::from_root(roots[0], current.num_qubits());
+                last_walk.allocated = package.allocated_vector_nodes();
+            }
+            live = Some(reachable);
+        }
+        if let Some(limit) = node_limit {
+            gates_above_limit = if live.is_some_and(|live| live > limit) {
+                gates_above_limit + 1
+            } else {
+                0
+            };
+            let applied = op_index + 1;
+            if gates_above_limit >= INCOMPRESSIBLE_GATES && applied < circuit.len() {
+                return Ok((current, applied));
             }
         }
     }
-    Ok(current)
+    Ok((current, circuit.len()))
 }
 
 /// Strong-simulates `circuit` from `|0...0>` into a state decision diagram.
@@ -438,6 +564,79 @@ mod tests {
         for i in 0..8 {
             assert!((s.probability(&p, i) - 0.125).abs() < EPS, "index {i}");
         }
+    }
+
+    /// `H` on every qubit, then layers of `T`, `Rx` and a CX chain: the
+    /// diagram grows to all `2^n - 1` nodes.
+    fn scrambled(n: u16, layers: u16) -> Circuit {
+        let mut c = Circuit::new(n);
+        for q in 0..n {
+            c.h(Qubit(q));
+        }
+        for layer in 0..layers {
+            for q in 0..n {
+                let angle = 0.3 + 0.17 * f64::from(q) + 0.05 * f64::from(layer);
+                c.t(Qubit(q)).rx(Angle::Radians(angle), Qubit(q));
+            }
+            for q in 0..n - 1 {
+                c.cx(Qubit(q), Qubit(q + 1));
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn incompressible_builds_stop_and_resume_exactly() {
+        let c = scrambled(10, 2);
+        let mut p = DdPackage::new();
+        let zero = StateDd::zero_state(&mut p, 10).unwrap();
+        let (stopped, applied) =
+            apply_circuit_until(&mut p, zero, &c, Until::Incompressible).unwrap();
+        assert!(applied < c.len(), "stopped after {applied} of {}", c.len());
+        assert!(stopped.node_count(&p) > INCOMPRESSIBLE_FLOOR);
+        // The stop point depends on the circuit alone.
+        let mut q = DdPackage::new();
+        let zero = StateDd::zero_state(&mut q, 10).unwrap();
+        let again = apply_circuit_until(&mut q, zero, &c, Until::Incompressible).unwrap();
+        assert_eq!(again.1, applied);
+
+        // Finishing the rest reaches the state of one uninterrupted run.
+        let mut tail = Circuit::new(10);
+        for op in &c.operations()[applied..] {
+            tail.push(op.clone());
+        }
+        let resumed = apply_circuit(&mut p, stopped, &tail).unwrap();
+        let mut whole = DdPackage::new();
+        let full = simulate(&mut whole, &c).unwrap();
+        assert_state(&p, &resumed, &full.to_amplitudes(&whole));
+    }
+
+    #[test]
+    fn compressing_and_small_diagrams_run_to_the_end() {
+        // An 8-qubit diagram has at most 255 nodes, under the floor.
+        let small = scrambled(8, 3);
+        // GHZ stays at two nodes per qubit however wide it is.
+        let ghz = {
+            let mut c = Circuit::new(16);
+            c.h(Qubit(0));
+            for q in 1..16 {
+                c.cx(Qubit(q - 1), Qubit(q));
+            }
+            c
+        };
+        for c in [small, ghz] {
+            let mut p = DdPackage::new();
+            let zero = StateDd::zero_state(&mut p, c.num_qubits()).unwrap();
+            let (_, applied) =
+                apply_circuit_until(&mut p, zero, &c, Until::Incompressible).unwrap();
+            assert_eq!(applied, c.len());
+        }
+        let c = scrambled(10, 2);
+        let mut p = DdPackage::new();
+        let zero = StateDd::zero_state(&mut p, 10).unwrap();
+        let (state, applied) = apply_circuit_until(&mut p, zero, &c, Until::End).unwrap();
+        assert_eq!(applied, c.len());
+        assert_eq!(state.node_count(&p), 1023);
     }
 
     #[test]

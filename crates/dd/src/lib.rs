@@ -22,6 +22,9 @@
 //! * [`apply_circuit`]/[`simulate`] — strong simulation of a
 //!   [`circuit::Circuit`] into a [`StateDd`], with gate-DD memoization
 //!   keyed on (gate, target/control layout) in the package;
+//!   [`apply_circuit_until`] is the same loop with a stop rule
+//!   ([`Until::Incompressible`]) for callers that finish a diagram which
+//!   stopped compressing on a dense vector;
 //! * [`CompiledSampler`] — the production sampling hot path: the paper's
 //!   single-path weak simulation compiled into a flat arena for several-fold
 //!   higher shot throughput, plus deterministic parallel shot batching
@@ -126,7 +129,7 @@ mod package;
 mod sample;
 mod vector;
 
-pub use apply::{apply_circuit, apply_operation, simulate, ApplyError};
+pub use apply::{apply_circuit, apply_circuit_until, apply_operation, simulate, ApplyError, Until};
 pub use compiled::{chunk_stream_seed, CompiledSampler, PARALLEL_CHUNK_SHOTS};
 pub use edge::{MatrixEdge, MatrixNodeId, VectorEdge, VectorNodeId, WeightId};
 pub use export::to_dot;

@@ -5,6 +5,9 @@ use crate::govern::DdError;
 use crate::DdPackage;
 use mathkit::{Complex, KahanSum};
 
+/// The widest state [`StateDd::to_amplitudes`] materialises.
+pub(crate) const MAX_AMPLITUDE_QUBITS: u16 = 30;
+
 /// A quantum state represented as an edge-weighted decision diagram.
 ///
 /// A `StateDd` is a lightweight handle (root edge + qubit count) into a
@@ -169,7 +172,8 @@ impl StateDd {
     }
 
     /// Materialises the full amplitude vector (exponential in the qubit
-    /// count; intended for tests and small examples).
+    /// count; used by tests, small examples and the dense handoff of
+    /// [`Until::Incompressible`](crate::Until::Incompressible)).
     ///
     /// # Panics
     ///
@@ -178,7 +182,7 @@ impl StateDd {
     #[must_use]
     pub fn to_amplitudes(&self, package: &DdPackage) -> Vec<Complex> {
         assert!(
-            self.num_qubits <= 30,
+            self.num_qubits <= MAX_AMPLITUDE_QUBITS,
             "refusing to materialise a {}-qubit state vector",
             self.num_qubits
         );

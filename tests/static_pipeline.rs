@@ -2,9 +2,10 @@
 //! through `WeakSimulator::run`, or through `ServiceBroker::serve` as a
 //! miss, a hit, or a hit on a snapshot-restored broker — goes route plan →
 //! artifact → `SimArtifact::sample`, so every way in must return the same
-//! histogram and the same route for a seed.  Also checks the tableau's
-//! trajectory runner against the decision-diagram trajectory engine,
-//! noiseless and under Pauli noise.
+//! histogram and the same route for a seed — including a decision-diagram
+//! build that the router hands to the dense engine partway through.  Also
+//! checks the tableau's trajectory runner against the decision-diagram
+//! trajectory engine, noiseless and under Pauli noise.
 
 use circuit::{Circuit, NoiseModel, Qubit};
 use std::path::PathBuf;
@@ -61,15 +62,42 @@ fn circuits() -> Vec<(Circuit, Via)> {
         (swapped, Via::Tableau),
         (x_prefix_t, Via::Dense),
         (clifford_mix(), Via::Tableau),
+        (scrambled(), Via::Handoff),
     ]
 }
 
-/// How the Clifford router runs a table circuit: entirely on the tableau,
-/// or entirely on the dense backend.
+/// A 10-qubit circuit whose decision diagram stops compressing (it ends
+/// at all 1023 nodes of a 10-qubit diagram): `H` on every qubit, then two
+/// layers of `T`, `Rx` and a CX chain, read out through a terminal
+/// measurement of four qubits.
+fn scrambled() -> Circuit {
+    let mut c = Circuit::with_name(10, "scrambled");
+    for q in 0..10 {
+        c.h(Qubit(q));
+    }
+    for layer in 0..2 {
+        for q in 0..10 {
+            let angle = 0.3 + 0.17 * f64::from(q) + 0.05 * f64::from(layer);
+            c.t(Qubit(q)).rx(mathkit::Angle::Radians(angle), Qubit(q));
+        }
+        for q in 0..9 {
+            c.cx(Qubit(q), Qubit(q + 1));
+        }
+    }
+    for (cbit, q) in [7, 2, 9, 0].into_iter().enumerate() {
+        c.measure(Qubit(q), cbit as u16);
+    }
+    c
+}
+
+/// How the router runs a table circuit: entirely on the tableau, entirely
+/// on the dense backend, or — on the decision-diagram backend — on a
+/// diagram that hands its state to a state vector partway through.
 #[derive(Clone, Copy)]
 enum Via {
     Tableau,
     Dense,
+    Handoff,
 }
 
 /// Serves one request every way in, checks that each returns the uncached
@@ -87,6 +115,17 @@ fn assert_front_doors_agree(sim: &WeakSimulator, circuit: &Circuit) -> ShotHisto
     let served = broker.serve(sim, circuit, SHOTS, SEED).unwrap();
     assert_eq!(served.cache, Some(CacheOutcome::Miss), "{label}");
     check("broker miss", &served.histogram, &served.route);
+    if served
+        .route
+        .segments
+        .last()
+        .is_some_and(|s| s.engine == EngineKind::StateVector)
+    {
+        // A dense artifact, built whole or handed off, is charged its
+        // prefix sums: one `f64` per amplitude.
+        let prefix_bytes = 8u64 << circuit.num_qubits();
+        assert!(broker.cache().stats().bytes >= prefix_bytes, "{label}");
+    }
     let hit = broker.serve(sim, circuit, SHOTS, SEED).unwrap();
     assert_eq!(hit.cache, Some(CacheOutcome::Hit), "{label}");
     check("broker hit", &hit.histogram, &hit.route);
@@ -119,11 +158,16 @@ fn every_front_door_serves_the_uncached_histogram_and_route() {
                 let route = sim.clone().run(&circuit, 10, 0).unwrap().route;
                 let engines: Vec<_> = route.segments.iter().map(|s| s.engine).collect();
                 let dense = EngineKind::from(backend);
-                let expected = match (router, via) {
-                    (true, Via::Tableau) => vec![EngineKind::Tableau],
-                    (false, _) | (true, Via::Dense) => vec![dense],
+                let expected = match (router, via, backend) {
+                    (true, Via::Tableau, _) => vec![EngineKind::Tableau],
+                    (true, Via::Handoff, Backend::DecisionDiagram) => {
+                        vec![EngineKind::DecisionDiagram, EngineKind::StateVector]
+                    }
+                    (false, ..) | (true, Via::Dense | Via::Handoff, _) => vec![dense],
                 };
                 assert_eq!(engines, expected, "{} on {backend}", circuit.name());
+                let ops: usize = route.segments.iter().map(|s| s.ops).sum();
+                assert_eq!(ops, circuit.len(), "{} on {backend}", circuit.name());
             }
             if matches!(via, Via::Dense) {
                 assert_eq!(
