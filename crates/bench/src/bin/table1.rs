@@ -33,13 +33,13 @@ use std::process::ExitCode;
 use std::time::Duration;
 use weaksim::experiment::{format_table, run_table1_row, table1_benchmarks, BenchmarkScale};
 use weaksim::stats::chi_square_test;
-use weaksim::{Backend, RunGovernor, WeakSimulator};
+use weaksim::{Backend, Governor, WeakSimulator};
 
 struct Options {
     scale: BenchmarkScale,
     shots: u64,
     budget: MemoryBudget,
-    dd_governor: RunGovernor,
+    dd_governor: Governor,
     validate: bool,
 }
 
@@ -61,7 +61,7 @@ fn parse_options(mut args: impl Iterator<Item = String>) -> Result<Options, Stri
         scale: BenchmarkScale::Reduced,
         shots: 1_000_000,
         budget: MemoryBudget::from_gib(32),
-        dd_governor: RunGovernor::unlimited(),
+        dd_governor: Governor::unlimited(),
         validate: false,
     };
     while let Some(arg) = args.next() {

@@ -19,7 +19,6 @@
 //! [`SimArtifact::sample`]: crate::SimArtifact::sample
 
 use crate::artifact::{Prepared, PreparedSampler};
-use crate::govern::RunGovernor;
 use crate::router::EngineKind;
 use crate::simulator::{RunError, StrongState, WeakSimulator};
 use crate::trajectory::{DdRunner, Event, SvRunner, TableauRunner, TrajectoryPlan};
@@ -137,10 +136,7 @@ pub(crate) struct TableauEngine;
 impl DdEngine {
     /// Strong-simulates `circuit` into a fresh package armed with
     /// `governor`.
-    pub(crate) fn strong(
-        circuit: &Circuit,
-        governor: &RunGovernor,
-    ) -> Result<StrongState, RunError> {
+    pub(crate) fn strong(circuit: &Circuit, governor: &Governor) -> Result<StrongState, RunError> {
         let (package, state, _) = Self::build(circuit, governor, Until::End)?;
         Ok(StrongState::DecisionDiagram { package, state })
     }
@@ -150,7 +146,7 @@ impl DdEngine {
     /// returns the package, the state and the number of operations applied.
     fn build(
         circuit: &Circuit,
-        governor: &RunGovernor,
+        governor: &Governor,
         until: Until,
     ) -> Result<(Box<DdPackage>, StateDd, usize), RunError> {
         // Decision diagrams grow with the state's structure, not with 2^n,
@@ -165,11 +161,52 @@ impl DdEngine {
 }
 
 impl SvEngine {
-    /// Strong-simulates `circuit` into a dense vector within `budget`.
-    pub(crate) fn strong(circuit: &Circuit, budget: MemoryBudget) -> Result<StrongState, RunError> {
-        let state = statevector::simulate_with_budget(circuit, budget)?;
-        Ok(StrongState::StateVector(state))
+    /// Strong-simulates `circuit` into a dense vector within `budget`,
+    /// under `governor`'s deadline and cancellation token.
+    pub(crate) fn strong(
+        circuit: &Circuit,
+        budget: MemoryBudget,
+        governor: &Governor,
+    ) -> Result<StrongState, RunError> {
+        circuit.validate().map_err(RunError::InvalidCircuit)?;
+        if let Some(op_index) = circuit
+            .iter()
+            .position(|op| op.is_non_unitary() || op.is_conditioned())
+        {
+            return Err(RunError::DynamicCircuit { op_index });
+        }
+        let num_qubits = circuit.num_qubits();
+        let required_bytes = MemoryBudget::state_vector_bytes(num_qubits);
+        if !budget.allows(required_bytes) {
+            return Err(RunError::MemoryOut {
+                num_qubits,
+                required_bytes,
+            });
+        }
+        let mut vector = StateVector::zero_state(num_qubits);
+        apply_dense(&mut vector, circuit, 0, &governor.arm())?;
+        Ok(StrongState::StateVector(vector))
     }
+}
+
+/// The one dense construction loop: applies the operations of the
+/// validated, unitary `circuit` from `start` on to `vector`, probing the
+/// armed `governor`'s deadline and cancellation token before each.  Its
+/// node/byte budgets bound diagrams only; the memory budget admitted the
+/// vector.
+fn apply_dense(
+    vector: &mut StateVector,
+    circuit: &Circuit,
+    start: usize,
+    governor: &Governor,
+) -> Result<(), RunError> {
+    for (op_index, op) in circuit.iter().enumerate().skip(start) {
+        governor
+            .check_now()
+            .map_err(|e| RunError::from(e.with_op_index(op_index)))?;
+        statevector::apply_operation(vector, op);
+    }
+    Ok(())
 }
 
 /// The sampler-compilation half of both dense engines' `prepare`: compiles
@@ -224,15 +261,7 @@ impl Engine for DdEngine {
         let governor = package.governor().clone();
         let mut vector = StateVector::from_amplitudes(state.to_amplitudes(&package));
         drop(package);
-        for (op_index, op) in circuit.iter().enumerate().skip(applied) {
-            // The deadline and the cancellation token still hold; the
-            // node/byte budgets bounded the diagram, the memory budget
-            // admitted the vector.
-            governor
-                .check_now()
-                .map_err(|e| RunError::from(e.with_op_index(op_index)))?;
-            statevector::apply_operation(&mut vector, op);
-        }
+        apply_dense(&mut vector, circuit, applied, &governor)?;
         let mut prepared = compile_dense(StrongState::StateVector(vector), strong_start.elapsed())?;
         prepared.dd_stats = Some(dd_stats);
         prepared.handoff = Some(applied);
@@ -259,7 +288,7 @@ impl Engine for DdEngine {
 impl Engine for SvEngine {
     fn prepare(&self, circuit: &Circuit, sim: &WeakSimulator) -> Result<Prepared, RunError> {
         let strong_start = Instant::now();
-        let state = Self::strong(circuit, sim.memory_budget())?;
+        let state = Self::strong(circuit, sim.memory_budget(), sim.governor())?;
         compile_dense(state, strong_start.elapsed())
     }
 
@@ -339,15 +368,15 @@ mod tests {
     fn dd_engine_ignores_the_dense_memory_budget() {
         let circuit = algorithms::ghz(12);
         let tight = MemoryBudget::from_bytes(64);
-        let governor = RunGovernor::unlimited();
+        let governor = Governor::unlimited();
         let dd = DdEngine::strong(&circuit, &governor).unwrap();
         assert_eq!(dd.backend(), Backend::DecisionDiagram);
         assert!(matches!(
-            SvEngine::strong(&circuit, tight),
+            SvEngine::strong(&circuit, tight, &governor),
             Err(RunError::MemoryOut { .. })
         ));
         assert_eq!(
-            SvEngine::strong(&circuit, MemoryBudget::unlimited())
+            SvEngine::strong(&circuit, MemoryBudget::unlimited(), &governor)
                 .unwrap()
                 .backend(),
             Backend::StateVector

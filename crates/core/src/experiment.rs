@@ -8,7 +8,7 @@
 //! [`run_table1_row`] measures one row, and [`format_table`] renders the
 //! result in the layout of the paper.
 
-use crate::{Backend, RunError, RunGovernor, WeakSimulator};
+use crate::{Backend, Governor, RunError, WeakSimulator};
 use circuit::Circuit;
 use statevector::MemoryBudget;
 use std::fmt::Write as _;
@@ -190,7 +190,7 @@ pub fn run_table1_row(
     instance: &BenchmarkInstance,
     shots: u64,
     budget: MemoryBudget,
-    dd_governor: &RunGovernor,
+    dd_governor: &Governor,
     seed: u64,
 ) -> Result<Table1Row, RunError> {
     let qubits = instance.circuit.num_qubits();
@@ -362,7 +362,7 @@ mod tests {
             &instance,
             2_000,
             MemoryBudget::unlimited(),
-            &RunGovernor::unlimited(),
+            &Governor::unlimited(),
             1,
         )
         .expect("row runs");
@@ -386,7 +386,7 @@ mod tests {
             &instance,
             100,
             MemoryBudget::from_bytes(64),
-            &RunGovernor::unlimited(),
+            &Governor::unlimited(),
             1,
         )
         .expect("row");
@@ -402,7 +402,7 @@ mod tests {
             name: "qft_12".into(),
             circuit: algorithms::qft(12, true),
         };
-        let governor = RunGovernor::unlimited().with_node_budget(4);
+        let governor = Governor::unlimited().with_node_budget(4);
         let row = run_table1_row(&instance, 100, MemoryBudget::unlimited(), &governor, 1)
             .expect("governed abort becomes row data, not an error");
         assert!(row.dd_size.is_none());
@@ -426,7 +426,7 @@ mod tests {
             &instance,
             100,
             MemoryBudget::unlimited(),
-            &RunGovernor::unlimited(),
+            &Governor::unlimited(),
             0,
         )
         .unwrap();

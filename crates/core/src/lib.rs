@@ -29,12 +29,12 @@
 //!   bounded, fingerprint-keyed store ([`circuit::Circuit::fingerprint`])
 //!   that lets the [`ServiceBroker`] serve warm requests without
 //!   re-simulating — same seed, bit-identical histogram;
-//! * [`govern`] — run governance: attach a [`RunGovernor`] (node/byte
-//!   budgets, a per-run timeout, a shareable [`dd::CancelToken`]) with
-//!   [`WeakSimulator::with_governor`].  Static runs that hit a limit fail
-//!   with a typed [`RunError`]; interrupted trajectory runs degrade
-//!   gracefully, returning the completed shots plus an
-//!   [`Interruption`] reason;
+//! * [`govern`] — run governance: attach a [`Governor`] (node/byte
+//!   budgets, a per-run timeout, a shareable [`CancelToken`]) with
+//!   [`WeakSimulator::with_governor`]; each run arms it afresh.  Static
+//!   runs that hit a limit fail with a typed [`RunError`]; interrupted
+//!   trajectory runs degrade gracefully, returning the completed shots plus
+//!   an [`Interruption`] reason;
 //! * [`service`] — the multi-threaded request broker around an
 //!   [`ArtifactCache`]: [`ServiceBroker`] coalesces concurrent
 //!   same-fingerprint cold builds single-flight, applies admission control
@@ -122,8 +122,8 @@ pub mod stats;
 pub mod trajectory;
 
 pub use artifact::{ArtifactCache, CacheOutcome, CacheStats, PreparedSampler, SimArtifact};
-pub use dd::{CancelToken, DdError};
-pub use govern::{Interruption, RunGovernor};
+pub use dd::{CancelToken, DdError, Governor};
+pub use govern::Interruption;
 pub use router::{EngineKind, RouteSegment, RunRoute};
 pub use service::{
     RetryPolicy, ServiceBroker, ServiceConfig, ServiceStats, SnapshotLoadReport,

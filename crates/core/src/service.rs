@@ -22,7 +22,7 @@
 //!   bounded, deadline-aware queue.  A request that cannot be admitted —
 //!   queue full, or the estimated wait (moving average of recent build
 //!   times) exceeds the simulator governor's
-//!   [`timeout`](crate::RunGovernor::timeout) — is shed *immediately* with
+//!   [`timeout`](crate::Governor::timeout) — is shed *immediately* with
 //!   [`RunError::Overloaded`] instead of timing out after consuming
 //!   resources.  Warm cache hits always bypass the queue.
 //! * **Crash-safe persistence** — [`ServiceBroker::write_snapshot`] writes
@@ -102,7 +102,7 @@ const DEFAULT_BUILD_ESTIMATE_SECS: f64 = 1.0;
 /// failures inside a build slot, applied before the slot is poisoned.
 ///
 /// Retrying a deadline failure is meaningful because every attempt re-arms
-/// the simulator's [`RunGovernor`](crate::RunGovernor) with the *full*
+/// the simulator's [`Governor`](crate::Governor) with the *full*
 /// timeout; permanent failures (memory-out, cancellation, invalid input)
 /// are never retried.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

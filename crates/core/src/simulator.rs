@@ -25,11 +25,11 @@
 
 use crate::artifact::{CacheOutcome, SimArtifact};
 use crate::backend::{DdEngine, SvEngine};
-use crate::govern::{Interruption, RunGovernor};
+use crate::govern::Interruption;
 use crate::router::{route_plan, RunRoute};
 use crate::ShotHistogram;
 use circuit::{Circuit, NoiseModel, Qubit};
-use dd::{DdError, DdPackage, DdStats, StateDd};
+use dd::{DdError, DdPackage, DdStats, Governor, StateDd};
 use mathkit::hash_mix;
 use statevector::{MemoryBudget, StateVector};
 use std::borrow::Cow;
@@ -180,25 +180,6 @@ impl From<DdError> for RunError {
             | DdError::ConditionedOperation { op_index, .. } => RunError::DynamicCircuit {
                 op_index: op_index.unwrap_or(0),
             },
-        }
-    }
-}
-
-impl From<statevector::SimulateError> for RunError {
-    fn from(e: statevector::SimulateError) -> Self {
-        match e {
-            statevector::SimulateError::InvalidCircuit(e) => RunError::InvalidCircuit(e),
-            statevector::SimulateError::MemoryOut {
-                num_qubits,
-                required_bytes,
-                ..
-            } => RunError::MemoryOut {
-                num_qubits,
-                required_bytes,
-            },
-            statevector::SimulateError::NonUnitaryOperation { op_index } => {
-                RunError::DynamicCircuit { op_index }
-            }
         }
     }
 }
@@ -386,7 +367,7 @@ pub struct WeakSimulator {
     backend: Backend,
     memory_budget: MemoryBudget,
     noise: Option<NoiseModel>,
-    governor: RunGovernor,
+    governor: Governor,
     threads: Option<usize>,
     clifford_router: bool,
 }
@@ -400,7 +381,7 @@ impl WeakSimulator {
             backend,
             memory_budget: MemoryBudget::unlimited(),
             noise: None,
-            governor: RunGovernor::unlimited(),
+            governor: Governor::unlimited(),
             threads: None,
             clifford_router: false,
         }
@@ -429,7 +410,7 @@ impl WeakSimulator {
     /// Restricts the dense-vector backend to the given memory budget.
     /// Decision diagrams grow with the state's structure, not with `2^n`, so
     /// this up-front check never applies to them; to bound *their* memory
-    /// use a [`RunGovernor`] node/byte budget instead
+    /// use a [`Governor`] node/byte budget instead
     /// (see [`with_governor`](Self::with_governor)).  Under the
     /// [router](Self::with_clifford_router), a decision-diagram build
     /// hands off to a state vector only when the amplitudes plus their
@@ -440,22 +421,24 @@ impl WeakSimulator {
         self
     }
 
-    /// Attaches a [`RunGovernor`]: every subsequent run (and
-    /// [`strong`](Self::strong) call) is armed with its node/byte budgets,
-    /// gets the full timeout from the moment it starts, and honours the
-    /// attached cancellation token.  Static runs that hit a limit fail with
-    /// [`RunError::DdMemoryOut`] / [`RunError::Deadline`] /
+    /// Attaches a [`Governor`]: every subsequent run (and
+    /// [`strong`](Self::strong) call) [arms](Governor::arm) it, so it runs
+    /// under its node/byte budgets, gets the full timeout from the moment it
+    /// starts (unless the governor was attached already armed, whose
+    /// deadline every run then shares), and honours the attached
+    /// cancellation token on both backends.  Static runs that hit a limit
+    /// fail with [`RunError::DdMemoryOut`] / [`RunError::Deadline`] /
     /// [`RunError::Cancelled`]; interrupted *trajectory* runs instead return
     /// the completed shots with [`RunOutcome::interruption`] set.
     #[must_use]
-    pub fn with_governor(mut self, governor: RunGovernor) -> Self {
+    pub fn with_governor(mut self, governor: Governor) -> Self {
         self.governor = governor;
         self
     }
 
-    /// The attached run governor specification.
+    /// The attached governor, as configured (each run arms a clone).
     #[must_use]
-    pub fn governor(&self) -> &RunGovernor {
+    pub fn governor(&self) -> &Governor {
         &self.governor
     }
 
@@ -523,13 +506,14 @@ impl WeakSimulator {
     /// [`RunError::MemoryOut`] when the dense backend exceeds its budget and
     /// [`RunError::DynamicCircuit`] for circuits containing mid-circuit
     /// measurement or reset (their final state is trajectory-dependent).
-    /// Under a limited [governor](Self::with_governor), the decision-diagram
-    /// backend can additionally fail with [`RunError::DdMemoryOut`],
-    /// [`RunError::Deadline`] or [`RunError::Cancelled`].
+    /// Under a limited [governor](Self::with_governor), either backend can
+    /// additionally fail with [`RunError::Deadline`] or
+    /// [`RunError::Cancelled`], and the decision-diagram backend with
+    /// [`RunError::DdMemoryOut`].
     pub fn strong(&self, circuit: &Circuit) -> Result<StrongState, RunError> {
         match self.backend {
             Backend::DecisionDiagram => DdEngine::strong(circuit, &self.governor),
-            Backend::StateVector => SvEngine::strong(circuit, self.memory_budget),
+            Backend::StateVector => SvEngine::strong(circuit, self.memory_budget, &self.governor),
         }
     }
 

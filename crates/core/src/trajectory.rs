@@ -104,13 +104,13 @@
 //!
 //! # Governance and interruption
 //!
-//! Runs launched through [`WeakSimulator`] with a limited
-//! [`RunGovernor`](crate::RunGovernor) are governed end to end: every
-//! worker package checks its node/byte budget at allocation sites and
-//! the deadline/token at amortized checkpoints, and every worker —
-//! including the statevector and tableau runners, whose per-shot
-//! arithmetic is otherwise ungoverned — probes the deadline and the
-//! cancellation token at chunk boundaries.  An interrupted run is *not* an
+//! Runs launched through [`WeakSimulator`] with a limited [`Governor`] are
+//! governed end to end.  The run arms it once and hands every worker a
+//! clone with the same deadline.  Every worker package checks its node/byte
+//! budget at allocation sites and the deadline/token at amortized
+//! checkpoints, and every worker — including the statevector and tableau
+//! runners, whose per-shot arithmetic is otherwise ungoverned — probes the
+//! deadline and the cancellation token at chunk boundaries.  An interrupted run is *not* an
 //! error: the merged histogram keeps every completed shot and
 //! [`RunOutcome::interruption`] carries the typed reason, so callers
 //! can distinguish "finished", "out of budget after N shots" and

@@ -245,7 +245,9 @@ pub fn apply_operation(
 /// the current state), shrinks the compute caches back to their minimum
 /// footprint and retries the gate once.  Only persistent pressure surfaces
 /// as [`DdError::MemoryOut`], stamped with the index of the operation that
-/// could not complete.
+/// could not complete.  The governor's deadline and token are probed once
+/// before the first gate (a failure there is stamped op 0) and at its
+/// amortized checkpoints after that.
 ///
 /// # Errors
 ///
@@ -291,6 +293,12 @@ pub fn apply_circuit_until(
     {
         return Err(ApplyError::NonUnitaryOperation { op_index });
     }
+    // A deadline or token that has already fired stops the build before its
+    // first gate: a small build may never reach an amortized probe.
+    package
+        .governor()
+        .check_now()
+        .map_err(|e| ApplyError::Dd(e.with_op_index(0)))?;
     let node_limit = until.node_limit(state.num_qubits());
     let mut last_walk = LastWalk::NONE;
     let mut gates_above_limit = 0;

@@ -14,8 +14,15 @@
 //!   matrix nodes combined),
 //! * a **byte budget** — an approximate upper bound on package memory
 //!   (arenas, unique tables and compute caches),
-//! * a **deadline** — a wall-clock [`Instant`] after which work must stop,
+//! * a **timeout** — the wall-clock time a run may take, counted from
+//!   [`Governor::arm`], which turns it into a deadline,
 //! * a **cancellation token** — a shareable flag another thread may set.
+//!
+//! A governor is configured once and armed per run: [`Governor::arm`]
+//! returns a clone whose deadline clock starts at that moment, so a
+//! simulator reused across runs gives each one the full timeout, while the
+//! clones of one armed governor (one per trajectory worker) share its
+//! deadline.
 //!
 //! Long-running loops call [`Governor::checkpoint`] once per unit of work
 //! (one make-node call, one compiled-arena BFS step, one trajectory event).
@@ -25,17 +32,17 @@
 //!   branch on a cached `active` flag — construction throughput stays within
 //!   noise of an ungoverned build;
 //! * a limited governor bumps a relaxed atomic counter and only consults the
-//!   clock / the token every [`check_interval`](Governor::with_check_interval)
-//!   calls (default [`DEFAULT_CHECK_INTERVAL`]).  Budget arithmetic itself is
-//!   two integer compares and runs on every *miss* of the unique table — the
+//!   clock / the token every 4096 calls.  Budget arithmetic itself is two
+//!   integer compares and runs on every *miss* of the unique table — the
 //!   only place the arena can actually grow.
 //!
-//! The **sizing knob**: `check_interval` trades detection latency against
-//! overhead.  At the default of 4096, a build that allocates ~1M nodes/s
-//! consults the clock ~250 times per second, so a deadline or cancellation
-//! is honoured within a few milliseconds while the per-node cost stays at a
-//! counter increment.  Raise it for micro-benchmarks, lower it if you need
-//! sub-millisecond cancellation latency on slow allocation rates.
+//! The interval of 4096 trades detection latency against overhead: a build
+//! that allocates ~1M nodes/s consults the clock ~250 times per second, so
+//! a deadline or cancellation is honoured within a few milliseconds while
+//! the per-node cost stays at a counter increment.  Phase boundaries that
+//! are not node allocations — before a circuit's first gate, between the
+//! gates of a dense build, at trajectory chunk ends — call
+//! [`Governor::check_now`] instead, which probes at once.
 //!
 //! # Failure surface and degradation
 //!
@@ -64,10 +71,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Default number of [`Governor::checkpoint`] calls between deadline /
-/// cancellation probes (the amortized-check sizing knob; see the
-/// [module docs](self)).
-pub const DEFAULT_CHECK_INTERVAL: u64 = 4096;
+/// Number of [`Governor::checkpoint`] calls between deadline / cancellation
+/// probes (see the [module docs](self) for why 4096).
+const CHECK_INTERVAL: u64 = 4096;
 
 /// A typed failure of governed decision-diagram work.
 ///
@@ -274,13 +280,14 @@ pub struct FaultPlan {
     pub kind: InjectedFault,
 }
 
-/// Budgets, deadline and cancellation for decision-diagram work, checked at
+/// Budgets, timeout and cancellation for decision-diagram work, checked at
 /// amortized cost inside the package hot paths (see the [module
 /// docs](self)).
 ///
 /// The default governor is [`unlimited`](Governor::unlimited): every check
 /// short-circuits on a single branch, so ungoverned workloads pay nothing.
-/// Limits are added builder-style:
+/// Limits are added builder-style, and [`arm`](Governor::arm) starts the
+/// timeout's clock when a run begins:
 ///
 /// ```
 /// use dd::{CancelToken, Governor};
@@ -291,6 +298,10 @@ pub struct FaultPlan {
 ///     .with_node_budget(1_000_000)
 ///     .with_timeout(Duration::from_secs(60))
 ///     .with_cancel_token(token.clone());
+/// let run = governor.arm();
+/// assert!(run.check_now().is_ok());
+/// token.cancel();
+/// assert!(run.check_now().is_err());
 /// ```
 ///
 /// Cloning a governor shares the deadline and the cancellation token but
@@ -300,13 +311,14 @@ pub struct FaultPlan {
 pub struct Governor {
     node_budget: Option<u64>,
     byte_budget: Option<u64>,
+    timeout: Option<Duration>,
+    /// Set from `timeout` by [`arm`](Governor::arm).
     deadline: Option<Instant>,
     cancel: Option<CancelToken>,
-    check_interval: u64,
     /// Checkpoints counted so far.  [`Clone`] starts a fresh counter
     /// (independent amortization per trajectory worker).
     counter: AtomicU64,
-    /// Cached `any limit configured` flag: the unlimited fast path.
+    /// Cached `any limit in force` flag: the unlimited fast path.
     active: bool,
     #[cfg(feature = "fault-inject")]
     fault: Option<FaultPlan>,
@@ -323,9 +335,9 @@ impl Clone for Governor {
         Self {
             node_budget: self.node_budget,
             byte_budget: self.byte_budget,
+            timeout: self.timeout,
             deadline: self.deadline,
             cancel: self.cancel.clone(),
-            check_interval: self.check_interval,
             counter: AtomicU64::new(0),
             active: self.active,
             #[cfg(feature = "fault-inject")]
@@ -341,9 +353,9 @@ impl Governor {
         Self {
             node_budget: None,
             byte_budget: None,
+            timeout: None,
             deadline: None,
             cancel: None,
-            check_interval: DEFAULT_CHECK_INTERVAL,
             counter: AtomicU64::new(0),
             active: false,
             #[cfg(feature = "fault-inject")]
@@ -367,37 +379,21 @@ impl Governor {
         self
     }
 
-    /// Sets an absolute wall-clock deadline.
-    #[must_use]
-    pub fn with_deadline_at(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self.refresh_active();
-        self
-    }
-
-    /// Sets the deadline `timeout` from now; a timeout too large for
-    /// [`Instant`] to represent clears the deadline instead.
+    /// Limits a run to `timeout` of wall-clock time, counted from
+    /// [`arm`](Governor::arm).
     #[must_use]
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.deadline = Instant::now().checked_add(timeout);
-        self.refresh_active();
+        self.timeout = Some(timeout);
         self
     }
 
-    /// Attaches a cooperative cancellation token.
+    /// Attaches a cooperative cancellation token.  Keep a clone and call
+    /// [`CancelToken::cancel`] from any thread to interrupt the run at its
+    /// next check.
     #[must_use]
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self.refresh_active();
-        self
-    }
-
-    /// Sets the amortized-check interval: deadline and cancellation are
-    /// probed every `interval` checkpoints (clamped to at least 1).  See the
-    /// [module docs](self) for how to size it.
-    #[must_use]
-    pub fn with_check_interval(mut self, interval: u64) -> Self {
-        self.check_interval = interval.max(1);
         self
     }
 
@@ -408,6 +404,21 @@ impl Governor {
         self.fault = Some(fault);
         self.refresh_active();
         self
+    }
+
+    /// A clone armed for one run: the timeout, if any, becomes a deadline
+    /// `timeout` from now, and a timeout too large for [`Instant`] to
+    /// represent means no deadline.  Arming is idempotent: a governor that
+    /// already has a deadline keeps it, so every clone of one armed
+    /// governor shares one deadline.
+    #[must_use]
+    pub fn arm(&self) -> Self {
+        let mut armed = self.clone();
+        if armed.deadline.is_none() {
+            armed.deadline = self.timeout.and_then(|t| Instant::now().checked_add(t));
+            armed.refresh_active();
+        }
+        armed
     }
 
     fn refresh_active(&mut self) {
@@ -421,10 +432,20 @@ impl Governor {
         }
     }
 
-    /// Whether any limit (or injected fault) is configured.
+    /// Whether any limit (or injected fault) is in force.  A timeout is
+    /// not until [`arm`](Governor::arm) gives it a deadline.
     #[must_use]
     pub fn is_limited(&self) -> bool {
         self.active
+    }
+
+    /// The configured timeout, if any.
+    ///
+    /// Besides bounding each armed run, it lets a caller that queues runs
+    /// weigh an expected wait against the time a run is allowed.
+    #[must_use]
+    pub fn timeout(&self) -> Option<Duration> {
+        self.timeout
     }
 
     /// The configured node budget, if any.
@@ -439,9 +460,8 @@ impl Governor {
         self.byte_budget
     }
 
-    /// One unit of governed work: counts the call and, every
-    /// `check_interval` calls, probes the deadline and the cancellation
-    /// token.  Unlimited governors return immediately.
+    /// One unit of governed work: counts the call and, every 4096 calls,
+    /// probes the deadline and the cancellation token.  Unlimited governors return immediately.
     ///
     /// # Errors
     ///
@@ -464,7 +484,7 @@ impl Governor {
                 return Err(self.injected_error(fault.kind));
             }
         }
-        if count.is_multiple_of(self.check_interval) {
+        if count.is_multiple_of(CHECK_INTERVAL) {
             self.check_now()?;
         }
         Ok(())
@@ -486,8 +506,9 @@ impl Governor {
     }
 
     /// Probes the deadline and the cancellation token immediately,
-    /// bypassing the amortization counter (used at natural phase boundaries
-    /// such as trajectory chunk ends).
+    /// bypassing the amortization counter (used at natural phase boundaries:
+    /// before a circuit's first gate, between dense gates, at trajectory
+    /// chunk ends).
     ///
     /// # Errors
     ///
@@ -534,6 +555,11 @@ impl Governor {
 mod tests {
     use super::*;
 
+    /// An armed governor whose deadline has already passed.
+    fn expired() -> Governor {
+        Governor::unlimited().with_timeout(Duration::ZERO).arm()
+    }
+
     #[test]
     fn unlimited_governor_never_fails() {
         let g = Governor::unlimited();
@@ -543,6 +569,13 @@ mod tests {
         }
         g.check_now().unwrap();
         g.check_budget(u64::MAX, u64::MAX).unwrap();
+    }
+
+    #[test]
+    fn unlimited_governor_arms_to_the_fast_path() {
+        let armed = Governor::unlimited().arm();
+        assert!(!armed.is_limited());
+        assert!(armed.deadline.is_none());
     }
 
     #[test]
@@ -571,55 +604,111 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_fails_checkpoints() {
-        let g = Governor::unlimited()
-            .with_deadline_at(Instant::now() - Duration::from_millis(1))
-            .with_check_interval(1);
-        assert_eq!(g.checkpoint(), Err(DdError::Deadline { op_index: None }));
+    fn budgets_and_token_carry_over_to_the_armed_governor() {
+        let token = CancelToken::new();
+        let armed = Governor::unlimited()
+            .with_node_budget(10)
+            .with_byte_budget(1 << 20)
+            .with_cancel_token(token.clone())
+            .arm();
+        assert_eq!(armed.node_budget(), Some(10));
+        assert_eq!(armed.byte_budget(), Some(1 << 20));
+        armed.check_now().expect("not cancelled yet");
+        token.cancel();
+        assert_eq!(
+            armed.check_now(),
+            Err(DdError::Cancelled { op_index: None })
+        );
+    }
+
+    #[test]
+    fn arming_starts_the_clock_at_arm_time() {
+        let timeout = Duration::from_secs(3600);
+        let g = Governor::unlimited().with_timeout(timeout);
+        assert_eq!(g.timeout(), Some(timeout));
+        // Configuring a timeout starts no clock.
+        assert!(g.deadline.is_none());
+        assert!(!g.is_limited());
+        std::thread::sleep(Duration::from_millis(5));
+        let before = Instant::now();
+        let armed = g.arm();
+        let after = Instant::now();
+        let deadline = armed.deadline.expect("an armed timeout has a deadline");
+        assert!(before + timeout <= deadline && deadline <= after + timeout);
+        assert!(armed.is_limited());
+        armed.check_now().expect("one hour has not elapsed");
+    }
+
+    #[test]
+    fn re_arming_keeps_the_deadline() {
+        let armed = Governor::unlimited()
+            .with_timeout(Duration::from_secs(3600))
+            .arm();
+        std::thread::sleep(Duration::from_millis(5));
+        assert_eq!(armed.arm().deadline, armed.deadline);
+        assert_eq!(
+            expired().arm().check_now(),
+            Err(DdError::Deadline { op_index: None })
+        );
+    }
+
+    #[test]
+    fn unrepresentable_timeout_arms_to_no_deadline() {
+        let armed = Governor::unlimited().with_timeout(Duration::MAX).arm();
+        assert!(armed.deadline.is_none());
+        assert!(!armed.is_limited());
+        armed.check_now().unwrap();
+    }
+
+    #[test]
+    fn expired_deadline_fails_checks() {
+        let g = expired();
+        assert!(g.is_limited());
         assert_eq!(g.check_now(), Err(DdError::Deadline { op_index: None }));
     }
 
     #[test]
-    fn cancellation_is_observed_across_clones() {
+    fn clones_share_the_deadline_and_the_token() {
         let token = CancelToken::new();
-        let g = Governor::unlimited()
+        let armed = Governor::unlimited()
+            .with_timeout(Duration::from_secs(3600))
             .with_cancel_token(token.clone())
-            .with_check_interval(1);
-        let clone = g.clone();
-        g.checkpoint().unwrap();
+            .arm();
+        let clone = armed.clone();
+        assert_eq!(clone.deadline, armed.deadline);
+        clone.check_now().unwrap();
         token.cancel();
-        assert_eq!(g.checkpoint(), Err(DdError::Cancelled { op_index: None }));
         assert_eq!(
-            clone.checkpoint(),
+            armed.check_now(),
+            Err(DdError::Cancelled { op_index: None })
+        );
+        assert_eq!(
+            clone.check_now(),
             Err(DdError::Cancelled { op_index: None })
         );
     }
 
     #[test]
     fn deadline_checks_are_amortized() {
-        // With an interval of 1000, the first 999 checkpoints never probe the
-        // (already expired) deadline.
-        let g = Governor::unlimited()
-            .with_deadline_at(Instant::now() - Duration::from_millis(1))
-            .with_check_interval(1000);
-        for _ in 0..999 {
+        // The first CHECK_INTERVAL - 1 checkpoints never probe the (already
+        // expired) deadline; the next one does.
+        let g = expired();
+        for _ in 1..CHECK_INTERVAL {
             g.checkpoint().unwrap();
         }
-        assert!(g.checkpoint().is_err());
+        assert_eq!(g.checkpoint(), Err(DdError::Deadline { op_index: None }));
     }
 
     #[test]
     fn clones_get_fresh_counters() {
-        let g = Governor::unlimited()
-            .with_deadline_at(Instant::now() - Duration::from_millis(1))
-            .with_check_interval(10);
-        for _ in 0..9 {
+        let g = expired();
+        for _ in 1..CHECK_INTERVAL {
             g.checkpoint().unwrap();
         }
         let clone = g.clone();
         // The original is one call from probing; the clone starts over.
         assert!(g.checkpoint().is_err());
-        for _ in 0..9 {
+        for _ in 1..CHECK_INTERVAL {
             clone.checkpoint().unwrap();
         }
         assert!(clone.checkpoint().is_err());

@@ -133,7 +133,7 @@ pub use apply::{apply_circuit, apply_circuit_until, apply_operation, simulate, A
 pub use compiled::{chunk_stream_seed, CompiledSampler, PARALLEL_CHUNK_SHOTS};
 pub use edge::{MatrixEdge, MatrixNodeId, VectorEdge, VectorNodeId, WeightId};
 pub use export::to_dot;
-pub use govern::{CancelToken, DdError, Governor, DEFAULT_CHECK_INTERVAL};
+pub use govern::{CancelToken, DdError, Governor};
 #[cfg(feature = "fault-inject")]
 pub use govern::{FaultPlan, InjectedFault};
 pub use matrix::OperatorDd;

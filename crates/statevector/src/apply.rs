@@ -1,6 +1,6 @@
 //! Gate application (strong simulation) on dense state vectors.
 
-use crate::{MemoryBudget, StateVector};
+use crate::StateVector;
 use circuit::{Circuit, Operation, Qubit};
 use mathkit::Complex;
 use std::fmt;
@@ -11,16 +11,6 @@ pub enum SimulateError {
     /// The circuit failed validation (out-of-range qubits, overlapping
     /// controls and targets).
     InvalidCircuit(circuit::ValidateCircuitError),
-    /// The amplitude array would exceed the configured memory budget.  This
-    /// models the "MO" entries of Table I in the paper.
-    MemoryOut {
-        /// Number of qubits requested.
-        num_qubits: u16,
-        /// Bytes the amplitude array would need.
-        required_bytes: u128,
-        /// Bytes allowed by the budget.
-        budget_bytes: u64,
-    },
     /// The circuit contains a non-unitary or classically-conditioned
     /// operation (measurement, reset or `if (c==k)` gate); strong simulation
     /// into a single state is undefined for dynamic circuits — use the
@@ -35,14 +25,6 @@ impl fmt::Display for SimulateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimulateError::InvalidCircuit(e) => write!(f, "invalid circuit: {e}"),
-            SimulateError::MemoryOut {
-                num_qubits,
-                required_bytes,
-                budget_bytes,
-            } => write!(
-                f,
-                "memory out: {num_qubits}-qubit state vector needs {required_bytes} bytes, budget is {budget_bytes}"
-            ),
             SimulateError::NonUnitaryOperation { op_index } => write!(
                 f,
                 "operation {op_index} is non-unitary or classically conditioned (measure/reset/if); strong simulation requires a unitary circuit — use trajectory simulation"
@@ -203,41 +185,20 @@ pub fn apply_circuit(state: &mut StateVector, circuit: &Circuit) {
     }
 }
 
-/// Strong-simulates `circuit` from `|0...0>` with an unlimited memory budget.
+/// Strong-simulates `circuit` from `|0...0>`.
 ///
 /// # Errors
 ///
-/// Returns [`SimulateError::InvalidCircuit`] if the circuit fails validation.
+/// Returns [`SimulateError::InvalidCircuit`] if the circuit fails validation
+/// and [`SimulateError::NonUnitaryOperation`] if it contains a measurement,
+/// reset or classically-conditioned gate.
 pub fn simulate(circuit: &Circuit) -> Result<StateVector, SimulateError> {
-    simulate_with_budget(circuit, MemoryBudget::unlimited())
-}
-
-/// Strong-simulates `circuit` from `|0...0>` unless the amplitude array would
-/// exceed `budget`.
-///
-/// # Errors
-///
-/// Returns [`SimulateError::MemoryOut`] when the dense representation does
-/// not fit the budget and [`SimulateError::InvalidCircuit`] when validation
-/// fails.
-pub fn simulate_with_budget(
-    circuit: &Circuit,
-    budget: MemoryBudget,
-) -> Result<StateVector, SimulateError> {
     circuit.validate()?;
     if let Some(op_index) = circuit
         .iter()
         .position(|op| op.is_non_unitary() || op.is_conditioned())
     {
         return Err(SimulateError::NonUnitaryOperation { op_index });
-    }
-    let required = MemoryBudget::state_vector_bytes(circuit.num_qubits());
-    if !budget.allows(required) {
-        return Err(SimulateError::MemoryOut {
-            num_qubits: circuit.num_qubits(),
-            required_bytes: required,
-            budget_bytes: budget.bytes(),
-        });
     }
     let mut state = StateVector::zero_state(circuit.num_qubits());
     apply_circuit(&mut state, circuit);
@@ -413,14 +374,6 @@ mod tests {
         assert!((s.amplitude(3) - minus_i_sqrt38).norm() < EPS);
         assert!((s.amplitude(4) - sqrt18).norm() < EPS);
         assert!((s.amplitude(7) - sqrt18).norm() < EPS);
-    }
-
-    #[test]
-    fn memory_budget_produces_memory_out() {
-        let mut c = Circuit::new(20);
-        c.h(Qubit(0));
-        let result = simulate_with_budget(&c, MemoryBudget::from_bytes(1024));
-        assert!(matches!(result, Err(SimulateError::MemoryOut { .. })));
     }
 
     #[test]

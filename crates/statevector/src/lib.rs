@@ -7,9 +7,9 @@
 //! precomputation).
 //!
 //! The memory wall that motivates the paper's decision-diagram sampler is
-//! modelled by [`MemoryBudget`]: requesting a simulation whose amplitude
-//! array would exceed the budget reports a *memory-out* instead of thrashing
-//! the host machine.
+//! modelled by [`MemoryBudget`]: it sizes the amplitude and prefix arrays
+//! up front, so a caller can report a *memory-out* for a simulation that
+//! would exceed the budget instead of thrashing the host machine.
 //!
 //! # Examples
 //!
@@ -38,7 +38,7 @@ mod memory;
 mod prefix;
 mod state;
 
-pub use apply::{apply_circuit, apply_operation, simulate, simulate_with_budget, SimulateError};
+pub use apply::{apply_circuit, apply_operation, simulate, SimulateError};
 pub use memory::MemoryBudget;
 pub use prefix::PrefixSampler;
 pub use state::StateVector;

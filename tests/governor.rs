@@ -11,8 +11,8 @@
 use std::time::{Duration, Instant};
 
 use weaksim::{
-    ArtifactCache, Backend, CacheOutcome, CancelToken, DdError, RunError, RunGovernor,
-    ServiceBroker, ServiceConfig, WeakSimulator,
+    ArtifactCache, Backend, CacheOutcome, CancelToken, DdError, Governor, RunError, ServiceBroker,
+    ServiceConfig, WeakSimulator,
 };
 
 /// A statically-routed circuit big enough that DD construction performs many
@@ -29,7 +29,7 @@ fn dynamic_workload() -> circuit::Circuit {
 
 #[test]
 fn node_budget_exhaustion_is_a_structured_memory_out() {
-    let governor = RunGovernor::unlimited().with_node_budget(64);
+    let governor = Governor::unlimited().with_node_budget(64);
     let err = WeakSimulator::new(Backend::DecisionDiagram)
         .with_governor(governor)
         .run(&static_workload(), 100, 1)
@@ -54,7 +54,7 @@ fn node_budget_exhaustion_is_a_structured_memory_out() {
 
 #[test]
 fn byte_budget_exhaustion_is_a_structured_memory_out() {
-    let governor = RunGovernor::unlimited().with_byte_budget(16 * 1024);
+    let governor = Governor::unlimited().with_byte_budget(16 * 1024);
     let err = WeakSimulator::new(Backend::DecisionDiagram)
         .with_governor(governor)
         .run(&static_workload(), 100, 1)
@@ -76,7 +76,7 @@ fn deadline_aborts_a_long_construction_promptly() {
     // supremacy_4x5_10 takes tens of seconds to build unlimited; a 100 ms
     // deadline must abort it within ~1 s thanks to the amortized checks.
     let circuit = algorithms::supremacy(4, 5, 10, 7).0;
-    let governor = RunGovernor::unlimited().with_timeout(Duration::from_millis(100));
+    let governor = Governor::unlimited().with_timeout(Duration::from_millis(100));
     let started = Instant::now();
     let err = WeakSimulator::new(Backend::DecisionDiagram)
         .with_governor(governor)
@@ -96,7 +96,7 @@ fn deadline_aborts_a_long_construction_promptly() {
 #[test]
 fn cancellation_from_another_thread_stops_the_run() {
     let token = CancelToken::new();
-    let governor = RunGovernor::unlimited().with_cancel_token(token.clone());
+    let governor = Governor::unlimited().with_cancel_token(token.clone());
     let circuit = algorithms::supremacy(4, 5, 10, 7).0;
 
     let canceller = {
@@ -123,7 +123,7 @@ fn interrupted_trajectory_run_returns_completed_shots() {
     // A pre-expired deadline: the chunk-boundary check fires before any shot
     // runs, so the outcome is deterministic — zero completed shots, a
     // Deadline interruption, and an empty (but well-formed) histogram.
-    let governor = RunGovernor::unlimited().with_timeout(Duration::ZERO);
+    let governor = Governor::unlimited().with_timeout(Duration::ZERO);
     let outcome = WeakSimulator::new(Backend::DecisionDiagram)
         .with_governor(governor)
         .run(&dynamic_workload(), 500, 3)
@@ -137,7 +137,7 @@ fn interrupted_trajectory_run_returns_completed_shots() {
 #[test]
 fn interrupted_sv_trajectory_run_degrades_too() {
     // The state-vector backend shares the chunk-boundary governance.
-    let governor = RunGovernor::unlimited().with_timeout(Duration::ZERO);
+    let governor = Governor::unlimited().with_timeout(Duration::ZERO);
     let outcome = WeakSimulator::new(Backend::StateVector)
         .with_governor(governor)
         .run(&dynamic_workload(), 500, 3)
@@ -152,7 +152,7 @@ fn cancelled_trajectory_run_reports_partial_results() {
     // Cancel mid-run from another thread; whatever completed is returned
     // and accounted for exactly.
     let token = CancelToken::new();
-    let governor = RunGovernor::unlimited().with_cancel_token(token.clone());
+    let governor = Governor::unlimited().with_cancel_token(token.clone());
     let canceller = {
         let token = token.clone();
         std::thread::spawn(move || {
@@ -184,7 +184,7 @@ fn routed_tableau_trajectory_run_honours_a_cancelled_token() {
     let shots = 5000;
     let outcome = WeakSimulator::new(Backend::DecisionDiagram)
         .with_clifford_router()
-        .with_governor(RunGovernor::unlimited().with_cancel_token(token))
+        .with_governor(Governor::unlimited().with_cancel_token(token))
         .run(&algorithms::stabilizer_cycle(6, 2), shots, 3)
         .expect("cancellation degrades gracefully");
     assert!(outcome.route.used_tableau());
@@ -200,13 +200,13 @@ fn rerun_after_abort_matches_a_fresh_run_bit_for_bit() {
     // an unlimited governor gives the same histogram as a fresh simulator.
     let circuit = static_workload();
     let mut governed = WeakSimulator::new(Backend::DecisionDiagram)
-        .with_governor(RunGovernor::unlimited().with_node_budget(64));
+        .with_governor(Governor::unlimited().with_node_budget(64));
     governed
         .run(&circuit, 200, 9)
         .expect_err("budget abort expected");
 
     let retry = governed
-        .with_governor(RunGovernor::unlimited())
+        .with_governor(Governor::unlimited())
         .run(&circuit, 200, 9)
         .expect("retry after abort succeeds");
     let fresh = WeakSimulator::new(Backend::DecisionDiagram)
@@ -222,23 +222,79 @@ fn rerun_after_abort_matches_a_fresh_run_bit_for_bit() {
 #[test]
 fn unlimited_governor_changes_nothing() {
     // The governed path with no limits must reproduce the ungoverned
-    // histogram exactly (the fast path is a single branch).
-    let circuit = algorithms::grover(8, 5);
-    let plain = WeakSimulator::new(Backend::DecisionDiagram)
-        .run(&circuit, 2_000, 11)
-        .expect("plain run");
-    let governed = WeakSimulator::new(Backend::DecisionDiagram)
-        .with_governor(RunGovernor::unlimited().with_check_interval(64))
-        .run(&circuit, 2_000, 11)
-        .expect("governed run");
-    assert_eq!(plain.histogram.counts(), governed.histogram.counts());
+    // histogram exactly (the fast path is a single branch): on a diagram, on
+    // the dense loop, and on a routed build that hands its diagram to the
+    // dense loop (`random_12_10` seed 0, see `tests/dd_handoff.rs`).
+    let cases = [
+        (
+            WeakSimulator::new(Backend::DecisionDiagram),
+            algorithms::grover(8, 5),
+        ),
+        (
+            WeakSimulator::new(Backend::StateVector),
+            algorithms::grover(8, 5),
+        ),
+        (
+            WeakSimulator::new(Backend::DecisionDiagram).with_clifford_router(),
+            algorithms::random_circuit(12, 10, 0),
+        ),
+    ];
+    for (sim, circuit) in cases {
+        let plain = sim.clone().run(&circuit, 2_000, 11).expect("plain run");
+        let governed = sim
+            .with_governor(Governor::unlimited())
+            .run(&circuit, 2_000, 11)
+            .expect("governed run");
+        assert_eq!(plain.route, governed.route);
+        assert_eq!(plain.histogram.counts(), governed.histogram.counts());
+    }
+}
+
+/// A governor whose token was cancelled before the run.
+fn cancelled() -> Governor {
+    let token = CancelToken::new();
+    token.cancel();
+    Governor::unlimited().with_cancel_token(token)
+}
+
+fn assert_cancelled_at_op_0<T>(result: Result<T, RunError>) {
+    match result {
+        Err(RunError::Cancelled(DdError::Cancelled { op_index })) => {
+            assert_eq!(op_index, Some(0));
+        }
+        Err(other) => panic!("expected a cancellation at op 0, got {other}"),
+        Ok(_) => panic!("expected a cancellation at op 0, got a result"),
+    }
+}
+
+#[test]
+fn static_dense_run_honours_a_cancelled_token() {
+    let result = WeakSimulator::new(Backend::StateVector)
+        .with_governor(cancelled())
+        .run(&algorithms::qft(12, true), 100, 1);
+    assert_cancelled_at_op_0(result);
+}
+
+#[test]
+fn strong_simulation_honours_a_cancelled_token_on_both_backends() {
+    for backend in [Backend::DecisionDiagram, Backend::StateVector] {
+        let sim = WeakSimulator::new(backend).with_governor(cancelled());
+        assert_cancelled_at_op_0(sim.strong(&algorithms::qft(12, true)));
+    }
+}
+
+#[test]
+fn brokered_dd_request_honours_a_cancelled_token() {
+    let broker = ServiceBroker::new(ArtifactCache::unbounded(), ServiceConfig::default());
+    let sim = WeakSimulator::new(Backend::DecisionDiagram).with_governor(cancelled());
+    assert_cancelled_at_op_0(broker.serve(&sim, &algorithms::qft(12, true), 100, 1));
 }
 
 /// A simulator whose timeout is too large for `Instant` to represent: the
 /// deadline it would set lies beyond any run, so the run has none.
 fn unrepresentable_timeout() -> WeakSimulator {
     WeakSimulator::new(Backend::DecisionDiagram)
-        .with_governor(RunGovernor::unlimited().with_timeout(Duration::MAX))
+        .with_governor(Governor::unlimited().with_timeout(Duration::MAX))
 }
 
 #[test]
@@ -286,11 +342,8 @@ mod fault_injection {
     use dd::{FaultPlan, InjectedFault};
 
     fn governed(fault: FaultPlan) -> WeakSimulator {
-        WeakSimulator::new(Backend::DecisionDiagram).with_governor(
-            RunGovernor::unlimited()
-                .with_check_interval(1)
-                .with_fault(fault),
-        )
+        WeakSimulator::new(Backend::DecisionDiagram)
+            .with_governor(Governor::unlimited().with_fault(fault))
     }
 
     #[test]
@@ -359,11 +412,7 @@ mod fault_injection {
             WeakSimulator::new(Backend::DecisionDiagram)
                 .with_threads(1)
                 .with_noise(noise.clone())
-                .with_governor(
-                    RunGovernor::unlimited()
-                        .with_check_interval(1)
-                        .with_fault(fault),
-                )
+                .with_governor(Governor::unlimited().with_fault(fault))
                 .run(&circuit, 100_000, 3)
                 .expect("fault degrades gracefully")
         };
@@ -391,7 +440,7 @@ mod fault_injection {
         sim.run(&circuit, 200, 9).expect_err("injected abort");
 
         let retry = sim
-            .with_governor(RunGovernor::unlimited())
+            .with_governor(Governor::unlimited())
             .run(&circuit, 200, 9)
             .expect("retry succeeds once the fault is lifted");
         let fresh = WeakSimulator::new(Backend::DecisionDiagram)

@@ -12,7 +12,7 @@ use std::sync::Barrier;
 use std::time::{Duration, Instant};
 use weaksim::service::{RetryPolicy, ServiceBroker, ServiceConfig};
 use weaksim::{
-    ArtifactCache, Backend, CacheOutcome, CancelToken, RunError, RunGovernor, ShotHistogram,
+    ArtifactCache, Backend, CacheOutcome, CancelToken, Governor, RunError, ShotHistogram,
     WeakSimulator,
 };
 
@@ -161,11 +161,8 @@ fn full_slots_shed_with_overloaded_and_recover() {
     // then cancelled — which must surface as a typed error, not poison the
     // broker for later requests.
     let token = CancelToken::new();
-    let sim = WeakSimulator::new(Backend::DecisionDiagram).with_governor(
-        RunGovernor::unlimited()
-            .with_cancel_token(token.clone())
-            .with_check_interval(64),
-    );
+    let sim = WeakSimulator::new(Backend::DecisionDiagram)
+        .with_governor(Governor::unlimited().with_cancel_token(token.clone()));
     let broker = ServiceBroker::new(
         ArtifactCache::unbounded(),
         ServiceConfig {
