@@ -4,17 +4,17 @@
 //! (Section V); this crate generates all of them, plus a few extra
 //! entangled-state preparations used by examples and tests:
 //!
-//! * [`qft`] — the Quantum Fourier Transform (`qft_A` benchmarks),
-//! * [`grover`] — Grover's search with a random oracle (`grover_A`),
-//! * [`shor`] — Shor's order-finding circuit for factoring (`shor_A_B`),
-//! * [`jellium`] — Trotterized uniform-electron-gas circuits
+//! * [`qft`](fn@qft) — the Quantum Fourier Transform (`qft_A` benchmarks),
+//! * [`grover`](fn@grover) — Grover's search with a random oracle (`grover_A`),
+//! * [`shor`](fn@shor) — Shor's order-finding circuit for factoring (`shor_A_B`),
+//! * [`jellium`](fn@jellium) — Trotterized uniform-electron-gas circuits
 //!   (`jellium_AxA`; see `DESIGN.md` for the substitution notes),
-//! * [`supremacy`] — random grid circuits in the style of the Google
+//! * [`supremacy`](fn@supremacy) — random grid circuits in the style of the Google
 //!   quantum-supremacy benchmarks (`supremacy_AxB_C`),
 //! * [`ghz`], [`w_state`], [`random_circuit`] — auxiliary workloads,
 //! * [`teleportation`] — the dynamic-circuit (mid-circuit measurement)
 //!   reference workload,
-//! * [`ipe`] — single-ancilla iterative phase estimation, the
+//! * [`ipe`](fn@ipe) — single-ancilla iterative phase estimation, the
 //!   classically-controlled (`if (c==k)`) qubit-reuse reference workload,
 //! * [`stabilizer_cycle`] — repetition-code syndrome-extraction rounds,
 //!   the fully-Clifford dynamic workload for the stabilizer-tableau

@@ -67,7 +67,7 @@ pub fn teleportation_noise_sweep(
 /// # Panics
 ///
 /// Panics if `steps` is zero, `max_p` is not a probability in `(0, 1]`, or
-/// `num_bits` is outside [`ipe`](crate::ipe)'s supported range.
+/// `num_bits` is outside [`ipe`](fn@crate::ipe)'s supported range.
 #[must_use]
 pub fn ipe_noise_sweep(
     num_bits: u16,

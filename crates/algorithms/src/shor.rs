@@ -4,7 +4,7 @@
 //! order-finding circuits at the heart of Shor's factoring algorithm.  The
 //! substitution documented in `DESIGN.md` applies: the controlled modular
 //! multiplications are expressed as controlled basis-state
-//! [`Permutation`](circuit::Permutation)s of the work register rather than
+//! [`Permutation`]s of the work register rather than
 //! as adder networks.  This keeps the generator self-contained while
 //! exercising exactly the same simulation and sampling code paths, and it
 //! reproduces the qubit counts of Table I (`3 * ceil(log2(N))`).
@@ -128,7 +128,7 @@ fn modular_multiplication(work: &[Qubit], factor: u64, modulus: u64) -> Permutat
 /// qubit-reversal swaps, so the phase estimate can be read directly from the
 /// register value (register\[0\] is the least significant bit).
 ///
-/// The gate sequence is the adjoint of [`crate::qft`] remapped onto the
+/// The gate sequence is the adjoint of [`crate::qft`](fn@crate::qft) remapped onto the
 /// counting qubits, which keeps the two generators consistent by
 /// construction.
 fn append_inverse_qft(c: &mut Circuit, register: &[Qubit]) {

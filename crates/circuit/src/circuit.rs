@@ -320,16 +320,6 @@ impl Circuit {
         self.controlled_gate(OneQubitGate::X, controls, target)
     }
 
-    /// Appends a multi-controlled Z gate.
-    pub fn mcz(&mut self, controls: Vec<Qubit>, target: Qubit) -> &mut Self {
-        self.controlled_gate(OneQubitGate::Z, controls, target)
-    }
-
-    /// Appends a multi-controlled phase gate.
-    pub fn mcp(&mut self, theta: Angle, controls: Vec<Qubit>, target: Qubit) -> &mut Self {
-        self.controlled_gate(OneQubitGate::Phase(theta), controls, target)
-    }
-
     /// Appends a swap of two qubits.
     pub fn swap(&mut self, a: Qubit, b: Qubit) -> &mut Self {
         self.push(Operation::Swap {
@@ -464,6 +454,17 @@ impl Circuit {
             }
         }
         false
+    }
+
+    /// The index of the first operation that is not unconditionally
+    /// unitary — a measurement, reset or classically-conditioned gate — or
+    /// `None` for a unitary circuit.  Strong simulation, which produces one
+    /// final state, is defined only when this is `None`.
+    #[must_use]
+    pub fn first_non_unitary(&self) -> Option<usize> {
+        self.ops
+            .iter()
+            .position(|op| op.is_non_unitary() || op.is_conditioned())
     }
 
     /// Splits a *non-dynamic* circuit into its unitary prefix and the
@@ -809,6 +810,23 @@ mod tests {
         let mut with_reset = Circuit::new(1);
         with_reset.h(Qubit(0)).reset(Qubit(0));
         assert!(with_reset.is_dynamic());
+    }
+
+    #[test]
+    fn first_non_unitary_finds_measure_reset_and_conditions() {
+        let mut c = Circuit::new(2);
+        c.h(Qubit(0)).cx(Qubit(0), Qubit(1));
+        assert_eq!(c.first_non_unitary(), None);
+        // A terminal measurement is not dynamic, but it is not unitary.
+        c.measure(Qubit(0), 0);
+        assert!(!c.is_dynamic());
+        assert_eq!(c.first_non_unitary(), Some(2));
+        let mut reset = Circuit::new(1);
+        reset.x(Qubit(0)).reset(Qubit(0));
+        assert_eq!(reset.first_non_unitary(), Some(1));
+        let mut conditioned = Circuit::new(1);
+        conditioned.conditioned_gate(0, OneQubitGate::X, Qubit(0));
+        assert_eq!(conditioned.first_non_unitary(), Some(0));
     }
 
     #[test]

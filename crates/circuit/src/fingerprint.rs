@@ -20,10 +20,12 @@
 //! circuits), and renaming a circuit must not evict its artifact.
 //!
 //! The hash itself is two independent [`mathkit::hash_mix`] lanes folded
-//! over the same word stream from distinct initial states — the
-//! `gate_fingerprint` idiom of `dd::package` widened to 128 bits so that
-//! accidental collisions are out of reach for any realistic cache
-//! population.
+//! over the same word stream from distinct initial states — 128 bits, so
+//! that accidental collisions are out of reach for any realistic cache
+//! population.  A gate enters as its [`OneQubitGate::fingerprint`], the
+//! identity the decision-diagram operator memo keys on too.
+//!
+//! [`OneQubitGate::fingerprint`]: crate::OneQubitGate::fingerprint
 
 use crate::{Circuit, NoiseModel, Operation};
 use mathkit::hash_mix;
@@ -61,43 +63,6 @@ impl FingerprintLanes {
     }
 }
 
-/// Discriminant + parameter fingerprint of a gate: exact for the fixed
-/// alphabet, bit pattern of the radian value for parametrized gates.  This
-/// mirrors the `gate_fingerprint` of `dd::package` (same discriminants,
-/// same `to_bits` convention) so both layers key on identical gate
-/// identity: two angles are "the same gate" exactly when their `f64` bit
-/// patterns agree.
-fn gate_fingerprint(gate: crate::OneQubitGate) -> (u8, [u64; 3]) {
-    use crate::OneQubitGate as G;
-    match gate {
-        G::I => (0, [0; 3]),
-        G::X => (1, [0; 3]),
-        G::Y => (2, [0; 3]),
-        G::Z => (3, [0; 3]),
-        G::H => (4, [0; 3]),
-        G::S => (5, [0; 3]),
-        G::Sdg => (6, [0; 3]),
-        G::T => (7, [0; 3]),
-        G::Tdg => (8, [0; 3]),
-        G::SqrtX => (9, [0; 3]),
-        G::SqrtXdg => (10, [0; 3]),
-        G::SqrtY => (11, [0; 3]),
-        G::SqrtYdg => (12, [0; 3]),
-        G::Phase(a) => (13, [a.radians().to_bits(), 0, 0]),
-        G::Rx(a) => (14, [a.radians().to_bits(), 0, 0]),
-        G::Ry(a) => (15, [a.radians().to_bits(), 0, 0]),
-        G::Rz(a) => (16, [a.radians().to_bits(), 0, 0]),
-        G::U { theta, phi, lambda } => (
-            17,
-            [
-                theta.radians().to_bits(),
-                phi.radians().to_bits(),
-                lambda.radians().to_bits(),
-            ],
-        ),
-    }
-}
-
 /// Folds one operation (tag byte, then every field) into the lanes.
 /// Variable-length fields are length-prefixed so adjacent operations cannot
 /// alias across the boundary.
@@ -109,7 +74,7 @@ fn mix_operation(fp: &mut FingerprintLanes, op: &Operation) {
             controls,
         } => {
             fp.mix(1);
-            let (kind, params) = gate_fingerprint(*gate);
+            let (kind, params) = gate.fingerprint();
             fp.mix(u64::from(kind));
             for param in params {
                 fp.mix(param);

@@ -173,22 +173,41 @@ impl OneQubitGate {
         }
     }
 
-    /// Returns `true` if the gate matrix is diagonal, which lets simulators
-    /// skip work (diagonal gates never change the branching structure of a
-    /// decision diagram).
+    /// The gate's identity as a discriminant and up to three parameter
+    /// words: exact for the fixed alphabet, the `f64` bit pattern of the
+    /// radian value for parametrized gates.  Two angles are "the same gate"
+    /// exactly when their bit patterns agree.  Circuit fingerprints and the
+    /// decision-diagram operator memo both key on it.
     #[must_use]
-    pub fn is_diagonal(&self) -> bool {
-        matches!(
-            self,
-            OneQubitGate::I
-                | OneQubitGate::Z
-                | OneQubitGate::S
-                | OneQubitGate::Sdg
-                | OneQubitGate::T
-                | OneQubitGate::Tdg
-                | OneQubitGate::Phase(_)
-                | OneQubitGate::Rz(_)
-        )
+    pub fn fingerprint(self) -> (u8, [u64; 3]) {
+        use OneQubitGate as G;
+        match self {
+            G::I => (0, [0; 3]),
+            G::X => (1, [0; 3]),
+            G::Y => (2, [0; 3]),
+            G::Z => (3, [0; 3]),
+            G::H => (4, [0; 3]),
+            G::S => (5, [0; 3]),
+            G::Sdg => (6, [0; 3]),
+            G::T => (7, [0; 3]),
+            G::Tdg => (8, [0; 3]),
+            G::SqrtX => (9, [0; 3]),
+            G::SqrtXdg => (10, [0; 3]),
+            G::SqrtY => (11, [0; 3]),
+            G::SqrtYdg => (12, [0; 3]),
+            G::Phase(a) => (13, [a.radians().to_bits(), 0, 0]),
+            G::Rx(a) => (14, [a.radians().to_bits(), 0, 0]),
+            G::Ry(a) => (15, [a.radians().to_bits(), 0, 0]),
+            G::Rz(a) => (16, [a.radians().to_bits(), 0, 0]),
+            G::U { theta, phi, lambda } => (
+                17,
+                [
+                    theta.radians().to_bits(),
+                    phi.radians().to_bits(),
+                    lambda.radians().to_bits(),
+                ],
+            ),
+        }
     }
 
     /// The lowercase OpenQASM-style mnemonic of the gate.
@@ -391,15 +410,6 @@ mod tests {
                 assert!((u[r][c] - h[r][c]).norm() < EPS);
             }
         }
-    }
-
-    #[test]
-    fn diagonal_classification() {
-        assert!(OneQubitGate::Z.is_diagonal());
-        assert!(OneQubitGate::T.is_diagonal());
-        assert!(OneQubitGate::Rz(Angle::Radians(0.1)).is_diagonal());
-        assert!(!OneQubitGate::X.is_diagonal());
-        assert!(!OneQubitGate::H.is_diagonal());
     }
 
     #[test]

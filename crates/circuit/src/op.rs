@@ -306,19 +306,6 @@ impl Operation {
         qs.extend_from_slice(self.controls());
         qs
     }
-
-    /// The highest qubit index touched, or `None` for an operation on an
-    /// empty register.
-    #[must_use]
-    pub fn max_qubit(&self) -> Option<Qubit> {
-        self.support().into_iter().max()
-    }
-
-    /// Returns `true` if the operation has at least one control.
-    #[must_use]
-    pub fn is_controlled(&self) -> bool {
-        !self.controls().is_empty()
-    }
 }
 
 impl fmt::Display for Operation {
@@ -401,8 +388,6 @@ mod tests {
         };
         assert_eq!(op.targets(), vec![Qubit(2)]);
         assert_eq!(op.controls(), &[Qubit(0), Qubit(1)]);
-        assert_eq!(op.max_qubit(), Some(Qubit(2)));
-        assert!(op.is_controlled());
 
         let swap = Operation::Swap {
             a: Qubit(4),
@@ -410,8 +395,6 @@ mod tests {
             controls: vec![],
         };
         assert_eq!(swap.targets(), vec![Qubit(4), Qubit(1)]);
-        assert_eq!(swap.max_qubit(), Some(Qubit(4)));
-        assert!(!swap.is_controlled());
     }
 
     #[test]
@@ -423,8 +406,6 @@ mod tests {
         assert_eq!(m.targets(), vec![Qubit(3)]);
         assert!(m.controls().is_empty());
         assert!(m.is_non_unitary());
-        assert!(!m.is_controlled());
-        assert_eq!(m.max_qubit(), Some(Qubit(3)));
         assert_eq!(m.to_string(), "measure q[3] -> c[1]");
 
         let r = Operation::Reset { qubit: Qubit(0) };
@@ -452,7 +433,6 @@ mod tests {
         };
         assert_eq!(op.targets(), vec![Qubit(2)]);
         assert_eq!(op.controls(), &[Qubit(0)]);
-        assert_eq!(op.max_qubit(), Some(Qubit(2)));
         assert!(op.is_conditioned());
         assert!(!op.is_non_unitary());
         assert_eq!(op.condition(), Some(Condition::equals(3)));

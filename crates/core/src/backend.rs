@@ -1,11 +1,10 @@
 //! The engine abstraction: trait dispatch for every engine-specific step of
 //! a run.
 //!
-//! [`WeakSimulator`](crate::WeakSimulator) and the
-//! [`trajectory`](crate::trajectory) module never match on an engine
-//! themselves (the one exception is the public dense-only
-//! [`WeakSimulator::strong`](crate::WeakSimulator::strong), which picks
-//! `DdEngine::strong` or `SvEngine::strong` by backend).  Each engine —
+//! [`WeakSimulator`] and the [`trajectory`](crate::trajectory) module never
+//! match on an engine themselves (the one exception is the public
+//! [`WeakSimulator::strong`], which picks [`DdEngine::strong`] or
+//! [`SvEngine::strong`] by backend).  Each engine —
 //! decision diagrams, dense vectors and the stabilizer tableau — ships an
 //! [`Engine`] (static preparation: strong simulation compiled into the
 //! sampler [`SimArtifact::sample`] draws from, and the trajectory memory
@@ -15,6 +14,10 @@
 //! written once for all engines: the static pipeline (route plan →
 //! artifact → [`SimArtifact::sample`]) or the trajectory shot loop
 //! (decision drawing, classical-record bookkeeping, event walk).
+//!
+//! No engine checks its input: every circuit that reaches one passed the
+//! front door of [`WeakSimulator`] (see [`crate::simulator`]), and static
+//! engines are handed unitary circuits only.
 //!
 //! [`SimArtifact::sample`]: crate::SimArtifact::sample
 
@@ -134,16 +137,17 @@ pub(crate) struct SvEngine;
 pub(crate) struct TableauEngine;
 
 impl DdEngine {
-    /// Strong-simulates `circuit` into a fresh package armed with
-    /// `governor`.
+    /// Strong-simulates the valid, unitary `circuit` into a fresh package
+    /// armed with `governor`.
     pub(crate) fn strong(circuit: &Circuit, governor: &Governor) -> Result<StrongState, RunError> {
         let (package, state, _) = Self::build(circuit, governor, Until::End)?;
         Ok(StrongState::DecisionDiagram { package, state })
     }
 
-    /// Builds the diagram of `circuit` from `|0...0>` in a fresh package
-    /// armed with `governor`, until `until` stops the construction loop;
-    /// returns the package, the state and the number of operations applied.
+    /// Builds the diagram of the valid, unitary `circuit` from `|0...0>` in
+    /// a fresh package armed with `governor`, until `until` stops the
+    /// unchecked construction loop [`dd::apply_circuit_until`]; returns the
+    /// package, the state and the number of operations applied.
     fn build(
         circuit: &Circuit,
         governor: &Governor,
@@ -161,20 +165,13 @@ impl DdEngine {
 }
 
 impl SvEngine {
-    /// Strong-simulates `circuit` into a dense vector within `budget`,
-    /// under `governor`'s deadline and cancellation token.
+    /// Strong-simulates the valid, unitary `circuit` into a dense vector
+    /// within `budget`, under `governor`'s deadline and cancellation token.
     pub(crate) fn strong(
         circuit: &Circuit,
         budget: MemoryBudget,
         governor: &Governor,
     ) -> Result<StrongState, RunError> {
-        circuit.validate().map_err(RunError::InvalidCircuit)?;
-        if let Some(op_index) = circuit
-            .iter()
-            .position(|op| op.is_non_unitary() || op.is_conditioned())
-        {
-            return Err(RunError::DynamicCircuit { op_index });
-        }
         let num_qubits = circuit.num_qubits();
         let required_bytes = MemoryBudget::state_vector_bytes(num_qubits);
         if !budget.allows(required_bytes) {

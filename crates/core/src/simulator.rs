@@ -22,6 +22,19 @@
 //!   against the shot's classical record, reusing the same SplitMix64
 //!   chunk-seeding scheme so the result is seed-deterministic independent
 //!   of the worker-thread count.
+//!
+//! # One check per request
+//!
+//! Every public entry point — [`WeakSimulator::run`],
+//! [`WeakSimulator::strong`], [`ServiceBroker::serve`](crate::ServiceBroker::serve)
+//! and the free `simulate_*_with_threads` functions — checks its circuit
+//! once, before it builds anything: the circuit is validated, `strong`
+//! rejects a dynamic circuit at its first non-unitary or conditioned
+//! operation, and every other path validates the noise model.  Nothing
+//! behind that door checks again: the route plan, the engines and
+//! [`dd::apply_circuit_until`] take a valid circuit as given, and static
+//! engines are handed unitary ones only.  So a malformed circuit fails with
+//! [`RunError::InvalidCircuit`] ahead of any budget error, on every path.
 
 use crate::artifact::{CacheOutcome, SimArtifact};
 use crate::backend::{DdEngine, SvEngine};
@@ -172,26 +185,14 @@ impl From<DdError> for RunError {
             DdError::Deadline { .. } => RunError::Deadline(e),
             DdError::Cancelled { .. } => RunError::Cancelled(e),
             DdError::MemoryOut { .. } | DdError::ArenaOverflow { .. } => RunError::DdMemoryOut(e),
-            // The front end validates circuits up front and routes dynamic
-            // ones through the trajectory engine, so these two cannot escape
-            // it; map them to the dynamic-circuit error they describe, at
-            // the index the applying caller stamped.
+            // The front door rejects or reroutes dynamic circuits before any
+            // engine runs, so these two cannot escape it; map them to the
+            // dynamic-circuit error they describe, at the index the applying
+            // caller stamped.
             DdError::NonUnitaryOperation { op_index, .. }
             | DdError::ConditionedOperation { op_index, .. } => RunError::DynamicCircuit {
                 op_index: op_index.unwrap_or(0),
             },
-        }
-    }
-}
-
-impl From<dd::ApplyError> for RunError {
-    fn from(e: dd::ApplyError) -> Self {
-        match e {
-            dd::ApplyError::InvalidCircuit(e) => RunError::InvalidCircuit(e),
-            dd::ApplyError::NonUnitaryOperation { op_index } => {
-                RunError::DynamicCircuit { op_index }
-            }
-            dd::ApplyError::Dd(e) => RunError::from(e),
         }
     }
 }
@@ -509,8 +510,14 @@ impl WeakSimulator {
     /// Under a limited [governor](Self::with_governor), either backend can
     /// additionally fail with [`RunError::Deadline`] or
     /// [`RunError::Cancelled`], and the decision-diagram backend with
-    /// [`RunError::DdMemoryOut`].
+    /// [`RunError::DdMemoryOut`].  The circuit is checked before anything
+    /// is built, so a malformed or dynamic circuit fails with its own error
+    /// whatever the budgets.
     pub fn strong(&self, circuit: &Circuit) -> Result<StrongState, RunError> {
+        Self::validate_circuit(circuit)?;
+        if let Some(op_index) = circuit.first_non_unitary() {
+            return Err(RunError::DynamicCircuit { op_index });
+        }
         match self.backend {
             Backend::DecisionDiagram => DdEngine::strong(circuit, &self.governor),
             Backend::StateVector => SvEngine::strong(circuit, self.memory_budget, &self.governor),
@@ -560,17 +567,26 @@ impl WeakSimulator {
         self.run_trajectories(circuit, shots, seed)
     }
 
-    /// Validates the *whole* circuit and the noise model up front: the
-    /// static path only strong-simulates the unitary prefix, which would
-    /// let a malformed trailing measurement block slip through unchecked.
+    /// The front-door check of [`run`](Self::run),
+    /// [`ServiceBroker::serve`](crate::ServiceBroker::serve) and the free
+    /// `simulate_*_with_threads` functions: the circuit and the noise model,
+    /// before anything is built.  Nothing behind it checks again (see the
+    /// [module docs](self)).
     pub(crate) fn validate(&self, circuit: &Circuit) -> Result<(), RunError> {
-        circuit.validate().map_err(RunError::InvalidCircuit)?;
+        Self::validate_circuit(circuit)?;
         if let Some(model) = &self.noise {
             model
                 .validate_for(circuit.num_qubits())
                 .map_err(RunError::InvalidNoise)?;
         }
         Ok(())
+    }
+
+    /// Validates the *whole* circuit — for every request, including the
+    /// trailing measurement block that the static path splits off instead of
+    /// simulating.
+    fn validate_circuit(circuit: &Circuit) -> Result<(), RunError> {
+        circuit.validate().map_err(RunError::InvalidCircuit)
     }
 
     /// Whether a request runs on the static pipeline (plan → artifact →
@@ -617,28 +633,19 @@ impl WeakSimulator {
         [a, b]
     }
 
-    /// Builds the [`SimArtifact`] for a validated, noise-free, static
-    /// `circuit`: the route plan picks the engine, and that engine prepares
-    /// the sampler.  A
-    /// dynamic circuit fails with [`RunError::DynamicCircuit`] at its first
-    /// dynamic operation.
+    /// Builds the [`SimArtifact`] for a noise-free, static `circuit` that
+    /// passed the front door: the route plan picks the engine, and that
+    /// engine prepares the sampler.  Its two callers, [`run`](Self::run) and
+    /// [`ServiceBroker::serve`](crate::ServiceBroker::serve), send every
+    /// other request to the trajectory loop.
     pub(crate) fn prepare_artifact(&self, circuit: &Circuit) -> Result<SimArtifact, RunError> {
-        if circuit.is_dynamic() {
-            // The first non-unitary or conditioned operation of a dynamic
-            // circuit is always a dynamic one.
-            let op_index = circuit
-                .iter()
-                .position(|op| op.is_non_unitary() || op.is_conditioned())
-                .unwrap_or(0);
-            return Err(RunError::DynamicCircuit { op_index });
-        }
         let engine = route_plan(circuit, self.backend, self.clifford_router, None);
         engine.engine().check_sample_width(circuit.num_qubits())?;
         // Measure-free circuits — every classic benchmark — skip the
         // prefix-splitting clone entirely.
         let (prefix, mapping) = if circuit.has_measurements() {
             let Some((prefix, mapping)) = circuit.split_terminal_measurements() else {
-                unreachable!("dynamic circuits are rejected above")
+                unreachable!("only static circuits reach prepare_artifact")
             };
             (Cow::Owned(prefix), mapping)
         } else {
@@ -929,7 +936,8 @@ mod tests {
     #[test]
     fn dynamic_circuit_errors_report_the_first_dynamic_operation() {
         // x q1; t q1; measure q0 -> c0; h q0; measure q0 -> c1: the
-        // mid-circuit measurement is op 2, with or without the router.
+        // mid-circuit measurement is op 2, on either backend, with or
+        // without the router.
         let mut circuit = Circuit::new(2);
         circuit
             .x(Qubit(1))
@@ -937,14 +945,19 @@ mod tests {
             .measure(Qubit(0), 0)
             .h(Qubit(0))
             .measure(Qubit(0), 1);
-        for sim in [
-            WeakSimulator::new(Backend::DecisionDiagram),
-            WeakSimulator::new(Backend::DecisionDiagram).with_clifford_router(),
-        ] {
-            assert!(matches!(
-                sim.prepare_artifact(&circuit),
-                Err(RunError::DynamicCircuit { op_index: 2 })
-            ));
+        for backend in [Backend::DecisionDiagram, Backend::StateVector] {
+            for sim in [
+                WeakSimulator::new(backend),
+                WeakSimulator::new(backend).with_clifford_router(),
+            ] {
+                assert!(
+                    matches!(
+                        sim.strong(&circuit),
+                        Err(RunError::DynamicCircuit { op_index: 2 })
+                    ),
+                    "{backend}"
+                );
+            }
         }
         // A DD failure keeps the index its applying caller stamped.
         let err = DdError::NonUnitaryOperation {
@@ -955,6 +968,52 @@ mod tests {
             RunError::from(err.with_op_index(3)),
             RunError::DynamicCircuit { op_index: 3 }
         );
+    }
+
+    #[test]
+    fn strong_checks_the_circuit_before_any_budget() {
+        // A 1-node budget fails the zero state of any register wider than
+        // one qubit, so these errors can only come from the front door.
+        let sim = WeakSimulator::new(Backend::DecisionDiagram)
+            .with_governor(Governor::unlimited().with_node_budget(1));
+        let mut out_of_range = Circuit::new(2);
+        out_of_range.h(Qubit(0)).cx(Qubit(0), Qubit(5));
+        assert!(matches!(
+            sim.strong(&out_of_range),
+            Err(RunError::InvalidCircuit(_))
+        ));
+        let mut dynamic = Circuit::new(2);
+        dynamic.h(Qubit(0)).reset(Qubit(0));
+        assert!(matches!(
+            sim.strong(&dynamic),
+            Err(RunError::DynamicCircuit { op_index: 1 })
+        ));
+        // A circuit that passes the door meets the budget.
+        assert!(matches!(
+            sim.strong(&algorithms::bell_pair()),
+            Err(RunError::DdMemoryOut(_))
+        ));
+    }
+
+    #[test]
+    fn served_requests_are_validated_on_both_backends() {
+        let mut c = Circuit::new(1);
+        c.h(Qubit(5));
+        for backend in [Backend::DecisionDiagram, Backend::StateVector] {
+            let broker = crate::ServiceBroker::new(
+                crate::ArtifactCache::unbounded(),
+                crate::ServiceConfig::default(),
+            );
+            let sim = WeakSimulator::new(backend);
+            assert!(
+                matches!(
+                    broker.serve(&sim, &c, 10, 0),
+                    Err(RunError::InvalidCircuit(_))
+                ),
+                "{backend}"
+            );
+            assert_eq!(broker.cache().stats().entries, 0, "{backend}");
+        }
     }
 
     #[test]

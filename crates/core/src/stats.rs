@@ -4,8 +4,8 @@
 //! *statistically indistinguishable* from an error-free quantum computer.
 //! This module provides the machinery used by tests, examples and the
 //! experiment harness to check that claim: a chi-square goodness-of-fit test
-//! of the empirical histogram against the exact output distribution,
-//! total-variation distance, and Kullback–Leibler divergence.
+//! of the empirical histogram against the exact output distribution, and
+//! the total-variation distance.
 
 use crate::ShotHistogram;
 
@@ -131,29 +131,6 @@ pub fn total_variation_distance(
     distance / 2.0
 }
 
-/// The Kullback–Leibler divergence `D(empirical || exact)` over the observed
-/// support (outcomes with zero exact probability contribute infinity, which
-/// is what you want when a sampler produces impossible outcomes).
-///
-/// # Panics
-///
-/// Panics if the histogram is empty.
-pub fn kl_divergence(histogram: &ShotHistogram, probability: impl Fn(u64) -> f64) -> f64 {
-    assert!(histogram.shots() > 0, "cannot compare an empty histogram");
-    let mut divergence = 0.0;
-    for &outcome in histogram.counts().keys() {
-        let freq = histogram.frequency(outcome);
-        let p = probability(outcome);
-        if freq > 0.0 {
-            if p <= 0.0 {
-                return f64::INFINITY;
-            }
-            divergence += freq * (freq / p).ln();
-        }
-    }
-    divergence.max(0.0)
-}
-
 /// The survival function `P(X >= x)` of a chi-square distribution with `k`
 /// degrees of freedom, i.e. the regularized upper incomplete gamma function
 /// `Q(k/2, x/2)`.
@@ -272,7 +249,6 @@ mod tests {
         let result = chi_square_test(&hist, |_| 0.25);
         assert!(result.is_consistent(0.001), "p = {}", result.p_value);
         assert!(total_variation_distance(&hist, |_| 0.25) < 0.02);
-        assert!(kl_divergence(&hist, |_| 0.25) < 0.001);
     }
 
     #[test]
@@ -292,13 +268,6 @@ mod tests {
         let result = chi_square_test(&hist, |_| 0.25);
         assert!(!result.is_consistent(0.001), "p = {}", result.p_value);
         assert!(total_variation_distance(&hist, |_| 0.25) > 0.05);
-    }
-
-    #[test]
-    fn impossible_outcomes_blow_up_kl() {
-        let hist = ShotHistogram::from_samples(1, [0, 1, 1].into_iter());
-        let kl = kl_divergence(&hist, |o| if o == 1 { 1.0 } else { 0.0 });
-        assert!(kl.is_infinite());
     }
 
     #[test]

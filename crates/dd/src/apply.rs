@@ -10,8 +10,7 @@ use crate::{DdPackage, StateDd};
 use circuit::{Circuit, OneQubitGate, Operation, Qubit};
 use std::fmt;
 
-/// Error returned by [`simulate`], [`apply_circuit`] and
-/// [`apply_circuit_until`].
+/// Error returned by [`simulate`] and [`apply_circuit`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ApplyError {
     /// The circuit failed validation.
@@ -262,14 +261,23 @@ pub fn apply_circuit(
     state: StateDd,
     circuit: &Circuit,
 ) -> Result<StateDd, ApplyError> {
-    apply_circuit_until(package, state, circuit, Until::End).map(|(state, _)| state)
+    circuit.validate()?;
+    if let Some(op_index) = circuit.first_non_unitary() {
+        return Err(ApplyError::NonUnitaryOperation { op_index });
+    }
+    Ok(apply_circuit_until(package, state, circuit, Until::End)?.0)
 }
 
-/// [`apply_circuit`] with a stop rule: applies the operations of `circuit`
-/// in order until `until` says stop, and returns the state together with
-/// the number of operations applied (`circuit.len()` unless the rule
-/// stopped the loop early).  The caller finishes the remaining operations
-/// on another engine.
+/// The construction loop beneath [`apply_circuit`], with a stop rule:
+/// applies the operations of `circuit` in order until `until` says stop,
+/// and returns the state together with the number of operations applied
+/// (`circuit.len()` unless the rule stopped the loop early).  The caller
+/// finishes the remaining operations on another engine.
+///
+/// Like [`apply_operation`], it does not check its input: `circuit` must
+/// be valid ([`Circuit::validate`]) and unitary
+/// ([`Circuit::first_non_unitary`] is `None`).  Use [`apply_circuit`] for
+/// a circuit that has not been checked.
 ///
 /// With [`Until::Incompressible`] the loop counts live nodes after each
 /// gate, but walks the diagram only when a cheap bound — the last walked
@@ -279,26 +287,22 @@ pub fn apply_circuit(
 ///
 /// # Errors
 ///
-/// As [`apply_circuit`].
+/// Fails with a [`DdError`], stamped with the index of the operation it
+/// stopped at, when the governor interrupts the run (budget, deadline or
+/// cancellation; probed as in [`apply_circuit`]) or a node arena
+/// overflows.
 pub fn apply_circuit_until(
     package: &mut DdPackage,
     state: StateDd,
     circuit: &Circuit,
     until: Until,
-) -> Result<(StateDd, usize), ApplyError> {
-    circuit.validate()?;
-    if let Some(op_index) = circuit
-        .iter()
-        .position(|op| op.is_non_unitary() || op.is_conditioned())
-    {
-        return Err(ApplyError::NonUnitaryOperation { op_index });
-    }
+) -> Result<(StateDd, usize), DdError> {
     // A deadline or token that has already fired stops the build before its
     // first gate: a small build may never reach an amortized probe.
     package
         .governor()
         .check_now()
-        .map_err(|e| ApplyError::Dd(e.with_op_index(0)))?;
+        .map_err(|e| e.with_op_index(0))?;
     let node_limit = until.node_limit(state.num_qubits());
     let mut last_walk = LastWalk::NONE;
     let mut gates_above_limit = 0;
@@ -315,10 +319,9 @@ pub fn apply_circuit_until(
                 let retry_state = StateDd::from_root(roots[0], current.num_qubits());
                 package.shrink_compute_caches();
                 last_walk = LastWalk::NONE;
-                apply_operation(package, retry_state, op)
-                    .map_err(|e| ApplyError::Dd(e.with_op_index(op_index)))?
+                apply_operation(package, retry_state, op).map_err(|e| e.with_op_index(op_index))?
             }
-            Err(e) => return Err(ApplyError::Dd(e.with_op_index(op_index))),
+            Err(e) => return Err(e.with_op_index(op_index)),
         };
         let allocated = package.allocated_vector_nodes();
         let gc_due = allocated > GC_NODE_THRESHOLD;

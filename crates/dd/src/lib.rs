@@ -22,9 +22,10 @@
 //! * [`apply_circuit`]/[`simulate`] — strong simulation of a
 //!   [`circuit::Circuit`] into a [`StateDd`], with gate-DD memoization
 //!   keyed on (gate, target/control layout) in the package;
-//!   [`apply_circuit_until`] is the same loop with a stop rule
-//!   ([`Until::Incompressible`]) for callers that finish a diagram which
-//!   stopped compressing on a dense vector;
+//!   [`apply_circuit_until`] is the unchecked loop beneath them, with a
+//!   stop rule ([`Until::Incompressible`]) for callers that validated the
+//!   circuit themselves and finish a diagram which stopped compressing on
+//!   a dense vector;
 //! * [`CompiledSampler`] — the production sampling hot path: the paper's
 //!   single-path weak simulation compiled into a flat arena for several-fold
 //!   higher shot throughput, plus deterministic parallel shot batching

@@ -570,14 +570,15 @@ pub(crate) struct OperatorKey {
 }
 
 impl OperatorKey {
-    /// Key for a (multi-)controlled single-qubit gate.
+    /// Key for a (multi-)controlled single-qubit gate, identified by its
+    /// [`OneQubitGate::fingerprint`].
     pub(crate) fn gate(
         num_qubits: u16,
         gate: OneQubitGate,
         target: Qubit,
         controls: &[Qubit],
     ) -> Self {
-        let (kind, params) = gate_fingerprint(gate);
+        let (kind, params) = gate.fingerprint();
         Self {
             kind,
             params,
@@ -608,39 +609,6 @@ impl OperatorKey {
             controls: Vec::new(),
             num_qubits,
         }
-    }
-}
-
-/// Discriminant + parameter fingerprint of a gate (exact for the fixed
-/// alphabet, bit-pattern of the radian value for parametrized gates).
-fn gate_fingerprint(gate: OneQubitGate) -> (u8, [u64; 3]) {
-    use OneQubitGate as G;
-    match gate {
-        G::I => (0, [0; 3]),
-        G::X => (1, [0; 3]),
-        G::Y => (2, [0; 3]),
-        G::Z => (3, [0; 3]),
-        G::H => (4, [0; 3]),
-        G::S => (5, [0; 3]),
-        G::Sdg => (6, [0; 3]),
-        G::T => (7, [0; 3]),
-        G::Tdg => (8, [0; 3]),
-        G::SqrtX => (9, [0; 3]),
-        G::SqrtXdg => (10, [0; 3]),
-        G::SqrtY => (11, [0; 3]),
-        G::SqrtYdg => (12, [0; 3]),
-        G::Phase(a) => (13, [a.radians().to_bits(), 0, 0]),
-        G::Rx(a) => (14, [a.radians().to_bits(), 0, 0]),
-        G::Ry(a) => (15, [a.radians().to_bits(), 0, 0]),
-        G::Rz(a) => (16, [a.radians().to_bits(), 0, 0]),
-        G::U { theta, phi, lambda } => (
-            17,
-            [
-                theta.radians().to_bits(),
-                phi.radians().to_bits(),
-                lambda.radians().to_bits(),
-            ],
-        ),
     }
 }
 

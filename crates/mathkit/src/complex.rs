@@ -166,13 +166,6 @@ impl Complex {
         self.re.is_finite() && self.im.is_finite()
     }
 
-    /// Returns `true` if the number is within `tol` of zero in both parts.
-    #[inline]
-    #[must_use]
-    pub fn is_approx_zero(&self, tol: f64) -> bool {
-        self.re.abs() <= tol && self.im.abs() <= tol
-    }
-
     /// Returns `true` if `self` and `other` agree within `tol` componentwise.
     #[inline]
     #[must_use]
@@ -442,8 +435,6 @@ mod tests {
         let b = Complex::new(1.0 + 1e-14, 1.0 - 1e-14);
         assert!(a.approx_eq(&b, 1e-12));
         assert!(!a.approx_eq(&b, 1e-16));
-        assert!(Complex::new(1e-15, -1e-15).is_approx_zero(1e-12));
-        assert!(!Complex::new(1e-3, 0.0).is_approx_zero(1e-12));
     }
 
     #[test]

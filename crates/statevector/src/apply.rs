@@ -107,7 +107,7 @@ fn apply_controlled_unitary(
             }
             base += 1;
         } else {
-            // Skip the whole block where the target bit is set.
+            // Target bit set: updated above as a partner; move one index on.
             base += 1;
         }
     }
@@ -194,10 +194,7 @@ pub fn apply_circuit(state: &mut StateVector, circuit: &Circuit) {
 /// reset or classically-conditioned gate.
 pub fn simulate(circuit: &Circuit) -> Result<StateVector, SimulateError> {
     circuit.validate()?;
-    if let Some(op_index) = circuit
-        .iter()
-        .position(|op| op.is_non_unitary() || op.is_conditioned())
-    {
+    if let Some(op_index) = circuit.first_non_unitary() {
         return Err(SimulateError::NonUnitaryOperation { op_index });
     }
     let mut state = StateVector::zero_state(circuit.num_qubits());

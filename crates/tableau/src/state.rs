@@ -147,13 +147,6 @@ impl Tableau {
         self.words
     }
 
-    /// Approximate heap size of the tableau in bytes (the "representation
-    /// size" a router reports for the stabilizer engine).
-    #[must_use]
-    pub fn size_bytes(&self) -> usize {
-        2 * self.x.len() * 8 + self.r.len()
-    }
-
     #[inline]
     fn bit(words: &[u64], row_base: usize, q: usize) -> bool {
         words[row_base + q / 64] >> (q % 64) & 1 == 1
