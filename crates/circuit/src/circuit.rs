@@ -2,6 +2,7 @@
 
 use crate::{CircuitStats, Condition, OneQubitGate, Operation, Permutation, Qubit};
 use mathkit::Angle;
+use std::borrow::Cow;
 use std::fmt;
 
 /// An ordered sequence of [`Operation`]s on a fixed number of qubits.
@@ -444,16 +445,29 @@ impl Circuit {
     /// one-pass sampling path.
     #[must_use]
     pub fn is_dynamic(&self) -> bool {
-        let mut seen_measure = false;
-        for op in &self.ops {
+        self.terminal_measurements_start().is_none()
+    }
+
+    /// Where the trailing block of [`Operation::Measure`]s of a static
+    /// circuit begins — [`len`](Self::len) for a circuit without
+    /// measurements — or `None` if the circuit
+    /// [`is_dynamic`](Self::is_dynamic).  One walk over the operations
+    /// answers both; [`split_terminal_measurements`](Self::split_terminal_measurements)
+    /// takes the start it returns.
+    #[must_use]
+    pub fn terminal_measurements_start(&self) -> Option<usize> {
+        let mut start = None;
+        for (index, op) in self.ops.iter().enumerate() {
             match op {
-                Operation::Reset { .. } | Operation::Conditioned { .. } => return true,
-                Operation::Measure { .. } => seen_measure = true,
-                _ if seen_measure => return true,
+                Operation::Reset { .. } | Operation::Conditioned { .. } => return None,
+                Operation::Measure { .. } => {
+                    start.get_or_insert(index);
+                }
+                _ if start.is_some() => return None,
                 _ => {}
             }
         }
-        false
+        Some(start.unwrap_or(self.ops.len()))
     }
 
     /// The index of the first operation that is not unconditionally
@@ -467,36 +481,38 @@ impl Circuit {
             .position(|op| op.is_non_unitary() || op.is_conditioned())
     }
 
-    /// Splits a *non-dynamic* circuit into its unitary prefix and the
-    /// `(qubit, cbit)` pairs of the trailing measurement block.
+    /// Splits a *non-dynamic* circuit at `start`, the value of
+    /// [`terminal_measurements_start`](Self::terminal_measurements_start),
+    /// into its unitary prefix and the `(qubit, cbit)` pairs of the trailing
+    /// measurement block.  A circuit without measurements (`start` equal to
+    /// [`len`](Self::len)) is its own prefix, borrowed, with an empty
+    /// mapping.
     ///
-    /// Returns `None` if the circuit [`is_dynamic`](Self::is_dynamic); for a
-    /// circuit without measurements the mapping is empty and the prefix is a
-    /// clone of the whole circuit.
+    /// # Panics
+    ///
+    /// Panics if an operation from `start` on is not a measurement.
     #[must_use]
-    pub fn split_terminal_measurements(&self) -> Option<(Circuit, Vec<(Qubit, u16)>)> {
-        if self.is_dynamic() {
-            return None;
+    pub fn split_terminal_measurements(
+        &self,
+        start: usize,
+    ) -> (Cow<'_, Circuit>, Vec<(Qubit, u16)>) {
+        if start == self.ops.len() {
+            return (Cow::Borrowed(self), Vec::new());
         }
-        let prefix_len = self
-            .ops
-            .iter()
-            .position(|op| matches!(op, Operation::Measure { .. }))
-            .unwrap_or(self.ops.len());
         let prefix = Circuit {
             name: self.name.clone(),
             num_qubits: self.num_qubits,
             num_clbits: self.num_clbits,
-            ops: self.ops[..prefix_len].to_vec(),
+            ops: self.ops[..start].to_vec(),
         };
-        let mapping = self.ops[prefix_len..]
+        let mapping = self.ops[start..]
             .iter()
             .map(|op| match op {
                 Operation::Measure { qubit, cbit } => (*qubit, *cbit),
-                other => unreachable!("non-measure op {other} after the terminal block"),
+                other => panic!("non-measure op {other} in the terminal block"),
             })
             .collect();
-        Some((prefix, mapping))
+        (Cow::Owned(prefix), mapping)
     }
 
     /// Checks that every operation only references qubits inside the circuit
@@ -787,15 +803,17 @@ mod tests {
         let mut unitary = Circuit::new(2);
         unitary.h(Qubit(0)).cx(Qubit(0), Qubit(1));
         assert!(!unitary.is_dynamic());
-        let (prefix, mapping) = unitary.split_terminal_measurements().unwrap();
-        assert_eq!(prefix.len(), 2);
+        assert_eq!(unitary.terminal_measurements_start(), Some(2));
+        let (prefix, mapping) = unitary.split_terminal_measurements(2);
+        assert!(matches!(prefix, Cow::Borrowed(_)));
         assert!(mapping.is_empty());
 
         // Trailing measurement block: static with a mapping.
         let mut terminal = unitary.clone();
         terminal.measure(Qubit(1), 0).measure(Qubit(0), 1);
         assert!(!terminal.is_dynamic());
-        let (prefix, mapping) = terminal.split_terminal_measurements().unwrap();
+        assert_eq!(terminal.terminal_measurements_start(), Some(2));
+        let (prefix, mapping) = terminal.split_terminal_measurements(2);
         assert_eq!(prefix.len(), 2);
         assert_eq!(prefix.num_clbits(), 2);
         assert_eq!(mapping, vec![(Qubit(1), 0), (Qubit(0), 1)]);
@@ -804,7 +822,7 @@ mod tests {
         let mut dynamic = Circuit::new(2);
         dynamic.h(Qubit(0)).measure(Qubit(0), 0).x(Qubit(1));
         assert!(dynamic.is_dynamic());
-        assert!(dynamic.split_terminal_measurements().is_none());
+        assert_eq!(dynamic.terminal_measurements_start(), None);
 
         // A reset anywhere makes the circuit dynamic.
         let mut with_reset = Circuit::new(1);
@@ -836,7 +854,7 @@ mod tests {
             .measure(Qubit(0), 0)
             .conditioned_gate(1, OneQubitGate::X, Qubit(1));
         assert!(c.is_dynamic());
-        assert!(c.split_terminal_measurements().is_none());
+        assert_eq!(c.terminal_measurements_start(), None);
         assert!(c.validate().is_ok());
         assert_eq!(c.stats().counts["if x"], 1);
 

@@ -734,8 +734,8 @@ mod tests {
         // h, cx, plus one broadcast measurement per qubit.
         assert_eq!(c.len(), 4);
         assert!(c.has_measurements());
-        assert!(!c.is_dynamic());
-        let (prefix, mapping) = c.split_terminal_measurements().unwrap();
+        assert_eq!(c.terminal_measurements_start(), Some(2));
+        let (prefix, mapping) = c.split_terminal_measurements(2);
         assert_eq!(prefix.len(), 2);
         assert_eq!(mapping, vec![(Qubit(0), 0), (Qubit(1), 1)]);
     }

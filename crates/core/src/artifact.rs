@@ -840,8 +840,9 @@ mod tests {
     /// A minimal artifact for cache-mechanics tests (the broker-level
     /// integration lives in the workspace `artifact_cache` test).
     fn tiny_artifact(n: u16) -> SimArtifact {
+        let circuit = algorithms::ghz(n);
         crate::WeakSimulator::new(Backend::DecisionDiagram)
-            .prepare_artifact(&algorithms::ghz(n))
+            .prepare_artifact(&circuit, circuit.len())
             .unwrap()
     }
 

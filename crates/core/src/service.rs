@@ -346,11 +346,11 @@ impl ServiceBroker {
         seed: u64,
     ) -> Result<RunOutcome, RunError> {
         sim.validate(circuit)?;
-        if !sim.runs_static(circuit) {
+        let Some(measure_start) = sim.static_measurements_start(circuit) else {
             // Cache-ineligible: per-shot evolution has no reusable prepared
             // sampler, so there is nothing to coalesce or admit — run it.
             return sim.run_trajectories(circuit, shots, seed);
-        }
+        };
 
         let key = sim.request_fingerprint(circuit);
         if let Some(artifact) = self.cache.get(key) {
@@ -378,7 +378,9 @@ impl ServiceBroker {
                 ))
             }
             Admission::Wait(slot) => self.wait_on_slot(&slot, key, shots, seed),
-            Admission::Build(slot) => self.build_and_publish(sim, circuit, key, &slot, shots, seed),
+            Admission::Build(slot) => self.build_and_publish(key, &slot, shots, seed, || {
+                sim.prepare_artifact(circuit, measure_start)
+            }),
         }
     }
 
@@ -487,16 +489,15 @@ impl ServiceBroker {
         }
     }
 
-    /// Runs the construction this request owns, publishes the result (or
-    /// the error) to the slot, and retires the slot.
+    /// Runs `build`, the construction this request owns, publishes the
+    /// result (or the error) to the slot, and retires the slot.
     fn build_and_publish(
         &self,
-        sim: &WeakSimulator,
-        circuit: &Circuit,
         key: [u64; 2],
         slot: &Arc<BuildSlot>,
         shots: u64,
         seed: u64,
+        build: impl Fn() -> Result<SimArtifact, RunError>,
     ) -> Result<RunOutcome, RunError> {
         // Insurance against a panicking build: resolve the slot and release
         // the permit on unwind, so waiters get a typed error instead of a
@@ -507,7 +508,7 @@ impl ServiceBroker {
             slot,
             armed: true,
         };
-        let built = self.build_with_retry(sim, circuit);
+        let built = self.build_with_retry(build);
         guard.armed = false;
         match built {
             Ok((artifact, build_seconds)) => {
@@ -535,15 +536,14 @@ impl ServiceBroker {
     /// successful attempt's build seconds.
     fn build_with_retry(
         &self,
-        sim: &WeakSimulator,
-        circuit: &Circuit,
+        build: impl Fn() -> Result<SimArtifact, RunError>,
     ) -> Result<(SimArtifact, f64), RunError> {
         let max_attempts = self.config.retry.max_attempts.max(1);
         let mut attempt = 0u32;
         loop {
             attempt += 1;
             let start = Instant::now();
-            match self.attempt_build(sim, circuit) {
+            match self.attempt_build(&build) {
                 Ok(artifact) => return Ok((artifact, start.elapsed().as_secs_f64())),
                 Err(error) => {
                     let transient = matches!(error, RunError::Deadline(_));
@@ -560,8 +560,7 @@ impl ServiceBroker {
     /// One build attempt, with the `fault-inject` hooks applied first.
     fn attempt_build(
         &self,
-        sim: &WeakSimulator,
-        circuit: &Circuit,
+        build: impl Fn() -> Result<SimArtifact, RunError>,
     ) -> Result<SimArtifact, RunError> {
         let attempt = self.build_attempts.fetch_add(1, Ordering::Relaxed) + 1;
         #[cfg(feature = "fault-inject")]
@@ -584,7 +583,7 @@ impl ServiceBroker {
         }
         #[cfg(not(feature = "fault-inject"))]
         let _ = attempt;
-        sim.prepare_artifact(circuit)
+        build()
     }
 
     /// Publishes `resolution` to the slot, wakes its waiters, removes the

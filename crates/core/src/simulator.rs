@@ -45,7 +45,6 @@ use circuit::{Circuit, NoiseModel, Qubit};
 use dd::{DdError, DdPackage, DdStats, Governor, StateDd};
 use mathkit::hash_mix;
 use statevector::{MemoryBudget, StateVector};
-use std::borrow::Cow;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -84,10 +83,12 @@ pub enum RunError {
         /// Bytes the amplitude array would need.
         required_bytes: u128,
     },
-    /// Strong simulation was requested for a dynamic circuit: the state
-    /// after a mid-circuit measurement, reset or classically-conditioned
-    /// gate depends on sampled outcomes, so there is no single final state.
-    /// Use [`WeakSimulator::run`], which routes dynamic circuits through the
+    /// Strong simulation was requested for a dynamic circuit
+    /// ([`Circuit::is_dynamic`]): the state after a mid-circuit
+    /// measurement, reset or classically-conditioned gate depends on
+    /// sampled outcomes, so there is no single final state.  A trailing
+    /// `measure` block alone does not make a circuit dynamic.  Use
+    /// [`WeakSimulator::run`], which routes dynamic circuits through the
     /// trajectory engine.
     DynamicCircuit {
         /// Index of the first non-unitary or conditioned operation.
@@ -147,7 +148,7 @@ impl fmt::Display for RunError {
             ),
             RunError::DynamicCircuit { op_index } => write!(
                 f,
-                "operation {op_index} is a mid-circuit measurement/reset/conditioned gate; strong simulation is undefined for dynamic circuits (use run, which simulates trajectories)"
+                "operation {op_index} makes the circuit dynamic (a measurement followed by other operations, a reset or a conditioned gate); strong simulation takes a unitary circuit with at most a trailing measure block (use run, which simulates trajectories)"
             ),
             RunError::InvalidNoise(e) => write!(f, "invalid noise model: {e}"),
             RunError::RegisterTooWide { num_qubits } => write!(
@@ -499,14 +500,18 @@ impl WeakSimulator {
     ///
     /// Any attached noise model is ignored: strong simulation produces the
     /// single *ideal* final state, which a stochastic channel does not have
-    /// (use [`run`](Self::run), which realizes noise per trajectory).
+    /// (use [`run`](Self::run), which realizes noise per trajectory).  A
+    /// static circuit's trailing `measure` block is not simulated: the
+    /// state returned is that of its unitary prefix, the state the block
+    /// reads out.
     ///
     /// # Errors
     ///
     /// Returns [`RunError::InvalidCircuit`] for malformed circuits,
     /// [`RunError::MemoryOut`] when the dense backend exceeds its budget and
-    /// [`RunError::DynamicCircuit`] for circuits containing mid-circuit
-    /// measurement or reset (their final state is trajectory-dependent).
+    /// [`RunError::DynamicCircuit`] for dynamic circuits — a measurement
+    /// followed by other operations, a reset or a classically-conditioned
+    /// gate (their final state is trajectory-dependent).
     /// Under a limited [governor](Self::with_governor), either backend can
     /// additionally fail with [`RunError::Deadline`] or
     /// [`RunError::Cancelled`], and the decision-diagram backend with
@@ -515,12 +520,15 @@ impl WeakSimulator {
     /// whatever the budgets.
     pub fn strong(&self, circuit: &Circuit) -> Result<StrongState, RunError> {
         Self::validate_circuit(circuit)?;
-        if let Some(op_index) = circuit.first_non_unitary() {
+        let Some(measure_start) = circuit.terminal_measurements_start() else {
+            // A dynamic circuit always has a non-unitary operation.
+            let op_index = circuit.first_non_unitary().unwrap_or_default();
             return Err(RunError::DynamicCircuit { op_index });
-        }
+        };
+        let (prefix, _) = circuit.split_terminal_measurements(measure_start);
         match self.backend {
-            Backend::DecisionDiagram => DdEngine::strong(circuit, &self.governor),
-            Backend::StateVector => SvEngine::strong(circuit, self.memory_budget, &self.governor),
+            Backend::DecisionDiagram => DdEngine::strong(&prefix, &self.governor),
+            Backend::StateVector => SvEngine::strong(&prefix, self.memory_budget, &self.governor),
         }
     }
 
@@ -560,8 +568,8 @@ impl WeakSimulator {
         seed: u64,
     ) -> Result<RunOutcome, RunError> {
         self.validate(circuit)?;
-        if self.runs_static(circuit) {
-            let artifact = self.prepare_artifact(circuit)?;
+        if let Some(measure_start) = self.static_measurements_start(circuit) {
+            let artifact = self.prepare_artifact(circuit, measure_start)?;
             return Ok(outcome_from_artifact(&artifact, shots, seed, None));
         }
         self.run_trajectories(circuit, shots, seed)
@@ -590,11 +598,16 @@ impl WeakSimulator {
     }
 
     /// Whether a request runs on the static pipeline (plan → artifact →
-    /// sample): noise-free and static.  Everything else runs per shot on
-    /// the trajectory loop — there is no reusable prepared sampler to
-    /// build or cache.
-    pub(crate) fn runs_static(&self, circuit: &Circuit) -> bool {
-        self.effective_noise().is_none() && !circuit.is_dynamic()
+    /// sample), as the start of its trailing measure block
+    /// ([`Circuit::terminal_measurements_start`]): `Some` for a noise-free,
+    /// static request.  Everything else (`None`) runs per shot on the
+    /// trajectory loop — there is no reusable prepared sampler to build or
+    /// cache.
+    pub(crate) fn static_measurements_start(&self, circuit: &Circuit) -> Option<usize> {
+        if self.effective_noise().is_some() {
+            return None;
+        }
+        circuit.terminal_measurements_start()
     }
 
     /// The attached noise model, if it has any non-trivial channel.
@@ -634,23 +647,22 @@ impl WeakSimulator {
     }
 
     /// Builds the [`SimArtifact`] for a noise-free, static `circuit` that
-    /// passed the front door: the route plan picks the engine, and that
-    /// engine prepares the sampler.  Its two callers, [`run`](Self::run) and
+    /// passed the front door, whose trailing measure block begins at
+    /// `measure_start` ([`static_measurements_start`](Self::static_measurements_start)):
+    /// the route plan picks the engine, and that engine prepares the
+    /// sampler.  Its two callers, [`run`](Self::run) and
     /// [`ServiceBroker::serve`](crate::ServiceBroker::serve), send every
     /// other request to the trajectory loop.
-    pub(crate) fn prepare_artifact(&self, circuit: &Circuit) -> Result<SimArtifact, RunError> {
+    pub(crate) fn prepare_artifact(
+        &self,
+        circuit: &Circuit,
+        measure_start: usize,
+    ) -> Result<SimArtifact, RunError> {
         let engine = route_plan(circuit, self.backend, self.clifford_router, None);
         engine.engine().check_sample_width(circuit.num_qubits())?;
-        // Measure-free circuits — every classic benchmark — skip the
-        // prefix-splitting clone entirely.
-        let (prefix, mapping) = if circuit.has_measurements() {
-            let Some((prefix, mapping)) = circuit.split_terminal_measurements() else {
-                unreachable!("only static circuits reach prepare_artifact")
-            };
-            (Cow::Owned(prefix), mapping)
-        } else {
-            (Cow::Borrowed(circuit), Vec::new())
-        };
+        // Measure-free circuits — every classic benchmark — are their own
+        // prefix, borrowed rather than cloned.
+        let (prefix, mapping) = circuit.split_terminal_measurements(measure_start);
         let prepared = engine.engine().prepare(&prefix, self)?;
         let route = match prepared.handoff {
             None => RunRoute::single(engine, circuit.len()),
@@ -917,6 +929,31 @@ mod tests {
                     "{backend}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn strong_simulates_the_unitary_prefix_of_a_terminal_measure_block() {
+        // h; cx; measure q -> c: static, so strong returns the Bell state
+        // the block reads out, on either backend.
+        let mut circuit = algorithms::bell_pair();
+        circuit.measure(Qubit(0), 0).measure(Qubit(1), 1);
+        assert!(!circuit.is_dynamic());
+        for backend in [Backend::DecisionDiagram, Backend::StateVector] {
+            let state = WeakSimulator::new(backend).strong(&circuit).unwrap();
+            let unitary = WeakSimulator::new(backend)
+                .strong(&algorithms::bell_pair())
+                .unwrap();
+            assert_eq!(state.num_qubits(), 2, "{backend}");
+            for index in 0..4 {
+                assert_eq!(
+                    state.probability(index),
+                    unitary.probability(index),
+                    "{backend} |{index:02b}>"
+                );
+            }
+            assert!((state.probability(0b00) - 0.5).abs() < 1e-12, "{backend}");
+            assert!((state.probability(0b11) - 0.5).abs() < 1e-12, "{backend}");
         }
     }
 

@@ -128,12 +128,6 @@ impl StateVector {
         &mut self.amplitudes
     }
 
-    /// Replaces the amplitude storage (used by permutation application).
-    pub(crate) fn replace_amplitudes(&mut self, amplitudes: Vec<Complex>) {
-        debug_assert_eq!(amplitudes.len(), self.amplitudes.len());
-        self.amplitudes = amplitudes;
-    }
-
     /// The squared 2-norm of the state (1 for a valid quantum state).
     #[must_use]
     pub fn norm_sqr(&self) -> f64 {
